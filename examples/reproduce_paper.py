@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate every table and figure of the paper in one run.
 
-This is the full reproduction driver behind `benchmarks/`: it compiles
-the 15-program suite for all five compiler configurations, simulates
-everything, runs the cache studies, and prints each table/figure in
-order.  Expect ~10 minutes.
+This is the full reproduction driver: it compiles the 15-program suite
+for all five compiler configurations, simulates everything, runs the
+cache studies, and prints each table/figure in order.  Expect ~10
+minutes.
 
 Run:  python examples/reproduce_paper.py [--fast] [--jobs N]
 

@@ -35,9 +35,9 @@ TIM004/LOOP001 do for cycles -- never silently unsound.
 
 :func:`validate_icache` replays a recorded instruction trace through
 the real :class:`~repro.cache.cache.Cache` (via the vectorized
-first-demand compression of :mod:`repro.cache.vector` when numpy is
-available) and checks the three soundness obligations: no always-hit
-fetch ever misses (CACHE001), simulated misses never exceed a finite
+first-demand compression of :mod:`repro.cache.vector`) and checks the
+three soundness obligations: no always-hit fetch ever misses
+(CACHE001), simulated misses never exceed a finite
 static bound and observed cycles stay inside the cache-aware interval
 (CACHE002), and the analysis's assumed prefetch semantics agree with
 the simulated cache access by access (CACHE005).
@@ -49,6 +49,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
+from ..cache import vector
 from ..cache.cache import Cache, CacheConfig
 from ..machine.stats import RunStats
 from .cfg import BasicBlock
@@ -689,20 +692,16 @@ class ICacheValidation:
         return record
 
 
-def _replay_vector(analysis: ICacheAnalysis, itrace: Sequence[int],
-                   config: CacheConfig, findings: list[Finding],
-                   ) -> tuple[int, int, int, int]:
-    """Numpy replay: first-demand walk with pc attribution."""
-    from ..cache import vector
-    _np = vector._np
-
-    addrs = vector.as_addresses(itrace)
+def _replay(analysis: ICacheAnalysis, addrs: np.ndarray,
+            config: CacheConfig, findings: list[Finding],
+            ) -> tuple[int, int, int, int]:
+    """First-demand walk of a non-empty trace with pc attribution."""
     words = addrs & ~3
-    keep = _np.empty(words.size, dtype=bool)
+    keep = np.empty(words.size, dtype=bool)
     keep[0] = True
     keep[1:] = words[1:] != words[:-1]
     deduped = words[keep]
-    keep_idx = _np.flatnonzero(keep)
+    keep_idx = np.flatnonzero(keep)
     order, _line, _tag, _sub, first = vector._first_demands(
         config, deduped)
 
@@ -740,54 +739,13 @@ def _replay_vector(analysis: ICacheAnalysis, itrace: Sequence[int],
 
     # Cross-check the totals against the vectorized replay oracle.
     oracle = Cache(config)
-    vector.replay_reads(oracle, itrace, dedup=True)
+    vector.replay_reads(oracle, deduped)
     if oracle.read_misses != misses:
         findings.append(finding(
             "CACHE005", "replay",
             f"first-demand walk counted {misses} misses but the "
             f"replay oracle counted {oracle.read_misses}"))
     return oracle.read_accesses, misses, contradictions, unattributed
-
-
-def _replay_scalar(analysis: ICacheAnalysis, itrace: Sequence[int],
-                   config: CacheConfig, findings: list[Finding],
-                   ) -> tuple[int, int, int, int]:
-    """Pure-Python replay: full deduped walk with pc attribution."""
-    model = _ModelCache(config)
-    real = Cache(config)
-    misses = contradictions = unattributed = diverged = fetches = 0
-    prev = None
-    for pc in itrace:
-        word = pc & ~3
-        if word == prev:
-            continue
-        prev = word
-        fetches += 1
-        model_hit = model.access(word)
-        real_hit = real.access(word)
-        if model_hit != real_hit:
-            diverged += 1
-            if diverged <= _MAX_EXAMPLES:
-                findings.append(finding(
-                    "CACHE005", f"addr {word:#x}",
-                    f"analysis model predicts "
-                    f"{'hit' if model_hit else 'miss'} but the "
-                    f"simulated cache "
-                    f"{'hit' if real_hit else 'missed'}"))
-        if real_hit:
-            continue
-        misses += 1
-        key = analysis.site_of_pc.get(pc)
-        if key is None:
-            unattributed += 1
-        elif analysis.classes[key] is SiteClass.ALWAYS_HIT:
-            contradictions += 1
-            if contradictions <= _MAX_EXAMPLES:
-                findings.append(finding(
-                    "CACHE001", analysis.program.cfg.describe(pc),
-                    f"always-hit fetch at {pc:#x} missed in "
-                    f"simulation"))
-    return fetches, misses, contradictions, unattributed
 
 
 def validate_icache(analysis: ICacheAnalysis, itrace: Sequence[int],
@@ -804,8 +762,6 @@ def validate_icache(analysis: ICacheAnalysis, itrace: Sequence[int],
     ``instructions + interlocks + penalty * misses``, the same
     I-cache-only cycle model the cacheperf experiments use.
     """
-    from ..cache.vector import use_vector
-
     findings: list[Finding] = []
     if config is not None and config != analysis.config:
         findings.append(finding(
@@ -814,25 +770,16 @@ def validate_icache(analysis: ICacheAnalysis, itrace: Sequence[int],
             f"asked about {config}"))
     config = analysis.config
     cfg = analysis.program.cfg
-    if len(itrace):
-        if use_vector():
-            from ..cache import vector
-            addrs = vector.as_addresses(itrace)
-            lo, hi = int(addrs.min()), int(addrs.max())
-        else:
-            lo, hi = min(itrace), max(itrace)
-    if len(itrace) and not (cfg.base <= lo and hi < cfg.end):
+    addrs = vector.as_addresses(itrace)
+    replay = (0, 0, 0, 0)
+    if addrs.size and not (cfg.base <= int(addrs.min())
+                           and int(addrs.max()) < cfg.end):
         findings.append(finding(
             "CACHE004", "trace",
             f"instruction trace leaves the analyzed text segment "
             f"[{cfg.base:#x}, {cfg.end:#x})"))
-        replay = (0, 0, 0, 0)
-    elif len(itrace) == 0:
-        replay = (0, 0, 0, 0)
-    elif use_vector():
-        replay = _replay_vector(analysis, itrace, config, findings)
-    else:
-        replay = _replay_scalar(analysis, itrace, config, findings)
+    elif addrs.size:
+        replay = _replay(analysis, addrs, config, findings)
     fetches, misses, contradictions, unattributed = replay
 
     miss_ub = analysis.miss_ub

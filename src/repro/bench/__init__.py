@@ -2,8 +2,6 @@
 
 from .suite import (BY_NAME, CACHE_SUITE, PROGRAM_DIR, SUITE, Benchmark,
                     check_output, get_benchmark, register_benchmark)
-from .timing import BENCH_JSON, time_phases, write_bench_json
 
-__all__ = ["BENCH_JSON", "BY_NAME", "CACHE_SUITE", "PROGRAM_DIR", "SUITE",
-           "Benchmark", "check_output", "get_benchmark",
-           "register_benchmark", "time_phases", "write_bench_json"]
+__all__ = ["BY_NAME", "CACHE_SUITE", "PROGRAM_DIR", "SUITE", "Benchmark",
+           "check_output", "get_benchmark", "register_benchmark"]

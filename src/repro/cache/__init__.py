@@ -1,12 +1,8 @@
 """Trace-driven cache simulation (dinero-equivalent substrate)."""
 
 from .cache import Cache, CacheConfig
-from .hierarchy import (CacheRates, dedup_consecutive, simulate_caches,
-                        simulate_caches_grid)
-from .multicache import MultiCache
-from .vector import HAVE_NUMPY, replay_reads, replay_tagged, use_vector
+from .hierarchy import CacheRates, simulate_caches, simulate_caches_grid
+from .vector import replay_reads, replay_tagged
 
-__all__ = ["Cache", "CacheConfig", "CacheRates", "HAVE_NUMPY",
-           "MultiCache", "dedup_consecutive", "replay_reads",
-           "replay_tagged", "simulate_caches", "simulate_caches_grid",
-           "use_vector"]
+__all__ = ["Cache", "CacheConfig", "CacheRates", "replay_reads",
+           "replay_tagged", "simulate_caches", "simulate_caches_grid"]

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from ..machine.stats import RunStats
 from . import vector
 from .cache import Cache, CacheConfig
-from .multicache import MultiCache
 
 
 @dataclass(frozen=True)
@@ -50,38 +49,17 @@ class CacheRates:
         return self.imisses + self.rmisses + self.wmisses
 
 
-def dedup_consecutive(addresses, mask: int = ~3):
-    """Collapse runs of accesses to the same word into one access.
-
-    The fetch unit requests a word once and issues the instructions in
-    it; feeding the deduplicated stream to the cache produces identical
-    miss counts (a repeated address always hits) at half the cost for
-    16-bit instruction streams.
-    """
-    previous = -1
-    for addr in addresses:
-        addr &= mask
-        if addr != previous:
-            previous = addr
-            yield addr
-
-
 def simulate_caches(itrace, dtrace, stats: RunStats, *,
                     icache: CacheConfig, dcache: CacheConfig) -> CacheRates:
     """Run recorded traces through split I/D caches.
 
-    Goes through the vectorized replay engine when numpy is available
-    (``REPRO_CACHE_ENGINE=python`` forces the scalar loops, which are
-    the oracle in the equivalence tests).
+    The I-stream is word-deduplicated first (see
+    :func:`~repro.cache.vector.dedup_words`).
     """
     icache_sim = Cache(icache)
     dcache_sim = Cache(dcache)
-    if vector.use_vector():
-        vector.replay_reads(icache_sim, itrace, dedup=True)
-        vector.replay_tagged(dcache_sim, dtrace)
-    else:
-        icache_sim.run_reads(dedup_consecutive(itrace))
-        dcache_sim.run_tagged(dtrace)
+    vector.replay_reads(icache_sim, itrace, dedup=True)
+    vector.replay_tagged(dcache_sim, dtrace)
     return _rates(stats, icache_sim, dcache_sim)
 
 
@@ -101,30 +79,19 @@ def _rates(stats: RunStats, icache_sim: Cache,
 
 def simulate_caches_grid(itrace, dtrace, stats: RunStats,
                          configs) -> dict[CacheConfig, CacheRates]:
-    """Run traces through a whole grid of geometries in one pass each.
+    """Run traces through a whole grid of geometries.
 
     Equivalent to calling :func:`simulate_caches` once per config (same
-    geometry for the I- and D-cache, the paper's setup).  With numpy
-    available each configuration replays the (pre-converted, pre-
-    deduplicated) traces through the vectorized engine; the scalar
-    fallback walks the traces exactly once via :class:`MultiCache`,
-    updating every configuration simultaneously.
+    geometry for the I- and D-cache, the paper's setup), but the traces
+    are converted and the I-stream deduplicated once for the whole grid.
     """
-    configs = list(configs)
-    if vector.use_vector():
-        iaddrs = vector.dedup_words(vector.as_addresses(itrace))
-        daddrs = vector.as_addresses(dtrace)
-        result = {}
-        for config in configs:
-            icache_sim = Cache(config)
-            dcache_sim = Cache(config)
-            vector.replay_reads(icache_sim, iaddrs)
-            vector.replay_tagged(dcache_sim, daddrs)
-            result[config] = _rates(stats, icache_sim, dcache_sim)
-        return result
-    imulti = MultiCache(configs)
-    dmulti = MultiCache(configs)
-    imulti.run_reads(dedup_consecutive(itrace))
-    dmulti.run_tagged(dtrace)
-    return {config: _rates(stats, imulti[config], dmulti[config])
-            for config in configs}
+    iaddrs = vector.dedup_words(vector.as_addresses(itrace))
+    daddrs = vector.as_addresses(dtrace)
+    result = {}
+    for config in configs:
+        icache_sim = Cache(config)
+        dcache_sim = Cache(config)
+        vector.replay_reads(icache_sim, iaddrs)
+        vector.replay_tagged(dcache_sim, daddrs)
+        result[config] = _rates(stats, icache_sim, dcache_sim)
+    return result

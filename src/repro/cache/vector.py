@@ -1,6 +1,8 @@
 """Vectorized (numpy) trace replay for the direct-mapped caches.
 
-:func:`replay_reads` and :func:`replay_tagged` are drop-in accelerated
+:func:`replay_reads` and :func:`replay_tagged` are the program's only
+trace-replay path: cache experiments, the I-cache soundness check and
+cache fault injection all go through them.  They are drop-in
 executors for :meth:`Cache.run_reads` / :meth:`Cache.run_tagged`: they
 mutate the same :class:`~repro.cache.cache.Cache` instance -- counters
 *and* tag/valid state -- and produce results identical to the scalar
@@ -28,39 +30,11 @@ trace can be regrouped line-major without changing any line's history:
 For looping programs the compressed stream is orders of magnitude
 shorter than the trace, so the per-reference Python cost disappears
 into a handful of numpy passes.
-
-numpy is an optional dependency (the ``[perf]`` extra): when it is not
-importable, :data:`HAVE_NUMPY` is False and callers fall back to the
-scalar loops.  ``REPRO_CACHE_ENGINE=python`` forces the fallback.
 """
 
 from __future__ import annotations
 
-import os
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via env override
-    _np = None
-
-HAVE_NUMPY = _np is not None
-
-#: Environment override: ``python`` forces the scalar loops,
-#: ``numpy`` insists on the vector engine (raising if unavailable).
-ENGINE_ENV = "REPRO_CACHE_ENGINE"
-
-
-def use_vector() -> bool:
-    """Should trace sweeps go through the vectorized engine?"""
-    choice = os.environ.get(ENGINE_ENV, "")
-    if choice == "python":
-        return False
-    if choice == "numpy":
-        if not HAVE_NUMPY:
-            raise RuntimeError(
-                f"{ENGINE_ENV}=numpy but numpy is not installed")
-        return True
-    return HAVE_NUMPY
+import numpy as _np
 
 
 def as_addresses(addresses):
@@ -75,7 +49,12 @@ def as_addresses(addresses):
 
 
 def dedup_words(a):
-    """Vectorized :func:`repro.cache.hierarchy.dedup_consecutive`."""
+    """Word-align ``a`` and collapse runs of the same word into one.
+
+    The fetch unit requests a word once and issues the instructions in
+    it; the deduplicated stream produces identical miss counts (a
+    repeated word always hits) at half the cost for 16-bit streams.
+    """
     a = a & ~3
     if a.size == 0:
         return a

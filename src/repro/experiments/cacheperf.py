@@ -73,9 +73,8 @@ def run_cache_study(lab: Lab, programs=CACHE_PROGRAMS, *,
                     sub_block: int = SUB_BLOCK) -> CacheStudy:
     """Simulate the cache grid over traced runs.
 
-    The whole size x block grid is simulated in one pass over each
-    trace (see :class:`repro.cache.MultiCache`) instead of re-walking
-    the trace once per geometry.
+    Each trace is converted once for the whole size x block grid and
+    replayed per geometry by :func:`repro.cache.simulate_caches_grid`.
     """
     configs = grid_configs(sizes, blocks, sub_block)
     points: dict[tuple, CachePoint] = {}

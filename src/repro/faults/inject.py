@@ -161,17 +161,17 @@ def run_cache_fault(itrace: Iterable[int], spec: FaultSpec,
     flipped tag bit does the same at line granularity.  Masked means
     the corrupt metadata was overwritten before it was ever consulted.
     """
-    from ..cache import Cache, CacheConfig
+    from ..cache import Cache, CacheConfig, vector
 
     config = config or CacheConfig(size=8192)
     addresses = list(itrace)
     cut = spec.trigger % len(addresses) if addresses else 0
 
     golden = Cache(config)
-    golden.run_reads(addresses)
+    vector.replay_reads(golden, addresses)
 
     faulty = Cache(config)
-    faulty.run_reads(addresses[:cut])
+    vector.replay_reads(faulty, addresses[:cut])
     line = spec.line % config.num_lines
     nsubs = config.subs_per_block
     # Low bits corrupt a valid bit, the rest walk the tag bits.
@@ -182,7 +182,7 @@ def run_cache_fault(itrace: Iterable[int], spec: FaultSpec,
         tag_bit = spec.bit % 8
         faulty.corrupt_line(line, tag_bit=tag_bit)
         where = f"flipped tag bit {tag_bit} of line {line}"
-    faulty.run_reads(addresses[cut:])
+    vector.replay_reads(faulty, addresses[cut:])
 
     same = (faulty.read_misses == golden.read_misses
             and faulty.traffic_words == golden.traffic_words)

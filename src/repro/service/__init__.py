@@ -17,8 +17,8 @@ testable layers plus the harnesses that exercise them:
   and the asyncio JSON-lines front end (``repro serve``);
 * :mod:`~repro.service.chaos` — seeded fault injection with a
   byte-compare oracle (``repro chaos``);
-* :mod:`~repro.service.replay` — deterministic load generation and
-  the latency benchmark feeding ``BENCH_repro.json``.
+* :mod:`~repro.service.replay` — deterministic load generation for
+  the chaos harness.
 
 See ``docs/service.md`` for the architecture and failure taxonomy.
 """
@@ -27,7 +27,7 @@ from .chaos import ChaosPlan, chaos_campaign, make_plan, split_failures
 from .model import KINDS, Request, Response, ServiceStats
 from .policy import BackoffPolicy, CircuitBreaker
 from .replay import (execute_in_waves, generate_requests, is_lost,
-                     percentile, replay_benchmark)
+                     percentile)
 from .scheduler import Scheduler
 from .service import SimulationService
 from .store import JournaledStore
@@ -39,5 +39,5 @@ __all__ = [
     "ServiceStats", "SimulationService", "TaskFailed", "WorkerPool",
     "WorkerTransient", "chaos_campaign", "execute_in_waves",
     "generate_requests", "is_lost", "make_plan", "percentile",
-    "replay_benchmark", "split_failures",
+    "split_failures",
 ]

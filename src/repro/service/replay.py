@@ -1,4 +1,4 @@
-"""Request-replay load generation and the service latency benchmark.
+"""Request-replay load generation for the chaos harness.
 
 :func:`generate_requests` produces a seeded, mixed stream of service
 requests — run-heavy, with compile/trace/lint traffic and a sprinkle
@@ -8,22 +8,16 @@ deterministic in its seed, which is what lets the chaos harness replay
 the *same* traffic against a clean and a fault-injected service and
 demand byte-identical answers.
 
-:func:`replay_benchmark` drives a private :class:`SimulationService`
-with such a stream and reports throughput and tail latency (p50/p99),
-plus the loss counter the CI perf budget pins to zero.  A *lost*
-request is one that got no answer or a transient-infrastructure error;
-a deterministic task failure is an answer, not a loss.
+A *lost* request (:func:`is_lost`) is one that got no answer or a
+transient-infrastructure error; a deterministic task failure is an
+answer, not a loss.
 """
 
 from __future__ import annotations
 
-import os
 import random
-import time
-from typing import Any
 
 from .model import KINDS, Request, Response
-from .policy import BackoffPolicy
 from .service import SimulationService
 
 #: Quick cells: every benchmark here runs in well under a second per
@@ -88,35 +82,3 @@ def is_lost(response: Response | None) -> bool:
         return True
     return (not response.ok and response.error is not None
             and bool(response.error.get("transient")))
-
-
-def replay_benchmark(root: str | os.PathLike[str], *, seed: int = 42,
-                     count: int = 1000, jobs: int = 2,
-                     task_timeout: float = 60.0) -> dict[str, Any]:
-    """Replay a mixed stream and measure service latency/throughput."""
-    requests = generate_requests(seed, count)
-    backoff = BackoffPolicy(base_s=0.02, max_s=0.25, max_attempts=6)
-    started = time.monotonic()
-    with SimulationService(root, jobs=jobs, seed=seed, backoff=backoff,
-                           task_timeout=task_timeout) as service:
-        responses = execute_in_waves(service, requests)
-        stats = service.stats()
-    elapsed = time.monotonic() - started
-    latencies = [r.latency_s for r in responses]
-    lost = sum(1 for r in responses if is_lost(r))
-    lost += count - len(responses)
-    return {
-        "service_replay_requests": count,
-        "service_replay_seed": seed,
-        "service_replay_jobs": jobs,
-        "service_replay_wall_s": round(elapsed, 3),
-        "service_replay_rps": round(count / max(elapsed, 1e-9), 1),
-        "service_replay_p50_ms":
-            round(percentile(latencies, 0.50) * 1e3, 3),
-        "service_replay_p99_ms":
-            round(percentile(latencies, 0.99) * 1e3, 3),
-        "service_lost_requests": lost,
-        "service_cache_hits": int(stats.get("cache_hits", 0)),
-        "service_coalesced": int(stats.get("coalesced", 0)),
-        "service_batches": int(stats.get("batches", 0)),
-    }

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import Cache, CacheConfig, dedup_consecutive, simulate_caches
+from repro.cache import Cache, CacheConfig, replay_reads, simulate_caches
+from repro.cache.vector import as_addresses, dedup_words
 
 
 def make(size=1024, block=32, sub=8):
@@ -111,7 +112,8 @@ class TestBulkInterfaces:
 class TestDedup:
     def test_consecutive_collapsed(self):
         stream = [0x100, 0x102, 0x104, 0x104, 0x100]
-        assert list(dedup_consecutive(stream)) == [0x100, 0x104, 0x100]
+        assert dedup_words(as_addresses(stream)).tolist() == \
+            [0x100, 0x104, 0x100]
 
     def test_dedup_preserves_misses(self):
         addresses = [0x0, 0x2, 0x4, 0x6, 0x40, 0x42, 0x0]
@@ -119,7 +121,7 @@ class TestDedup:
         for addr in addresses:
             a.access(addr & ~3)
         b = make()
-        b.run_reads(dedup_consecutive(addresses))
+        replay_reads(b, addresses, dedup=True)
         assert a.read_misses == b.read_misses
 
 

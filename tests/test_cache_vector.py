@@ -1,24 +1,17 @@
 """Vectorized cache replay vs the scalar Cache oracle.
 
-The numpy engine (:mod:`repro.cache.vector`) regroups a trace
+The replay engine (:mod:`repro.cache.vector`) regroups a trace
 line-major and compresses it to first-demands; these property tests pin
 its contract: after replaying any trace -- cold or warm-started, reads
 or mixed tagged reads/writes -- every counter AND the tag/valid state
 must equal the scalar loops byte for byte.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import Cache, CacheConfig
-from repro.cache.vector import HAVE_NUMPY, use_vector
-
-if HAVE_NUMPY:
-    from repro.cache.vector import (as_addresses, dedup_words,
-                                    replay_reads, replay_tagged)
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="numpy not installed ([perf] extra)")
+from repro.cache.vector import (as_addresses, dedup_words, replay_reads,
+                                replay_tagged)
 
 #: Geometries spanning the paper's sweep corners plus degenerate
 #: single-line and single-sub shapes.
@@ -40,6 +33,16 @@ def pair(geometry):
     size, block, sub = geometry
     cfg = CacheConfig(size=size, block=block, sub_block=sub)
     return Cache(cfg), Cache(cfg)
+
+
+def dedup_consecutive(addresses):
+    """Scalar oracle for ``dedup=True``: word-align, drop repeats."""
+    previous = None
+    for addr in addresses:
+        word = addr & ~3
+        if word != previous:
+            previous = word
+            yield word
 
 
 class TestReadReplay:
@@ -65,10 +68,29 @@ class TestReadReplay:
         assert snapshot(vec) == snapshot(oracle)
 
     @settings(max_examples=40)
+    @given(geometry=geometry, warm=addresses, addrs=addresses,
+           line=st.integers(0, 255), bit=st.integers(0, 15))
+    def test_corrupted_state_matches_oracle(self, geometry, warm, addrs,
+                                            line, bit):
+        # Cache fault injection flips one tag or valid bit between two
+        # replays; the vector engine must read the corrupt metadata
+        # exactly as the scalar loop does.
+        oracle, vec = pair(geometry)
+        config = oracle.config
+        for cache in (oracle, vec):
+            cache.run_reads(warm)
+            if bit < config.subs_per_block:
+                cache.corrupt_line(line % config.num_lines, sub_bit=bit)
+            else:
+                cache.corrupt_line(line % config.num_lines,
+                                   tag_bit=bit % 8)
+        oracle.run_reads(addrs)
+        replay_reads(vec, addrs)
+        assert snapshot(vec) == snapshot(oracle)
+
+    @settings(max_examples=40)
     @given(geometry=geometry, addrs=addresses)
     def test_dedup_matches_dedup_consecutive(self, geometry, addrs):
-        from repro.cache import dedup_consecutive
-
         oracle, vec = pair(geometry)
         oracle.run_reads(dedup_consecutive(addrs))
         replay_reads(vec, addrs, dedup=True)
@@ -100,11 +122,3 @@ class TestHelpers:
         replay_reads(vec, [])
         replay_tagged(vec, [])
         assert snapshot(vec) == snapshot(oracle)
-
-    def test_engine_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_ENGINE", "python")
-        assert not use_vector()
-        monkeypatch.setenv("REPRO_CACHE_ENGINE", "numpy")
-        assert use_vector()
-        monkeypatch.delenv("REPRO_CACHE_ENGINE")
-        assert use_vector() == HAVE_NUMPY

@@ -147,8 +147,8 @@ class TestStatsEquivalence:
 
     @pytest.mark.parametrize("name", ["ackermann", "queens"])
     def test_suite_cells_identical(self, lab, isa_target, name):
-        # Real benchmark cells cross HOT_THRESHOLD on their own; the
-        # full 30-cell sweep lives in benchmarks/test_perf_smoke.py.
+        # Real benchmark cells cross HOT_THRESHOLD on their own; CI's
+        # engine-equivalence job sweeps all 30 suite cells.
         exe = lab.executable(name, isa_target)
         step, blocks, _ = run_both(exe)
         assert stats_key(step) == stats_key(blocks)

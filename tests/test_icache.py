@@ -39,6 +39,8 @@ from repro.cc.parser import parse
 from repro.cc.runtime import RUNTIME_SOURCE
 from repro.machine import run_executable
 
+from .test_cache_vector import dedup_consecutive
+
 HELLO = """
 int main() {
     puts("hi");
@@ -457,18 +459,18 @@ class TestValidateIcache:
                 assert v.sim_misses <= v.miss_ub
             assert v.observed_cycles >= v.bcet
 
-    def test_scalar_replay_matches_vector(self, hello_d16,
-                                          monkeypatch):
+    def test_scalar_replay_matches_vector(self, hello_d16):
         _exe, _target, program, stats, machine = hello_d16
-        analysis = analyze_icache(program, CacheConfig(2048))
+        config = CacheConfig(2048)
+        analysis = analyze_icache(program, config)
         vec = validate_icache(analysis, machine.itrace, stats,
                               penalty=8)
-        monkeypatch.setenv("REPRO_CACHE_ENGINE", "python")
-        scalar = validate_icache(analysis, machine.itrace, stats,
-                                 penalty=8)
-        assert (scalar.fetches, scalar.sim_misses) == \
+        # The scalar oracle: every word-deduplicated fetch, one by one.
+        scalar = Cache(config)
+        scalar.run_reads(dedup_consecutive(machine.itrace))
+        assert (scalar.read_accesses, scalar.read_misses) == \
             (vec.fetches, vec.sim_misses)
-        assert scalar.contradictions == vec.contradictions == 0
+        assert vec.contradictions == 0
 
     def test_config_mismatch_is_cache004(self, hello_d16):
         _exe, _target, program, stats, machine = hello_d16

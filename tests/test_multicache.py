@@ -1,16 +1,24 @@
-"""MultiCache: single-pass grid simulation equals per-config simulation."""
+"""Multi-configuration cache simulation equals per-config simulation.
+
+:func:`repro.cache.simulate_caches_grid` replays one pair of traces
+through a whole grid of geometries; every configuration's counters must
+equal the scalar :class:`~repro.cache.cache.Cache` oracle run on its
+own.
+"""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import (Cache, CacheConfig, MultiCache, dedup_consecutive,
-                         simulate_caches, simulate_caches_grid)
+from repro.cache import (Cache, CacheConfig, replay_reads, simulate_caches,
+                         simulate_caches_grid)
 from repro.machine import RunStats
 
+from .test_cache_vector import dedup_consecutive
+
 #: A deliberately heterogeneous grid: several sizes, block sizes and
-#: *two* sub-block sizes, so group- and sub-level sharing is exercised.
+#: *two* sub-block sizes.
 GRID = [CacheConfig(size=size, block=block, sub_block=sub)
         for size in (256, 512, 1024, 4096)
         for block in (8, 16, 32)
@@ -39,63 +47,66 @@ def random_trace(n, seed, *, tagged=False, span=0x8000):
     return out
 
 
+def scalar_rates(itrace, dtrace, config):
+    """The oracle: one scalar cache per stream, walked access by access."""
+    icache, dcache = Cache(config), Cache(config)
+    icache.run_reads(dedup_consecutive(itrace))
+    dcache.run_tagged(dtrace)
+    return (icache.read_misses, icache.traffic_words,
+            dcache.read_accesses, dcache.read_misses,
+            dcache.write_accesses, dcache.write_misses,
+            dcache.traffic_words)
+
+
+def grid_rates(itrace, dtrace, configs=GRID):
+    grid = simulate_caches_grid(itrace, dtrace, RunStats(), configs)
+    return {config: (r.imisses, r.itraffic_words, r.reads, r.rmisses,
+                     r.writes, r.wmisses, r.dtraffic_words)
+            for config, r in grid.items()}
+
+
+def assert_grid_matches_oracle(itrace, dtrace):
+    grid = grid_rates(itrace, dtrace)
+    for config in GRID:
+        assert grid[config] == scalar_rates(itrace, dtrace, config), config
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_run_reads_equals_single_cache(self, seed):
-        addrs = random_trace(3000, seed)
-        multi = MultiCache(GRID)
-        multi.run_reads(addrs)
-        for config in GRID:
-            single = Cache(config)
-            single.run_reads(addrs)
-            assert counters(multi[config]) == counters(single), config
+        assert_grid_matches_oracle(random_trace(3000, seed), [])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_run_tagged_equals_single_cache(self, seed):
-        stream = random_trace(3000, seed, tagged=True)
-        multi = MultiCache(GRID)
-        multi.run_tagged(stream)
-        for config in GRID:
-            single = Cache(config)
-            single.run_tagged(stream)
-            assert counters(multi[config]) == counters(single), config
+        assert_grid_matches_oracle(
+            [], random_trace(3000, seed, tagged=True))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(0, 0x3FFF).map(lambda a: a & ~3),
                     max_size=300))
     def test_property_reads(self, addrs):
-        multi = MultiCache(GRID)
-        multi.run_reads(addrs)
-        for config in GRID:
-            single = Cache(config)
-            single.run_reads(addrs)
-            assert counters(multi[config]) == counters(single)
+        assert_grid_matches_oracle(addrs, [])
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(0, 0x3FFF).map(lambda a: a & ~2),
                     max_size=300))
     def test_property_tagged(self, stream):
-        multi = MultiCache(GRID)
-        multi.run_tagged(stream)
-        for config in GRID:
-            single = Cache(config)
-            single.run_tagged(stream)
-            assert counters(multi[config]) == counters(single)
+        assert_grid_matches_oracle([], stream)
 
     def test_consecutive_same_subblock_fast_path(self):
-        """The guaranteed-hit skip must still count accesses."""
+        """Accesses compressed away as guaranteed hits still count."""
         addrs = [0x100, 0x104, 0x100, 0x104, 0x108]     # one 8B sub-block x2
-        multi = MultiCache(GRID)
-        multi.run_reads(addrs)
         for config in GRID:
-            single = Cache(config)
+            vec, single = Cache(config), Cache(config)
+            replay_reads(vec, addrs)
             single.run_reads(addrs)
-            assert counters(multi[config]) == counters(single)
+            assert counters(vec) == counters(single)
 
     def test_duplicate_configs_collapse(self):
         config = CacheConfig(size=512, block=32, sub_block=8)
-        multi = MultiCache([config, config])
-        assert len(list(multi)) == 1
+        grid = simulate_caches_grid([0x100], [0x200], RunStats(),
+                                    [config, config])
+        assert list(grid) == [config]
 
 
 class TestGridSimulation:
@@ -118,11 +129,8 @@ class TestGridSimulation:
         assert len(grid) == len(set(GRID))
 
     def test_dedup_interaction(self):
-        """Grid I-stream path dedups like the single-config path."""
+        """Grid I-stream path dedups like the scalar fetch stream."""
         addrs = [0x100, 0x102, 0x104, 0x104, 0x100]
         config = CacheConfig(size=256, block=32, sub_block=8)
-        multi = MultiCache([config])
-        multi.run_reads(dedup_consecutive(addrs))
-        single = Cache(config)
-        single.run_reads(dedup_consecutive(addrs))
-        assert counters(multi[config]) == counters(single)
+        assert grid_rates(addrs, [], [config])[config] == \
+            scalar_rates(addrs, [], config)
