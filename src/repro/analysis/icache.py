@@ -697,19 +697,13 @@ def _replay(analysis: ICacheAnalysis, addrs: np.ndarray,
             ) -> tuple[int, int, int, int]:
     """First-demand walk of a non-empty trace with pc attribution."""
     words = addrs & ~3
-    keep = np.empty(words.size, dtype=bool)
-    keep[0] = True
-    keep[1:] = words[1:] != words[:-1]
-    deduped = words[keep]
-    keep_idx = np.flatnonzero(keep)
-    order, _line, _tag, _sub, first = vector._first_demands(
-        config, deduped)
+    keep_idx = np.flatnonzero(vector.changes(words))
+    deduped = words[keep_idx]
 
     model = _ModelCache(config)
     real = Cache(config)
     misses = contradictions = unattributed = diverged = 0
-    for k in first.tolist():
-        pos = int(order[k])
+    for pos in vector._first_demands(config, deduped).tolist():
         word = int(deduped[pos])
         model_hit = model.access(word)
         real_hit = real.access(word)

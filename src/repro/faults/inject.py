@@ -164,8 +164,8 @@ def run_cache_fault(itrace: Iterable[int], spec: FaultSpec,
     from ..cache import Cache, CacheConfig, vector
 
     config = config or CacheConfig(size=8192)
-    addresses = list(itrace)
-    cut = spec.trigger % len(addresses) if addresses else 0
+    addresses = vector.as_addresses(itrace)
+    cut = spec.trigger % addresses.size if addresses.size else 0
 
     golden = Cache(config)
     vector.replay_reads(golden, addresses)

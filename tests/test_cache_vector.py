@@ -7,7 +7,7 @@ or mixed tagged reads/writes -- every counter AND the tag/valid state
 must equal the scalar loops byte for byte.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cache import Cache, CacheConfig
 from repro.cache.vector import (as_addresses, dedup_words, replay_reads,
@@ -108,6 +108,79 @@ class TestTaggedReplay:
         oracle.run_tagged(tagged)
         replay_tagged(vec, tagged)
         assert snapshot(vec) == snapshot(oracle)
+
+
+class TestFirstDemandStream:
+    """The returned first demands stand in for the whole stream in any
+    cache with the same block and sub-block and more lines."""
+
+    @staticmethod
+    def larger(cache, factor):
+        """Two cold caches like ``cache`` with ``factor`` times the lines."""
+        cfg = cache.config
+        return pair((cfg.size * factor, cfg.block, cfg.sub_block))
+
+    @staticmethod
+    def effects(cache):
+        return (cache.read_misses, cache.write_misses,
+                cache.traffic_words, cache.tags, cache.valid)
+
+    @settings(max_examples=60)
+    @given(geometry=geometry, addrs=addresses,
+           factor=st.sampled_from([2, 4]))
+    def test_read_first_demands(self, geometry, addrs, factor):
+        _, vec = pair(geometry)
+        first = replay_reads(vec, addrs).tolist()
+        whole, part = self.larger(vec, factor)
+        whole.run_reads(addrs)
+        part.run_reads([addrs[i] for i in first])
+        assert self.effects(part) == self.effects(whole)
+
+    @settings(max_examples=60)
+    @given(geometry=geometry,
+           stream=st.lists(st.tuples(st.integers(0, 0x3FFF),
+                                     st.booleans()), max_size=400),
+           factor=st.sampled_from([2, 4]))
+    def test_tagged_first_demands(self, geometry, stream, factor):
+        tagged = [(addr & ~3) | int(write) for addr, write in stream]
+        _, vec = pair(geometry)
+        first = replay_tagged(vec, tagged).tolist()
+        whole, part = self.larger(vec, factor)
+        whole.run_tagged(tagged)
+        part.run_tagged([tagged[i] for i in first])
+        assert self.effects(part) == self.effects(whole)
+
+    @settings(max_examples=40)
+    @given(geometry=st.sampled_from(GEOMETRIES + [(1 << 20, 8, 8)]),
+           addrs=st.lists(st.tuples(
+               st.sampled_from([0, 0x8_0000, 0x10_0000]),
+               st.integers(0, 0x3FF)).map(sum), max_size=400))
+    @example(geometry=(1 << 20, 8, 8), addrs=[0, 0x8_0000, 0])
+    def test_first_demands_are_exact(self, geometry, addrs):
+        """Each (tag epoch, sub-block)'s first access and nothing else,
+        also above 65,536 lines where the line key is wide."""
+        _, vec = pair(geometry)
+        cfg = vec.config
+        epochs, expected = {}, []
+        for i, addr in enumerate(addrs):
+            block, sub = addr // cfg.block, addr % cfg.block // cfg.sub_block
+            line = block % cfg.num_lines
+            if epochs.get(line, (None,))[0] != block:
+                epochs[line] = (block, set())
+            if sub not in epochs[line][1]:
+                epochs[line][1].add(sub)
+                expected.append(i)
+        assert replay_reads(vec, addrs).tolist() == expected
+
+    @settings(max_examples=40)
+    @given(geometry=geometry, addrs=addresses)
+    def test_dedup_indices_point_into_the_input(self, geometry, addrs):
+        _, vec = pair(geometry)
+        first = replay_reads(vec, addrs, dedup=True).tolist()
+        whole, part = self.larger(vec, 2)
+        whole.run_reads(dedup_consecutive(addrs))
+        part.run_reads(addrs[i] for i in first)
+        assert self.effects(part) == self.effects(whole)
 
 
 class TestHelpers:

@@ -26,6 +26,26 @@ GRID = [CacheConfig(size=size, block=block, sub_block=sub)
         if block >= sub]
 
 
+#: More than 65,536 lines: the replay sorts on its wide line key.
+WIDE = CacheConfig(size=1 << 20, block=8, sub_block=8)
+
+
+@st.composite
+def geometries(draw):
+    """One valid geometry: sub-block <= block <= size, powers of two."""
+    sub = draw(st.integers(2, 5))
+    block = draw(st.integers(sub, 6))
+    size = draw(st.integers(block, 13))
+    return CacheConfig(size=1 << size, block=1 << block, sub_block=1 << sub)
+
+
+#: Addresses in a few far-apart regions, so small caches alias and the
+#: wide geometry's lines above 65,535 are used.
+spread_addresses = st.tuples(
+    st.sampled_from([0, 0x8_0000, 0x10_0000, 0x48_0000]),
+    st.integers(0, 0x3FFF)).map(sum)
+
+
 def counters(cache: Cache):
     return (cache.read_accesses, cache.read_misses, cache.write_accesses,
             cache.write_misses, cache.traffic_words)
@@ -92,6 +112,23 @@ class TestEquivalence:
                     max_size=300))
     def test_property_tagged(self, stream):
         assert_grid_matches_oracle([], stream)
+
+    @settings(max_examples=40, deadline=None)
+    @given(configs=st.lists(geometries(), min_size=1, max_size=8).map(
+               lambda configs: configs + [configs[0], WIDE]),
+           itrace=st.lists(spread_addresses, max_size=300),
+           stream=st.lists(st.tuples(spread_addresses, st.booleans()),
+                           max_size=300))
+    def test_property_random_grid(self, configs, itrace, stream):
+        """Mixed blocks and sub-blocks, sizes out of order, duplicates:
+        every geometry equals its own oracle, keyed in first-occurrence
+        order."""
+        dtrace = [(addr & ~3) | write for addr, write in stream]
+        grid = grid_rates(itrace, dtrace, configs)
+        assert list(grid) == list(dict.fromkeys(configs))
+        for config in configs:
+            assert grid[config] == scalar_rates(itrace, dtrace, config), \
+                config
 
     def test_consecutive_same_subblock_fast_path(self):
         """Accesses compressed away as guaranteed hits still count."""
