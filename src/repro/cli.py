@@ -477,6 +477,9 @@ def cmd_faults(args) -> int:
         for target, row in report["summary"].items())
     pruned = sum(cell.get("pruned", 0) for cell in report["cells"])
     note = f", {pruned} pruned" if args.prune_masked else ""
+    unpruned = sum("prune_error" in cell for cell in report["cells"])
+    if unpruned:
+        note += f", {unpruned} cells unpruned (oracle failed)"
     print(f"faults: {len(report['cells'])} cells "
           f"({errors} failed), {args.faults} faults/cell, "
           f"seed {args.seed}{note} | {summary}", file=sys.stderr)

@@ -91,6 +91,9 @@ class CellReport:
     #: masked (``--prune-masked``); their results are still recorded
     #: (outcome ``masked``), so outcome counts match an unpruned run.
     pruned: int = 0
+    #: Why the masking oracle could not be built ("Type: message"), in
+    #: which case every site of the cell was executed.
+    prune_error: str = ""
 
     def outcome_counts(self) -> dict[str, int]:
         counts = {outcome: 0 for outcome in OUTCOMES}
@@ -114,7 +117,7 @@ class CellReport:
             per = functions.setdefault(
                 result.function, {outcome: 0 for outcome in OUTCOMES})
             per[result.outcome] += 1
-        return {
+        cell: dict[str, object] = {
             "bench": self.bench,
             "target": self.target,
             "golden": {"instructions": self.golden.instructions,
@@ -135,6 +138,9 @@ class CellReport:
             "functions": dict(sorted(functions.items())),
             "pruned": self.pruned,
         }
+        if self.prune_error:
+            cell["prune_error"] = self.prune_error
+        return cell
 
 
 @dataclass
@@ -268,8 +274,18 @@ def _campaign_cell(bench_name: str, target: str, config: dict[str, Any],
                                   enabled=config["cache_enabled"]),
               max_instructions=config["max_instructions"])
     bench = get_benchmark(bench_name)
+    # The masking oracle and cache faults replay the golden path's
+    # address trace; a cell that needs it takes the traced run as its
+    # golden run instead of simulating the same path twice.
+    prune = bool(config.get("prune_masked"))
+    itrace = None
     try:
-        golden_run = lab.run(bench_name, target)
+        if prune or "cache" in config["kinds"]:
+            trace = lab.trace(bench_name, target)
+            itrace = trace.itrace
+            golden_run = trace.run
+        else:
+            golden_run = lab.run(bench_name, target)
         exe = lab.executable(bench_name, target)
     except Exception as exc:  # noqa: BLE001 - golden run is untrusted
         return CellReport(bench=bench_name, target=target, golden=None,
@@ -289,14 +305,10 @@ def _campaign_cell(bench_name: str, target: str, config: dict[str, Any],
             functions = FunctionMap.for_source(bench.source, target)
         except Exception:  # noqa: BLE001 - attribution is best-effort
             functions = None
-    prune = bool(config.get("prune_masked"))
-    itrace = None
-    if prune or any(s.kind == "cache" for s in specs):
-        itrace = lab.trace(bench_name, target).itrace
-
     # Static masking verdicts gate execution under --prune-masked; the
-    # oracle is an optimization, so any analysis failure just disables
-    # pruning for the cell rather than failing it.
+    # oracle is an optimization, so an analysis failure disables
+    # pruning for the cell, and the report says why.
+    report = CellReport(bench=bench_name, target=target, golden=golden)
     verdicts: dict[int, "SiteVerdict"] = {}
     if prune:
         try:
@@ -306,10 +318,9 @@ def _campaign_cell(bench_name: str, target: str, config: dict[str, Any],
             oracle = build_oracle(exe, TARGETS[target], itrace)
             verdicts = {spec.index: oracle.classify(spec)
                         for spec in specs}
-        except Exception:  # noqa: BLE001 - pruning is best-effort
-            verdicts = {}
+        except Exception as exc:  # noqa: BLE001 - pruning is best-effort
+            report.prune_error = f"{type(exc).__name__}: {exc}"
 
-    report = CellReport(bench=bench_name, target=target, golden=golden)
     for spec in specs:
         verdict = verdicts.get(spec.index)
         if verdict is not None and verdict.masked:

@@ -26,14 +26,21 @@ Bit-identical accounting is preserved by construction:
   machine state on an exception.  On CPython 3.11+ the ``try`` costs
   nothing when no exception occurs.
 
+Traced machines record their address traces from inside the block:
+the block extends the instruction trace with its static pc sequence
+on entry (the dispatcher truncates it to the retired slots when the
+block raises), and each inline load, store and LDC appends its tagged
+data address right after the access, in interpreter order.
+
 Compilation is *warm*: the dispatcher steps a block-entry slot through
 the ordinary interpreter until it has been entered
 :data:`HOT_THRESHOLD` times, and only then fuses it -- cold start-up
 code never pays the (dominant) ``compile()`` cost.  Generated code
-objects contain no machine state -- registers, memory accessors, and
-trap objects enter through the closure's default arguments -- so they
-are cached on the :class:`~repro.asm.objfile.Executable` keyed by
-``(entry, pipeline-params)`` and shared by every machine running that
+objects contain no machine state -- registers, memory accessors,
+trace recorders and trap objects enter through the closure's default
+arguments -- so they are cached on the
+:class:`~repro.asm.objfile.Executable` keyed by ``(entry,
+pipeline-params, traces)`` and shared by every machine running that
 image (fault campaigns construct thousands).  A machine whose
 :meth:`~repro.machine.cpu.Machine.patch_text` hook has rewritten a slot
 bypasses the shared cache for any block covering it.
@@ -46,6 +53,7 @@ every compiled block covering it.
 from __future__ import annotations
 
 import struct
+from array import array
 
 from ..isa import Op, OpKind
 from ..isa.common import to_s32
@@ -234,13 +242,17 @@ def _timing_lines(reads, writes, mlat, rlat, wkind):
     return lines
 
 
-def _functional_lines(instr, addr, width, zero_r0, handler_name):
+def _functional_lines(instr, addr, width, zero_r0, handler_name,
+                      dtrace=False):
     """Emit the functional semantics of one non-control slot.
 
     Returns ``(lines, used_handler)``; ``used_handler`` is True when
     the slot falls back to calling its interpreter closure (ops without
     an inline template), which must then be bound as ``handler_name``
-    in the generated function's defaults.
+    in the generated function's defaults.  With ``dtrace`` the inline
+    memory accesses append their tagged address to the data trace
+    (``DT``) after the access, as the interpreter closures do; a
+    handler fallback appends by itself.
     """
     op = instr.op
     rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
@@ -294,19 +306,34 @@ def _functional_lines(instr, addr, width, zero_r0, handler_name):
         else:
             assign("_q & M")
     elif op in (Op.LD, Op.LDH, Op.LDHU, Op.LDB, Op.LDBU):
-        expr = {
-            Op.LD: "RW((g[{a}] + {i}) & M)",
-            Op.LDH: "RH((g[{a}] + {i}) & M, True) & M",
-            Op.LDHU: "RH((g[{a}] + {i}) & M)",
-            Op.LDB: "RB((g[{a}] + {i}) & M, True) & M",
-            Op.LDBU: "RB((g[{a}] + {i}) & M)",
-        }[op].format(a=rs1, i=imm)
-        assign(expr)
+        read = {
+            Op.LD: "RW({a})",
+            Op.LDH: "RH({a}, True) & M",
+            Op.LDHU: "RH({a})",
+            Op.LDB: "RB({a}, True) & M",
+            Op.LDBU: "RB({a})",
+        }[op]
+        ea = f"(g[{rs1}] + {imm}) & M"
+        if dtrace:
+            lines.append(f"_a = {ea}")
+            assign(read.format(a="_a"))
+            lines.append("DT(_a & -4)")
+        else:
+            assign(read.format(a=ea))
     elif op == Op.LDC:
-        assign(f"RW({ldc_pool_addr(addr, imm)})")
+        pool = ldc_pool_addr(addr, imm)
+        assign(f"RW({pool})")
+        if dtrace:
+            lines.append(f"DT({pool})")
     elif op in (Op.ST, Op.STH, Op.STB):
         writer = {Op.ST: "WW", Op.STH: "WH", Op.STB: "WB"}[op]
-        lines.append(f"{writer}((g[{rs1}] + {imm}) & M, g[{rs2}])")
+        ea = f"(g[{rs1}] + {imm}) & M"
+        if dtrace:
+            lines.append(f"_a = {ea}")
+            lines.append(f"{writer}(_a, g[{rs2}])")
+            lines.append("DT((_a & -4) | 1)")
+        else:
+            lines.append(f"{writer}({ea}, g[{rs2}])")
     elif op == Op.TRAP:
         lines.append(f"_r = TH({imm}, g[2], {addr})")
         lines.append("if TP.exited:")
@@ -423,18 +450,25 @@ def _generate(machine, entry, idxs):
     """Generate and compile the block's code object.
 
     The generated source embeds only quantities derived from the
-    executable image and the pipeline parameters -- machine state binds
-    later, through default arguments -- so the returned
-    ``(code, handler_slots, max_adv)`` triple is shareable by every
-    machine running the same image with the same parameters.
+    executable image, the pipeline parameters and which traces the
+    machine records -- machine state binds later, through default
+    arguments -- so the returned ``(code, handler_slots, max_adv)``
+    triple is shareable by every machine running the same image with
+    the same parameters and traces.
     """
     program = machine.program
     width = machine.isa.width_bytes
     base = machine.exe.text_base
     zero_r0 = machine.isa.name == "DLXe"
+    itrace = machine.itrace is not None
+    dtrace = machine.dtrace is not None
 
     lines = []
     handler_slots = []
+    if itrace:
+        # Every slot's pc up front; a raise mid-block truncates the
+        # trace back to the retired slots (Machine._recover_spill).
+        lines.append("IT(PCS)")
 
     words = [(base + idx * width) >> 2 for idx in idxs]
     dwords = [w >> 1 for w in words]
@@ -479,7 +513,7 @@ def _generate(machine, entry, idxs):
             continue
         handler_name = f"H{j}"
         body, used_handler = _functional_lines(
-            instr, addr, width, zero_r0, handler_name)
+            instr, addr, width, zero_r0, handler_name, dtrace)
         if used_handler:
             handler_slots.append((handler_name, idx))
         if body and (instr.op in _RAISING or used_handler
@@ -504,8 +538,13 @@ def _generate(machine, entry, idxs):
 
     params = ["time", "math_free", "interlocks", "load_il", "math_il",
               "cur_word", "cur_dword", "ifw", "ifd"]
-    params += [f"{name}={name}"
-               for name in _STD_NAMES + tuple(n for n, _ in handler_slots)]
+    names = list(_STD_NAMES)
+    if itrace:
+        names += ["IT", "PCS"]
+    if dtrace:
+        names.append("DT")
+    names += [name for name, _ in handler_slots]
+    params += [f"{name}={name}" for name in names]
     src = (f"def _block({', '.join(params)}):\n"
            + "".join(f"    {line}\n" for line in lines))
     code = compile(src, f"<block@{base + entry * width:#x}>", "exec")
@@ -530,7 +569,7 @@ def compile_block(machine, entry):
     # block is generated fresh -- and kept private.
     patched = bool(machine._patched) \
         and not machine._patched.isdisjoint(idxs)
-    key = (entry, machine._params_key)
+    key = (entry, machine._code_key)
     cached = None if patched else machine._code_cache.get(key)
     if cached is None:
         cached = _generate(machine, entry, idxs)
@@ -553,6 +592,13 @@ def compile_block(machine, entry):
         "D2B": _float_to_f64_bits, "CL": _clamp_s32,
         "abs": abs, "float": float,
     }
+    if machine.itrace is not None:
+        width = machine.isa.width_bytes
+        base = machine.exe.text_base
+        namespace["IT"] = machine.itrace.extend
+        namespace["PCS"] = array("I", [base + idx * width for idx in idxs])
+    if machine.dtrace is not None:
+        namespace["DT"] = machine.dtrace.append
     for name, idx in handler_slots:
         namespace[name] = machine.handler_for(idx)
     exec(code, namespace)

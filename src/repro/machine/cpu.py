@@ -44,9 +44,9 @@ WORD_MASK = 0xFFFFFFFF
 DEFAULT_FUEL = 2_000_000_000
 
 #: Execution engines: ``blocks`` dispatches fused basic-block closures
-#: (see :mod:`repro.machine.blocks`); ``step`` is the seed's
-#: one-instruction-at-a-time interpreter, retained as the oracle for
-#: equivalence tests and as the path for traced/watchdog-limited runs.
+#: (see :mod:`repro.machine.blocks`), traced or not; ``step`` is the
+#: seed's one-instruction-at-a-time interpreter, retained as the oracle
+#: for equivalence tests.
 ENGINES = ("blocks", "step")
 
 
@@ -172,16 +172,18 @@ class Machine:
                     "cur_word": -1, "cur_dword": -1, "executed": 0}
         # Block code objects embed nothing machine-specific, so they
         # live on the executable, shared by every machine running the
-        # same image under the same pipeline parameters (the dict-typed
-        # params object is fingerprinted into a hashable key).  Slots
-        # this machine patches are tracked so their blocks never use
-        # (or pollute) the shared cache.
+        # same image under the same pipeline parameters and recording
+        # the same traces (the dict-typed params object is fingerprinted
+        # into a hashable key).  Slots this machine patches are tracked
+        # so their blocks never use (or pollute) the shared cache.
         cache = getattr(exe, "_block_code_cache", None)
         if cache is None:
             cache = exe._block_code_cache = {}
         self._code_cache = cache
         self._params_key = (self.params.load_delay,
                             tuple(sorted(self.params.math_latency.items())))
+        self._code_key = (self._params_key, self.itrace is not None,
+                          self.dtrace is not None)
         self._patched: set[int] = set()
         self._decode_text()
 
@@ -330,14 +332,20 @@ class Machine:
 
         The compiled block spilled its in-flight counters (and the
         faulting slot's address) right before the raising operation;
-        this folds the partially executed slots' counts in and returns
-        the updated loop state for the dispatcher to persist.
+        this folds the partially executed slots' counts in, cuts the
+        instruction trace (which the block extended on entry) back to
+        the retired slots, and returns the updated loop state for the
+        dispatcher to persist.  The raising slot counts as retired, as
+        it does when stepped.
         """
         spill = self._spill
         done = spill[0]
         counts = self.counts
         for slot in blk.idxs[:done]:
             counts[slot] += 1
+        itrace = self.itrace
+        if itrace is not None:
+            del itrace[len(itrace) - blk.n + done:]
         return (executed + done, spill[1], spill[2], spill[3], spill[4],
                 spill[5], spill[6], spill[7], spill[8], spill[9],
                 spill[10])
@@ -756,14 +764,14 @@ class Machine:
         wmask = width - 1
         CB = CompiledBlock
         code_cache = self._code_cache
-        pkey = self._params_key
+        ckey = self._code_key
         # The block engine requires exact slot alignment (compiled
-        # blocks bake the pc in) and no tracing; anything else -- and
-        # the last instructions before a fuel/cycle/stop boundary --
-        # falls through to the per-instruction stepping path below,
-        # which is byte-for-byte the seed interpreter.
-        fast = (self.engine == "blocks" and itrace is None
-                and self.dtrace is None)
+        # blocks bake the pc in); anything else -- and the last
+        # instructions before a fuel/cycle/stop boundary -- falls
+        # through to the per-instruction stepping path below, which is
+        # byte-for-byte the seed interpreter.  Traced machines run
+        # blocks too: each block records its own share of the traces.
+        fast = self.engine == "blocks"
         # Block entries are only ever control-transfer targets (plus
         # the entry/resume pc): while stepping through a cold run, the
         # fall-through slots are this block's interior, not entries of
@@ -784,12 +792,9 @@ class Machine:
                             # First touch: compile at once when another
                             # machine already generated this block's
                             # code, otherwise start the warm-up count.
-                            if (idx, pkey) in code_cache:
-                                blk = self._compile_entry(idx)
-                            else:
-                                blocks[idx] = 1
-                                blk = False
-                        elif blk is not False:
+                            blk = (HOT_THRESHOLD if (idx, ckey) in code_cache
+                                   else 0)
+                        if blk is not False:
                             if blk >= HOT_THRESHOLD:
                                 blk = self._compile_entry(idx)
                             else:

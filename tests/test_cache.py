@@ -148,10 +148,17 @@ class TestProperties:
         cache = make()
         cache.run_reads(addrs)
         cache.reset_stats()
-        unique_blocks = {a // 8 for a in addrs}
+        blocks_of_line: dict[int, set[int]] = {}
+        for a in addrs:
+            blocks_of_line.setdefault((a // 32) % 32, set()).add(a // 32)
+        conflicted = sum(1 for a in addrs
+                         if len(blocks_of_line[(a // 32) % 32]) > 1)
         cache.run_reads(addrs)
-        # On the warm second pass, misses only from conflict evictions.
-        assert cache.read_misses <= len(unique_blocks)
+        # On the warm second pass, misses only from conflict evictions:
+        # a line that one block alone uses hits on every access.  (Two
+        # blocks that share a line can miss on every access, e.g.
+        # [1408, 384, 1408, 384], so unique blocks do not bound it.)
+        assert cache.read_misses <= conflicted
 
 
 class TestSimulateCaches:

@@ -2,10 +2,10 @@
 
 The ``blocks`` engine fuses straight-line instruction runs into
 compiled closures; these tests pin the contract that makes it safe to
-use as the default: every observable statistic is byte-identical to the
-per-instruction ``step`` engine, across normal runs, pause/resume,
-watchdog expiry, text patching (fault injection), and whole fault
-campaigns.
+use as the default: every observable statistic and every recorded
+address trace is byte-identical to the per-instruction ``step`` engine,
+across normal runs, pause/resume, watchdog expiry, text patching (fault
+injection), and whole fault campaigns.
 
 Unit-test programs retire far fewer instructions than the warm-up
 threshold, so most tests lower ``repro.machine.cpu.HOT_THRESHOLD`` to
@@ -19,7 +19,8 @@ import pytest
 from repro.asm import assemble, link
 from repro.faults import GoldenRun, run_fault
 from repro.isa import D16, DLXE
-from repro.machine import Machine, MachineTimeout, run_executable
+from repro.machine import (Machine, MachineError, MachineTimeout,
+                           run_executable)
 from repro.machine import cpu as cpu_mod
 from repro.machine.blocks import CompiledBlock
 
@@ -412,3 +413,178 @@ class TestFaultEquivalence:
             assert step_r.outcome == blk_r.outcome
             assert step_r.detail == blk_r.detail
             assert step_r.latency_cycles == blk_r.latency_cycles
+
+
+#: Doubles the load pointer every iteration, so the sixth load
+#: (0x8000 << 5 = 0x100000) falls off the end of the 1 MiB memory
+#: before the nine-iteration loop ends.  The store after each load
+#: puts writes in the data trace.
+FAULTING_LOAD_TMPL = """
+mvi r4, 8
+shli r4, r4, 12
+mvi {cnt}, 9
+loop:
+add r2, r2, {cnt}
+ld r6, (r4)
+st r6, (r4)
+add r4, r4, r4
+subi {cnt}, {cnt}, 1
+bnz {cnt}, loop
+trap 0
+"""
+
+
+def traces_of(machine):
+    """The recorded traces as plain lists (None when not recorded)."""
+    return tuple(None if trace is None else list(trace)
+                 for trace in (machine.itrace, machine.dtrace))
+
+
+def compiled(machine):
+    return bool(machine._live)
+
+
+class TestTracedBlocks:
+    """Traced machines run compiled blocks and record the step traces.
+
+    Each compiled block extends the instruction trace with its pcs on
+    entry and appends every inline data access after it happens; the
+    step engine's traces are the oracle.  Every test checks that the
+    blocks machine compiled something, so none can pass by stepping.
+    """
+
+    @pytest.mark.parametrize("tmpl", [LOOP_TMPL, MIXED_TMPL, FP_TMPL],
+                             ids=["loop", "mixed", "fp"])
+    @pytest.mark.parametrize("isa", [D16, DLXE], ids=["d16", "dlxe"])
+    def test_traces_identical(self, hot, tmpl, isa):
+        exe = build_asm(tmpl.format(cnt=CNT[isa]), isa)
+        step, m_step = run_executable(exe, engine="step",
+                                      trace_instructions=True,
+                                      trace_data=True)
+        blocks, m_blk = run_executable(exe, engine="blocks",
+                                       trace_instructions=True,
+                                       trace_data=True)
+        assert compiled(m_blk)
+        assert traces_of(m_step) == traces_of(m_blk)
+        assert stats_key(step) == stats_key(blocks)
+        assert len(m_blk.itrace) == blocks.instructions
+
+    @pytest.mark.parametrize("itrace,dtrace", [(True, False), (False, True)],
+                             ids=["itrace", "dtrace"])
+    def test_single_trace_identical(self, hot, itrace, dtrace):
+        exe = build_asm(MIXED_TMPL.format(cnt="r0"))
+        machines = {}
+        for engine in ("step", "blocks"):
+            machines[engine] = Machine(exe, engine=engine,
+                                       trace_instructions=itrace,
+                                       trace_data=dtrace)
+            machines[engine].run()
+        assert compiled(machines["blocks"])
+        assert traces_of(machines["step"]) == traces_of(machines["blocks"])
+
+    @pytest.mark.parametrize("isa", [D16, DLXE], ids=["d16", "dlxe"])
+    def test_load_fault_inside_block(self, hot, isa):
+        exe = build_asm(FAULTING_LOAD_TMPL.format(cnt=CNT[isa]), isa)
+        outcomes = {}
+        for engine in ("step", "blocks"):
+            machine = Machine(exe, engine=engine, trace_instructions=True,
+                              trace_data=True)
+            with pytest.raises(MachineError) as info:
+                machine.run()
+            outcomes[engine] = (machine, str(info.value))
+        (m_step, e_step), (m_blk, e_blk) = outcomes["step"], \
+            outcomes["blocks"]
+        assert e_step == e_blk
+        assert "out of range" in e_blk
+        assert traces_of(m_step) == traces_of(m_blk)
+        assert arch_state(m_step) == arch_state(m_blk)
+        # The faulting load retired into the instruction trace but
+        # never reached the data trace: its pc ends the one, the
+        # previous iteration's store ends the other.
+        load_pc = m_blk.itrace[-1]
+        load = m_blk.index_of(load_pc)
+        assert f"at pc={load_pc:#x}" in e_blk
+        assert m_blk.program[load].op.value == "ld"
+        assert any(blk.entry < load < blk.entry + blk.n - 1
+                   for blk in m_blk._live.values()), "fault not mid-block"
+        assert m_blk.dtrace[-1] == 0x80000 | 1
+        assert len(m_blk.itrace) == m_blk.instructions_executed
+
+    @pytest.mark.parametrize("isa", [D16, DLXE], ids=["d16", "dlxe"])
+    def test_pause_resume_traces_identical(self, hot, isa):
+        exe = build_asm(MIXED_TMPL.format(cnt=CNT[isa]), isa)
+        m_step = Machine(exe, engine="step", trace_instructions=True,
+                         trace_data=True)
+        m_blk = Machine(exe, engine="blocks", trace_instructions=True,
+                        trace_data=True)
+        for stop in range(5, 200, 5):
+            m_step.run(stop_after=stop)
+            m_blk.run(stop_after=stop)
+            assert traces_of(m_step) == traces_of(m_blk), stop
+            assert len(m_blk.itrace) == stop
+        final_s = m_step.run()
+        final_b = m_blk.run()
+        assert compiled(m_blk)
+        assert traces_of(m_step) == traces_of(m_blk)
+        assert stats_key(final_s) == stats_key(final_b)
+
+    def test_fuel_expiry_traces_identical(self, hot):
+        exe = build_asm(MIXED_TMPL.format(cnt="r0"))
+        outcomes = {}
+        for engine in ("step", "blocks"):
+            machine = Machine(exe, engine=engine, trace_instructions=True,
+                              trace_data=True)
+            with pytest.raises(MachineTimeout) as info:
+                machine.run(max_instructions=150)
+            e = info.value
+            outcomes[engine] = (machine, (e.reason, e.pc, e.executed))
+        (m_step, e_step), (m_blk, e_blk) = outcomes["step"], \
+            outcomes["blocks"]
+        assert compiled(m_blk)
+        assert e_step == e_blk
+        assert traces_of(m_step) == traces_of(m_blk)
+        # The instruction that tripped the watchdog never executed.
+        assert len(m_blk.itrace) == 150
+
+    def test_patch_text_on_traced_machine(self, hot):
+        exe = build_asm(LOOP_BODY)
+        results = {}
+        for engine in ("step", "blocks"):
+            machine = Machine(exe, engine=engine, trace_instructions=True,
+                              trace_data=True)
+            machine.run(stop_after=20)
+            # Flip the loop's load to another destination register: the
+            # patched block is regenerated (traced) off the shared cache.
+            width = machine.isa.width_bytes
+            load = next(i for i, instr in enumerate(machine.program)
+                        if instr is not None and instr.op.value == "ld")
+            addr = machine.exe.text_base + load * width
+            raw = bytearray(machine.mem.data[addr:addr + width])
+            raw[0] ^= 1
+            assert machine.patch_text(load, bytes(raw)) is not None
+            stats = machine.run()
+            results[engine] = (traces_of(machine), stats_key(stats))
+        assert any(blk.entry <= load < blk.entry + blk.n
+                   for blk in machine._live.values())
+        assert results["step"] == results["blocks"]
+
+    @pytest.mark.parametrize("first", [False, True],
+                             ids=["untraced-first", "traced-first"])
+    def test_code_cache_keyed_by_traces(self, hot, first):
+        # Machines on one Executable share its code cache; a traced
+        # machine must never pick up untraced code, or the reverse.
+        exe = build_asm(MIXED_TMPL.format(cnt="r0"))
+        _, oracle = run_executable(exe, engine="step",
+                                   trace_instructions=True,
+                                   trace_data=True)
+        plain, _ = run_executable(exe, engine="step")
+        for traced in (first, not first):
+            stats, machine = run_executable(exe, engine="blocks",
+                                            trace_instructions=traced,
+                                            trace_data=traced)
+            assert compiled(machine)
+            if traced:
+                assert traces_of(machine) == traces_of(oracle)
+            else:
+                assert traces_of(machine) == (None, None)
+            assert stats_key(stats) == stats_key(plain)

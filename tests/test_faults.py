@@ -302,6 +302,35 @@ class TestCampaign:
         # Error cells are excluded from the aggregate rates.
         assert report["summary"]["d16"]["faults"] == 3
 
+    def test_one_golden_simulation_per_cell(self, fault_benchmarks,
+                                            tmp_path, monkeypatch):
+        """A pruned cell's traced run is its golden run: one simulation."""
+        from repro.experiments import runner
+
+        calls = []
+        real = runner.run_executable
+
+        def counting(exe, **kwargs):
+            calls.append(kwargs.get("trace_instructions", False))
+            return real(exe, **kwargs)
+
+        monkeypatch.setattr(runner, "run_executable", counting)
+        report = FaultCampaign(
+            benchmarks=("fi-sum",), faults=6, seed=11, prune_masked=True,
+            cache=tmp_path / "cache").run(jobs=1)
+        assert len(report["cells"]) == 2
+        assert calls == [True, True]
+
+    def test_report_identical_on_step_engine(self, fault_benchmarks,
+                                             tmp_path, monkeypatch):
+        """Traced goldens and every injection agree with the oracle."""
+        def campaign(engine):
+            monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
+            return render_report(FaultCampaign(
+                benchmarks=("fi-sum",), faults=12, seed=5,
+                prune_masked=True, cache=tmp_path / engine).run(jobs=1))
+        assert campaign("step") == campaign("blocks")
+
     def test_unknown_benchmark_raises_before_running(self):
         with pytest.raises(KeyError):
             FaultCampaign(benchmarks=("fortnite",), cache=False).run()

@@ -153,6 +153,10 @@ class TestMaskingOracle:
         assert oracle.classify(spec).masked
 
 
+def broken_oracle(*_args, **_kwargs):
+    raise RuntimeError("no oracle today")
+
+
 class TestPrunedCampaign:
     @pytest.fixture(scope="class")
     def reports(self):
@@ -185,6 +189,21 @@ class TestPrunedCampaign:
     def test_unpruned_report_has_zero_pruned(self, reports):
         plain, _pruned = reports
         assert all(c["pruned"] == 0 for c in plain["cells"])
+        assert not any("prune_error" in c for c in plain["cells"])
+
+    def test_oracle_failure_is_reported(self, reports, monkeypatch):
+        """A cell whose oracle fails runs every site, and says why."""
+        from repro.analysis import vuln
+
+        monkeypatch.setattr(vuln, "build_oracle", broken_oracle)
+        plain, _pruned = reports
+        fallback = FaultCampaign(benchmarks=("ackermann",), faults=10,
+                                 seed=42, prune_masked=True).run()
+        assert plain["summary"] == fallback["summary"]
+        for a, b in zip(plain["cells"], fallback["cells"]):
+            assert a["outcomes"] == b["outcomes"]
+            assert b["pruned"] == 0
+            assert b["prune_error"] == "RuntimeError: no oracle today"
 
 
 class TestCli:
@@ -216,4 +235,19 @@ class TestCli:
         report = json.loads(out.read_text())
         assert report["schema_version"] == 2
         assert sum(c["pruned"] for c in report["cells"]) > 0
-        assert "pruned" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "pruned" in err
+        assert "unpruned" not in err
+
+    def test_faults_summary_counts_oracle_failures(self, tmp_path, capsys,
+                                                   monkeypatch):
+        from repro.analysis import vuln
+        from repro.cli import main
+
+        monkeypatch.setattr(vuln, "build_oracle", broken_oracle)
+        code = main(["faults", "ackermann", "-n", "2", "--seed", "42",
+                     "--kinds", "reg,trap", "--prune-masked", "-j", "1",
+                     "-o", str(tmp_path / "report.json")])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert ", 0 pruned, 2 cells unpruned (oracle failed)" in err
