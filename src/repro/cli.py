@@ -18,7 +18,8 @@ import argparse
 import sys
 
 from .bench import SUITE, get_benchmark
-from .cc import TARGETS, build_executable, compile_to_assembly
+from .cc import (TARGETS, build_executable, compile_to_assembly,
+                 get_target)
 from .machine import (DEFAULT_FUEL, MachineTimeout, cycles_no_cache,
                       run_executable)
 
@@ -184,7 +185,6 @@ def _lint(args) -> int:
                 findings=validation.findings)]))
         if args.density:
             from .analysis import analyze_density, resolve_cfg
-            from .cc import get_target
 
             built = build_executable(source, args.target,
                                      include_runtime=not args.no_runtime,
@@ -428,12 +428,11 @@ def _lint(args) -> int:
 def cmd_bench(args) -> int:
     from .experiments import Lab
 
-    lab = Lab(jobs=args.jobs)
     names = args.names or [bench.name for bench in SUITE]
     targets = args.targets.split(",")
-    for name in names:
-        get_benchmark(name)       # validate early
-    grid = lab.runs(names, targets)
+    if not _known("bench", names, targets):
+        return 2
+    grid = Lab(jobs=args.jobs).runs(names, targets)
     header = f"{'program':12s}" + "".join(
         f"{t + ' size':>16s}{t + ' path':>16s}" for t in targets)
     print(header)
@@ -450,8 +449,9 @@ def cmd_faults(args) -> int:
     from .faults import FAULT_KINDS, FaultCampaign, render_report
 
     names = args.names or default_fault_benchmarks()
-    for name in names:
-        get_benchmark(name)       # validate early
+    targets = args.targets.split(",")
+    if not _known("faults", names, targets):
+        return 2
     kinds = tuple(args.kinds.split(",")) if args.kinds else FAULT_KINDS
     for kind in kinds:
         if kind not in FAULT_KINDS:
@@ -459,7 +459,7 @@ def cmd_faults(args) -> int:
                   f"(known: {', '.join(FAULT_KINDS)})", file=sys.stderr)
             return 2
     campaign = FaultCampaign(
-        benchmarks=tuple(names), targets=tuple(args.targets.split(",")),
+        benchmarks=tuple(names), targets=tuple(targets),
         faults=args.faults, seed=args.seed, kinds=kinds,
         prune_masked=args.prune_masked)
     report = campaign.run(jobs=args.jobs)
@@ -484,6 +484,19 @@ def cmd_faults(args) -> int:
           f"({errors} failed), {args.faults} faults/cell, "
           f"seed {args.seed}{note} | {summary}", file=sys.stderr)
     return 1 if errors else 0
+
+
+def _known(command: str, names: list[str], targets: list[str]) -> bool:
+    """Check benchmark and target names; print the first unknown one."""
+    try:
+        for name in names:
+            get_benchmark(name)
+        for target in targets:
+            get_target(target)
+    except KeyError as exc:
+        print(f"{command}: {exc.args[0]}", file=sys.stderr)
+        return False
+    return True
 
 
 def default_fault_benchmarks() -> list[str]:

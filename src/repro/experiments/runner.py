@@ -13,8 +13,8 @@ artifacts into the shared on-disk cache, and returns picklable results
 that the parent assembles in deterministic grid order -- parallel
 output is byte-identical to sequential output.
 
-The grid is *fail-soft*: per-cell wall-clock timeouts, bounded retry
-with backoff when a worker process dies, and a partial-results mode
+The grid is *fail-soft*: bounded retry when a worker process dies, the
+simulator's instruction fuel against hangs, and a partial-results mode
 (``runs(..., partial=True)``) where a failed cell yields a typed
 :class:`RunError` record instead of aborting the whole sweep --
 required by adversarial workloads (fault-injection campaigns) where
@@ -27,7 +27,7 @@ import math
 import time as _time
 from array import array
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from ..bench import SUITE, Benchmark, check_output, get_benchmark
 from ..cc import build_executable, get_target
@@ -41,6 +41,15 @@ PAPER_TARGETS = ("d16", "dlxe/16/2", "dlxe/16/3", "dlxe/32/2", "dlxe")
 
 #: Shorthand: the two headline machines.
 MAIN_TARGETS = ("d16", "dlxe")
+
+#: How many times :func:`fan_out` resubmits a cell whose worker process
+#: died (an exception raised inside a cell is never retried).
+RETRIES = 1
+
+#: Seconds :func:`fan_out` sleeps before each round of resubmissions.
+RETRY_DELAY_S = 0.1
+
+_R = TypeVar("_R")
 
 
 @dataclass
@@ -73,8 +82,7 @@ class RunError:
 
     Returned in place of a :class:`ProgramRun` when ``runs(...,
     partial=True)``; ``kind`` is one of ``"error"`` (deterministic
-    failure: lint, miscompare, simulator fault, watchdog timeout),
-    ``"timeout"`` (no result within the wall-clock ``cell_timeout``) or
+    failure: lint, miscompare, simulator fault, watchdog timeout) or
     ``"worker-lost"`` (the worker process died and retries were
     exhausted).
     """
@@ -125,49 +133,24 @@ class Lab:
     over each (benchmark, target) cell before compiling it and raises
     :class:`ExperimentError` on lint errors — an opt-in guard for
     experiment campaigns whose numbers would silently absorb a
-    miscompile.  ``validate_timing`` checks every simulated run against
-    the static cycle bounds of :mod:`repro.analysis.timing` and raises
-    when the observed interlocks escape them — a self-check tying the
-    experiment numbers to the machine model.  ``validate_wcet`` does
-    the same with the *whole-program* [BCET, WCET] interval of
-    :mod:`repro.analysis.wcet`, raising only on TIM003 (cycle counts
-    escaping the interval); the warning-level LOOP001/TIM004/TIM005
-    soundness caveats are expected on real programs and ignored here.
+    miscompile.
 
-    Fail-soft knobs: ``max_instructions`` is the simulator watchdog
+    Fail-soft knob: ``max_instructions`` is the simulator watchdog
     fuel per run (a hung benchmark raises
     :class:`~repro.machine.MachineTimeout` instead of spinning on the
-    2-billion default); ``cell_timeout`` bounds the wall-clock seconds
-    a parallel grid cell may take to produce a result; ``retries`` is
-    how many times a cell is resubmitted after its worker *process*
-    dies (deterministic in-cell failures are never retried); and
-    ``retry_backoff`` seconds are slept between resubmissions.
+    2-billion default).
     """
 
     def __init__(self, *, params: PipelineParams | None = None,
-                 verify_output: bool = True,
                  cache=None, jobs: int = 1,
                  preflight_lint: bool = False,
-                 validate_timing: bool = False,
-                 validate_wcet: bool = False,
-                 max_instructions: int = DEFAULT_FUEL,
-                 cell_timeout: float | None = None,
-                 retries: int = 1,
-                 retry_backoff: float = 0.1):
+                 max_instructions: int = DEFAULT_FUEL):
         self.params = params or PipelineParams()
-        self.verify_output = verify_output
         self.cache: ArtifactCache = resolve_cache(cache)
         self.jobs = max(1, int(jobs))
         self.preflight_lint = preflight_lint
-        self.validate_timing = validate_timing
-        self.validate_wcet = validate_wcet
         self.max_instructions = max_instructions
-        self.cell_timeout = cell_timeout
-        self.retries = max(0, int(retries))
-        self.retry_backoff = retry_backoff
         self._linted: set[tuple[str, str]] = set()
-        self._timing_checked: set[tuple[str, str]] = set()
-        self._wcet_checked: set[tuple[str, str]] = set()
         self._runs: dict[tuple[str, str], ProgramRun] = {}
         self._traces: dict[tuple[str, str], TraceRun] = {}
         self._executables: dict[tuple[str, str], object] = {}
@@ -233,7 +216,7 @@ class Lab:
 
     def _check(self, bench: Benchmark, target_name: str,
                stats: RunStats) -> None:
-        if self.verify_output and not check_output(bench, stats.output):
+        if not check_output(bench, stats.output):
             raise ExperimentError(
                 f"{bench.name} on {target_name} produced unexpected "
                 f"output: {stats.output!r}")
@@ -262,47 +245,8 @@ class Lab:
                          stats=payload["stats"],
                          binary_size=payload["binary_size"],
                          text_size=payload["text_size"])
-        self._validate_timing(bench, target_name, run.stats)
-        self._validate_wcet(bench, target_name, run.stats)
         self._runs[key] = run
         return run
-
-    def _validate_timing(self, bench: Benchmark, target_name: str,
-                         stats: RunStats) -> None:
-        key = (bench.name, target_name)
-        if not self.validate_timing or key in self._timing_checked:
-            return
-        from ..analysis import check_timing, render_text
-
-        exe = self.executable(bench.name, target_name)
-        validation = check_timing(exe, get_target(target_name).isa,
-                                  stats, model=self.params)
-        if validation.findings:
-            raise ExperimentError(
-                f"{bench.name} on {target_name} failed the static "
-                f"cycle-bound cross-check:\n"
-                f"{render_text(validation.findings)}")
-        self._timing_checked.add(key)
-
-    def _validate_wcet(self, bench: Benchmark, target_name: str,
-                       stats: RunStats) -> None:
-        key = (bench.name, target_name)
-        if not self.validate_wcet or key in self._wcet_checked:
-            return
-        from ..analysis import check_wcet, render_text
-        from ..analysis.findings import Severity
-
-        exe = self.executable(bench.name, target_name)
-        validation = check_wcet(exe, get_target(target_name).isa, stats,
-                                model=self.params,
-                                target=get_target(target_name))
-        errors = [f for f in validation.findings
-                  if f.severity == Severity.ERROR]
-        if errors:
-            raise ExperimentError(
-                f"{bench.name} on {target_name} escaped the static "
-                f"whole-program cycle interval:\n{render_text(errors)}")
-        self._wcet_checked.add(key)
 
     def validate_icache(self, programs=None,
                         targets: tuple[str, ...] = MAIN_TARGETS, *,
@@ -507,8 +451,8 @@ class Lab:
 
         With ``partial=True`` a failing cell does not abort the sweep:
         its grid slot holds a typed :class:`RunError` (kind ``error`` /
-        ``timeout`` / ``worker-lost``) and every other cell still
-        completes.  The default (``partial=False``) keeps the historic
+        ``worker-lost``) and every other cell still completes.  The
+        default (``partial=False``) keeps the historic
         raise-on-first-failure contract.
         """
         names = list(programs) if programs is not None \
@@ -517,138 +461,110 @@ class Lab:
         jobs = self.jobs if jobs is None else max(1, int(jobs))
         pending = [(name, target) for name in names for target in targets
                    if (name, target) not in self._runs]
-        errors: dict[tuple[str, str], RunError] = {}
+        done: dict[tuple[str, str], Any] = {}
         if jobs > 1 and len(pending) > 1:
-            errors = self._fan_out(pending, jobs, partial)
+            for name, target in pending:       # validate before forking
+                get_benchmark(name)
+                get_target(target)
+            settings = {"params": self.params, "cache": self.cache,
+                        "preflight_lint": self.preflight_lint,
+                        "max_instructions": self.max_instructions}
+            done = fan_out(_grid_cell_worker, pending, jobs, settings)
         grid: dict[str, dict[str, ProgramRun | RunError]] = {}
         for name in names:
             row: dict[str, ProgramRun | RunError] = {}
             for target in targets:
-                cell = (name, target)
-                if cell in self._runs:
+                result = done.get((name, target))
+                if isinstance(result, RunError):
+                    if not partial:     # the first failure in grid order
+                        raise ExperimentError(str(result))
+                    row[target] = result
+                    continue
+                if result is not None:
+                    stats, binary_size, text_size = result
+                    self._runs[name, target] = ProgramRun(
+                        bench=get_benchmark(name), target_name=target,
+                        stats=stats, binary_size=binary_size,
+                        text_size=text_size)
+                try:
                     row[target] = self.run(name, target)
-                elif cell in errors:
-                    row[target] = errors[cell]
-                elif partial:
-                    try:
-                        row[target] = self.run(name, target)
-                    except Exception as exc:  # noqa: BLE001 - fail-soft
-                        row[target] = RunError(
-                            bench=name, target=target, kind="error",
-                            message=f"{type(exc).__name__}: {exc}")
-                else:
-                    row[target] = self.run(name, target)
+                except Exception as exc:  # noqa: BLE001 - fail-soft
+                    if not partial:
+                        raise
+                    row[target] = RunError(
+                        bench=name, target=target, kind="error",
+                        message=f"{type(exc).__name__}: {exc}")
             grid[name] = row
         return grid
 
-    def _cell_job(self, cell: tuple[str, str]) -> tuple:
-        name, target = cell
-        return (name, target, self.params, self.verify_output,
-                str(self.cache.root), self.cache.enabled,
-                self.preflight_lint, self.validate_timing,
-                self.max_instructions)
 
-    def _fan_out(self, cells, jobs: int, partial: bool,
-                 ) -> dict[tuple[str, str], RunError]:
-        """Compile+run grid cells in worker processes (deterministic).
+def _grid_cell_worker(bench_name: str, target_name: str,
+                      settings: dict[str, Any],
+                      ) -> tuple[RunStats, int, int]:
+    """Run one (benchmark, target) cell in a worker process, on a lab
+    built from the parent's ``settings`` (its constructor arguments)."""
+    run = Lab(**settings).run(bench_name, target_name)
+    return run.stats, run.binary_size, run.text_size
 
-        Successful cells land in ``self._runs``; failed cells are
-        returned as :class:`RunError` records (or raised when
-        ``partial`` is false).  Worker-process death is retried up to
-        ``self.retries`` times with backoff; wall-clock timeouts and
-        deterministic in-cell exceptions are not retried.
-        """
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-        from concurrent.futures import TimeoutError as FutureTimeout
 
-        for name, target in cells:         # validate before forking
-            get_benchmark(name)
-            get_target(target)
-        errors: dict[tuple[str, str], RunError] = {}
-        attempts = dict.fromkeys(cells, 0)
-        pending = list(cells)
-        while pending:
-            batch, pending = pending, []
-            pool = ProcessPoolExecutor(
-                max_workers=min(jobs, len(batch)))
-            abandoned = False
-            try:
+def fan_out(fn: Callable[..., _R], cells: Sequence[tuple[str, str]],
+            jobs: int, *args: Any,
+            ) -> dict[tuple[str, str], _R | RunError]:
+    """Run ``fn(bench, target, *args)`` for every cell in forked workers.
+
+    Results are collected in submission order.  An exception raised by
+    ``fn`` becomes a :class:`RunError` of kind ``error``.  A worker
+    that dies breaks the whole pool, so every cell it left without a
+    result is retried alone, in a single-worker pool of its own, and
+    only a cell whose own worker died :data:`RETRIES` + 1 times becomes
+    ``worker-lost``.
+    """
+    import multiprocessing
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+    fork = multiprocessing.get_context("fork")
+    attempts = dict.fromkeys(cells, 0)
+    results: dict[tuple[str, str], _R | RunError] = {}
+
+    def failed(cell: tuple[str, str], kind: str, message: str) -> RunError:
+        return RunError(bench=cell[0], target=cell[1], kind=kind,
+                        message=message, attempts=attempts[cell],
+                        backoff_total_s=RETRY_DELAY_S
+                        * (attempts[cell] - 1))
+
+    rounds = [list(cells)] if cells else []
+    while rounds:
+        lost: list[tuple[tuple[str, str], BrokenExecutor]] = []
+        for batch in rounds:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(batch)),
+                                     mp_context=fork) as pool:
                 futures = {}
                 for cell in batch:
                     attempts[cell] += 1
-                    futures[cell] = pool.submit(_grid_cell_worker,
-                                                self._cell_job(cell))
-                # Submission-order iteration keeps failure reporting
-                # deterministic regardless of completion order.
-                for cell in batch:
-                    name, target = cell
                     try:
-                        result = futures[cell].result(
-                            timeout=self.cell_timeout)
-                    except FutureTimeout:
-                        futures[cell].cancel()
-                        errors[cell] = RunError(
-                            bench=name, target=target, kind="timeout",
-                            message=f"no result within "
-                                    f"{self.cell_timeout}s (worker "
-                                    f"abandoned)",
-                            attempts=attempts[cell],
-                            backoff_total_s=self.retry_backoff
-                            * (attempts[cell] - 1))
-                        # The worker may be stuck for good; abandon the
-                        # pool rather than wait for it on shutdown.
-                        abandoned = True
+                        futures[cell] = pool.submit(fn, *cell, *args)
+                    except BrokenExecutor as exc:   # a sibling died
+                        lost.append((cell, exc))
+                for cell, future in futures.items():
+                    try:
+                        results[cell] = future.result()
                     except BrokenExecutor as exc:
-                        if attempts[cell] <= self.retries:
-                            pending.append(cell)
-                        else:
-                            errors[cell] = RunError(
-                                bench=name, target=target,
-                                kind="worker-lost",
-                                message=f"worker process died "
-                                        f"({type(exc).__name__}), "
-                                        f"retries exhausted",
-                                attempts=attempts[cell],
-                                backoff_total_s=self.retry_backoff
-                                * (attempts[cell] - 1))
-                    except Exception as exc:  # deterministic failure
-                        errors[cell] = RunError(
-                            bench=name, target=target, kind="error",
-                            message=f"{type(exc).__name__}: {exc}",
-                            attempts=attempts[cell],
-                            backoff_total_s=self.retry_backoff
-                            * (attempts[cell] - 1))
-                    else:
-                        _name, _target, stats, binary_size, text_size \
-                            = result
-                        self._runs[cell] = ProgramRun(
-                            bench=get_benchmark(name),
-                            target_name=target, stats=stats,
-                            binary_size=binary_size,
-                            text_size=text_size)
-            finally:
-                pool.shutdown(wait=not abandoned, cancel_futures=True)
-            if pending:
-                _time.sleep(self.retry_backoff)
-        if not partial and errors:
-            # Report the first failed cell in submission (grid) order.
-            first = next(c for c in cells if c in errors)
-            raise ExperimentError(str(errors[first]))
-        return errors
-
-
-def _grid_cell_worker(job):
-    """Run one (benchmark, target) cell in a worker process."""
-    (bench_name, target_name, params, verify, cache_root, cache_enabled,
-     preflight, validate_timing, max_instructions) = job
-    lab = Lab(params=params, verify_output=verify,
-              cache=ArtifactCache(cache_root, enabled=cache_enabled),
-              jobs=1, preflight_lint=preflight,
-              validate_timing=validate_timing,
-              max_instructions=max_instructions)
-    run = lab.run(bench_name, target_name)
-    return (bench_name, target_name, run.stats, run.binary_size,
-            run.text_size)
+                        lost.append((cell, exc))
+                    except Exception as exc:  # noqa: BLE001 - fail-soft
+                        results[cell] = failed(
+                            cell, "error", f"{type(exc).__name__}: {exc}")
+        rounds = []
+        for cell, exc in lost:
+            if attempts[cell] <= RETRIES:
+                rounds.append([cell])
+            else:
+                results[cell] = failed(
+                    cell, "worker-lost",
+                    f"worker process died ({type(exc).__name__}), "
+                    f"retries exhausted")
+        if rounds:
+            _time.sleep(RETRY_DELAY_S)
+    return results
 
 
 def grid_records(grid: dict[str, dict[str, ProgramRun | RunError]],

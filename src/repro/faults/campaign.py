@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..bench import get_benchmark
-from ..experiments.runner import Lab, MAIN_TARGETS
-from ..labcache import ArtifactCache
+from ..cc import get_target
+from ..experiments.runner import MAIN_TARGETS, Lab, RunError, fan_out
+from ..labcache import resolve_cache
 from ..machine import DEFAULT_FUEL
 from .inject import FunctionMap, run_cache_fault, run_fault
 from .model import (DEFAULT_KINDS, OUTCOMES, SCHEMA_VERSION, FaultResult,
@@ -167,62 +168,31 @@ class FaultCampaign:
         """Execute the campaign; returns the versioned report dict."""
         cells = [(bench, target) for bench in self.benchmarks
                  for target in self.targets]
-        for bench, _target in cells:
-            get_benchmark(bench)      # validate before any forking
-        lab = Lab(cache=self.cache)   # resolve cache root once
+        for bench, target in cells:   # validate before any work
+            get_benchmark(bench)
+            get_target(target)
+        config: dict[str, Any] = {
+            "faults": self.faults, "seed": self.seed,
+            "kinds": tuple(self.kinds),
+            "attribute": self.attribute_functions,
+            "prune_masked": self.prune_masked,
+            "max_instructions": self.max_instructions,
+            "cache": resolve_cache(self.cache)}
         jobs = max(1, int(jobs))
-        reports: dict[tuple[str, str], CellReport] = {}
         if jobs > 1 and len(cells) > 1:
-            reports = self._fan_out(cells, lab, jobs)
-        for cell in cells:
-            if cell not in reports:
-                reports[cell] = _campaign_cell(
-                    cell[0], cell[1], self._cell_config(lab))
+            results = fan_out(_campaign_cell, cells, jobs, config)
+        else:
+            results = {cell: _campaign_cell(*cell, config)
+                       for cell in cells}
+        reports: dict[tuple[str, str], CellReport] = {}
+        for (bench, target), result in results.items():
+            if isinstance(result, RunError):
+                result = CellReport(bench=bench, target=target,
+                                    golden=None, error=result.message)
+            reports[bench, target] = result
         return self._report(reports)
 
     # ------------------------------------------------------- internals
-
-    def _cell_config(self, lab: Lab) -> dict[str, Any]:
-        return {"faults": self.faults, "seed": self.seed,
-                "kinds": tuple(self.kinds),
-                "attribute": self.attribute_functions,
-                "prune_masked": self.prune_masked,
-                "max_instructions": self.max_instructions,
-                "cache_root": str(lab.cache.root),
-                "cache_enabled": lab.cache.enabled}
-
-    def _fan_out(self, cells: list[tuple[str, str]], lab: Lab, jobs: int,
-                 ) -> dict[tuple[str, str], CellReport]:
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-
-        config = self._cell_config(lab)
-        reports: dict[tuple[str, str], CellReport] = {}
-        pending = list(cells)
-        retried: set[tuple[str, str]] = set()
-        while pending:
-            batch, pending = pending, []
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(batch))) as pool:
-                futures = {cell: pool.submit(_campaign_cell, cell[0],
-                                             cell[1], config)
-                           for cell in batch}
-                for cell in batch:
-                    try:
-                        reports[cell] = futures[cell].result()
-                    except BrokenExecutor:
-                        if cell not in retried:
-                            retried.add(cell)
-                            pending.append(cell)
-                        else:
-                            reports[cell] = CellReport(
-                                bench=cell[0], target=cell[1],
-                                golden=None,
-                                error="worker process died twice")
-                    except Exception as exc:  # noqa: BLE001 - fail-soft
-                        reports[cell] = CellReport(
-                            bench=cell[0], target=cell[1], golden=None,
-                            error=f"{type(exc).__name__}: {exc}")
-        return reports
 
     def _report(self, reports: dict[tuple[str, str], CellReport],
                 ) -> dict[str, object]:
@@ -270,8 +240,7 @@ def render_report(report: dict[str, object]) -> str:
 def _campaign_cell(bench_name: str, target: str, config: dict[str, Any],
                    ) -> CellReport:
     """Plan and execute every fault of one cell (any process)."""
-    lab = Lab(cache=ArtifactCache(config["cache_root"],
-                                  enabled=config["cache_enabled"]),
+    lab = Lab(cache=config["cache"],
               max_instructions=config["max_instructions"])
     bench = get_benchmark(bench_name)
     # The masking oracle and cache faults replay the golden path's

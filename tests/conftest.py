@@ -30,3 +30,30 @@ def isa_target(request):
 def any_target(request):
     """Parametrize a test over all five paper configurations."""
     return request.param
+
+
+@pytest.fixture
+def dying_build(monkeypatch):
+    """Register ``fs-die``, a benchmark whose compilation kills its process.
+
+    The patched compiler reaches pool workers through fork, so only a
+    fanned-out grid or campaign may run the returned benchmark name.
+    """
+    import os
+
+    import repro.experiments.runner as runner
+    from repro.bench import Benchmark, register_benchmark
+
+    real_build = runner.build_executable
+
+    def build(source, target, **kwargs):
+        if "fs_die_marker" in source:
+            os._exit(13)
+        return real_build(source, target, **kwargs)
+
+    monkeypatch.setattr(runner, "build_executable", build)
+    register_benchmark(Benchmark(
+        "fs-die", "kills its worker process", ("5",),
+        inline_source="int main() { int fs_die_marker; "
+                      "puti(5); return 0; }"))
+    return "fs-die"

@@ -136,6 +136,25 @@ def test_faults_rejects_unknown_kind(capsys):
     assert "unknown fault kind" in capsys.readouterr().err
 
 
-def test_faults_rejects_unknown_benchmark():
-    with pytest.raises(KeyError):
-        main(["faults", "fortnite"])
+def test_faults_rejects_unknown_benchmark(capsys):
+    assert main(["faults", "fortnite"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("faults: unknown benchmark 'fortnite'; "
+                          "expected one of [")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "fortnite"],
+    ["bench", "ackermann", "--targets", "d16,riscv"],
+    ["faults", "ackermann", "--targets", "d16,riscv"],
+])
+def test_unknown_name_is_one_line_on_stderr(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    unknown = "benchmark 'fortnite'" if "fortnite" in argv \
+        else "target 'riscv'"
+    assert captured.err.startswith(f"{argv[0]}: unknown {unknown}; "
+                                   f"expected one of [")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""

@@ -1,13 +1,13 @@
 """Experiment runner infrastructure."""
 
-import time
-
 import pytest
 
+import repro.experiments.runner as runner
 from repro.bench import Benchmark, register_benchmark
 from repro.experiments import Lab, RunError, default_programs, geomean, mean
 from repro.experiments.runner import (ExperimentError, MAIN_TARGETS,
                                       PAPER_TARGETS)
+from repro.machine.pipeline import PipelineParams
 
 
 class TestHelpers:
@@ -80,21 +80,46 @@ class TestParallelGrid:
     PROGRAMS = ("ackermann", "queens")
 
     def test_jobs2_equals_jobs1(self, tmp_path):
-        """Parallel fan-out must assemble the identical grid."""
-        sequential = Lab(cache=False)
-        grid1 = sequential.runs(self.PROGRAMS, MAIN_TARGETS, jobs=1)
-        parallel = Lab(cache=tmp_path / "cache")
-        grid2 = parallel.runs(self.PROGRAMS, MAIN_TARGETS, jobs=2)
+        """Parallel fan-out must assemble the identical grid, under the
+        default and non-default pipeline parameters alike."""
+        interlocks = []
+        for index, params in enumerate((None, PipelineParams(load_delay=2))):
+            sequential = Lab(cache=False, params=params)
+            grid1 = sequential.runs(self.PROGRAMS, MAIN_TARGETS, jobs=1)
+            parallel = Lab(cache=tmp_path / f"cache{index}", params=params)
+            grid2 = parallel.runs(self.PROGRAMS, MAIN_TARGETS, jobs=2)
 
-        assert list(grid1) == list(grid2)
-        for name in grid1:
-            assert list(grid1[name]) == list(grid2[name])
-            for target in grid1[name]:
-                a, b = grid1[name][target], grid2[name][target]
-                assert a.stats == b.stats
-                assert (a.binary_size, a.text_size) == \
-                    (b.binary_size, b.text_size)
-                assert a.bench is b.bench and a.target_name == b.target_name
+            assert list(grid1) == list(grid2)
+            for name in grid1:
+                assert list(grid1[name]) == list(grid2[name])
+                for target in grid1[name]:
+                    a, b = grid1[name][target], grid2[name][target]
+                    assert a.stats == b.stats
+                    assert (a.binary_size, a.text_size) == \
+                        (b.binary_size, b.text_size)
+                    assert a.bench is b.bench
+                    assert a.target_name == b.target_name
+            interlocks.append(grid2["queens"]["dlxe"].stats.interlocks)
+        # The load delay reached the workers: it changes the interlocks.
+        assert interlocks[0] != interlocks[1]
+
+    def test_preflight_lint_runs_in_the_workers(self, tmp_path,
+                                                monkeypatch):
+        import repro.analysis as analysis
+        from repro.analysis import finding
+
+        monkeypatch.setattr(
+            analysis, "lint_program",
+            lambda source, target, **kw: [
+                finding("BIN001", "text:0x1000", "seeded miscompile")])
+        lab = Lab(cache=tmp_path / "cache", preflight_lint=True)
+        grid = lab.runs(self.PROGRAMS, MAIN_TARGETS, jobs=2, partial=True)
+        for name in self.PROGRAMS:
+            for target in MAIN_TARGETS:
+                err = grid[name][target]
+                assert isinstance(err, RunError)
+                assert err.kind == "error"
+                assert "pre-flight lint" in err.message
 
     def test_parallel_workers_populate_shared_cache(self, tmp_path):
         lab = Lab(cache=tmp_path / "cache")
@@ -176,93 +201,47 @@ class TestFailSoftGrid:
         with pytest.raises(ExperimentError, match="fs-spin/d16"):
             lab.runs(("fs-spin", "fs-bad"), MAIN_TARGETS, jobs=2)
 
-    def test_wall_clock_timeout_abandons_cell(self, failsoft_benchmarks,
-                                              tmp_path, monkeypatch):
-        """A worker stuck outside the simulator is cut off by the
-        wall-clock ``cell_timeout`` while other cells complete.  The
-        stall is injected by delaying compilation of the marked
-        benchmark; the patched function reaches the pool workers via
-        fork.
-        """
-        import repro.experiments.runner as runner
-
-        real_build = runner.build_executable
-
-        def slow_build(source, target, **kwargs):
-            if "fs_wall_marker" in source:
-                time.sleep(8)
-            return real_build(source, target, **kwargs)
-
-        monkeypatch.setattr(runner, "build_executable", slow_build)
-        register_benchmark(Benchmark(
-            "fs-wall", "stalls outside the simulator", ("3",),
-            inline_source="int main() { int fs_wall_marker; "
-                          "puti(3); return 0; }"))
-        lab = Lab(cache=tmp_path / "cache", cell_timeout=1.5)
-        grid = lab.runs(("ackermann", "fs-wall"), ("d16",), jobs=2,
-                        partial=True)
-        err = grid["fs-wall"]["d16"]
-        assert isinstance(err, RunError)
-        assert err.kind == "timeout"
-        assert "abandoned" in err.message
-        assert grid["ackermann"]["d16"].stats.instructions > 0
-
-    def test_dead_worker_retried_then_reported(self, monkeypatch,
-                                               tmp_path):
+    def test_dead_worker_retried_then_reported(self, dying_build,
+                                               tmp_path, monkeypatch):
         """Worker-process death is retried, then typed worker-lost."""
-        import os
-
-        import repro.experiments.runner as runner
-
-        real_build = runner.build_executable
-
-        def dying_build(source, target, **kwargs):
-            if "fs_die_marker" in source:
-                os._exit(13)
-            return real_build(source, target, **kwargs)
-
-        monkeypatch.setattr(runner, "build_executable", dying_build)
-        register_benchmark(Benchmark(
-            "fs-die", "kills its worker process", ("5",),
-            inline_source="int main() { int fs_die_marker; "
-                          "puti(5); return 0; }"))
-        lab = Lab(cache=tmp_path / "cache", retries=1, retry_backoff=0.0)
-        grid = lab.runs(("fs-die",), MAIN_TARGETS, jobs=2, partial=True)
+        monkeypatch.setattr(runner, "RETRY_DELAY_S", 0.0)
+        lab = Lab(cache=tmp_path / "cache")
+        grid = lab.runs((dying_build,), MAIN_TARGETS, jobs=2, partial=True)
         for target in MAIN_TARGETS:
-            err = grid["fs-die"][target]
+            err = grid[dying_build][target]
             assert isinstance(err, RunError)
             assert err.kind == "worker-lost"
             assert err.attempts == 2       # first try + one retry
 
+    def test_dead_worker_does_not_fail_its_siblings(self, dying_build,
+                                                    tmp_path, monkeypatch):
+        """The dying cells break the shared pool; the healthy cells are
+        retried alone and match a sequential run."""
+        monkeypatch.setattr(runner, "RETRY_DELAY_S", 0.0)
+        lab = Lab(cache=tmp_path / "cache")
+        grid = lab.runs((dying_build, "ackermann"), MAIN_TARGETS, jobs=2,
+                        partial=True)
+        sequential = Lab(cache=False).runs(("ackermann",), MAIN_TARGETS)
+        for target in MAIN_TARGETS:
+            assert grid[dying_build][target].kind == "worker-lost"
+            a, b = grid["ackermann"][target], sequential["ackermann"][target]
+            assert isinstance(a, runner.ProgramRun)
+            assert (a.stats, a.binary_size, a.text_size) == \
+                (b.stats, b.binary_size, b.text_size)
+
     def test_run_error_diagnostics_survive_into_records(
-            self, monkeypatch, tmp_path):
+            self, dying_build, monkeypatch, tmp_path):
         """Degraded grids are diagnosable from the JSON alone: the
         retry/backoff diagnostics ride the RunError into
         ``grid_records`` output."""
-        import os
-
-        import repro.experiments.runner as runner
         from repro.experiments import grid_records
 
-        real_build = runner.build_executable
-
-        def dying_build(source, target, **kwargs):
-            if "fs_rec_marker" in source:
-                os._exit(13)
-            return real_build(source, target, **kwargs)
-
-        monkeypatch.setattr(runner, "build_executable", dying_build)
-        register_benchmark(Benchmark(
-            "fs-rec", "kills its worker process", ("5",),
-            inline_source="int main() { int fs_rec_marker; "
-                          "puti(5); return 0; }"))
-        lab = Lab(cache=tmp_path / "cache", retries=2,
-                  retry_backoff=0.05)
-        # Both cells die, so the shared pool never poisons a healthy
-        # sibling; the healthy cell runs sequentially afterwards.
-        grid = lab.runs(("fs-rec",), ("d16", "dlxe"), jobs=2,
+        monkeypatch.setattr(runner, "RETRIES", 2)
+        monkeypatch.setattr(runner, "RETRY_DELAY_S", 0.05)
+        lab = Lab(cache=tmp_path / "cache")
+        grid = lab.runs((dying_build,), ("d16", "dlxe"), jobs=2,
                         partial=True)
-        err = grid["fs-rec"]["d16"]
+        err = grid[dying_build]["d16"]
         assert isinstance(err, RunError)
         assert err.attempts == 3
         assert err.backoff_total_s == pytest.approx(0.1)
@@ -273,7 +252,7 @@ class TestFailSoftGrid:
         records = grid_records(grid)
         by_cell = {(record["bench"], record["target"]): record
                    for record in records}
-        bad = by_cell[("fs-rec", "d16")]
+        bad = by_cell[(dying_build, "d16")]
         assert bad["ok"] is False
         assert bad["kind"] == "worker-lost"
         assert bad["attempts"] == 3
@@ -282,3 +261,57 @@ class TestFailSoftGrid:
         good = by_cell[("ackermann", "d16")]
         assert good["ok"] is True
         assert good["instructions"] > 0
+
+
+class TestFanOut:
+    def test_dead_worker_charged_only_to_its_cell(
+            self, failsoft_benchmarks, dying_build, tmp_path, monkeypatch):
+        """One batch with a healthy cell, a raising cell and a dying
+        cell: only the dying cell is lost, after every retry."""
+        monkeypatch.setattr(runner, "RETRY_DELAY_S", 0.0)
+        cells = [(dying_build, "d16"), ("fs-bad", "d16"),
+                 ("ackermann", "d16"), ("queens", "d16")]
+        results = runner.fan_out(runner._grid_cell_worker, cells, 2,
+                                 {"cache": tmp_path / "cache"})
+        assert set(results) == set(cells)
+        lost = results[dying_build, "d16"]
+        assert isinstance(lost, RunError)
+        assert lost.kind == "worker-lost"
+        assert lost.attempts == runner.RETRIES + 1
+        assert "worker process died" in lost.message
+        bad = results["fs-bad", "d16"]
+        assert isinstance(bad, RunError)
+        assert bad.kind == "error" and "ExperimentError" in bad.message
+        lab = Lab(cache=False)
+        for name in ("ackermann", "queens"):
+            run = lab.run(name, "d16")
+            assert results[name, "d16"] == \
+                (run.stats, run.binary_size, run.text_size)
+
+    def test_submit_to_a_broken_pool_is_a_lost_attempt(self, tmp_path,
+                                                       monkeypatch):
+        """Once a worker has died, ``submit`` itself raises; that cell
+        is retried alone like the cells the death interrupted."""
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        monkeypatch.setattr(runner, "RETRY_DELAY_S", 0.0)
+        real_submit = ProcessPoolExecutor.submit
+        refused = []
+
+        def submit(pool, fn, *args):
+            if not refused:
+                refused.append(args[:2])
+                raise BrokenProcessPool("a worker died")
+            return real_submit(pool, fn, *args)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        cells = [("ackermann", "d16"), ("queens", "d16")]
+        results = runner.fan_out(runner._grid_cell_worker, cells, 2,
+                                 {"cache": tmp_path / "cache"})
+        assert refused == [("ackermann", "d16")]
+        lab = Lab(cache=False)
+        for name, target in cells:
+            run = lab.run(name, target)
+            assert results[name, target] == \
+                (run.stats, run.binary_size, run.text_size)

@@ -302,6 +302,27 @@ class TestCampaign:
         # Error cells are excluded from the aggregate rates.
         assert report["summary"]["d16"]["faults"] == 3
 
+    def test_dead_worker_does_not_fail_its_siblings(
+            self, fault_benchmarks, dying_build, tmp_path, monkeypatch):
+        """The dying cells break the shared pool; the healthy cells are
+        retried alone and report what they report without them."""
+        from repro.experiments import runner
+
+        monkeypatch.setattr(runner, "RETRY_DELAY_S", 0.0)
+
+        def cells(*benchmarks):
+            report = FaultCampaign(
+                benchmarks=benchmarks, faults=3, seed=2,
+                cache=tmp_path / "-".join(benchmarks)).run(jobs=2)
+            return {(c["bench"], c["target"]): c for c in report["cells"]}
+
+        mixed = cells(dying_build, "fi-sum")
+        alone = cells("fi-sum")
+        for target in ("d16", "dlxe"):
+            assert mixed[("fi-sum", target)] == alone[("fi-sum", target)]
+            assert "worker process died" in \
+                mixed[(dying_build, target)]["error"]
+
     def test_one_golden_simulation_per_cell(self, fault_benchmarks,
                                             tmp_path, monkeypatch):
         """A pruned cell's traced run is its golden run: one simulation."""
@@ -334,3 +355,6 @@ class TestCampaign:
     def test_unknown_benchmark_raises_before_running(self):
         with pytest.raises(KeyError):
             FaultCampaign(benchmarks=("fortnite",), cache=False).run()
+        with pytest.raises(KeyError, match="unknown target 'riscv'"):
+            FaultCampaign(benchmarks=("ackermann",), targets=("riscv",),
+                          cache=False).run()
