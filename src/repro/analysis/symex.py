@@ -491,25 +491,6 @@ def mem_fload(mem: Term, cls: str, addr: Term) -> Term:
     return ("fld", cls, addr, mem)
 
 
-def term_symbols(term: Term) -> frozenset[tuple[object, ...]]:
-    """Every ``("sym", key)`` key mentioned anywhere inside ``term``."""
-    found: set[tuple[object, ...]] = set()
-    stack: list[object] = [term]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, tuple):
-            if len(node) == 2 and node[0] == "sym" \
-                    and isinstance(node[1], tuple):
-                found.add(node[1])
-                continue
-            stack.extend(node)
-    return frozenset(found)
-
-
-def mentions_symbol(term: Term, key: tuple[object, ...]) -> bool:
-    return key in term_symbols(term)
-
-
 def is_ground(term: Term) -> bool:
     """True when the term contains no free symbols or memory states."""
     stack: list[object] = [term]

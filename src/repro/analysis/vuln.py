@@ -376,8 +376,9 @@ class MaskingOracle:
         key = (config.block, config.num_lines)
         touched = self._touched_lines.get(key)
         if touched is None:
-            touched = {(a // config.block) % config.num_lines
-                       for a in self.itrace}
+            # One mapping per distinct fetch address, not per fetch.
+            block, lines = key
+            touched = {(pc // block) % lines for pc in set(self.itrace)}
             self._touched_lines[key] = touched
         if line not in touched:
             return self._verdict(

@@ -1359,13 +1359,6 @@ class WcetValidation:
     def bracketed(self) -> bool:
         return all(f.rule != "TIM003" for f in self.findings)
 
-    @property
-    def bcet_ratio(self) -> float:
-        """Static best case as a fraction of the observed cycles."""
-        if not self.observed_cycles:
-            return 0.0
-        return self.program.bcet / self.observed_cycles
-
 
 def validate_wcet(program: ProgramWcet, stats: RunStats, *,
                   slack: float | None = DEFAULT_SLACK) -> WcetValidation:

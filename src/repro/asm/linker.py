@@ -9,6 +9,8 @@ Memory map of a linked executable::
 
 The linker defines ``__gp``, ``__data_start``, ``__data_end`` and
 ``__stack_top``; the entry point is the global symbol ``_start``.
+Every non-dot text label, local or global, is recorded as a function
+start in :attr:`Executable.functions`.
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ def link(objects: list[ObjectFile], *, text_base: int = TEXT_BASE,
         "__data_end": data_base + len(data),
         "__stack_top": stack_top,
     }
+    # Function starts: every non-dot label inside the text segment, the
+    # rule CFG recovery uses; a local name defined by two objects keeps
+    # its first address.
+    text_end = text_base + len(text)
+    functions: dict[str, int] = {}
     local_tables: list[dict[str, int]] = []
     for obj, place in zip(objects, placements):
         table = {}
@@ -69,6 +76,9 @@ def link(objects: list[ObjectFile], *, text_base: int = TEXT_BASE,
             else:
                 address = bases[sym.section] + place[sym.section] + sym.value
             table[sym.name] = address
+            if sym.section == "text" and not sym.name.startswith(".") \
+                    and address < text_end:
+                functions.setdefault(sym.name, address)
             if sym.is_global:
                 if sym.name in symbols and symbols[sym.name] != address:
                     raise LinkError(f"duplicate global symbol {sym.name!r}")
@@ -97,7 +107,8 @@ def link(objects: list[ObjectFile], *, text_base: int = TEXT_BASE,
 
     return Executable(isa_name=isa_name, text_base=text_base,
                       text=bytes(text), data_base=data_base,
-                      data=bytes(data), entry=entry, symbols=symbols)
+                      data=bytes(data), entry=entry, symbols=symbols,
+                      functions=functions)
 
 
 def _patch(buf: bytearray, at: int, kind: Reloc, value: int,

@@ -81,6 +81,9 @@ class Executable:
     data: bytes
     entry: int
     symbols: dict[str, int]   # name -> absolute address
+    #: Function starts: name -> absolute address of every non-dot text
+    #: label, locals included (``symbols`` keeps only globals).
+    functions: dict[str, int] = field(default_factory=dict)
 
     @property
     def text_size(self) -> int:

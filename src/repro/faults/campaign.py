@@ -7,6 +7,11 @@ like the experiment Lab, and aggregates the classified outcomes into a
 versioned, byte-deterministic JSON report: the same seed and grid
 produce the identical report for ``jobs=1`` and ``jobs=N``.
 
+Each cell walks one fault-free machine along its golden path, pausing
+at the triggers in ascending order, and injects every fault into a fork
+taken at its trigger: the cell simulates its golden prefix once, and
+every result equals the one a fresh machine per site gives.
+
 The campaign itself is fail-soft.  A cell whose *golden* run fails
 (e.g. a hung benchmark caught by the watchdog) is recorded as a typed
 error cell; a worker that dies is retried once and then recorded; and
@@ -16,6 +21,7 @@ escape is folded into the outcome taxonomy (``crash`` at worst).
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from dataclasses import dataclass, field
@@ -25,14 +31,15 @@ from ..bench import get_benchmark
 from ..cc import get_target
 from ..experiments.runner import MAIN_TARGETS, Lab, RunError, fan_out
 from ..labcache import resolve_cache
-from ..machine import DEFAULT_FUEL
-from .inject import FunctionMap, run_cache_fault, run_fault
+from ..machine import DEFAULT_FUEL, Machine, MachineError
+from .inject import FunctionMap, fuel_for, run_cache_fault, run_fault
 from .model import (DEFAULT_KINDS, OUTCOMES, SCHEMA_VERSION, FaultResult,
                     FaultSpec, GoldenRun)
 
 if TYPE_CHECKING:
     from ..analysis.vuln import SiteVerdict
     from ..asm.objfile import Executable
+    from ..machine.pipeline import PipelineParams
 
 
 def plan_cell(bench: str, target: str, golden: GoldenRun,
@@ -153,8 +160,7 @@ class FaultCampaign:
     faults: int = 20
     seed: int = 1
     kinds: tuple[str, ...] = DEFAULT_KINDS
-    #: Map injection sites to functions via the xisa summaries
-    #: (adds one static analysis per cell).
+    #: Map injection sites to functions via the image's function table.
     attribute_functions: bool = True
     #: Skip injections the static vulnerability analysis proves masked
     #: (:mod:`repro.analysis.vuln`).  Pruned sites are recorded with
@@ -242,7 +248,6 @@ def _campaign_cell(bench_name: str, target: str, config: dict[str, Any],
     """Plan and execute every fault of one cell (any process)."""
     lab = Lab(cache=config["cache"],
               max_instructions=config["max_instructions"])
-    bench = get_benchmark(bench_name)
     # The masking oracle and cache faults replay the golden path's
     # address trace; a cell that needs it takes the traced run as its
     # golden run instead of simulating the same path twice.
@@ -268,12 +273,7 @@ def _campaign_cell(bench_name: str, target: str, config: dict[str, Any],
                       faults=config["faults"], seed=config["seed"],
                       kinds=config["kinds"])
 
-    functions = None
-    if config["attribute"] and any(s.kind != "cache" for s in specs):
-        try:
-            functions = FunctionMap.for_source(bench.source, target)
-        except Exception:  # noqa: BLE001 - attribution is best-effort
-            functions = None
+    functions = FunctionMap(exe.functions) if config["attribute"] else None
     # Static masking verdicts gate execution under --prune-masked; the
     # oracle is an optimization, so an analysis failure disables
     # pruning for the cell, and the report says why.
@@ -290,21 +290,56 @@ def _campaign_cell(bench_name: str, target: str, config: dict[str, Any],
         except Exception as exc:  # noqa: BLE001 - pruning is best-effort
             report.prune_error = f"{type(exc).__name__}: {exc}"
 
+    results: dict[int, FaultResult] = {}
+    injected: list[FaultSpec] = []
     for spec in specs:
         verdict = verdicts.get(spec.index)
         if verdict is not None and verdict.masked:
             pc = verdict.pc
             function = functions.function_at(pc) \
                 if functions is not None and pc is not None else ""
-            report.results.append(FaultResult(
+            results[spec.index] = FaultResult(
                 spec=spec, outcome="masked", function=function,
-                detail=f"pruned: {verdict.reason}"))
+                detail=f"pruned: {verdict.reason}")
             report.pruned += 1
-            continue
-        if spec.kind == "cache":
-            report.results.append(run_cache_fault(itrace, spec))
+        elif spec.kind == "cache":
+            results[spec.index] = run_cache_fault(itrace, spec)
         else:
-            report.results.append(
-                run_fault(exe, spec, golden, params=lab.params,
-                          functions=functions))
+            injected.append(spec)
+    results.update(_inject_along_golden_path(
+        exe, injected, golden, params=lab.params, functions=functions))
+    report.results = [results[spec.index] for spec in specs]
+    # Only the cyclic collector frees a Machine: its compiled blocks and
+    # handler closures refer back to it.  Collect the cell's dead forks
+    # here rather than let them pile up into the next cell.
+    gc.collect()
     return report
+
+
+def _inject_along_golden_path(exe: "Executable", specs: list[FaultSpec],
+                              golden: GoldenRun, *,
+                              params: "PipelineParams | None" = None,
+                              functions: FunctionMap | None = None,
+                              ) -> dict[int, FaultResult]:
+    """Run every fault of ``specs`` on one walk of the golden path.
+
+    One fault-free machine pauses at each trigger in ascending order
+    and :func:`run_fault` injects into a fork of it, so the prefix up
+    to the last trigger is simulated once.  Returns the results by spec
+    index; each equals what ``run_fault`` gives on a fresh machine.
+    """
+    fuel = fuel_for(golden)
+    walker: Machine | None = Machine(exe, params=params)
+    results: dict[int, FaultResult] = {}
+    for spec in sorted(specs, key=lambda s: s.trigger):
+        if walker is not None:
+            try:
+                walker.run(stop_after=spec.trigger, max_instructions=fuel)
+            except MachineError:
+                # Never resume a failed machine: this site and the rest
+                # run their own prefix, which reports the failure.
+                walker = None
+        results[spec.index] = run_fault(exe, spec, golden, params=params,
+                                        functions=functions,
+                                        machine=walker)
+    return results

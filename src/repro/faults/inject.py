@@ -8,10 +8,16 @@ run.  Classification diffs stdout, exit code, and
 every simulator exception onto the outcome taxonomy of
 :mod:`repro.faults.model`.
 
-Function attribution reuses the per-function summaries of the
-cross-ISA analyzer (:mod:`repro.analysis.xisa`): the summaries' entry
-addresses map the injection pc back to the source-level function, so a
-campaign can report *which* functions are soft spots on each ISA.
+Function attribution reads the function table the linker records on
+the image (:attr:`~repro.asm.objfile.Executable.functions`): the
+function starts map the injection pc back to the source-level
+function, so a campaign can report *which* functions are soft spots on
+each ISA.
+
+A campaign that injects many faults into one program passes
+:func:`run_fault` a fault-free machine already paused at the trigger;
+the fault then goes into a :meth:`~repro.machine.Machine.fork`, so the
+fault-free prefix is simulated once per cell rather than once per site.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import bisect
 from typing import TYPE_CHECKING, Iterable
 
+from ..cc import build_executable
 from ..machine import (Machine, MachineError, MachineTimeout, MemoryError_,
                        TrapError)
 from ..machine.cpu import DEFAULT_FUEL
@@ -26,7 +33,6 @@ from .model import (CRASH, DETECTED, HANG, MASKED, SDC, FaultResult,
                     FaultSpec, GoldenRun)
 
 if TYPE_CHECKING:
-    from ..analysis.absint import FunctionSummary
     from ..asm.objfile import Executable
     from ..cache import CacheConfig
     from ..machine.pipeline import PipelineParams
@@ -44,19 +50,19 @@ def fuel_for(golden: GoldenRun) -> int:
 
 
 class FunctionMap:
-    """Maps text addresses to function names via xisa summaries."""
+    """Maps text addresses to function names via function starts."""
 
-    def __init__(self, functions: dict[str, "FunctionSummary"]):
-        entries = sorted((summary.start, name)
-                         for name, summary in functions.items())
+    def __init__(self, functions: dict[str, int]):
+        """``functions`` maps each name to its start address, as
+        :attr:`Executable.functions` does."""
+        entries = sorted((start, name) for name, start in functions.items())
         self._starts = [start for start, _name in entries]
         self._names = [name for _start, name in entries]
 
     @classmethod
     def for_source(cls, source: str, target: str) -> "FunctionMap":
-        from ..analysis.xisa import analyze_source
-
-        return cls(analyze_source(source, target).functions)
+        """Build ``source`` for ``target`` and read the image's table."""
+        return cls(build_executable(source, target).executable.functions)
 
     def function_at(self, pc: int) -> str:
         """Name of the function whose entry precedes ``pc`` (or '')."""
@@ -103,17 +109,35 @@ def apply_fault(machine: Machine, spec: FaultSpec) -> str:
 
 def run_fault(exe: "Executable", spec: FaultSpec, golden: GoldenRun, *,
               params: "PipelineParams | None" = None, stdin: bytes = b"",
-              functions: FunctionMap | None = None) -> FaultResult:
-    """Run ``exe`` with one injected fault; classify against golden."""
+              functions: FunctionMap | None = None,
+              machine: Machine | None = None) -> FaultResult:
+    """Run ``exe`` with one injected fault; classify against golden.
+
+    Without ``machine``, a fresh machine runs the fault-free prefix up
+    to the trigger.  ``machine`` is a fault-free machine of ``exe``
+    already paused at ``spec.trigger`` (or halted before it); the fault
+    goes into a fork of it, and ``machine`` itself is left untouched.
+    The result is the same either way.
+    """
     fuel = fuel_for(golden)
-    machine = Machine(exe, params=params, stdin=stdin)
-    try:
-        machine.run(stop_after=spec.trigger, max_instructions=fuel)
-    except MachineError as exc:
-        # The *golden* path cannot fault before the trigger unless the
-        # trigger itself is past the program's end — a planning bug.
-        return FaultResult(spec=spec, outcome=CRASH,
-                           detail=f"pre-injection failure: {exc}")
+    if machine is not None:
+        if not machine.halted \
+                and machine.instructions_executed != spec.trigger:
+            raise ValueError(
+                f"machine is paused at instruction "
+                f"{machine.instructions_executed}, not at the trigger "
+                f"{spec.trigger}")
+        machine = machine.fork()
+    else:
+        machine = Machine(exe, params=params, stdin=stdin)
+        try:
+            machine.run(stop_after=spec.trigger, max_instructions=fuel)
+        except MachineError as exc:
+            # The *golden* path cannot fault before the trigger unless
+            # the trigger itself is past the program's end — a planning
+            # bug.
+            return FaultResult(spec=spec, outcome=CRASH,
+                               detail=f"pre-injection failure: {exc}")
     if machine.halted:
         return FaultResult(
             spec=spec, outcome=MASKED,

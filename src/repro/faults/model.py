@@ -93,8 +93,9 @@ class FaultResult:
     spec: FaultSpec
     outcome: str                      # one of OUTCOMES
     detail: str = ""
-    #: Function containing the pc at injection time (xisa summaries);
-    #: empty when attribution is disabled or the pc is unmapped.
+    #: Function containing the pc at injection time (the image's
+    #: function table); empty when attribution is disabled or the pc
+    #: is unmapped.
     function: str = ""
     #: Cycles between injection and the detecting error (detected only).
     latency_cycles: int | None = None

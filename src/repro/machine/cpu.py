@@ -22,6 +22,7 @@ clarity.
 
 from __future__ import annotations
 
+import copy
 import os
 from array import array
 
@@ -382,6 +383,39 @@ class Machine:
         self._patched.add(idx)
         self._install(idx, instr)
         return instr
+
+    def fork(self) -> "Machine":
+        """An independent machine in this machine's exact paused state.
+
+        Copies memory, registers, pc, the trap state, the pipeline
+        scoreboard and counters, per-slot execution counts (every
+        :meth:`run` exit folds the blocks' lazily held counts in),
+        traces and patched slots, so resuming the fork retires exactly
+        what resuming this machine would.  It shares only the
+        executable's read-only decode, slot-metadata and block-code
+        caches: handler closures and compiled blocks bind their own
+        machine's registers and memory, so the fork builds its own on
+        first use.  Fault campaigns walk one fault-free machine along
+        the golden path and inject each fault into a fork taken at its
+        trigger.
+        """
+        twin = Machine(self.exe, params=self.params, mem_size=self.mem.size,
+                       trace_instructions=self.itrace is not None,
+                       trace_data=self.dtrace is not None,
+                       engine=self.engine)
+        twin.mem.data[:] = self.mem.data
+        twin.g[:], twin.f[:], twin.fpstat[:] = self.g, self.f, self.fpstat
+        twin.pc, twin.halted = self.pc, self.halted
+        twin.traps = copy.deepcopy(self.traps)
+        twin._ready[:], twin._rkind[:] = self._ready, self._rkind
+        twin._st.update(self._st)
+        twin.counts[:] = self.counts
+        twin.itrace = copy.copy(self.itrace)
+        twin.dtrace = copy.copy(self.dtrace)
+        for idx in self._patched:
+            twin._install(idx, self.program[idx])
+        twin._patched = set(self._patched)
+        return twin
 
     def _compile(self, instr: Instr):
         """Build the execution closure for one decoded instruction."""

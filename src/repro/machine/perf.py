@@ -19,8 +19,6 @@ paper normalizes D16 cycle counts by the DLXe path length in Figures 14,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .stats import RunStats
 
 
@@ -61,14 +59,3 @@ def fetches_per_cycle(stats: RunStats, *, latency: int,
     requests = (stats.ifetch_words if bus_bits == 32
                 else stats.ifetch_dwords)
     return requests / total if total else 0.0
-
-
-@dataclass(frozen=True)
-class PerfPoint:
-    """One (configuration, result) sample from a parameter sweep."""
-
-    label: str
-    latency: int
-    cycles: int
-    cpi: float
-    normalized_cpi: float

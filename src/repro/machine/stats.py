@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..isa import Instr, Op, OpKind
+from ..isa import Instr, Op
 
 
 @dataclass
@@ -47,16 +47,6 @@ class RunStats:
             if instr is None or count == 0:
                 continue
             counts[instr.op] = counts.get(instr.op, 0) + count
-        return counts
-
-    def dynamic_kind_counts(self) -> dict[OpKind, int]:
-        """Dynamic execution count per operation kind."""
-        counts: dict[OpKind, int] = {}
-        for instr, count in zip(self.program, self.exec_counts):
-            if instr is None or count == 0:
-                continue
-            kind = instr.info.kind
-            counts[kind] = counts.get(kind, 0) + count
         return counts
 
     def executed_instructions(self):

@@ -588,3 +588,124 @@ class TestTracedBlocks:
             else:
                 assert traces_of(machine) == (None, None)
             assert stats_key(stats) == stats_key(plain)
+
+
+def trap_state(machine):
+    """The trap handler's state: I/O positions, heap and exit."""
+    traps = machine.traps
+    return (bytes(traps.stdout), traps.stdin, traps.stdin_pos, traps.brk,
+            traps.heap_limit, traps.exited, traps.exit_code,
+            traps.last_trap)
+
+
+class TestFork:
+    """``Machine.fork`` resumes exactly as the machine it was taken
+    from, and nothing done to the fork reaches that machine.
+
+    The fault campaigns depend on both halves: each fault is injected
+    into a fork of one fault-free machine walking the golden path, and
+    every later fault forks the same machine again.
+    """
+
+    #: Pause points: the entry block, inside the loop at several
+    #: offsets, and (for the short loop) past the exit.
+    STOPS = (1, 6, 9, 23, 30, 150)
+    STDIN = b"xyz"
+    #: One perturbation of each kind the injector applies: a register
+    #: flip, a memory flip, a text patch and two trap-state changes.
+    PERTURBATIONS = (("reg", {"reg": 2, "bit": 4}),
+                     ("mem", {"addr": 0x8000, "bit": 0}),
+                     ("ifetch", {"bit": 1}),
+                     ("trap", {"mode": "getc-eof"}),
+                     ("trap", {"mode": "sbrk-exhaust"}))
+
+    def machine(self, exe, engine, **traces):
+        return Machine(exe, engine=engine, stdin=self.STDIN, **traces)
+
+    def final(self, machine, stats):
+        return (stats_key(stats), arch_state(machine), trap_state(machine),
+                tuple(machine._ready), tuple(machine._rkind))
+
+    def golden(self, exe, engine):
+        machine = self.machine(exe, engine)
+        return self.final(machine, machine.run())
+
+    @pytest.mark.parametrize("engine", ["step", "blocks"])
+    @pytest.mark.parametrize("tmpl", [LOOP_TMPL, MIXED_TMPL, FP_TMPL],
+                             ids=["loop", "mixed", "fp"])
+    @pytest.mark.parametrize("isa", [D16, DLXE], ids=["d16", "dlxe"])
+    def test_fork_then_run_equals_uninterrupted_run(self, hot, tmpl, isa,
+                                                    engine):
+        exe = build_asm(tmpl.format(cnt=CNT[isa]), isa)
+        want = self.golden(exe, engine)
+        for stop in self.STOPS:
+            parent = self.machine(exe, engine)
+            parent.run(stop_after=stop)
+            twin = parent.fork()
+            assert arch_state(twin) == arch_state(parent)
+            assert self.final(twin, twin.run()) == want, stop
+            assert self.final(parent, parent.run()) == want, stop
+
+    @pytest.mark.parametrize("engine", ["step", "blocks"])
+    @pytest.mark.parametrize("tmpl", [LOOP_TMPL, MIXED_TMPL],
+                             ids=["loop", "mixed"])
+    @pytest.mark.parametrize("isa", [D16, DLXE], ids=["d16", "dlxe"])
+    def test_perturbed_fork_leaves_parent_golden(self, hot, tmpl, isa,
+                                                 engine):
+        from repro.faults import FaultSpec, apply_fault
+
+        exe = build_asm(tmpl.format(cnt=CNT[isa]), isa)
+        want = self.golden(exe, engine)
+        for stop in self.STOPS[:-1]:
+            for kind, coords in self.PERTURBATIONS:
+                parent = self.machine(exe, engine)
+                parent.run(stop_after=stop)
+                twin = parent.fork()
+                apply_fault(twin, FaultSpec(index=0, bench="t", target="t",
+                                            kind=kind, trigger=stop,
+                                            **coords))
+                try:
+                    twin.run(max_instructions=5_000)
+                except MachineError:
+                    pass
+                assert self.final(parent, parent.run()) == want, \
+                    (stop, kind, coords)
+
+    @pytest.mark.parametrize("engine", ["step", "blocks"])
+    @pytest.mark.parametrize("isa", [D16, DLXE], ids=["d16", "dlxe"])
+    def test_fork_keeps_patched_slots(self, hot, isa, engine):
+        from repro.faults import FaultSpec, apply_fault
+
+        exe = build_asm(MIXED_TMPL.format(cnt=CNT[isa]), isa)
+        for stop in self.STOPS[:-1]:
+            for bit in (1, 5):
+                parent = self.machine(exe, engine)
+                parent.run(stop_after=stop)
+                apply_fault(parent, FaultSpec(index=0, bench="t",
+                                              target="t", kind="ifetch",
+                                              trigger=stop, bit=bit))
+                twin = parent.fork()
+                ends = []
+                for machine in (twin, parent):
+                    try:
+                        end = stats_key(machine.run(max_instructions=5_000))
+                    except MachineError as exc:
+                        end = str(exc)
+                    ends.append((end, arch_state(machine),
+                                 trap_state(machine)))
+                assert ends[0] == ends[1], (stop, bit)
+
+    @pytest.mark.parametrize("engine", ["step", "blocks"])
+    def test_traced_machine_forks_its_traces(self, hot, engine):
+        exe = build_asm(MIXED_TMPL.format(cnt="r0"))
+        traces = {"trace_instructions": True, "trace_data": True}
+        golden = self.machine(exe, engine, **traces)
+        golden.run()
+        parent = self.machine(exe, engine, **traces)
+        parent.run(stop_after=37)
+        twin = parent.fork()
+        assert traces_of(twin) == traces_of(parent)
+        twin.run()
+        assert traces_of(twin) == traces_of(golden)
+        parent.run()
+        assert traces_of(parent) == traces_of(golden)

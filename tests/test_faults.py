@@ -1,6 +1,6 @@
 """Fault injection: deterministic planning, outcome classes, campaigns."""
 
-from types import SimpleNamespace
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +12,7 @@ from repro.faults import (DETECTED, FAULT_KINDS, HANG, MASKED, OUTCOMES,
                           SCHEMA_VERSION, SDC, FaultCampaign, FaultSpec,
                           FunctionMap, GoldenRun, fuel_for, plan_cell,
                           render_report, run_cache_fault, run_fault)
+from repro.faults.campaign import _inject_along_golden_path
 from repro.isa import D16, DLXE
 from repro.machine import Machine
 
@@ -175,9 +176,7 @@ class TestCacheFaults:
 
 class TestFunctionMap:
     def test_bisect_attribution(self):
-        functions = {"main": SimpleNamespace(start=0x100),
-                     "helper": SimpleNamespace(start=0x200)}
-        fmap = FunctionMap(functions)
+        fmap = FunctionMap({"main": 0x100, "helper": 0x200})
         assert fmap.function_at(0x100) == "main"
         assert fmap.function_at(0x1FE) == "main"
         assert fmap.function_at(0x200) == "helper"
@@ -188,6 +187,23 @@ class TestFunctionMap:
                  "int main() { puti(f(1)); return 0; }"
         fmap = FunctionMap.for_source(source, "d16")
         assert "main" in fmap._names and "f" in fmap._names
+
+    @pytest.mark.parametrize("target", ["d16", "dlxe"])
+    @pytest.mark.parametrize("name", ["ackermann", "queens", "quicksort",
+                                      "towers"])
+    def test_image_table_matches_value_analysis(self, lab, name, target):
+        """The linked table attributes exactly as the value analysis's
+        function starts did before campaigns stopped recompiling."""
+        from repro.analysis.xisa import analyze_source
+        from repro.bench import get_benchmark
+
+        table = FunctionMap(lab.executable(name, target).functions)
+        summaries = analyze_source(get_benchmark(name).source,
+                                   target).functions
+        analysis = FunctionMap({fn: summary.start
+                                for fn, summary in summaries.items()})
+        assert table._names and (table._starts, table._names) == \
+            (analysis._starts, analysis._names)
 
 
 SUM_SOURCE = """
@@ -352,9 +368,124 @@ class TestCampaign:
                 prune_masked=True, cache=tmp_path / engine).run(jobs=1))
         assert campaign("step") == campaign("blocks")
 
+    def test_golden_prefix_is_simulated_once(self, fault_benchmarks,
+                                             tmp_path, monkeypatch):
+        """The fault-free instructions retired before the injection
+        points sum to the last trigger, not to the sum of triggers."""
+        retired = []
+        real = Machine.run
+
+        def counting(machine, *args, stop_after=None, **kwargs):
+            before = machine.instructions_executed
+            try:
+                return real(machine, *args, stop_after=stop_after,
+                            **kwargs)
+            finally:
+                if stop_after is not None:
+                    retired.append(machine.instructions_executed - before)
+
+        monkeypatch.setattr(Machine, "run", counting)
+        report = FaultCampaign(
+            benchmarks=("fi-sum",), targets=("d16",), faults=12, seed=3,
+            kinds=("ifetch", "reg", "mem", "trap"),
+            cache=tmp_path / "cache").run(jobs=1)
+        triggers = [fault["trigger"]
+                    for fault in report["cells"][0]["faults"]]
+        assert len(set(triggers)) > 1
+        assert sum(retired) == max(triggers)
+
     def test_unknown_benchmark_raises_before_running(self):
         with pytest.raises(KeyError):
             FaultCampaign(benchmarks=("fortnite",), cache=False).run()
         with pytest.raises(KeyError, match="unknown target 'riscv'"):
             FaultCampaign(benchmarks=("ackermann",), targets=("riscv",),
                           cache=False).run()
+
+
+def _fresh_cell(bench, target, config):
+    """One campaign cell's non-cache sites, each on a fresh machine."""
+    from repro.experiments import Lab
+
+    lab = Lab(cache=config["cache"])
+    exe = lab.executable(bench, target)
+    stats = lab.trace(bench, target).run.stats
+    golden = GoldenRun(instructions=stats.instructions,
+                       interlocks=stats.interlocks,
+                       exit_code=stats.exit_code, output=stats.output)
+    functions = FunctionMap(exe.functions)
+    return {s.index: run_fault(exe, s, golden, params=lab.params,
+                               functions=functions).to_dict()
+            for s in plan_cell(bench, target, golden, exe,
+                               faults=config["faults"], seed=config["seed"])
+            if s.kind != "cache"}
+
+
+class TestGoldenPathWalk:
+    """A cell walks one fault-free machine and forks it at each
+    trigger; every result equals a fresh machine per site."""
+
+    def fresh(self, exe, specs, golden, **kwargs):
+        return {s.index: run_fault(exe, s, golden, **kwargs).to_dict()
+                for s in specs}
+
+    def walked(self, exe, specs, golden, **kwargs):
+        results = _inject_along_golden_path(exe, specs, golden, **kwargs)
+        return {index: r.to_dict() for index, r in results.items()}
+
+    def test_suite_campaign_equals_fresh_machine_per_site(self, lab):
+        """40 unpruned sites of all five kinds on two suite programs
+        and both ISAs, compared site by site."""
+        from repro.experiments.runner import fan_out
+
+        config = {"faults": 40, "seed": 3, "cache": lab.cache}
+        report = FaultCampaign(benchmarks=("ackermann", "dhrystone"),
+                               faults=config["faults"], seed=config["seed"],
+                               cache=lab.cache).run(jobs=2)
+        cells = [(c["bench"], c["target"]) for c in report["cells"]]
+        fresh = fan_out(_fresh_cell, cells, 2, config)
+        outcomes, kinds = set(), set()
+        for cell in report["cells"]:
+            want = fresh[cell["bench"], cell["target"]]
+            got = {fault["index"]: fault for fault in cell["faults"]}
+            assert {i: got[i] for i in want} == want, cell["bench"]
+            outcomes |= {fault["outcome"] for fault in cell["faults"]}
+            kinds |= {fault["kind"] for fault in cell["faults"]}
+        assert kinds == set(FAULT_KINDS)
+        assert {MASKED, SDC, DETECTED, HANG} <= outcomes
+
+    def test_exit_before_trigger_matches_fresh_machines(self):
+        exe = build_asm(LOOP_BODY)
+        golden = golden_of(exe)
+        specs = [replace(spec("reg", trigger, reg=2, bit=4), index=i)
+                 for i, trigger in enumerate((40, 8, 100, 8, 20))]
+        walked = self.walked(exe, specs, golden)
+        assert walked == self.fresh(exe, specs, golden)
+        assert sum(r["detail"] == "program exited before the trigger "
+                   "point" for r in walked.values()) == 2
+
+    def test_pre_injection_failure_matches_fresh_machines(self):
+        """A golden path that fails before the later triggers: the
+        failed walker is never resumed."""
+        exe = build_asm("mvi r0, 1\nspin:\naddi r2, r2, 1\n"
+                        "bnz r0, spin\ntrap 0\n")
+        # Claiming 10 golden instructions caps the fuel at 10040, so
+        # the spin loop exhausts it before the triggers past that.
+        golden = GoldenRun(instructions=10, interlocks=0, exit_code=0)
+        specs = [replace(spec("reg", trigger, reg=5, bit=1), index=i)
+                 for i, trigger in enumerate((12_000, 3, 20_000, 9_000,
+                                              12_000))]
+        walked = self.walked(exe, specs, golden)
+        assert walked == self.fresh(exe, specs, golden)
+        failed = [r for r in walked.values()
+                  if r["detail"].startswith("pre-injection failure")]
+        assert len(failed) == 3
+        assert all("after 10041 instructions" in r["detail"]
+                   for r in failed)
+
+    def test_machine_must_be_paused_at_the_trigger(self):
+        exe = build_asm(LOOP_BODY)
+        machine = Machine(exe)
+        machine.run(stop_after=5)
+        with pytest.raises(ValueError, match="not at the trigger 8"):
+            run_fault(exe, spec("reg", 8, reg=2, bit=4), golden_of(exe),
+                      machine=machine)

@@ -351,6 +351,22 @@ class TestLabPersistence:
         assert list(warm_trace.dtrace) == list(trace.dtrace)
         assert warm.cache.misses == 0 and warm.cache.hits >= 2
 
+    def test_cached_executable_keeps_its_function_table(self, tmp_path,
+                                                        monkeypatch):
+        """Fault campaigns attribute sites from the cached image."""
+        from repro.bench import get_benchmark
+        from repro.cc import build_executable
+
+        root = tmp_path / "cache"
+        Lab(cache=ArtifactCache(root)).executable("ackermann", "d16")
+        fresh = build_executable(get_benchmark("ackermann").source, "d16")
+        monkeypatch.setattr(
+            "repro.experiments.runner.build_executable",
+            lambda *a, **k: pytest.fail("warm lab recompiled"))
+        warm = Lab(cache=ArtifactCache(root)).executable("ackermann", "d16")
+        assert "main" in warm.functions
+        assert warm.functions == fresh.executable.functions
+
     def test_cached_stats_support_dynamic_counts(self, tmp_path):
         """Pickled RunStats keep the per-site execution counts."""
         root = tmp_path / "cache"

@@ -103,6 +103,29 @@ def test_multi_object_link():
     assert (word & 0x3FFFFFF) * 4 == exe.symbols["helper"]
 
 
+def test_function_table_holds_every_object_and_no_dot_labels():
+    a = assemble("""
+        .global _start
+        _start: jld helper
+        .Lhere: nop
+        local_a: nop
+    """, DLXE)
+    b = assemble("""
+        .global helper
+        helper: nop
+        .Lthere: nop
+        local_b: nop
+        .data
+        table: .word 1
+    """, DLXE)
+    exe = link([a, b])
+    b_base = exe.text_base + len(a.sections["text"].data)
+    assert exe.functions == {
+        "_start": exe.text_base, "local_a": exe.text_base + 8,
+        "helper": b_base, "local_b": b_base + 8}
+    assert exe.functions["helper"] == exe.symbols["helper"]
+
+
 def test_binary_size_is_text_plus_data():
     obj = assemble("""
         .global _start

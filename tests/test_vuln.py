@@ -152,6 +152,27 @@ class TestMaskingOracle:
                          kind="cache", trigger=5, line=free, bit=1)
         assert oracle.classify(spec).masked
 
+    def test_cache_verdicts_follow_every_fetch(self):
+        """Per distinct pc or per fetch, a line is touched alike: the
+        trace repeats pcs, and pcs 8 KiB apart share a line."""
+        from repro.asm import assemble, link
+        from repro.isa import D16
+
+        exe = link([assemble(".text\n.global _start\n_start:\n"
+                             "mvi r2, 0\ntrap 0\n", D16)])
+        shared = [0x1000, 0x1000 + 8192, 0x1010]      # all line 128
+        alone = [0x1020, 0x1FE0, 0x2404]              # lines 129, 255, 32
+        trace = (shared + alone) * 3 + [0x1040]       # line 130
+        oracle = build_oracle(exe, get_target("d16"), trace)
+        touched = set()
+        for pc in trace:                               # per fetch
+            touched.add((pc // 32) % 256)
+        for line in range(512):
+            spec = FaultSpec(index=line, bench="t", target="d16",
+                             kind="cache", trigger=5, line=line, bit=1)
+            assert oracle.classify(spec).masked == \
+                (line % 256 not in touched), line
+
 
 def broken_oracle(*_args, **_kwargs):
     raise RuntimeError("no oracle today")
