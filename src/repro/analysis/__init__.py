@@ -43,10 +43,10 @@ from .density import (FunctionDensity, ProgramDensity, analyze_density,
                       estimate_halfwords, fused_constant_pair)
 from .driver import (DEFAULT_MISS_PENALTY, DEFAULT_TARGETS, EXIT_ERRORS,
                      EXIT_INTERNAL, EXIT_OK, LintReport, cross_isa_suite,
-                     density_suite, exit_code, icache_program,
-                     icache_suite, lint_program, lint_suite,
-                     timing_program, timing_suite, tv_suite,
-                     vuln_program, vuln_suite, wcet_program, wcet_suite)
+                     density_cell, density_suite, exit_code, icache_cell,
+                     icache_suite, lint_program, lint_suite, timing_cell,
+                     timing_suite, tv_suite, validate_vuln, vuln_cell,
+                     vuln_suite, wcet_cell, wcet_suite)
 from .equiv import (BinaryCheck, MutantResult, PassCheck, TvReport,
                     check_binary_program, check_pass, mutation_campaign,
                     tv_program, validate_passes)
@@ -98,20 +98,20 @@ __all__ = [
     "check_binary_program", "check_cross_isa", "check_pass",
     "check_soundness",
     "check_timing", "check_wcet", "classify_cell", "compare_analyses",
-    "cross_isa_suite", "density_suite", "dominator_tree",
+    "cross_isa_suite", "density_cell", "density_suite",
+    "dominator_tree",
     "estimate_halfwords", "exit_code", "exit_seed", "explore_region",
     "find_loops",
     "finding", "fused_constant_pair", "ground_leaves", "has_errors",
-    "icache_program",
-    "icache_suite", "infer_loop_bound", "is_ground",
+    "icache_cell", "icache_suite", "infer_loop_bound", "is_ground",
     "lint_assembly", "lint_executable", "lint_program", "lint_suite",
     "liveness_findings", "mutation_campaign",
     "predecessor_seed", "render_json", "render_text", "resolve_cfg",
     "rule_doc_url", "single_def_terms", "solve", "static_bounds",
     "summarize", "summarize_binary_function", "summarize_ir_function",
-    "timing_program", "timing_suite", "tv_program", "tv_suite",
+    "timing_cell", "timing_suite", "tv_program", "tv_suite",
     "validate_icache", "validate_passes", "validate_run",
-    "validate_wcet",
-    "verify_function", "verify_module", "vuln_findings",
-    "vuln_program", "vuln_suite", "wcet_program", "wcet_suite",
+    "validate_vuln", "validate_wcet",
+    "verify_function", "verify_module", "vuln_cell", "vuln_findings",
+    "vuln_suite", "wcet_cell", "wcet_suite",
 ]

@@ -5,16 +5,22 @@ IR verification between optimizer passes, assembly-level encoding
 checks, binary-level lint, and abstract interpretation of the linked
 image — and returns the accumulated findings.  :func:`lint_suite` fans
 that out over benchmark programs and targets, producing one
-:class:`LintReport` per cell.  :func:`timing_suite`,
-:func:`wcet_suite`, :func:`density_suite`, :func:`cross_isa_suite`,
-and :func:`tv_suite` run the semantic modes behind ``repro lint
---timing`` / ``--wcet`` / ``--density`` / ``--cross-isa`` / ``--tv``:
-static cycle-bound cross-validation against the simulator,
-whole-program [BCET, WCET] interval composition, D16-compressibility
-estimation of DLXe images, D16-vs-DLXe consistency checking, and
-per-pass + IR-vs-binary translation validation.  ``repro lint --all``
-runs every mode in one invocation and merges the reports under the
-shared exit-code contract.
+:class:`LintReport` per cell.
+
+The image modes behind ``repro lint --timing`` / ``--wcet`` /
+``--icache`` / ``--density`` / ``--vuln`` read a linked image, not its
+source: static cycle-bound cross-validation against the simulator,
+whole-program [BCET, WCET] interval composition, static I-cache
+classification, D16-compressibility estimation of DLXe images, and
+liveness plus static fault classification.  Each mode has one
+per-cell function (:func:`timing_cell`, :func:`wcet_cell`,
+:func:`icache_cell`, :func:`density_cell`, :func:`vuln_cell`), called
+by its ``*_suite`` loop on :class:`~repro.experiments.runner.Lab`
+images and by ``repro lint FILE`` on the file's one image and run.
+:func:`cross_isa_suite` and :func:`tv_suite` read source instead:
+D16-vs-DLXe consistency checking, and per-pass + IR-vs-binary
+translation validation.  ``repro lint --all`` runs every mode in one
+invocation and merges the reports under the shared exit-code contract.
 
 Exit-code semantics (:func:`exit_code`): ``0`` when every finding is a
 warning or less, ``1`` when any error-severity finding exists, ``2``
@@ -25,33 +31,35 @@ so CI can distinguish "the program is bad" from "the linter is broken".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..asm import AsmError, Assembler, link
+from ..asm.objfile import Executable
 from ..bench import SUITE, get_benchmark
 from ..cc import TargetSpec, get_target
-from ..machine.pipeline import PipelineParams
 from ..cc.codegen import generate_assembly
 from ..cc.irgen import lower_program
 from ..cc.opt import PassVerificationError, optimize_module
 from ..cc.parser import parse
 from ..cc.runtime import RUNTIME_SOURCE
+from ..machine.pipeline import PipelineParams
+from ..machine.stats import RunStats
 from .absint import analyze_executable, resolve_cfg
 from .binlint import lint_assembly, lint_executable
 from .cfg import build_cfg
 from .density import ProgramDensity, analyze_density
-from .findings import Finding, finding, has_errors
+from .findings import Finding, finding, has_errors, render_text
 from .icache import (ICacheAnalysis, ICacheValidation, analyze_icache,
                      validate_icache)
 from .irverify import verify_module
-from .timing import (TimingValidation, check_timing, static_bounds,
-                     validate_run)
+from .timing import TimingValidation, check_timing
 from .wcet import (DEFAULT_SLACK, WcetValidation, _promote_direct_calls,
-                   analyze_wcet, validate_wcet)
+                   analyze_wcet, check_wcet)
 from .xisa import check_cross_isa
 
 if TYPE_CHECKING:
     from ..experiments.runner import Lab
+    from .vuln import CellVulnerability
 
 #: The two headline machines, linted by default.
 DEFAULT_TARGETS = ("d16", "dlxe")
@@ -158,102 +166,172 @@ def lint_suite(targets: Iterable[str] = DEFAULT_TARGETS,
     return reports
 
 
-# ------------------------------------------------------- semantic modes
+# --------------------------------------------------------- image modes
+#
+# One function per mode checks one cell: a linked image on its target.
+# Each returns ``(result, findings)``.  ``labels`` is the object file's
+# text-label map, or ``None`` for a Lab image, whose symbol table keeps
+# only globals: its CFG is then recovered with value-analysis feedback
+# (resolving D16's pool-loaded calls) rather than from labels.
 
 
-def timing_program(source: str, target: TargetSpec | str, *,
-                   opt_level: int = 2,
-                   include_runtime: bool = True,
-                   params: PipelineParams | None = None) -> TimingValidation:
-    """Compile, simulate, and validate static cycle bounds for one
-    program: the simulator's interlock total must land inside the
-    CFG-aggregated per-block [lower, upper] stall bounds (TIM001 on
-    violation, TIM002 on a coverage gap)."""
-    from ..machine import run_executable
+def timing_cell(exe: Executable, target: TargetSpec, stats: RunStats, *,
+                labels: dict[str, int] | None = None,
+                params: PipelineParams | None = None,
+                ) -> tuple[TimingValidation, list[Finding]]:
+    """Validate one image's static cycle bounds against its run: the
+    simulator's interlock total must land inside the CFG-aggregated
+    per-block [lower, upper] stall bounds (TIM001 on violation, TIM002
+    on a coverage gap)."""
+    validation = check_timing(exe, target.isa, stats, model=params,
+                              symbols=labels)
+    return validation, validation.findings
 
-    if isinstance(target, str):
-        target = get_target(target)
-    full_source = (RUNTIME_SOURCE + "\n" + source) if include_runtime \
-        else source
-    module = lower_program(parse(full_source))
-    optimize_module(module, level=opt_level)
-    assembly = generate_assembly(module, target, schedule=opt_level >= 1)
-    obj = Assembler(target.isa).assemble(assembly)
-    exe = link([obj])
-    symbols = {sym.name: exe.text_base + sym.value
-               for sym in obj.symbols.values() if sym.section == "text"}
-    stats, _machine = run_executable(exe, params=params)
-    cfg = build_cfg(exe, target.isa, symbols=symbols)
-    return validate_run(static_bounds(cfg, model=params), stats)
+
+def wcet_cell(exe: Executable, target: TargetSpec, stats: RunStats, *,
+              labels: dict[str, int] | None = None,
+              params: PipelineParams | None = None,
+              slack: float | None = DEFAULT_SLACK,
+              ) -> tuple[WcetValidation, list[Finding]]:
+    """Bracket one run's cycle count with the whole-program static
+    interval: loop recovery, bound inference, and interprocedural
+    [BCET, WCET] composition (TIM003 when the simulated cycles escape
+    the interval, LOOP001/TIM004/TIM005 for the soundness caveats)."""
+    validation = check_wcet(exe, target.isa, stats, model=params,
+                            symbols=labels, target=target, slack=slack)
+    return validation, validation.findings
+
+
+#: Default miss penalty (cycles) for cache-aware bounds -- the middle
+#: of the cacheperf experiment's penalty grid.
+DEFAULT_MISS_PENALTY = 8
+
+
+def icache_cell(exe: Executable, target: TargetSpec, stats: RunStats,
+                itrace: Sequence[int], *,
+                labels: dict[str, int] | None = None,
+                params: PipelineParams | None = None,
+                sizes: Iterable[int] | None = None,
+                block: int = 32, sub_block: int = 8,
+                penalty: int = DEFAULT_MISS_PENALTY,
+                ) -> tuple[list[tuple[ICacheAnalysis, ICacheValidation]],
+                           list[Finding]]:
+    """Classify one image's fetches for each cache size and replay its
+    trace as the soundness oracle: must/may/persistence classification,
+    composed miss upper bounds, CACHE001-005.  The result holds one
+    ``(analysis, validation)`` pair per size.  Analysis findings repeat
+    identically across sizes (boundability is a structural property),
+    so the findings are deduplicated."""
+    from ..cache.cache import CacheConfig
+    from ..experiments.cacheperf import CACHE_SIZES
+
+    program = analyze_wcet(exe, target.isa, model=params, symbols=labels,
+                           target=target)
+    pairs = []
+    findings: list[Finding] = []
+    seen: set[tuple[str, str, str]] = set()
+    for size in CACHE_SIZES if sizes is None else sizes:
+        analysis = analyze_icache(program, CacheConfig(
+            size=size, block=block, sub_block=sub_block))
+        validation = validate_icache(analysis, itrace, stats,
+                                     penalty=penalty)
+        pairs.append((analysis, validation))
+        for f in analysis.findings + validation.findings:
+            key = (f.rule, f.location, f.message)
+            if key not in seen:
+                seen.add(key)
+                findings.append(f)
+    return pairs, findings
+
+
+def density_cell(exe: Executable, target: TargetSpec, *,
+                 labels: dict[str, int] | None = None,
+                 ) -> tuple[ProgramDensity, list[Finding]]:
+    """Estimate the D16 compressibility of one 32-bit image (DEN001)."""
+    cfg, result = resolve_cfg(exe, target.isa, symbols=labels)
+    # Promote jld targets to function roots so the per-function
+    # records do not fold the whole DLXe image into _start.
+    cfg, _result = _promote_direct_calls(cfg, labels, target, result)
+    density = analyze_density(cfg)
+    return density, density.findings
+
+
+def vuln_cell(program: str, target_name: str, exe: Executable,
+              target: TargetSpec, stats: RunStats, itrace: Sequence[int],
+              *, labels: dict[str, int] | None = None,
+              faults: int = 20, seed: int = 42,
+              ) -> tuple[tuple[CellVulnerability, list[tuple[str, str]]],
+                         list[Finding]]:
+    """Liveness lint plus static fault classification of one cell.
+
+    Runs the backward liveness fixpoint (LIV001/LIV002 dead-code
+    findings, ABI-convention sites waived), then statically classifies
+    exactly the fault sites the seeded campaign would inject into
+    ``program`` on ``target_name`` (same planner PRNG stream) and
+    summarizes the register-file exposure (VULN002).  The result is
+    ``(CellVulnerability, waived)``.
+    """
+    from .liveness import analyze_liveness, liveness_findings
+    from .vuln import classify_cell, vuln_findings
+
+    cfg, result = resolve_cfg(exe, target.isa, symbols=labels,
+                              target=target)
+    cfg, result = _promote_direct_calls(cfg, labels, target, result)
+    liveness = analyze_liveness(exe, target.isa, target=target,
+                                cfg=cfg, result=result)
+    live_findings, waived = liveness_findings(liveness, target)
+    cell = classify_cell(program, target_name, exe, target, itrace,
+                         stats.instructions, faults=faults, seed=seed,
+                         liveness=liveness)
+    return (cell, waived), live_findings + vuln_findings(cell)
+
+
+def _suite(targets: Iterable[str], programs: Iterable[str] | None,
+           lab: Lab | None,
+           check: Callable[[Lab, str, str], tuple[Any, list[Finding]]],
+           ) -> tuple[list[LintReport], dict]:
+    """Run ``check(lab, program, target)`` on every cell of the suite.
+
+    Returns one report per cell and the results keyed by ``(program,
+    target)``.  Images and runs come from ``lab`` (a fresh
+    :class:`~repro.experiments.runner.Lab` when ``None``), so repeated
+    invocations ride its persistent artifact cache and skip simulation.
+    """
+    from ..experiments.runner import Lab
+
+    lab = lab or Lab()
+    names = list(programs) if programs is not None \
+        else [bench.name for bench in SUITE]
+    targets = tuple(targets)
+    reports: list[LintReport] = []
+    results: dict[tuple[str, str], Any] = {}
+    for name in names:
+        for target_name in targets:
+            result, findings = check(lab, name, target_name)
+            results[(name, target_name)] = result
+            reports.append(LintReport(program=name, target=target_name,
+                                      findings=findings))
+    return reports, results
 
 
 def timing_suite(targets: Iterable[str] = DEFAULT_TARGETS,
                  programs: Iterable[str] | None = None, *,
-                 params: PipelineParams | None = None, lab: Lab | None = None,
+                 lab: Lab | None = None,
                  ) -> tuple[list[LintReport], dict]:
     """Cross-validate static bounds on the benchmark suite.
 
     Returns ``(reports, validations)`` where ``validations`` maps
     ``(program, target)`` to the :class:`TimingValidation` — the
-    tightness numbers feed EXPERIMENTS.md.  Runs ride the Lab's
-    persistent artifact cache, so repeated invocations (CI, docs
-    regeneration) skip simulation.
+    tightness numbers feed EXPERIMENTS.md.
     """
-    from ..experiments.runner import Lab
-
-    lab = lab or Lab(params=params)
-    names = list(programs) if programs is not None \
-        else [bench.name for bench in SUITE]
-    targets = tuple(targets)
-    reports: list[LintReport] = []
-    validations: dict[tuple[str, str], TimingValidation] = {}
-    for name in names:
-        for target_name in targets:
-            exe = lab.executable(name, target_name)
-            run = lab.run(name, target_name)
-            # A Lab executable's symbol table only keeps globals, so the
-            # CFG is recovered with value-analysis feedback (resolving
-            # D16's pool-loaded calls) rather than from labels.
-            validation = check_timing(exe, get_target(target_name).isa,
-                                      run.stats, model=lab.params)
-            validations[(name, target_name)] = validation
-            reports.append(LintReport(program=name, target=target_name,
-                                      findings=validation.findings))
-    return reports, validations
-
-
-def wcet_program(source: str, target: TargetSpec | str, *,
-                 opt_level: int = 2,
-                 include_runtime: bool = True,
-                 params: PipelineParams | None = None,
-                 slack: float | None = DEFAULT_SLACK) -> WcetValidation:
-    """Compile, simulate, and bracket one program's cycle count with
-    the whole-program static interval: loop recovery, bound inference,
-    and interprocedural [BCET, WCET] composition (TIM003 when the
-    simulated cycles escape the interval, LOOP001/TIM004/TIM005 for
-    the soundness caveats)."""
-    from ..machine import run_executable
-
-    if isinstance(target, str):
-        target = get_target(target)
-    full_source = (RUNTIME_SOURCE + "\n" + source) if include_runtime \
-        else source
-    module = lower_program(parse(full_source))
-    optimize_module(module, level=opt_level)
-    assembly = generate_assembly(module, target, schedule=opt_level >= 1)
-    obj = Assembler(target.isa).assemble(assembly)
-    exe = link([obj])
-    symbols = {sym.name: exe.text_base + sym.value
-               for sym in obj.symbols.values() if sym.section == "text"}
-    stats, _machine = run_executable(exe, params=params)
-    program = analyze_wcet(exe, target.isa, model=params, symbols=symbols,
-                           target=target)
-    return validate_wcet(program, stats, slack=slack)
+    return _suite(targets, programs, lab, lambda lab, name, t: timing_cell(
+        lab.executable(name, t), get_target(t), lab.run(name, t).stats,
+        params=lab.params))
 
 
 def wcet_suite(targets: Iterable[str] = DEFAULT_TARGETS,
                programs: Iterable[str] | None = None, *,
-               params: PipelineParams | None = None, lab: Lab | None = None,
+               lab: Lab | None = None,
                slack: float | None = DEFAULT_SLACK,
                ) -> tuple[list[LintReport], dict]:
     """Bracket every benchmark cell with the whole-program interval.
@@ -263,129 +341,37 @@ def wcet_suite(targets: Iterable[str] = DEFAULT_TARGETS,
     per-function bound records and BCET ratios feed EXPERIMENTS.md and
     the ``--json`` report.
     """
-    from ..experiments.runner import Lab
-
-    lab = lab or Lab(params=params)
-    names = list(programs) if programs is not None \
-        else [bench.name for bench in SUITE]
-    targets = tuple(targets)
-    reports: list[LintReport] = []
-    validations: dict[tuple[str, str], WcetValidation] = {}
-    for name in names:
-        for target_name in targets:
-            target = get_target(target_name)
-            exe = lab.executable(name, target_name)
-            run = lab.run(name, target_name)
-            program = analyze_wcet(exe, target.isa, model=lab.params,
-                                   target=target)
-            validation = validate_wcet(program, run.stats, slack=slack)
-            validations[(name, target_name)] = validation
-            reports.append(LintReport(program=name, target=target_name,
-                                      findings=validation.findings))
-    return reports, validations
-
-
-#: Default miss penalty (cycles) for cache-aware bounds -- the middle
-#: of the cacheperf experiment's penalty grid.
-DEFAULT_MISS_PENALTY = 8
-
-
-def icache_program(source: str, target: TargetSpec | str, *,
-                   opt_level: int = 2,
-                   include_runtime: bool = True,
-                   params: PipelineParams | None = None,
-                   sizes: Iterable[int] | None = None,
-                   block: int = 32, sub_block: int = 8,
-                   penalty: int = DEFAULT_MISS_PENALTY,
-                   ) -> list[tuple[ICacheAnalysis, ICacheValidation]]:
-    """Compile, trace, and validate the static I-cache classification
-    of one program across a cache-size grid: must/may/persistence
-    fetch classification, composed miss upper bounds, and the replay
-    soundness sweep (CACHE001-005)."""
-    from ..cache.cache import CacheConfig
-    from ..experiments.cacheperf import CACHE_SIZES
-    from ..machine import run_executable
-
-    if isinstance(target, str):
-        target = get_target(target)
-    full_source = (RUNTIME_SOURCE + "\n" + source) if include_runtime \
-        else source
-    module = lower_program(parse(full_source))
-    optimize_module(module, level=opt_level)
-    assembly = generate_assembly(module, target, schedule=opt_level >= 1)
-    obj = Assembler(target.isa).assemble(assembly)
-    exe = link([obj])
-    stats, machine = run_executable(exe, params=params,
-                                    trace_instructions=True)
-    program = analyze_wcet(exe, target.isa, model=params, target=target)
-    sizes = tuple(sizes) if sizes is not None else CACHE_SIZES
-    out = []
-    for size in sizes:
-        config = CacheConfig(size=size, block=block,
-                             sub_block=sub_block)
-        analysis = analyze_icache(program, config)
-        validation = validate_icache(analysis, machine.itrace, stats,
-                                     penalty=penalty)
-        out.append((analysis, validation))
-    return out
+    return _suite(targets, programs, lab, lambda lab, name, t: wcet_cell(
+        lab.executable(name, t), get_target(t), lab.run(name, t).stats,
+        params=lab.params, slack=slack))
 
 
 def icache_suite(targets: Iterable[str] = DEFAULT_TARGETS,
                  programs: Iterable[str] | None = None, *,
-                 params: PipelineParams | None = None, lab: Lab | None = None,
+                 lab: Lab | None = None,
                  sizes: Iterable[int] | None = None,
                  block: int = 32, sub_block: int = 8,
                  penalty: int = DEFAULT_MISS_PENALTY,
                  ) -> tuple[list[LintReport], dict]:
     """Validate the static I-cache classification over the suite.
 
-    Runs the must/may/persistence analysis for every benchmark cell
-    across the cache-size grid and replays each cell's instruction
-    trace as the soundness oracle.  Returns ``(reports, results)``
-    where ``results`` maps ``(program, target)`` to the per-config
-    ``(analysis, validation)`` pairs -- the static-vs-simulated miss
-    numbers feed EXPERIMENTS.md and the ``--json`` report.  Analysis
-    findings repeat identically across configs (boundability is a
-    structural property), so the per-cell report deduplicates them.
+    Returns ``(reports, results)`` where ``results`` maps ``(program,
+    target)`` to the per-config ``(analysis, validation)`` pairs -- the
+    static-vs-simulated miss numbers feed EXPERIMENTS.md and the
+    ``--json`` report.
     """
-    from ..cache.cache import CacheConfig
-    from ..experiments.cacheperf import CACHE_SIZES
-    from ..experiments.runner import Lab
+    sizes = tuple(sizes) if sizes is not None else None
 
-    lab = lab or Lab(params=params)
-    names = list(programs) if programs is not None \
-        else [bench.name for bench in SUITE]
-    targets = tuple(targets)
-    sizes = tuple(sizes) if sizes is not None else CACHE_SIZES
-    reports: list[LintReport] = []
-    results: dict[tuple[str, str], list] = {}
-    for name in names:
-        for target_name in targets:
-            target = get_target(target_name)
-            exe = lab.executable(name, target_name)
-            trace = lab.trace(name, target_name)
-            program = analyze_wcet(exe, target.isa, model=lab.params,
-                                   target=target)
-            cell = []
-            cell_findings: list[Finding] = []
-            seen: set[tuple] = set()
-            for size in sizes:
-                config = CacheConfig(size=size, block=block,
-                                     sub_block=sub_block)
-                analysis = analyze_icache(program, config)
-                validation = validate_icache(
-                    analysis, trace.itrace, trace.run.stats,
-                    penalty=penalty)
-                cell.append((analysis, validation))
-                for f in analysis.findings + validation.findings:
-                    key = (f.rule, f.location, f.message)
-                    if key not in seen:
-                        seen.add(key)
-                        cell_findings.append(f)
-            results[(name, target_name)] = cell
-            reports.append(LintReport(program=name, target=target_name,
-                                      findings=cell_findings))
-    return reports, results
+    def check(lab: Lab, name: str, t: str,
+              ) -> tuple[list[tuple[ICacheAnalysis, ICacheValidation]],
+                         list[Finding]]:
+        trace = lab.trace(name, t)
+        return icache_cell(lab.executable(name, t), get_target(t),
+                           trace.run.stats, trace.itrace,
+                           params=lab.params, sizes=sizes, block=block,
+                           sub_block=sub_block, penalty=penalty)
+
+    return _suite(targets, programs, lab, check)
 
 
 def density_suite(programs: Iterable[str] | None = None, *,
@@ -393,122 +379,82 @@ def density_suite(programs: Iterable[str] | None = None, *,
                   ) -> tuple[list[LintReport], dict]:
     """Estimate D16 compressibility of every DLXe benchmark image.
 
-    Returns ``(reports, densities)`` where ``densities`` maps the
-    program name to its :class:`ProgramDensity`.  Density is a
+    Returns ``(reports, densities)`` where ``densities`` maps
+    ``(program, target)`` to its :class:`ProgramDensity`.  Density is a
     property of the 32-bit encoding, so the suite runs one target
     (DLXe by default); reports carry the DEN001 INFO findings.
     """
-    from ..experiments.runner import Lab
-
-    lab = lab or Lab()
-    names = list(programs) if programs is not None \
-        else [bench.name for bench in SUITE]
-    reports: list[LintReport] = []
-    densities: dict[str, ProgramDensity] = {}
-    for name in names:
-        exe = lab.executable(name, target)
-        cfg, result = resolve_cfg(exe, get_target(target).isa)
-        # Promote jld targets to function roots so the per-function
-        # records do not fold the whole DLXe image into _start.
-        cfg, _result = _promote_direct_calls(cfg, None, get_target(target),
-                                             result)
-        density = analyze_density(cfg)
-        densities[name] = density
-        reports.append(LintReport(program=name, target=target,
-                                  findings=density.findings))
-    return reports, densities
-
-
-def vuln_program(source: str, target: TargetSpec | str, *,
-                 opt_level: int = 2,
-                 include_runtime: bool = True,
-                 params: PipelineParams | None = None,
-                 faults: int = 20, seed: int = 42,
-                 name: str = "<file>"):
-    """Compile, trace, and statically classify one program's planned
-    fault sites (``repro lint --vuln`` file mode).
-
-    Returns ``(cell, waived, findings)`` — the
-    :class:`~repro.analysis.vuln.CellVulnerability`, the liveness
-    waiver list, and the combined LIV/VULN findings.
-    """
-    from ..machine import run_executable
-    from .liveness import analyze_liveness, liveness_findings
-    from .vuln import classify_cell, vuln_findings
-
-    if isinstance(target, str):
-        target = get_target(target)
-    full_source = (RUNTIME_SOURCE + "\n" + source) if include_runtime \
-        else source
-    module = lower_program(parse(full_source))
-    optimize_module(module, level=opt_level)
-    assembly = generate_assembly(module, target, schedule=opt_level >= 1)
-    obj = Assembler(target.isa).assemble(assembly)
-    exe = link([obj])
-    stats, machine = run_executable(exe, params=params,
-                                    trace_instructions=True)
-    cfg, result = resolve_cfg(exe, target.isa, target=target)
-    cfg, result = _promote_direct_calls(cfg, None, target, result)
-    liveness = analyze_liveness(exe, target.isa, target=target,
-                                cfg=cfg, result=result)
-    live_findings, waived = liveness_findings(liveness, target)
-    cell = classify_cell(name, target.name, exe, target, machine.itrace,
-                         stats.instructions, faults=faults, seed=seed,
-                         liveness=liveness)
-    return cell, waived, live_findings + vuln_findings(cell)
+    return _suite((target,), programs, lab, lambda lab, name, t: density_cell(
+        lab.executable(name, t), get_target(t)))
 
 
 def vuln_suite(targets: Iterable[str] = DEFAULT_TARGETS,
                programs: Iterable[str] | None = None, *,
-               params: PipelineParams | None = None,
                lab: Lab | None = None,
                faults: int = 20, seed: int = 42,
                ) -> tuple[list[LintReport], dict]:
     """Liveness lint plus static fault classification over the suite.
 
-    For every benchmark cell: run the backward liveness fixpoint
-    (LIV001/LIV002 dead-code findings, ABI-convention sites waived),
-    then statically classify exactly the fault sites the seeded PR-4
-    campaign would inject (same planner PRNG stream) and summarize the
-    register-file exposure (VULN002).  Returns ``(reports, results)``
-    where ``results`` maps ``(program, target)`` to
-    ``(CellVulnerability, waived)`` — the cross-ISA AVF numbers feed
-    EXPERIMENTS.md and the ``--json`` report.
+    Returns ``(reports, results)`` where ``results`` maps ``(program,
+    target)`` to ``(CellVulnerability, waived)`` — the cross-ISA AVF
+    numbers feed EXPERIMENTS.md and the ``--json`` report.
     """
-    from ..experiments.runner import Lab
-    from .liveness import analyze_liveness, liveness_findings
-    from .vuln import classify_cell, vuln_findings
+    return _suite(targets, programs, lab, lambda lab, name, t: vuln_cell(
+        name, t, lab.executable(name, t), get_target(t),
+        lab.run(name, t).stats, lab.trace(name, t).itrace,
+        faults=faults, seed=seed))
 
-    lab = lab or Lab(params=params)
-    names = list(programs) if programs is not None \
-        else [bench.name for bench in SUITE]
-    targets = tuple(targets)
-    reports: list[LintReport] = []
-    results: dict[tuple[str, str], tuple] = {}
-    for name in names:
-        for target_name in targets:
-            target = get_target(target_name)
-            exe = lab.executable(name, target_name)
-            run = lab.run(name, target_name)
-            trace = lab.trace(name, target_name)
-            # Lab images keep only global symbols: recover the CFG with
-            # value-analysis feedback and promote direct-call targets
-            # to function roots before the liveness fixpoint.
-            cfg, result = resolve_cfg(exe, target.isa, target=target)
-            cfg, result = _promote_direct_calls(cfg, None, target,
-                                                result)
-            liveness = analyze_liveness(exe, target.isa, target=target,
-                                        cfg=cfg, result=result)
-            live_findings, waived = liveness_findings(liveness, target)
-            cell = classify_cell(name, target_name, exe, target,
-                                 trace.itrace, run.stats.instructions,
-                                 faults=faults, seed=seed,
-                                 liveness=liveness)
-            results[(name, target_name)] = (cell, waived)
-            reports.append(LintReport(
-                program=name, target=target_name,
-                findings=live_findings + vuln_findings(cell)))
-    return reports, results
+
+def validate_vuln(lab: Lab, programs: Iterable[str] | None = None,
+                  targets: Iterable[str] = DEFAULT_TARGETS, *,
+                  faults: int = 20, seed: int = 42) -> dict:
+    """Soundness sweep of the static fault-vulnerability analysis.
+
+    Runs :func:`vuln_suite` on ``lab``, then executes every classified
+    fault site for real and cross-checks: a site the analysis proved
+    masked must be observed masked.  Raises
+    :class:`~repro.experiments.runner.ExperimentError` on any VULN001
+    contradiction (locked to zero in CI).  Returns the aggregate
+    site/proven counts for reports and CI assertions.
+    """
+    from ..experiments.runner import ExperimentError
+    from ..faults.campaign import plan_cell
+    from ..faults.inject import run_cache_fault, run_fault
+    from ..faults.model import GoldenRun
+    from .vuln import check_soundness
+
+    _reports, results = vuln_suite(targets, programs, lab=lab,
+                                   faults=faults, seed=seed)
+    contradictions: list[Finding] = []
+    sites = proven = 0
+    by_kind: dict[str, dict[str, int]] = {}
+    for (name, target_name), (cell, _waived) in sorted(results.items()):
+        stats = lab.run(name, target_name).stats
+        golden = GoldenRun(instructions=stats.instructions,
+                           interlocks=stats.interlocks,
+                           exit_code=stats.exit_code, output=stats.output)
+        exe = lab.executable(name, target_name)
+        executed = [
+            run_cache_fault(lab.trace(name, target_name).itrace, spec)
+            if spec.kind == "cache"
+            else run_fault(exe, spec, golden, params=lab.params)
+            for spec in plan_cell(name, target_name, golden, exe,
+                                  faults=faults, seed=seed)]
+        contradictions += check_soundness(cell, executed)
+        sites += len(cell.verdicts)
+        proven += cell.proven_masked
+        for kind, counts in cell.by_kind().items():
+            agg = by_kind.setdefault(kind, {"sites": 0, "masked": 0})
+            agg["sites"] += counts["sites"]
+            agg["masked"] += counts["masked"]
+    if contradictions:
+        raise ExperimentError(
+            f"static fault-vulnerability analysis is unsound "
+            f"({len(contradictions)} proven-masked contradictions):"
+            f"\n{render_text(contradictions)}")
+    return {"cells": len(results), "sites": sites, "proven": proven,
+            "contradictions": 0,
+            "by_kind": dict(sorted(by_kind.items()))}
 
 
 def tv_suite(programs: Iterable[str] | None = None, *,

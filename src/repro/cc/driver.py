@@ -39,6 +39,9 @@ class CompileResult:
     target: TargetSpec
     assembly: str
     executable: Executable
+    #: Every text label of the object file, locals included, at its
+    #: absolute address.  The executable's own table keeps only globals.
+    labels: dict[str, int]
 
     @property
     def binary_size(self) -> int:
@@ -81,8 +84,11 @@ def build_executable(source: str, target: TargetSpec | str, *,
                                    verify_ir=verify_ir)
     obj = assemble(assembly, target.isa)
     executable = link([obj])
+    # One object file: its text offsets translate directly to addresses.
+    labels = {sym.name: executable.text_base + sym.value
+              for sym in obj.symbols.values() if sym.section == "text"}
     return CompileResult(target=target, assembly=assembly,
-                         executable=executable)
+                         executable=executable, labels=labels)
 
 
 def compile_and_run(source: str, target: TargetSpec | str, *,

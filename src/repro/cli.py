@@ -116,9 +116,14 @@ def cmd_lint(args) -> int:
         return EXIT_INTERNAL
 
 
+#: The ``repro lint`` modes that read a linked image rather than source.
+IMAGE_MODES = ("timing", "wcet", "icache", "density", "vuln")
+
+
 def _lint(args) -> int:
-    from .analysis import (LintReport, exit_code, lint_program,
-                           render_json, render_text, summarize)
+    from .analysis import (EXIT_INTERNAL, LintReport, exit_code,
+                           lint_program, render_json, render_text,
+                           summarize)
 
     import os
 
@@ -133,12 +138,11 @@ def _lint(args) -> int:
         # the shared exit-code contract (any error finding -> 1).
         args.timing = args.wcet = args.icache = True
         args.density = args.tv = args.vuln = True
-    timing_validations = None
-    wcet_validations = None
-    densities = None
-    icache_results = None
-    tv_results = None
-    vuln_results = None
+    image_modes = [mode for mode in IMAGE_MODES if getattr(args, mode)]
+    if image_modes and not file and args.opt != 2:
+        print(f"lint: --{image_modes[0]} reads the suite's -O2 images; "
+              f"-O{args.opt} needs a source file", file=sys.stderr)
+        return EXIT_INTERNAL
     icache_sizes = None
     if args.icache_sizes:
         icache_sizes = tuple(int(s) for s in
@@ -149,151 +153,95 @@ def _lint(args) -> int:
         # --wcet-slack 0 disables TIM005; unset means the default factor.
         args.wcet_slack = DEFAULT_SLACK if args.wcet_slack is None \
             else (args.wcet_slack or None)
+    # Per mode, in run order: its reports, and its results (keyed by
+    # (program, target), or by program for --tv) for --json and --stats.
     mode_reports: dict[str, list[LintReport]] = {}
+    results: dict[str, dict] = {}
 
-    def track(mode, new_reports):
-        mode_reports.setdefault(mode, []).extend(new_reports)
-        return new_reports
+    def track(mode, new_reports, new_results=None):
+        mode_reports[mode] = new_reports
+        if new_results is not None:
+            results[mode] = new_results
 
     if file:
         source = _read_source(file)
-        reports = []
-        findings = lint_program(source, args.target, opt_level=args.opt,
-                                include_runtime=not args.no_runtime)
-        reports.extend(track("lint", [LintReport(
-            program=file, target=args.target, findings=findings)]))
-        if args.timing:
-            from .analysis import timing_program
-
-            validation = timing_program(
-                source, args.target, opt_level=args.opt,
-                include_runtime=not args.no_runtime)
-            timing_validations = {(file, args.target): validation}
-            reports.extend(track("timing", [LintReport(
-                program=file, target=args.target,
-                findings=validation.findings)]))
-        if args.wcet:
-            from .analysis import wcet_program
-
-            validation = wcet_program(
-                source, args.target, opt_level=args.opt,
-                include_runtime=not args.no_runtime,
-                slack=args.wcet_slack)
-            wcet_validations = {(file, args.target): validation}
-            reports.extend(track("wcet", [LintReport(
-                program=file, target=args.target,
-                findings=validation.findings)]))
-        if args.density:
-            from .analysis import analyze_density, resolve_cfg
-
-            built = build_executable(source, args.target,
-                                     include_runtime=not args.no_runtime,
-                                     opt_level=args.opt)
-            cfg, _result = resolve_cfg(built.executable,
-                                       get_target(args.target).isa)
-            density = analyze_density(cfg)
-            densities = {(file, args.target): density}
-            reports.extend(track("density", [LintReport(
-                program=file, target=args.target,
-                findings=density.findings)]))
-        if args.icache:
-            from .analysis import icache_program
-
-            cell = icache_program(
-                source, args.target, opt_level=args.opt,
-                include_runtime=not args.no_runtime,
-                sizes=icache_sizes, penalty=args.icache_penalty)
-            icache_results = {(file, args.target): cell}
-            cell_findings = []
-            seen = set()
-            for analysis, validation in cell:
-                for f in analysis.findings + validation.findings:
-                    key = (f.rule, f.location, f.message)
-                    if key not in seen:
-                        seen.add(key)
-                        cell_findings.append(f)
-            reports.extend(track("icache", [LintReport(
-                program=file, target=args.target,
-                findings=cell_findings)]))
-        if args.vuln:
-            from .analysis import vuln_program
-
-            cell, waived, cell_findings = vuln_program(
-                source, args.target, opt_level=args.opt,
-                include_runtime=not args.no_runtime,
-                faults=args.vuln_faults, seed=args.vuln_seed,
-                name=file)
-            vuln_results = {(file, args.target): (cell, waived)}
-            reports.extend(track("vuln", [LintReport(
-                program=file, target=args.target,
-                findings=cell_findings)]))
+        track("lint", [LintReport(
+            program=file, target=args.target,
+            findings=lint_program(source, args.target, opt_level=args.opt,
+                                  include_runtime=not args.no_runtime))])
+        if image_modes:
+            for mode, result, findings in _lint_image(args, file, source,
+                                                      icache_sizes):
+                track(mode, [LintReport(program=file, target=args.target,
+                                        findings=findings)],
+                      {(file, args.target): result})
         if args.cross_isa:
             from .analysis import check_cross_isa
 
             xisa = check_cross_isa(source, opt_level=args.opt,
                                    include_runtime=not args.no_runtime)
-            reports.extend(track("cross-isa", [LintReport(
+            track("cross-isa", [LintReport(
                 program=file, target="+".join(xisa.targets),
-                findings=xisa.findings)]))
+                findings=xisa.findings)])
         if args.tv:
             from .analysis import tv_program
 
             tv = tv_program(source, file, targets=(args.target,),
                             opt_level=args.opt,
                             include_runtime=not args.no_runtime)
-            tv_results = {file: tv}
-            reports.extend(track("tv", [LintReport(
-                program=file, target=args.target,
-                findings=tv.findings)]))
+            track("tv", [LintReport(program=file, target=args.target,
+                                    findings=tv.findings)], {file: tv})
     else:
         from .analysis import (cross_isa_suite, density_suite,
                                icache_suite, lint_suite, timing_suite,
-                               tv_suite, wcet_suite)
+                               tv_suite, vuln_suite, wcet_suite)
 
         targets = args.targets.split(",")
-        reports = track("lint", lint_suite(targets, names or None,
-                                           opt_level=args.opt))[:]
+        programs = names or None
+        track("lint", lint_suite(targets, programs, opt_level=args.opt))
+        lab = None
+        if image_modes:
+            from .experiments import Lab
+
+            lab = Lab()     # every image mode reads the same cells
         if args.timing:
-            timing_reports, timing_validations = timing_suite(
-                targets, names or None)
-            reports.extend(track("timing", timing_reports))
+            track("timing", *timing_suite(targets, programs, lab=lab))
         if args.wcet:
-            wcet_reports, wcet_validations = wcet_suite(
-                targets, names or None, slack=args.wcet_slack)
-            reports.extend(track("wcet", wcet_reports))
+            track("wcet", *wcet_suite(targets, programs, lab=lab,
+                                      slack=args.wcet_slack))
         if args.icache:
-            icache_reports, icache_results = icache_suite(
-                targets, names or None, sizes=icache_sizes,
-                penalty=args.icache_penalty)
-            reports.extend(track("icache", icache_reports))
+            track("icache", *icache_suite(
+                targets, programs, lab=lab, sizes=icache_sizes,
+                penalty=args.icache_penalty))
         if args.density:
             density_target = "dlxe" if "dlxe" in targets else targets[0]
-            density_reports, suite_densities = density_suite(
-                names or None, target=density_target)
-            densities = {(prog, density_target): d
-                         for prog, d in suite_densities.items()}
-            reports.extend(track("density", density_reports))
+            track("density", *density_suite(
+                programs, target=density_target, lab=lab))
         if args.cross_isa:
             if len(targets) != 2:
                 raise ValueError(
                     f"--cross-isa compares exactly two targets, "
                     f"got {targets}")
-            reports.extend(track("cross-isa", cross_isa_suite(
-                names or None, targets=(targets[0], targets[1]),
-                opt_level=args.opt)))
+            track("cross-isa", cross_isa_suite(
+                programs, targets=(targets[0], targets[1]),
+                opt_level=args.opt))
         if args.vuln:
-            from .analysis import vuln_suite
-
-            vuln_reports, vuln_results = vuln_suite(
-                targets, names or None, faults=args.vuln_faults,
-                seed=args.vuln_seed)
-            reports.extend(track("vuln", vuln_reports))
+            track("vuln", *vuln_suite(
+                targets, programs, lab=lab, faults=args.vuln_faults,
+                seed=args.vuln_seed))
+        lab = None      # drop its traces before translation validation
         if args.tv:
-            tv_reports, tv_results = tv_suite(
-                names or None, targets=tuple(targets),
-                opt_level=args.opt)
-            reports.extend(track("tv", tv_reports))
+            track("tv", *tv_suite(programs, targets=tuple(targets),
+                                  opt_level=args.opt))
 
+    reports = [r for cell_reports in mode_reports.values()
+               for r in cell_reports]
+    timing_validations = results.get("timing")
+    wcet_validations = results.get("wcet")
+    icache_results = results.get("icache")
+    densities = results.get("density")
+    vuln_results = results.get("vuln")
+    tv_results = results.get("tv")
     all_findings = [f for r in reports for f in r.findings]
     if args.json:
         extra = {}
@@ -423,6 +371,44 @@ def _lint(args) -> int:
                       f"{pc['divergent']}  {bc['proven']}/"
                       f"{bc['unknown']}/{bc['divergent']}")
     return exit_code(reports)
+
+
+def _lint_image(args, file: str, source: str, icache_sizes):
+    """The requested image modes on one source file.
+
+    Builds the file's image once and runs it at most once (traced when
+    a mode reads the instruction trace); returns ``(mode, result,
+    findings)`` per mode, in report order.
+    """
+    from .analysis import (density_cell, icache_cell, timing_cell,
+                           vuln_cell, wcet_cell)
+
+    built = build_executable(source, args.target, opt_level=args.opt,
+                             include_runtime=not args.no_runtime)
+    exe, target, labels = built.executable, built.target, built.labels
+    stats = itrace = None
+    if args.timing or args.wcet or args.icache or args.vuln:
+        stats, machine = run_executable(
+            exe, trace_instructions=args.icache or args.vuln)
+        itrace = machine.itrace
+    cells = []
+    if args.timing:
+        cells.append(("timing",
+                      *timing_cell(exe, target, stats, labels=labels)))
+    if args.wcet:
+        cells.append(("wcet", *wcet_cell(exe, target, stats, labels=labels,
+                                         slack=args.wcet_slack)))
+    if args.density:
+        cells.append(("density", *density_cell(exe, target, labels=labels)))
+    if args.icache:
+        cells.append(("icache", *icache_cell(
+            exe, target, stats, itrace, labels=labels, sizes=icache_sizes,
+            penalty=args.icache_penalty)))
+    if args.vuln:
+        cells.append(("vuln", *vuln_cell(
+            file, target.name, exe, target, stats, itrace, labels=labels,
+            faults=args.vuln_faults, seed=args.vuln_seed)))
+    return cells
 
 
 def cmd_bench(args) -> int:

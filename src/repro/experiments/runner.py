@@ -248,158 +248,6 @@ class Lab:
         self._runs[key] = run
         return run
 
-    def validate_icache(self, programs=None,
-                        targets: tuple[str, ...] = MAIN_TARGETS, *,
-                        sizes=None, block: int = 32, sub_block: int = 8,
-                        penalty: int = 8) -> dict:
-        """Soundness sweep of the static I-cache analysis.
-
-        Runs the must/may/persistence classification for every
-        (program, target) cell across the cache-size grid and replays
-        each cell's instruction trace as the oracle; raises
-        :class:`ExperimentError` when any always-hit fetch misses in
-        simulation, a simulated miss count exceeds its finite static
-        bound, or the analysis model diverges from the simulated cache
-        (CACHE001/002/004/005 errors).  Returns a summary dict for
-        reports and CI assertions.
-        """
-        from ..analysis import icache_suite, render_text
-        from ..analysis.findings import Severity
-
-        reports, results = icache_suite(
-            targets, programs, lab=self, sizes=sizes, block=block,
-            sub_block=sub_block, penalty=penalty)
-        errors = [f for r in reports for f in r.findings
-                  if f.severity == Severity.ERROR]
-        contradictions = sum(v.contradictions
-                             for cell in results.values()
-                             for _a, v in cell)
-        if errors or contradictions:
-            raise ExperimentError(
-                f"static I-cache analysis is unsound "
-                f"({contradictions} always-hit contradictions):\n"
-                f"{render_text(errors)}")
-        records = [v for cell in results.values() for _a, v in cell]
-        return {
-            "cells": len(results),
-            "records": len(records),
-            "finite_bounds": sum(1 for v in records
-                                 if v.miss_ub is not None),
-            "contradictions": contradictions,
-            "unattributed": sum(v.unattributed for v in records),
-            "penalty": penalty,
-        }
-
-    def validate_equiv(self, programs=None,
-                       targets: tuple[str, ...] = MAIN_TARGETS, *,
-                       opt_level: int = 2) -> dict:
-        """Translation-validation sweep over the benchmark suite.
-
-        Proves every optimizer pass application equivalent (or records
-        an explicit unknown) and matches each binary's observable-effect
-        summaries against its IR on every target; raises
-        :class:`ExperimentError` on any *proven* divergence (EQ002 or
-        EQ004 — the checker never errors on mere incompleteness).
-        Returns the aggregate verdict counts for reports and CI locks.
-        """
-        from ..analysis import render_text, tv_suite
-        from ..analysis.findings import Severity
-
-        reports, results = tv_suite(programs, targets=targets,
-                                    opt_level=opt_level)
-        errors = [f for r in reports for f in r.findings
-                  if f.severity == Severity.ERROR]
-        if errors:
-            raise ExperimentError(
-                f"translation validation found proven divergences:\n"
-                f"{render_text(errors)}")
-        passes = {"proven": 0, "unknown": 0, "divergent": 0}
-        binary = {"proven": 0, "unknown": 0, "divergent": 0}
-        for tv in results.values():
-            for verdict, n in tv.pass_counts().items():
-                passes[verdict] += n
-            for verdict, n in tv.binary_counts().items():
-                binary[verdict] += n
-        return {"cells": len(results), "passes": passes,
-                "binary": binary}
-
-    def validate_vuln(self, programs=None,
-                      targets: tuple[str, ...] = MAIN_TARGETS, *,
-                      faults: int = 20, seed: int = 42) -> dict:
-        """Soundness sweep of the static fault-vulnerability analysis.
-
-        Statically classifies exactly the fault sites a seeded campaign
-        would inject, then executes every one of those sites for real
-        and cross-checks: a site the analysis proved masked must be
-        observed masked.  Raises :class:`ExperimentError` on any
-        VULN001 contradiction (locked to zero in CI).  Returns the
-        aggregate site/proven counts for reports and CI assertions.
-        """
-        from ..analysis import check_soundness, render_text, vuln_suite
-        from ..faults.campaign import plan_cell
-        from ..faults.inject import run_cache_fault, run_fault
-        from ..faults.model import GoldenRun
-
-        _reports, results = vuln_suite(targets, programs, lab=self,
-                                       faults=faults, seed=seed)
-        contradictions = []
-        sites = proven = 0
-        by_kind: dict[str, dict[str, int]] = {}
-        for (bench_name, target_name), (cell, _waived) \
-                in sorted(results.items()):
-            run = self.run(bench_name, target_name)
-            golden = GoldenRun(instructions=run.stats.instructions,
-                               interlocks=run.stats.interlocks,
-                               exit_code=run.stats.exit_code,
-                               output=run.stats.output)
-            exe = self.executable(bench_name, target_name)
-            specs = plan_cell(bench_name, target_name, golden, exe,
-                              faults=faults, seed=seed)
-            itrace = None
-            executed = []
-            for spec in specs:
-                if spec.kind == "cache":
-                    if itrace is None:
-                        itrace = self.trace(bench_name,
-                                            target_name).itrace
-                    executed.append(run_cache_fault(itrace, spec))
-                else:
-                    executed.append(run_fault(exe, spec, golden,
-                                              params=self.params))
-            contradictions += check_soundness(cell, executed)
-            sites += len(cell.verdicts)
-            proven += cell.proven_masked
-            for kind, counts in cell.by_kind().items():
-                agg = by_kind.setdefault(kind, {"sites": 0, "masked": 0})
-                agg["sites"] += counts["sites"]
-                agg["masked"] += counts["masked"]
-        if contradictions:
-            raise ExperimentError(
-                f"static fault-vulnerability analysis is unsound "
-                f"({len(contradictions)} proven-masked contradictions):"
-                f"\n{render_text(contradictions)}")
-        return {"cells": len(results), "sites": sites, "proven": proven,
-                "contradictions": 0,
-                "by_kind": dict(sorted(by_kind.items()))}
-
-    def check_consistency(self, bench_name: str,
-                          targets: tuple[str, str] = MAIN_TARGETS):
-        """Cross-ISA consistency check for one benchmark's source.
-
-        Returns the :class:`~repro.analysis.xisa.CrossIsaReport`;
-        raises :class:`ExperimentError` when the two compiled images
-        provably disagree (XISA findings are always errors).
-        """
-        from ..analysis import check_cross_isa, render_text
-
-        bench = get_benchmark(bench_name)
-        report = check_cross_isa(bench.source, targets)
-        if not report.ok:
-            raise ExperimentError(
-                f"{bench_name} is inconsistent across "
-                f"{'/'.join(targets)}:\n{render_text(report.findings)}")
-        return report
-
     def trace(self, bench_name: str, target_name: str) -> TraceRun:
         """Execute with address tracing (memoized; memory-heavy)."""
         key = (bench_name, target_name)

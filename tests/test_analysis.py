@@ -513,6 +513,97 @@ class TestExitCodes:
         assert "exactly two" in capsys.readouterr().err
 
 
+# ------------------------------------------------- image modes
+
+
+def _count_calls(monkeypatch, owners, name: str) -> list:
+    """Count calls to ``name`` through every one of ``owners``."""
+    fn = getattr(owners[0], name)
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestImageModes:
+    """The image modes (--timing, --wcet, --icache, --density, --vuln)
+    read one image per cell: file mode builds and runs it once, and
+    suite mode reads every cell through one shared Lab."""
+
+    SOURCE = ("int main() { int i; int s; s = 0;"
+              " for (i = 0; i < 8; i = i + 1) s = s + i;"
+              " puti(s); return 0; }")
+
+    def test_file_all_compiles_and_simulates_once(self, tmp_path,
+                                                  monkeypatch, capsys):
+        import sys
+
+        import repro.cc.opt
+        from repro.cli import main
+        from repro.machine.cpu import Machine
+
+        optimize = repro.cc.opt.optimize_module
+        sites = [module for name, module in sorted(sys.modules.items())
+                 if name.startswith("repro.")
+                 and getattr(module, "optimize_module", None) is optimize]
+        optimized = _count_calls(monkeypatch, sites, "optimize_module")
+        simulated = _count_calls(monkeypatch, [Machine], "run")
+        src = tmp_path / "p.mc"
+        src.write_text(self.SOURCE)
+        assert main(["lint", str(src), "-t", "d16", "--all"]) == 0
+        # lint_program, the image build, and the two translation-
+        # validation tiers; the one run is traced for --icache/--vuln.
+        assert len(optimized) == 4
+        assert len(simulated) == 1
+
+    def test_suite_all_reads_each_cell_once(self, lab, monkeypatch,
+                                            capsys):
+        from repro.cli import main
+        from repro.labcache import ArtifactCache
+
+        for target in ("d16", "dlxe"):          # warm the artifact cache
+            lab.run("ackermann", target)
+            lab.trace("ackermann", target)
+        gets = _count_calls(monkeypatch, [ArtifactCache], "get")
+        assert main(["lint", "ackermann", "--all", "--json"]) == 0
+        # The image, the run and the trace of each of the two cells.
+        assert len(gets) == 6
+
+    @pytest.mark.parametrize("argv", [
+        ["ackermann", "--timing", "-O0"],
+        ["ackermann", "--all", "-O1"],
+    ])
+    def test_suite_refuses_other_opt_levels(self, argv, capsys):
+        from repro.cli import main
+
+        assert main(["lint", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("lint: --")
+        assert "-O2" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_file_mode_honours_opt_level(self, tmp_path, capsys):
+        from repro.cli import main
+
+        src = tmp_path / "p.mc"
+        src.write_text(self.SOURCE)
+        rows = {}
+        for level in ("0", "2"):
+            assert main(["lint", str(src), "--timing", "--stats",
+                         "-O", level]) == 0
+            rows[level] = [line for line in
+                           capsys.readouterr().out.splitlines()
+                           if line.startswith(f"timing: {src}/")]
+        assert len(rows["0"]) == len(rows["2"]) == 1
+        assert rows["0"] != rows["2"]
+
+
 # ------------------------------------------------- runner pre-flight
 
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import (SCHEMA_VERSION, RULES, SiteClass,
                             analyze_icache, analyze_wcet, build_cfg,
-                            find_loops, icache_program, validate_icache)
+                            find_loops, icache_cell, validate_icache)
 from repro.analysis.cfg import BasicBlock
 from repro.analysis.icache import (_access, _block_word_runs,
                                    _decompose, _geometry, _join,
@@ -31,7 +31,7 @@ from repro.analysis.icache import (_access, _block_word_runs,
 from repro.analysis.wcet import _FuncInfo, FunctionTiming
 from repro.asm import Assembler, link
 from repro.cache.cache import Cache, CacheConfig
-from repro.cc import get_target
+from repro.cc import build_executable, get_target
 from repro.cc.codegen import generate_assembly
 from repro.cc.irgen import lower_program
 from repro.cc.opt import optimize_module
@@ -509,7 +509,12 @@ class TestDriverAndRules:
         assert SCHEMA_VERSION == 5
 
     def test_icache_program_grid(self, isa_target):
-        cells = icache_program(HELLO, isa_target, sizes=(1024, 8192))
+        built = build_executable(HELLO, isa_target)
+        stats, machine = run_executable(built.executable,
+                                        trace_instructions=True)
+        cells, _findings = icache_cell(
+            built.executable, built.target, stats, machine.itrace,
+            labels=built.labels, sizes=(1024, 8192))
         assert len(cells) == 2
         for _analysis, validation in cells:
             assert validation.ok
@@ -523,14 +528,18 @@ class TestDriverAndRules:
             small[0].counts["always-hit"] or True
         assert big[1].sim_misses <= small[1].sim_misses
 
-    def test_lab_validate_icache_smoke(self, lab):
-        summary = lab.validate_icache(programs=["pi"],
-                                      targets=("d16",),
-                                      sizes=(4096,))
-        assert summary["cells"] == 1
-        assert summary["records"] == 1
-        assert summary["contradictions"] == 0
-        assert summary["unattributed"] == 0
+    def test_icache_suite_smoke(self, lab):
+        from repro.analysis import Severity, icache_suite
+
+        reports, results = icache_suite(("d16",), ["pi"], lab=lab,
+                                        sizes=(4096,))
+        assert len(reports) == len(results) == 1
+        records = [v for cell in results.values() for _a, v in cell]
+        assert len(records) == 1
+        assert records[0].contradictions == 0
+        assert records[0].unattributed == 0
+        assert all(f.severity != Severity.ERROR
+                   for f in reports[0].findings)
 
 
 class TestCli:

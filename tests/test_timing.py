@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from repro.analysis import (block_stall_bounds, check_timing, exit_seed,
                             predecessor_seed, resolve_cfg, static_bounds,
-                            timing_program, validate_run)
-from repro.cc import get_target
+                            timing_cell, validate_run)
+from repro.cc import build_executable, get_target
 from repro.isa import DLXE, Instr, Op
 from repro.machine import run_executable
 from repro.machine.pipeline import PipelineModel
@@ -292,7 +292,10 @@ class TestProgramValidation:
               " return s; }")
 
     def test_timing_program_brackets_run(self, isa_target):
-        validation = timing_program(self.SOURCE, isa_target)
+        built = build_executable(self.SOURCE, isa_target)
+        stats, _machine = run_executable(built.executable)
+        validation, _findings = timing_cell(built.executable, built.target,
+                                            stats, labels=built.labels)
         assert validation.findings == []
         assert validation.in_bounds and validation.fully_covered
         assert validation.interlock_lo <= validation.interlocks_observed \

@@ -84,6 +84,32 @@ class TestCrossValidation:
         json.dumps(payload)              # report-ready
 
 
+class TestValidateVuln:
+    """The sweep CI runs over the full grid, on one small cell."""
+
+    def test_small_grid_is_sound(self, lab):
+        from repro.analysis import validate_vuln
+
+        out = validate_vuln(lab, ["ackermann"], ("d16",), faults=6,
+                            seed=42)
+        assert out["cells"] == 1
+        assert out["sites"] == 6
+        assert out["proven"] == 3
+        assert out["contradictions"] == 0
+        assert sum(k["sites"] for k in out["by_kind"].values()) == 6
+        assert sum(k["masked"] for k in out["by_kind"].values()) == 3
+
+    def test_contradiction_raises(self, lab, monkeypatch):
+        import repro.analysis.vuln as vuln
+        from repro.analysis import finding, validate_vuln
+        from repro.experiments import ExperimentError
+
+        monkeypatch.setattr(vuln, "check_soundness", lambda cell, executed: [
+            finding("VULN001", "ackermann/d16", "seeded contradiction")])
+        with pytest.raises(ExperimentError, match="1 proven-masked"):
+            validate_vuln(lab, ["ackermann"], ("d16",), faults=6, seed=42)
+
+
 class TestSoundnessChecker:
     def _cell(self, verdicts):
         summary = VulnSummary(instructions=1, vulnerable_bit_cycles=1,

@@ -326,3 +326,23 @@ class TestCli:
         assert len(cells) == 1 and cells[0]["target"] == "dlxe"
         assert cells[0]["ratio"] > 1.0
         assert cells[0]["functions"]
+
+    def test_density_file_mode_one_record_per_function(self, capsys):
+        import json
+
+        from repro.bench import get_benchmark
+        from repro.cc import build_executable
+        from repro.cli import main
+
+        bench = get_benchmark("ackermann")
+        assert main(["lint", str(bench.path), "-t", "dlxe", "--density",
+                     "--json"]) == 0
+        records = json.loads(capsys.readouterr().out)["density"][0][
+            "functions"]
+        functions = build_executable(bench.source,
+                                     "dlxe").executable.functions
+        # The file's labels name every function; without them the
+        # DLXe image, whose calls are all direct, folds into _start.
+        assert len(functions) > 1
+        assert [(r["name"], r["start"]) for r in records] == \
+            sorted(functions.items(), key=lambda item: item[1])
