@@ -5,7 +5,9 @@ IR verification between optimizer passes, assembly-level encoding
 checks, binary-level lint, and abstract interpretation of the linked
 image — and returns the accumulated findings.  :func:`lint_suite` fans
 that out over benchmark programs and targets, producing one
-:class:`LintReport` per cell.
+:class:`LintReport` per cell; it runs the target-independent front end
+(parse, lower, verified optimization) once per program and generates
+code for each target from a clone of the optimized module.
 
 The image modes behind ``repro lint --timing`` / ``--wcet`` /
 ``--icache`` / ``--density`` / ``--vuln`` read a linked image, not its
@@ -38,6 +40,7 @@ from ..asm.objfile import Executable
 from ..bench import SUITE, get_benchmark
 from ..cc import TargetSpec, get_target
 from ..cc.codegen import generate_assembly
+from ..cc.ir import Module
 from ..cc.irgen import lower_program
 from ..cc.opt import PassVerificationError, optimize_module
 from ..cc.parser import parse
@@ -103,6 +106,20 @@ def lint_program(source: str, target: TargetSpec | str, *,
     """
     if isinstance(target, str):
         target = get_target(target)
+    module, findings = _lint_front_end(source, opt_level, include_runtime)
+    if module is None:
+        return findings
+    return findings + _lint_back_end(module, target, opt_level)
+
+
+def _lint_front_end(source: str, opt_level: int, include_runtime: bool,
+                    ) -> tuple[Module | None, list[Finding]]:
+    """Parse, lower and optimize ``source`` under the IR verifier.
+
+    Returns the optimized module and the IR findings, or ``None`` in
+    place of the module when those findings hold errors.  Nothing here
+    depends on the target, so a suite lints each source once.
+    """
     full_source = (RUNTIME_SOURCE + "\n" + source) if include_runtime \
         else source
     module = lower_program(parse(full_source))
@@ -111,21 +128,25 @@ def lint_program(source: str, target: TargetSpec | str, *,
     # the post-optimization sweep adds the warning-level rules (the
     # *initial* IR legitimately holds unreachable blocks that irgen
     # emits for simplify_cfg to collect — not worth reporting).
-    findings: list[Finding] = []
     try:
         optimize_module(module, level=opt_level, verify=True)
     except PassVerificationError as exc:
-        findings.extend(
-            finding(f.rule, f.location,
-                    f"after pass '{exc.pass_name}': {f.message}")
-            for f in exc.findings)
-        return findings
-    findings.extend(verify_module(module))
-    if has_errors(findings):
-        return findings
+        return None, [finding(f.rule, f.location,
+                              f"after pass '{exc.pass_name}': {f.message}")
+                      for f in exc.findings]
+    findings = verify_module(module)
+    return (None if has_errors(findings) else module), findings
 
+
+def _lint_back_end(module: Module, target: TargetSpec,
+                   opt_level: int) -> list[Finding]:
+    """Assembly, binary and abstract-interpretation lint of one target.
+
+    Code generation rewrites ``module`` in place, so each target needs
+    its own copy.
+    """
     assembly = generate_assembly(module, target, schedule=opt_level >= 1)
-    findings.extend(lint_assembly(assembly, target.isa))
+    findings = lint_assembly(assembly, target.isa)
     if has_errors(findings):
         return findings
 
@@ -152,17 +173,24 @@ def lint_program(source: str, target: TargetSpec | str, *,
 def lint_suite(targets: Iterable[str] = DEFAULT_TARGETS,
                programs: Iterable[str] | None = None, *,
                opt_level: int = 2) -> list[LintReport]:
-    """Lint benchmark programs on each target; one report per cell."""
+    """Lint benchmark programs on each target; one report per cell.
+
+    Each program's front end runs once; every target generates code
+    from its own clone of the optimized module.
+    """
     names = list(programs) if programs is not None \
         else [bench.name for bench in SUITE]
     reports = []
     for name in names:
-        bench = get_benchmark(name)
+        module, front = _lint_front_end(get_benchmark(name).source,
+                                        opt_level, include_runtime=True)
         for target_name in targets:
-            reports.append(LintReport(
-                program=name, target=target_name,
-                findings=lint_program(bench.source, target_name,
-                                      opt_level=opt_level)))
+            findings = list(front)
+            if module is not None:
+                findings += _lint_back_end(
+                    module.clone(), get_target(target_name), opt_level)
+            reports.append(LintReport(program=name, target=target_name,
+                                      findings=findings))
     return reports
 
 

@@ -29,7 +29,6 @@ whether the checker catches each one.
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -495,20 +494,33 @@ def check_binary_program(source: str,
                          ) -> list[BinaryCheck]:
     """Semantic IR-vs-binary validation of every comparable function.
 
-    Compiles the program once per target (legalization mutates the IR
-    per target, so each binary is matched against the exact module that
-    produced it) and compares grounded IR summaries with symbolic
-    machine summaries over the disassembled CFG.
+    Optimizes the program once, compiles a clone of the module for each
+    target, and compares grounded IR summaries with symbolic machine
+    summaries over the disassembled CFG.
     """
-    checks: list[BinaryCheck] = []
     full_source = (RUNTIME_SOURCE + "\n" + source) if include_runtime \
         else source
+    module = lower_program(parse(full_source))
+    optimize_module(module, level=opt_level)
+    return _check_binary_module(module, targets, opt_level=opt_level,
+                                max_steps=max_steps, max_leaves=max_leaves)
+
+
+def _check_binary_module(module: Module, targets: Sequence[str], *,
+                         opt_level: int, max_steps: int, max_leaves: int,
+                         ) -> list[BinaryCheck]:
+    """:func:`check_binary_program` on an optimized ``module``.
+
+    Code generation legalizes the IR in place, so each target compiles
+    its own clone and each binary is matched against the exact clone
+    that produced it; ``module`` itself is left unchanged.
+    """
+    checks: list[BinaryCheck] = []
+    signatures = comparable_signatures(module)
     for target_name in targets:
         target: TargetSpec = get_target(target_name)
-        module = lower_program(parse(full_source))
-        optimize_module(module, level=opt_level)
-        signatures = comparable_signatures(module)
-        assembly = generate_assembly(module, target,
+        compiled = module.clone()
+        assembly = generate_assembly(compiled, target,
                                      schedule=opt_level >= 1)
         obj = Assembler(target.isa).assemble(assembly)
         exe = link([obj])
@@ -521,7 +533,7 @@ def check_binary_program(source: str,
             name: addr for name, addr in labels.items()
             if exe.text_base <= addr < exe.text_base + len(exe.text)}
         cfg = build_cfg(exe, target.isa, symbols=text_symbols)
-        for func in module.functions:
+        for func in compiled.functions:
             if func.name not in signatures:
                 checks.append(BinaryCheck(
                     func.name, target_name, UNKNOWN,
@@ -600,8 +612,7 @@ def tv_program(source: str, program: str = "<source>", *,
     module = lower_program(parse(full_source))
     passes = validate_passes(module, opt_level=opt_level,
                              max_steps=max_steps, max_leaves=max_leaves)
-    binary = check_binary_program(source, targets, opt_level=opt_level,
-                                  include_runtime=include_runtime,
+    binary = _check_binary_module(module, targets, opt_level=opt_level,
                                   max_steps=max_steps,
                                   max_leaves=max_leaves)
     findings: list[Finding] = []
@@ -620,25 +631,21 @@ def tv_program(source: str, program: str = "<source>", *,
         elif bincheck.verdict == UNKNOWN:
             findings.append(finding("EQ003", bincheck.location,
                                     bincheck.reason or "not provable"))
-    pass_counts = {}
-    for check in passes:
-        pass_counts[check.verdict] = pass_counts.get(check.verdict, 0) + 1
-    bin_counts = {}
-    for bincheck in binary:
-        bin_counts[bincheck.verdict] = \
-            bin_counts.get(bincheck.verdict, 0) + 1
+    report = TvReport(program=program, passes=passes, binary=binary,
+                      findings=findings)
+    pass_counts = report.pass_counts()
+    bin_counts = report.binary_counts()
     findings.append(finding(
         "EQ005", program,
         f"pass applications: {len(passes)} "
-        f"({pass_counts.get(PROVEN, 0)} proven, "
-        f"{pass_counts.get(UNKNOWN, 0)} unknown, "
-        f"{pass_counts.get(DIVERGENT, 0)} divergent); "
+        f"({pass_counts[PROVEN]} proven, "
+        f"{pass_counts[UNKNOWN]} unknown, "
+        f"{pass_counts[DIVERGENT]} divergent); "
         f"binary summaries: {len(binary)} "
-        f"({bin_counts.get(PROVEN, 0)} proven, "
-        f"{bin_counts.get(UNKNOWN, 0)} unknown, "
-        f"{bin_counts.get(DIVERGENT, 0)} divergent)"))
-    return TvReport(program=program, passes=passes, binary=binary,
-                    findings=findings)
+        f"({bin_counts[PROVEN]} proven, "
+        f"{bin_counts[UNKNOWN]} unknown, "
+        f"{bin_counts[DIVERGENT]} divergent)"))
+    return report
 
 
 # ------------------------------------------------------ mutation harness
@@ -847,7 +854,7 @@ def mutation_campaign(source: str = MUTATION_SOURCE, *,
     """Plant seeded miscompiles into pass outputs; record detection.
 
     For every distinct pass in the pipeline the campaign takes that
-    pass's applications (in order), perturbs a deep copy of each
+    pass's applications (in order), perturbs a clone of each
     *output* with every applicable mutation from :data:`MUTATIONS`, and
     re-runs :func:`check_pass` between the unmodified input and the
     mutated output.  A sound checker reports every mutant as
@@ -863,7 +870,7 @@ def mutation_campaign(source: str = MUTATION_SOURCE, *,
                  changed: bool) -> None:
         if round_index == 0:
             snapshots.append((func_name, pass_name, round_index,
-                              before, copy.deepcopy(after)))
+                              before, after.clone()))
 
     optimize_module(module, level=opt_level, observer=observer)
 
@@ -877,7 +884,7 @@ def mutation_campaign(source: str = MUTATION_SOURCE, *,
             mutate = MUTATIONS[mutation_name]
             for func_name, _pass, round_index, before, after \
                     in by_pass[pass_name]:
-                mutant = copy.deepcopy(after)
+                mutant = after.clone()
                 if not mutate(mutant, rng):
                     continue
                 verdict, reason, _regions = check_pass(

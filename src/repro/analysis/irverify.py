@@ -12,7 +12,7 @@ Checks are grouped in three families:
   (intersection over predecessors) seeded with the function parameters.
 * **Operands** — one vreg id never carries two register classes
   (IR007), every instruction's operand classes match its operation
-  (IR08), stack-slot operands are registered with the function (IR009)
+  (IR008), stack-slot operands are registered with the function (IR009)
   and accesses stay inside the slot's extent (IR010, warning).
 
 The verifier is deliberately tolerant of machine-level IR extensions

@@ -71,6 +71,9 @@ class Statement:
 
 
 def _strip_comment(line: str) -> str:
+    if '"' not in line:
+        # No string literal: the comment starts at the first marker.
+        return line.partition(";")[0].partition("#")[0].rstrip()
     out = []
     in_str = False
     i = 0

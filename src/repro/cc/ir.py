@@ -48,6 +48,14 @@ class Inst:
     def replace_uses(self, mapping: dict[VReg, VReg]) -> None:
         """Rewrite used vregs in place via ``mapping`` (default: nothing)."""
 
+    def clone(self) -> Inst:
+        """A copy whose fields can be reassigned without touching this
+        instruction; operand values (frozen ``VReg``/``StackSlot``,
+        labels, constants) are shared."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        return twin
+
 
 def _mapped(mapping, value):
     return mapping.get(value, value)
@@ -323,6 +331,9 @@ class CallInst(Inst):
     def replace_uses(self, mapping):
         self.args = [_mapped(mapping, a) for a in self.args]
 
+    def clone(self):
+        return CallInst(self.dst, self.name, list(self.args))
+
     def __str__(self):
         args = ", ".join(str(a) for a in self.args)
         prefix = f"{self.dst} = " if self.dst else ""
@@ -405,6 +416,9 @@ class Block:
             return [term.if_true, term.if_false]
         return []
 
+    def clone(self) -> Block:
+        return Block(self.label, [inst.clone() for inst in self.instrs])
+
     def __str__(self):
         lines = [f"{self.label}:"]
         lines.extend(f"  {inst}" for inst in self.instrs)
@@ -436,6 +450,15 @@ class Function:
     def block_map(self) -> dict[str, Block]:
         return {b.label: b for b in self.blocks}
 
+    def clone(self) -> Function:
+        """An independent copy: blocks, instructions and lists are
+        copied, the frozen ``VReg`` and ``StackSlot`` values shared.
+        Equal to ``copy.deepcopy(self)`` at a fraction of its cost."""
+        return Function(self.name, list(self.params), self.return_cls,
+                        [block.clone() for block in self.blocks],
+                        list(self.slots), self.next_vreg, self.next_slot,
+                        self.max_call_args)
+
     def __str__(self):
         header = f"func {self.name}({', '.join(map(str, self.params))})"
         return header + "\n" + "\n".join(str(b) for b in self.blocks)
@@ -459,6 +482,12 @@ class GlobalData:
 class Module:
     functions: list[Function] = field(default_factory=list)
     globals: list[GlobalData] = field(default_factory=list)
+
+    def clone(self) -> Module:
+        """Clone every function; the globals, which code generation
+        only reads, are shared."""
+        return Module([func.clone() for func in self.functions],
+                      list(self.globals))
 
     def function(self, name: str) -> Function:
         for func in self.functions:

@@ -15,12 +15,11 @@ naive code) dominate the measurements:
 
 from __future__ import annotations
 
-import copy
 from typing import Callable
 
 from ..isa.operations import Cond
-from .ir import (AddrGlobal, AddrStack, Bin, Block, CJump, CallInst, Cmp,
-                 Const, Cvt, FCmp, FConst, FLoad, FStore, Function, Jump,
+from .ir import (AddrGlobal, AddrStack, Bin, Block, CJump, Cmp, Const,
+                 Cvt, FCmp, FConst, FLoad, FStore, Function, Inst, Jump,
                  Load, Move, Store, Un, VReg)
 
 _WORD = 0xFFFFFFFF
@@ -323,41 +322,41 @@ def local_cse(func: Function) -> bool:
 
 
 def dead_code(func: Function) -> bool:
-    """Remove pure instructions whose results are never used."""
-    used: set[VReg] = set()
-    essential: list = []
-    for block in func.blocks:
-        for inst in block.instrs:
-            if not isinstance(inst, _PURE) or isinstance(inst, CallInst):
-                essential.append(inst)
-    worklist = list(essential)
-    for inst in worklist:
-        used.update(inst.uses())
-    # Fixed point: an instruction is live if it defines a used vreg.
-    changed_any = True
-    while changed_any:
-        changed_any = False
-        for block in func.blocks:
-            for inst in block.instrs:
-                if isinstance(inst, _PURE):
-                    defs = inst.defs()
-                    if any(d in used for d in defs):
-                        for u in inst.uses():
-                            if u not in used:
-                                used.add(u)
-                                changed_any = True
+    """Remove pure instructions whose results are never used.
 
-    removed = False
+    A vreg is used if an impure instruction reads it, or a pure
+    instruction defining a used vreg reads it.  The worklist walks from
+    each used vreg to its pure definitions once, reaching the same least
+    fixpoint as sweeping the whole function until nothing changes.
+    """
+    used: set[VReg] = set()
+    pure: list[tuple[Inst, list[VReg]]] = []
+    pure_defs: dict[VReg, list[Inst]] = {}
     for block in func.blocks:
-        kept = []
         for inst in block.instrs:
-            if isinstance(inst, _PURE) and inst.defs() \
-                    and not any(d in used for d in inst.defs()):
-                removed = True
-                continue
-            kept.append(inst)
-        block.instrs = kept
-    return removed
+            if isinstance(inst, _PURE):
+                defs = inst.defs()
+                pure.append((inst, defs))
+                for d in defs:
+                    pure_defs.setdefault(d, []).append(inst)
+            else:
+                used.update(inst.uses())
+    worklist = list(used)
+    while worklist:
+        for inst in pure_defs.pop(worklist.pop(), ()):
+            for u in inst.uses():
+                if u not in used:
+                    used.add(u)
+                    worklist.append(u)
+
+    dead = {id(inst) for inst, defs in pure
+            if defs and used.isdisjoint(defs)}
+    if not dead:
+        return False
+    for block in func.blocks:
+        block.instrs = [inst for inst in block.instrs
+                        if id(inst) not in dead]
+    return True
 
 
 def simplify_cfg(func: Function) -> bool:
@@ -577,7 +576,6 @@ def licm(func: Function) -> bool:
                 def_blocks.setdefault(d, set()).add(block.label)
 
     dom = _dominators(func)
-    blocks = func.block_map()
     changed = False
     handled_headers: set[str] = set()
     for block in func.blocks:
@@ -610,7 +608,6 @@ def licm(func: Function) -> bool:
             if hoisted:
                 changed = True
                 _insert_preheader(func, header, body, hoisted)
-                blocks = func.block_map()
     return changed
 
 
@@ -647,10 +644,8 @@ def _insert_preheader(func: Function, header: str, body: set[str],
                 term.if_false = pre_label
     index = next(i for i, b in enumerate(func.blocks)
                  if b.label == header)
+    # Before the header: if the header is the entry, so is the preheader.
     func.blocks.insert(index, preheader)
-    # If the entry block *is* the header, the preheader must come first.
-    if index == 0:
-        pass  # insert(0) already made it the entry
 
 
 class PassVerificationError(Exception):
@@ -700,8 +695,9 @@ def _verify_after(func: Function, pass_name: str) -> None:
 
 #: Per-pass observation hook: called as ``observer(function_name,
 #: pass_name, round_index, before, after, changed)`` where ``before``
-#: is a deep copy of the function taken immediately before the pass
-#: ran and ``after`` is the live (possibly mutated) function.
+#: is a clone (:meth:`~repro.cc.ir.Function.clone`) of the function
+#: taken immediately before the pass ran and ``after`` is the live
+#: (possibly mutated) function.
 PassObserver = Callable[[str, str, int, Function, Function, bool], None]
 
 
@@ -727,8 +723,7 @@ def optimize(func: Function, *, level: int = 2,
     for round_index in range(4 if level >= 2 else 1):
         changed = False
         for name, pass_fn in pipeline:
-            snapshot = copy.deepcopy(func) if observer is not None \
-                else None
+            snapshot = func.clone() if observer is not None else None
             pass_changed = pass_fn(func)
             changed |= pass_changed
             if verify:

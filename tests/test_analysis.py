@@ -366,6 +366,34 @@ class TestLintDriver:
         assert all(report.ok for report in reports)
         assert all(report.findings == [] for report in reports)
 
+    def test_suite_shares_the_front_end_across_targets(self,
+                                                       monkeypatch):
+        import repro.analysis.driver as driver
+        from repro.bench import get_benchmark
+        from repro.cc import compile_to_assembly
+
+        # DLXe first: D16 code generated from a module DLXe code
+        # generation already rewrote would differ.
+        targets = ("dlxe", "d16")
+        source = get_benchmark("ackermann").source
+        per_target = [lint_program(source, t) for t in targets]
+        parsed = _count_calls(monkeypatch, _binding_modules(parse),
+                              "parse")
+        generated = []
+        real_generate = driver.generate_assembly
+
+        def generate(*args, **kwargs):
+            generated.append(real_generate(*args, **kwargs))
+            return generated[-1]
+
+        monkeypatch.setattr(driver, "generate_assembly", generate)
+        reports = lint_suite(targets, ["ackermann"])
+        assert len(parsed) == 1
+        assert [r.findings for r in reports] == per_target
+        # Each target's code comes from an unmodified optimized module.
+        assert generated == [compile_to_assembly(source, t)
+                             for t in targets]
+
     def test_report_ok_reflects_errors(self):
         report = LintReport(
             program="p", target="d16",
@@ -516,6 +544,15 @@ class TestExitCodes:
 # ------------------------------------------------- image modes
 
 
+def _binding_modules(fn) -> list:
+    """Every loaded ``repro`` module that binds ``fn`` under its name."""
+    import sys
+
+    return [module for name, module in sorted(sys.modules.items())
+            if name.startswith("repro.")
+            and getattr(module, fn.__name__, None) is fn]
+
+
 def _count_calls(monkeypatch, owners, name: str) -> list:
     """Count calls to ``name`` through every one of ``owners``."""
     fn = getattr(owners[0], name)
@@ -541,24 +578,20 @@ class TestImageModes:
 
     def test_file_all_compiles_and_simulates_once(self, tmp_path,
                                                   monkeypatch, capsys):
-        import sys
-
-        import repro.cc.opt
         from repro.cli import main
         from repro.machine.cpu import Machine
 
-        optimize = repro.cc.opt.optimize_module
-        sites = [module for name, module in sorted(sys.modules.items())
-                 if name.startswith("repro.")
-                 and getattr(module, "optimize_module", None) is optimize]
-        optimized = _count_calls(monkeypatch, sites, "optimize_module")
+        optimized = _count_calls(monkeypatch,
+                                 _binding_modules(optimize_module),
+                                 "optimize_module")
         simulated = _count_calls(monkeypatch, [Machine], "run")
         src = tmp_path / "p.mc"
         src.write_text(self.SOURCE)
         assert main(["lint", str(src), "-t", "d16", "--all"]) == 0
-        # lint_program, the image build, and the two translation-
-        # validation tiers; the one run is traced for --icache/--vuln.
-        assert len(optimized) == 4
+        # lint_program, the image build, and the translation-validation
+        # pass tier, whose module the binary tier reuses; the one run is
+        # traced for --icache/--vuln.
+        assert len(optimized) == 3
         assert len(simulated) == 1
 
     def test_suite_all_reads_each_cell_once(self, lab, monkeypatch,
@@ -573,6 +606,24 @@ class TestImageModes:
         assert main(["lint", "ackermann", "--all", "--json"]) == 0
         # The image, the run and the trace of each of the two cells.
         assert len(gets) == 6
+
+    def test_suite_all_runs_the_front_end_twice(self, lab, monkeypatch,
+                                                capsys):
+        from repro.cli import main
+
+        for target in ("d16", "dlxe"):          # warm the artifact cache
+            lab.run("ackermann", target)
+            lab.trace("ackermann", target)
+        parsed = _count_calls(monkeypatch, _binding_modules(parse),
+                              "parse")
+        optimized = _count_calls(monkeypatch,
+                                 _binding_modules(optimize_module),
+                                 "optimize_module")
+        assert main(["lint", "ackermann", "--all", "--json"]) == 0
+        # Once for the IR lint of both targets, once under the
+        # translation-validation observer; both binary tiers reuse it.
+        assert len(parsed) == 2
+        assert len(optimized) == 2
 
     @pytest.mark.parametrize("argv", [
         ["ackermann", "--timing", "-O0"],

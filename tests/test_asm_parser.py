@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.asm import parser
 from repro.asm.parser import (AsmSyntaxError, ImmOperand, MemOperand,
                               RegOperand, SymOperand, parse_line,
                               parse_operand, parse_source)
@@ -94,3 +95,77 @@ class TestLines:
     def test_source_line_numbers(self):
         stmts = parse_source("nop\n\nnop\n")
         assert [s.line_no for s in stmts] == [1, 3]
+
+
+def strip_comment_by_character(line):
+    """Reference: scan one character at a time, toggling on unescaped
+    quotes, and cut at the first ``;`` or ``#`` outside a string."""
+    out = []
+    in_str = False
+    for i, ch in enumerate(line):
+        if ch == '"' and (i == 0 or line[i - 1] != "\\"):
+            in_str = not in_str
+        if not in_str and ch in ";#":
+            break
+        out.append(ch)
+    return "".join(out).rstrip()
+
+
+class TestStripComment:
+    @pytest.mark.parametrize("line", [
+        '.asciz "a;b#c"',
+        '.asciz "a;b#c"   ; trailing',
+        r'.asciz "say \"hi;\" # x" # tail',
+        r'.asciz "\"" ; escaped quote alone',
+        'add r1, r2, r3 ; sum',
+        'add r1, r2, r3 # sum',
+        'mvi r1, 5 # a ; b',
+        'mvi r1, 5 ; a # b',
+        'nop ; "not a string"',
+        'mov r1, r2 # "quoted after the marker"',
+        "mvi r1, '#'",
+        '; whole line',
+        '   ',
+        'main:',
+    ])
+    def test_matches_character_scan(self, line):
+        assert parser._strip_comment(line) \
+            == strip_comment_by_character(line)
+
+    def test_markers_inside_strings_survive(self):
+        assert parser._strip_comment('.asciz "a;b#c" ; x') \
+            == '.asciz "a;b#c"'
+        assert parser._strip_comment(r'.asciz "q\";#" # x') \
+            == r'.asciz "q\";#"'
+
+
+@pytest.fixture(scope="module")
+def suite_assembly():
+    """The assembly of every suite program on every target (105 cells)."""
+    from repro.bench import SUITE
+    from repro.cc.codegen import generate_assembly
+    from repro.cc.irgen import lower_program
+    from repro.cc.opt import optimize_module
+    from repro.cc.parser import parse
+    from repro.cc.runtime import RUNTIME_SOURCE
+    from repro.cc.target import TARGETS
+
+    cells = {}
+    for bench in SUITE:
+        module = lower_program(parse(RUNTIME_SOURCE + "\n" + bench.source))
+        optimize_module(module)
+        for name, target in sorted(TARGETS.items()):
+            cells[bench.name, name] = generate_assembly(module.clone(),
+                                                        target)
+    return cells
+
+
+def test_parse_source_unchanged_on_suite_assembly(suite_assembly,
+                                                  monkeypatch):
+    assert len(suite_assembly) == 105
+    parsed = {cell: parse_source(text)
+              for cell, text in suite_assembly.items()}
+    monkeypatch.setattr(parser, "_strip_comment",
+                        strip_comment_by_character)
+    for cell, text in suite_assembly.items():
+        assert parse_source(text) == parsed[cell], cell

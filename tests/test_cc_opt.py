@@ -1,11 +1,15 @@
 """Optimizer passes, observed through the IR."""
 
+import pytest
+
+from repro.bench import SUITE
 from repro.cc.irgen import lower_program
-from repro.cc.ir import Bin, CJump, Const, Jump, Load, Store
-from repro.cc.opt import (copy_propagation, dead_code,
+from repro.cc.ir import Bin, CallInst, CJump, Const, Jump, Load, Store
+from repro.cc.opt import (_PURE, copy_propagation, dead_code,
                           fold_constants, local_cse,
                           optimize_module, simplify_cfg)
 from repro.cc.parser import parse
+from repro.cc.runtime import RUNTIME_SOURCE
 
 
 def lower(src):
@@ -108,6 +112,70 @@ class TestDeadCode:
         func = module.functions[0]
         dead_code(func)
         assert count(func, Store) == 1
+
+    def test_chain_feeding_only_itself_removed(self):
+        module = lower("""
+            int f(int n) {
+                int i; int junk;
+                junk = 0;
+                for (i = 0; i < n; i = i + 1) junk = junk * 3 + i;
+                return n;
+            }""")
+        func = module.functions[0]
+        dead_code(func)
+        assert count(func, Bin) == 1      # the loop counter's add
+
+
+def sweep_dead_code(func):
+    """Reference dead-code elimination: sweep the whole function until
+    no used vreg is added, then drop pure definitions of unused vregs."""
+    used = set()
+    for block in func.blocks:
+        for inst in block.instrs:
+            if not isinstance(inst, _PURE) or isinstance(inst, CallInst):
+                used.update(inst.uses())
+    changed_any = True
+    while changed_any:
+        changed_any = False
+        for block in func.blocks:
+            for inst in block.instrs:
+                if isinstance(inst, _PURE) \
+                        and any(d in used for d in inst.defs()):
+                    for u in inst.uses():
+                        if u not in used:
+                            used.add(u)
+                            changed_any = True
+    removed = False
+    for block in func.blocks:
+        kept = []
+        for inst in block.instrs:
+            if isinstance(inst, _PURE) and inst.defs() \
+                    and not any(d in used for d in inst.defs()):
+                removed = True
+                continue
+            kept.append(inst)
+        block.instrs = kept
+    return removed
+
+
+@pytest.mark.parametrize("bench", SUITE, ids=lambda bench: bench.name)
+def test_dead_code_matches_sweep_on_suite(bench):
+    """Every dead-code application of the pipeline leaves what the
+    reference sweep leaves on the same input."""
+    applications = []
+
+    def observer(func_name, pass_name, round_index, before, after,
+                 changed):
+        if pass_name != "dead-code":
+            return
+        reference = before.clone()
+        assert sweep_dead_code(reference) == changed, func_name
+        assert str(reference) == str(after), (func_name, round_index)
+        applications.append(changed)
+
+    optimize_module(lower(RUNTIME_SOURCE + "\n" + bench.source),
+                    observer=observer)
+    assert any(applications) and not all(applications)
 
 
 class TestCFG:

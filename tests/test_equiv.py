@@ -16,6 +16,7 @@ from repro.analysis.equiv import (DIVERGENT, MUTATION_SOURCE, PROVEN,
                                   check_pass, cut_points, live_in_map,
                                   mutation_campaign, tv_program,
                                   validate_passes)
+from repro.cc import compile_to_assembly
 from repro.cc.ir import (AddrGlobal, Bin, Block, CJump, Const, Function,
                          Jump, Ret, Store, VReg)
 from repro.cc.irgen import lower_program
@@ -321,6 +322,37 @@ class TestBinaryChecks:
             assert by_loc[f"{target}:main"].verdict == PROVEN
         assert all(c.verdict != DIVERGENT for c in checks)
 
+    def test_optimizes_once_for_both_targets(self, monkeypatch):
+        import repro.analysis.equiv as equiv
+
+        # DLXe first: D16 code generated from a module DLXe code
+        # generation already rewrote would differ.
+        targets = ("dlxe", "d16")
+        joined = [check for target in targets
+                  for check in check_binary_program(self.SOURCE,
+                                                    (target,))]
+        calls = []
+        real = equiv.optimize_module
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        generated = []
+        real_generate = equiv.generate_assembly
+
+        def generate(*args, **kwargs):
+            generated.append(real_generate(*args, **kwargs))
+            return generated[-1]
+
+        monkeypatch.setattr(equiv, "optimize_module", counted)
+        monkeypatch.setattr(equiv, "generate_assembly", generate)
+        assert check_binary_program(self.SOURCE, targets) == joined
+        assert len(calls) == 1
+        # Each target's code comes from an unmodified optimized module.
+        assert generated == [compile_to_assembly(self.SOURCE, t)
+                             for t in targets]
+
     def test_loops_refused_with_reason(self):
         src = self.SOURCE + \
             "int spin(int n) { int i; int s; s = 0; " \
@@ -351,6 +383,23 @@ class TestTvProgram:
         rules = {f.rule for f in report.findings}
         assert "EQ005" in rules
         assert "EQ002" not in rules and "EQ004" not in rules
+
+    def test_binary_tier_reuses_the_pass_tier_module(self, monkeypatch):
+        import repro.analysis.equiv as equiv
+
+        calls = []
+        real = equiv.optimize_module
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(equiv, "optimize_module", counted)
+        report = tv_program(MUTATION_SOURCE, "mutsrc",
+                            include_runtime=False)
+        assert len(calls) == 1
+        assert {check.target for check in report.binary} \
+            == {"d16", "dlxe"}
 
     def test_benchmark_counts_locked(self):
         # Suite-mode lock for a fast subset; CI locks all 15 programs.
