@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 from ..asm.objfile import Executable
-from ..cc.target import TargetSpec
+from ..cc.target import REG_GP, REG_LINK, REG_RET, REG_SP, TargetSpec
 from ..isa import DecodingError, Instr, IsaSpec, Op
 from ..isa.common import to_s32
 from ..isa.operations import Cond
@@ -56,11 +56,6 @@ U32_MAX = U32 - 1
 
 #: Joins per block before widening kicks in (keeps loops terminating).
 WIDEN_AFTER = 4
-
-REG_LINK = 1
-REG_RET = 2
-REG_GP = 14
-REG_SP = 15
 
 
 class Interval(NamedTuple):
@@ -181,7 +176,7 @@ def eval_cond(cond: Cond, a: Interval, b: Interval) -> bool | None:
 
 
 def solve(blocks: dict[int, BasicBlock], entry: int, domain: Any, *,
-          widen_after: int = WIDEN_AFTER) -> dict[int, object]:
+          widen_after: int = WIDEN_AFTER) -> dict[int, Any]:
     """Run ``domain`` to a fixpoint; returns block-entry states.
 
     ``domain`` supplies ``entry_state()``, ``transfer(block, state)``,
@@ -189,11 +184,15 @@ def solve(blocks: dict[int, BasicBlock], entry: int, domain: Any, *,
     ``widen(old, joined, at)``; states are compared with ``==``.  After
     ``widen_after`` joins at one block the widening operator is applied
     on every further join, which bounds the chain length on loops and
-    irreducible regions alike.
+    irreducible regions alike.  Every forward analysis of a binary runs
+    here: the value domain below, the WCET layer's seeded value pass
+    and loop-iteration domain (:mod:`repro.analysis.wcet`) and the
+    I-cache domain (:mod:`repro.analysis.icache`); the last two need
+    no widening, so their ``widen`` is the identity.
     """
     if entry not in blocks:
         return {}
-    in_states: dict[int, object] = {entry: domain.entry_state()}
+    in_states: dict[int, Any] = {entry: domain.entry_state()}
     join_counts: dict[int, int] = {}
     pending = [entry]
     while pending:
@@ -548,6 +547,11 @@ class AnalysisResult:
     #: analysis (D16 pool-loaded call targets, mostly).  Feeds the
     #: CFG-refinement loop in :func:`resolve_cfg`.
     resolved_targets: set[int] = field(default_factory=set)
+    #: Function start -> block start -> the :class:`ValueDomain`
+    #: block-entry state :func:`solve` reached; blocks it never
+    #: reached are absent.  The liveness analysis reads its value
+    #: facts from here instead of solving again.
+    states: dict[int, dict[int, dict]] = field(default_factory=dict)
 
     def returned_constant(self, name: str) -> int | None:
         """The constant a function provably returns, if any."""
@@ -662,6 +666,18 @@ class _Reporter:
         self.summary.traps.append(code)
 
 
+def callee_saved(target: TargetSpec | None) -> frozenset[int]:
+    """Registers assumed preserved across calls.
+
+    The target's callee-saved set — an assumption separately enforced
+    by the CC001 lint, so the two layers check each other — or, without
+    a target, r10-r13 (both ISAs' common callee-saved set).
+    """
+    if target is None:
+        return frozenset(range(10, 14))
+    return target.callee_saved_int
+
+
 def analyze_executable(exe: Executable, isa: IsaSpec, *,
                        symbols: dict[str, int] | None = None,
                        target: TargetSpec | None = None,
@@ -670,16 +686,13 @@ def analyze_executable(exe: Executable, isa: IsaSpec, *,
     """Run the value/stack analysis over every function of an image.
 
     ``target`` (a :class:`~repro.cc.target.TargetSpec`) supplies the
-    callee-saved register set assumed preserved across calls — an
-    assumption separately enforced by the CC001 lint, so the two layers
-    check each other.  Without a target only r10-r13 (both ISAs'
-    common callee-saved set) are assumed preserved.
+    register set assumed preserved across calls (:func:`callee_saved`).
+    Without a ``cfg`` the image is recovered by :func:`resolve_cfg`.
     """
     if cfg is None:
         return resolve_cfg(exe, isa, symbols=symbols, target=target,
                            mem_limit=mem_limit)[1]
-    preserved = frozenset(target.callee_saved_int) if target is not None \
-        else frozenset(range(10, 14))
+    preserved = callee_saved(target)
     gp_value = exe.symbols.get("__gp")
     result = AnalysisResult(cfg=cfg, findings=[], functions={})
 
@@ -692,6 +705,7 @@ def analyze_executable(exe: Executable, isa: IsaSpec, *,
             cfg, preserved=preserved,
             gp_value=None if name == "_start" else gp_value)
         in_states = solve(blocks, fstart, domain)
+        result.states[fstart] = in_states
         summary = FunctionSummary(name=name, start=fstart)
         result.functions[name] = summary
         reporter = _Reporter(result, summary, mem_limit)
@@ -724,8 +738,12 @@ def resolve_cfg(exe: Executable, isa: IsaSpec, *,
     the entry function.  This loop alternates sweeping and abstract
     interpretation: each round's provably-constant indirect targets
     become synthesized function roots (``fn_<addr>``) for the next,
-    until no new code is discovered.  With a full symbol table the
-    first round already converges.
+    until no new code is discovered.  Every direct-call (``jld``)
+    target that does not yet start a function becomes a root the same
+    way: a Lab image's symbol table keeps only globals, and without
+    those roots a DLXe image, whose calls are all direct, would fold
+    into its entry function and show no call graph.  With a full
+    symbol table the first round already converges.
     """
     extra: dict[int, str] = {}
     for _round in range(max_rounds):
@@ -734,10 +752,16 @@ def resolve_cfg(exe: Executable, isa: IsaSpec, *,
         result = analyze_executable(exe, isa, symbols=symbols,
                                     target=target, mem_limit=mem_limit,
                                     cfg=cfg)
-        new = sorted(t for t in result.resolved_targets
-                     if t not in cfg.visited)
+        new = {t for t in result.resolved_targets
+               if t not in cfg.visited}
+        for block in cfg.blocks.values():
+            _pc, term = block.terminator
+            if term.op == Op.JLD and cfg.base <= term.imm < cfg.end:
+                func = cfg.func_of(term.imm)
+                if func is None or func[0] != term.imm:
+                    new.add(term.imm)
         if not new:
             break
-        for t in new:
+        for t in sorted(new):
             extra[t] = f"fn_{t:x}"
     return cfg, result

@@ -33,12 +33,11 @@ from ..asm.assembler import AsmError, Assembler
 from collections.abc import Iterator
 
 from ..asm.objfile import Executable
-from ..cc.target import TargetSpec
+from ..cc.target import REG_LINK, TargetSpec
 from ..isa import DecodingError, IsaSpec, OP_INFO, Op
 from .cfg import BinaryCFG, CALL_OPS, build_cfg
 from .findings import Finding, finding
 
-_REG_LINK = 1
 _SAVE_BASES = (9, 15)     # assembler temporary (AT), stack pointer
 
 
@@ -178,7 +177,7 @@ def _lint_calling_convention(cfg: BinaryCFG,
             info = OP_INFO[instr.op]
             if instr.op == Op.ST and instr.rs1 in _SAVE_BASES:
                 saved.add(instr.rs2)
-                if instr.rs2 == _REG_LINK:
+                if instr.rs2 == REG_LINK:
                     link_saved = True
             if instr.op == Op.MVFI:
                 saved_pairs.add(instr.rs1 & ~1)
@@ -210,4 +209,4 @@ def _lint_calling_convention(cfg: BinaryCFG,
             yield finding(
                 "CC002", cfg.describe(calls[0]),
                 f"{name} makes calls but never saves the link "
-                f"register r{_REG_LINK}")
+                f"register r{REG_LINK}")

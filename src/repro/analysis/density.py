@@ -29,12 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..asm.objfile import Executable
-from ..isa import COND_NEGATE, D16_CONDS, Instr, IsaSpec, Op
+from ..isa import COND_NEGATE, D16_CONDS, Instr, Op
 from ..isa.common import fits_signed, fits_unsigned
 from ..isa.d16 import (MAX_MEM_OFFSET, MVI_IMM_BITS, RI_IMM_BITS,
                        UNSUPPORTED_OPS)
-from .cfg import BinaryCFG, build_cfg
+from .cfg import BinaryCFG
 from .findings import Finding, finding
 
 #: Operations whose operands commute, so ``rd == rs2`` is as good as
@@ -175,22 +174,14 @@ class ProgramDensity:
                 for start in sorted(self.functions)]
 
 
-def analyze_density(exe_or_cfg: Executable | BinaryCFG,
-                    isa: IsaSpec | None = None, *,
-                    symbols: dict[str, int] | None = None) -> ProgramDensity:
+def analyze_density(cfg: BinaryCFG) -> ProgramDensity:
     """Estimate the D16 compressibility of a DLXe image's functions.
 
-    Accepts an executable plus its ISA, or a pre-built
-    :class:`BinaryCFG`.  Only 32-bit images are meaningful input: a
-    D16 image is already in its densest form, so the analysis returns
-    an empty report for one rather than inventing numbers.
+    ``cfg`` is the recovered image (:func:`~repro.analysis.absint.
+    resolve_cfg`).  Only 32-bit images are meaningful input: a D16
+    image is already in its densest form, so the analysis returns an
+    empty report for one rather than inventing numbers.
     """
-    if isinstance(exe_or_cfg, BinaryCFG):
-        cfg = exe_or_cfg
-    else:
-        if isa is None:
-            raise ValueError("isa is required with a raw executable")
-        cfg = build_cfg(exe_or_cfg, isa, symbols=symbols)
     report = ProgramDensity(cfg=cfg, functions={})
     if cfg.isa.name != "DLXe":
         return report

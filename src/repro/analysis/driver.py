@@ -56,8 +56,7 @@ from .icache import (ICacheAnalysis, ICacheValidation, analyze_icache,
                      validate_icache)
 from .irverify import verify_module
 from .timing import TimingValidation, check_timing
-from .wcet import (DEFAULT_SLACK, WcetValidation, _promote_direct_calls,
-                   analyze_wcet, check_wcet)
+from .wcet import DEFAULT_SLACK, WcetValidation, analyze_wcet, check_wcet
 from .xisa import check_cross_isa
 
 if TYPE_CHECKING:
@@ -276,10 +275,8 @@ def density_cell(exe: Executable, target: TargetSpec, *,
                  labels: dict[str, int] | None = None,
                  ) -> tuple[ProgramDensity, list[Finding]]:
     """Estimate the D16 compressibility of one 32-bit image (DEN001)."""
-    cfg, result = resolve_cfg(exe, target.isa, symbols=labels)
-    # Promote jld targets to function roots so the per-function
-    # records do not fold the whole DLXe image into _start.
-    cfg, _result = _promote_direct_calls(cfg, labels, target, result)
+    cfg, _result = resolve_cfg(exe, target.isa, symbols=labels,
+                               target=target)
     density = analyze_density(cfg)
     return density, density.findings
 
@@ -302,11 +299,8 @@ def vuln_cell(program: str, target_name: str, exe: Executable,
     from .liveness import analyze_liveness, liveness_findings
     from .vuln import classify_cell, vuln_findings
 
-    cfg, result = resolve_cfg(exe, target.isa, symbols=labels,
-                              target=target)
-    cfg, result = _promote_direct_calls(cfg, labels, target, result)
-    liveness = analyze_liveness(exe, target.isa, target=target,
-                                cfg=cfg, result=result)
+    liveness = analyze_liveness(exe, target.isa, symbols=labels,
+                                target=target)
     live_findings, waived = liveness_findings(liveness, target)
     cell = classify_cell(program, target_name, exe, target, itrace,
                          stats.instructions, faults=faults, seed=seed,

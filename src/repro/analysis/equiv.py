@@ -37,7 +37,7 @@ from ..asm import Assembler, link
 from ..cc import TargetSpec, get_target
 from ..cc.codegen import generate_assembly
 from ..cc.ir import (CallInst, CJump, Const, Function, Inst, Jump, Module,
-                     Ret, Store, VReg)
+                     Ret, Store, VReg, liveness)
 from ..cc.irgen import lower_program
 from ..cc.opt import optimize_module
 from ..cc.parser import parse
@@ -56,42 +56,6 @@ DIVERGENT = "divergent"
 
 #: The entry region's name (cut regions are named after their label).
 ENTRY_REGION = "<entry>"
-
-
-# --------------------------------------------------------------- liveness
-
-
-def live_in_map(func: Function) -> dict[str, frozenset[VReg]]:
-    """Backward live-variable dataflow; live-in set per block label."""
-    labels = [block.label for block in func.blocks]
-    gen: dict[str, set[VReg]] = {}
-    kill: dict[str, set[VReg]] = {}
-    succs: dict[str, list[str]] = {}
-    for block in func.blocks:
-        use: set[VReg] = set()
-        defined: set[VReg] = set()
-        for inst in block.instrs:
-            for reg in inst.uses():
-                if reg not in defined:
-                    use.add(reg)
-            defined.update(inst.defs())
-        gen[block.label] = use
-        kill[block.label] = defined
-        succs[block.label] = list(block.successors())
-    live: dict[str, frozenset[VReg]] = \
-        {label: frozenset() for label in labels}
-    changed = True
-    while changed:
-        changed = False
-        for label in reversed(labels):
-            out: set[VReg] = set()
-            for succ in succs[label]:
-                out |= live.get(succ, frozenset())
-            new = frozenset(gen[label] | (out - kill[label]))
-            if new != live[label]:
-                live[label] = new
-                changed = True
-    return live
 
 
 # ------------------------------------------------------ cut-point choice
@@ -323,8 +287,8 @@ def check_pass(before: Function, after: Function, *,
     cuts = cut_points(before, after)
     closed_before = single_def_terms(before)
     closed_after = single_def_terms(after)
-    live_before = live_in_map(before)
-    live_after = live_in_map(after)
+    live_before = liveness(before)[0]
+    live_after = liveness(after)[0]
 
     def live_of(label: str) -> frozenset[VReg]:
         # A register live in only one version cannot influence the other

@@ -54,6 +54,7 @@ import numpy as np
 from ..cache import vector
 from ..cache.cache import Cache, CacheConfig
 from ..machine.stats import RunStats
+from .absint import solve
 from .cfg import BasicBlock
 from .findings import Finding, finding
 from .wcet import ProgramWcet, _call_sccs, _FuncInfo, _func_wcet
@@ -192,6 +193,10 @@ class _State:
                     (ln, None if v is None
                      else tuple(sorted(v.items())))
                     for ln, v in self.may.items())))
+
+    def __eq__(self, other: object) -> bool:
+        """Equal by value (:meth:`key`), as the solver compares states."""
+        return isinstance(other, _State) and self.key() == other.key()
 
 
 def _join(a: _State, b: _State) -> _State:
@@ -333,42 +338,47 @@ def _damage_sets(infos: dict[int, _FuncInfo],
     return damage
 
 
-def _solve_function(info: _FuncInfo, g: _Geometry,
-                    sites: dict[int, list[FetchSite]],
-                    damage: dict[int, dict[int, set[int]] | None],
-                    cold: bool) -> dict[int, _State]:
-    """Fixpoint over the function's blocks; returns block entry states."""
-    blocks = info.blocks
-    entry = info.timing.start
-    pos = {b: i for i, b in enumerate(info.forest.dom.rpo)}
-    states: dict[int, _State] = {entry: _State(cold=cold)}
-    pending = {entry}
-    while pending:
-        b = min(pending, key=lambda n: pos.get(n, len(pos)))
-        pending.discard(b)
-        out = states[b].copy()
-        for site in sites.get(b, ()):
-            _access(out, site, g)
-        blk = blocks[b]
-        if blk.is_call:
-            callee = info.call_of.get(b)
-            d = damage.get(callee) if callee is not None else None
+class _CacheDomain:
+    """The I-cache fixpoint of one function, run by
+    :func:`~repro.analysis.absint.solve`: a block's fetch sites in
+    order, then its callee's footprint (``damage``; unknown clears the
+    state).  The lattice is finite, so ``widen`` is the identity."""
+
+    def __init__(self, info: _FuncInfo, g: _Geometry,
+                 sites: dict[int, list[FetchSite]],
+                 damage: dict[int, dict[int, set[int]] | None],
+                 cold: bool):
+        self.info = info
+        self.g = g
+        self.sites = sites
+        self.damage = damage
+        self.cold = cold
+
+    def entry_state(self) -> _State:
+        return _State(cold=self.cold)
+
+    def transfer(self, block: BasicBlock, state: _State) -> _State:
+        out = state.copy()
+        for site in self.sites.get(block.start, ()):
+            _access(out, site, self.g)
+        if block.is_call:
+            callee = self.info.call_of.get(block.start)
+            d = self.damage.get(callee) if callee is not None else None
             if d is None:
                 out.clear()
             else:
                 out.damage(d)
-        for s in blk.succs:
-            if s not in blocks:
-                continue
-            if s in states:
-                joined = _join(states[s], out)
-                if joined.key() != states[s].key():
-                    states[s] = joined
-                    pending.add(s)
-            else:
-                states[s] = out.copy()
-                pending.add(s)
-    return states
+        return out
+
+    def edge_state(self, block: BasicBlock, succ: int,
+                   out: _State) -> _State:
+        return out
+
+    def join(self, old: _State, new: _State, at: int) -> _State:
+        return _join(old, new)
+
+    def widen(self, old: _State, joined: _State, at: int) -> _State:
+        return joined
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +501,9 @@ def analyze_icache(program: ProgramWcet,
                     classes[(site.block, site.word)] = \
                         SiteClass.NOT_CLASSIFIED
             continue
-        states = _solve_function(
+        states = solve(info.blocks, fstart, _CacheDomain(
             info, g, by_block, damage,
-            cold=cold_entry and fstart == entry_func)
+            cold=cold_entry and fstart == entry_func))
         for b, runs in by_block.items():
             entry_state = states.get(b)
             st = entry_state.copy() if entry_state is not None \

@@ -60,10 +60,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..asm.objfile import Executable
-from ..cc.target import TargetSpec
+from ..cc.target import REG_LINK, REG_RET, REG_SP, TargetSpec
 from ..isa import Instr, IsaSpec, Op
-from .absint import (REG_LINK, REG_RET, REG_SP, AnalysisResult, Interval,
-                     SPRel, ValueDomain, Value, analyze_executable, solve)
+from .absint import (_MEM_SIZES, AnalysisResult, Interval, SPRel,
+                     ValueDomain, Value, callee_saved, resolve_cfg)
 from .cfg import BasicBlock, BinaryCFG
 
 FULL = 0xFFFFFFFF
@@ -71,8 +71,6 @@ FULL = 0xFFFFFFFF
 #: reg index -> 32-bit live mask; absent registers are dead (mask 0).
 LiveMap = dict[int, int]
 
-_MEM_SIZES = {Op.LD: 4, Op.ST: 4, Op.LDH: 2, Op.LDHU: 2, Op.STH: 2,
-              Op.LDB: 1, Op.LDBU: 1, Op.STB: 1}
 _LOADS = (Op.LD, Op.LDH, Op.LDHU, Op.LDB, Op.LDBU)
 _STORES = (Op.ST, Op.STH, Op.STB)
 _STORE_MASKS = {Op.ST: FULL, Op.STH: 0xFFFF, Op.STB: 0xFF}
@@ -220,14 +218,13 @@ class _FuncLiveness:
             for succ in block.succs:
                 if succ in self.blocks:
                     self.preds[succ].add(start)
-        #: Per-pc abstract value state at instruction entry, from a
-        #: forward run of the interval x SP-offset domain — used to
-        #: disambiguate frame addresses and constant shift amounts.
+        #: Per-pc abstract value state at instruction entry, stepped
+        #: from the block-entry states the value analysis solved
+        #: (:attr:`AnalysisResult.states`) — used to disambiguate
+        #: frame addresses and constant shift amounts.
         self.value_in: dict[int, dict[int, Value]] = {}
-        domain = ValueDomain(cfg, preserved=analysis.preserved,
-                             gp_value=(None if name == "_start"
-                                       else analysis.gp_value))
-        in_states = solve(self.blocks, fstart, domain)
+        domain = analysis.values
+        in_states = analysis.states.get(fstart, {})
         for start in sorted(self.blocks):
             raw = in_states.get(start)
             state = dict(raw) if raw is not None \
@@ -624,12 +621,12 @@ class _Recorder:
 class _ImageLiveness:
     """Whole-image interprocedural driver."""
 
-    def __init__(self, cfg: BinaryCFG, result: AnalysisResult,
-                 preserved: frozenset[int],
-                 gp_value: int | None) -> None:
-        self.cfg = cfg
-        self.preserved = preserved
-        self.gp_value = gp_value
+    def __init__(self, result: AnalysisResult) -> None:
+        cfg = self.cfg = result.cfg
+        self.states = result.states
+        # Steps instructions within a block only; the call clobber that
+        # ``preserved`` governs happens between blocks, in the solve.
+        self.values = ValueDomain(cfg, preserved=frozenset())
         self.zero_r0 = cfg.isa.name == "DLXe"
         self.num_gregs = cfg.isa.num_gregs
         self.func_by_start = {addr: addr for addr, _name in cfg.funcs}
@@ -746,9 +743,7 @@ def liveness_findings(analysis: LivenessAnalysis,
     """
     from .findings import Finding, finding
 
-    preserved = frozenset(target.callee_saved_int) if target is not None \
-        else frozenset(range(10, 14))
-    spillable = preserved | {REG_LINK}
+    spillable = callee_saved(target) | {REG_LINK}
     cfg = analysis.cfg
     out: list[Finding] = []
     waived: list[tuple[str, str]] = []
@@ -797,21 +792,15 @@ def liveness_findings(analysis: LivenessAnalysis,
 def analyze_liveness(exe: Executable, isa: IsaSpec, *,
                      symbols: dict[str, int] | None = None,
                      target: TargetSpec | None = None,
-                     cfg: BinaryCFG | None = None,
                      result: AnalysisResult | None = None,
                      ) -> LivenessAnalysis:
     """Backward liveness over every function of a linked image.
 
-    ``cfg``/``result`` let callers that already ran the abstract
-    interpreter (the lint driver does) share the recovered CFG and the
-    resolved indirect-call targets; otherwise both are computed here.
+    ``result`` lets a caller that already recovered the image share its
+    CFG, resolved call targets and value states; otherwise
+    :func:`~repro.analysis.absint.resolve_cfg` recovers it here.
     """
     if result is None:
-        result = analyze_executable(exe, isa, symbols=symbols,
-                                    target=target, cfg=cfg)
-    if cfg is None:
-        cfg = result.cfg
-    preserved = frozenset(target.callee_saved_int) if target is not None \
-        else frozenset(range(10, 14))
-    gp_value = exe.symbols.get("__gp")
-    return _ImageLiveness(cfg, result, preserved, gp_value).run()
+        _cfg, result = resolve_cfg(exe, isa, symbols=symbols,
+                                   target=target)
+    return _ImageLiveness(result).run()

@@ -441,19 +441,12 @@ def build_oracle(exe: Executable, target: TargetSpec,
 
     ``liveness`` lets callers that already analyzed the image (the
     lint driver) share the result; otherwise the full pipeline runs:
-    CFG recovery with value-analysis feedback, direct-call promotion
-    (Lab images keep only global symbols — without promotion every
-    DLXe image folds into ``_start``), then the backward liveness
-    fixpoint.
+    CFG recovery with value-analysis feedback
+    (:func:`~repro.analysis.absint.resolve_cfg`), then the backward
+    liveness fixpoint.
     """
     if liveness is None:
-        from .absint import resolve_cfg
-        from .wcet import _promote_direct_calls
-
-        cfg, result = resolve_cfg(exe, target.isa, target=target)
-        cfg, result = _promote_direct_calls(cfg, None, target, result)
-        liveness = analyze_liveness(exe, target.isa, target=target,
-                                    cfg=cfg, result=result)
+        liveness = analyze_liveness(exe, target.isa, target=target)
     return MaskingOracle(exe, target, liveness, itrace, stdin=stdin)
 
 

@@ -43,14 +43,13 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from ..asm.objfile import Executable
-from ..cc.target import TargetSpec
+from ..cc.target import INT_ARG_REGS, REG_LINK, REG_RET, REG_SP, TargetSpec
 from ..isa import COND_NEGATE, COND_SWAP, Cond, Instr, IsaSpec, Op, to_s32
 from ..isa.refs import ldc_pool_addr
 from ..machine.pipeline import PipelineModel
 from ..machine.stats import RunStats
-from .absint import (REG_LINK, REG_RET, REG_SP, AnalysisResult, Interval,
-                     SPRel, ValueDomain, _join_value, _signed,
-                     analyze_executable, build_cfg, resolve_cfg, solve)
+from .absint import (Interval, SPRel, ValueDomain, _join_value, _signed,
+                     callee_saved, resolve_cfg, solve)
 from .cfg import BasicBlock, BinaryCFG
 from .findings import Finding, finding
 from .loops import DomTree, Loop, LoopForest, find_loops
@@ -58,10 +57,6 @@ from .timing import StaticBounds, static_bounds
 
 U32_MAX = (1 << 32) - 1
 INT_MIN, INT_MAX = -(1 << 31), (1 << 31) - 1
-
-#: Integer argument registers (r2-r5; target.py's calling convention).
-#: Their proven intervals are propagated caller -> callee.
-ARG_REGS = (2, 3, 4, 5)
 
 #: Default TIM005 trigger: warn when (WCET - BCET) exceeds this many
 #: times the observed cycle count.  Chosen so the benchmark suite's
@@ -1068,39 +1063,6 @@ class ProgramWcet:
                 for start in sorted(self.functions)]
 
 
-def _promote_direct_calls(cfg: BinaryCFG,
-                          symbols: dict[str, int] | None,
-                          target: TargetSpec | None,
-                          result: AnalysisResult,
-                          ) -> tuple[BinaryCFG, AnalysisResult]:
-    """Make every direct (``jld``) call target a function root.
-
-    A Lab executable's symbol table only retains globals, so on DLXe —
-    whose calls are all direct — the recovered CFG would otherwise fold
-    the whole image into the entry function and the interprocedural
-    composer would see no call graph at all.  (D16 routes calls through
-    pool-loaded registers; :func:`resolve_cfg` already promotes those.)
-    """
-    extra: dict[int, str] = {}
-    for block in cfg.blocks.values():
-        if not block.is_call:
-            continue
-        _pc, term = block.terminator
-        if term.op != Op.JLD:
-            continue
-        tgt = term.imm
-        fo = cfg.func_of(tgt)
-        if fo is None or fo[0] != tgt:
-            extra[tgt] = f"fn_{tgt:x}"
-    if not extra:
-        return cfg, result
-    extra.update({addr: name for addr, name in cfg.funcs})
-    cfg = build_cfg(cfg.exe, cfg.isa, symbols=symbols, extra_funcs=extra)
-    result = analyze_executable(cfg.exe, cfg.isa, symbols=symbols,
-                                target=target, cfg=cfg)
-    return cfg, result
-
-
 def _call_site_args(vd: ValueDomain, blocks: dict[int, BasicBlock],
                     func_states: dict[int, dict],
                     call_of: dict[int, int | None],
@@ -1114,7 +1076,7 @@ def _call_site_args(vd: ValueDomain, blocks: dict[int, BasicBlock],
         state = dict(st) if st is not None else vd.unknown_state()
         for pc, instr in blocks[addr].instrs[:-1]:
             vd._step(pc, instr, state, None)
-        args = {r: v for r in ARG_REGS
+        args = {r: v for r in INT_ARG_REGS
                 if isinstance(v := vd._get(state, r), Interval)}
         prev = out.get(callee)
         out[callee] = args if prev is None else _join_args(prev, args)
@@ -1131,34 +1093,18 @@ def _join_args(a: dict[int, Interval],
     return joined
 
 
-def analyze_wcet(exe_or_cfg: Executable | BinaryCFG,
-                 isa: IsaSpec | None = None, *,
+def analyze_wcet(exe: Executable, isa: IsaSpec, *,
                  model: PipelineModel | None = None,
                  symbols: dict[str, int] | None = None,
-                 target: TargetSpec | None = None,
-                 result: AnalysisResult | None = None) -> ProgramWcet:
-    """Compose the whole-program static cycle interval of an image.
-
-    Accepts either an executable (CFG recovered with value-analysis
-    feedback, like :func:`~repro.analysis.timing.check_timing`) or a
-    pre-built :class:`BinaryCFG` plus its :class:`AnalysisResult`.
-    """
-    if isinstance(exe_or_cfg, BinaryCFG):
-        cfg = exe_or_cfg
-        if result is None:
-            result = analyze_executable(cfg.exe, cfg.isa, target=target,
-                                        cfg=cfg)
-    else:
-        if isa is None:
-            raise ValueError("isa is required with a raw executable")
-        cfg, result = resolve_cfg(exe_or_cfg, isa, symbols=symbols,
-                                  target=target)
-    cfg, result = _promote_direct_calls(cfg, symbols, target, result)
+                 target: TargetSpec | None = None) -> ProgramWcet:
+    """Compose the whole-program static cycle interval of an image,
+    recovered with value-analysis feedback by
+    :func:`~repro.analysis.absint.resolve_cfg`."""
+    cfg, result = resolve_cfg(exe, isa, symbols=symbols, target=target)
     model = model or PipelineModel()
     bounds = static_bounds(cfg, model=model)
-    preserved = frozenset(target.callee_saved_int) if target is not None \
-        else frozenset(range(10, 14))
-    gp_value = cfg.exe.symbols.get("__gp")
+    preserved = callee_saved(target)
+    gp_value = exe.symbols.get("__gp")
 
     call_targets: dict[int, int | None] = {}
     for summary in result.functions.values():

@@ -464,6 +464,42 @@ class Function:
         return header + "\n" + "\n".join(str(b) for b in self.blocks)
 
 
+def liveness(func: Function) -> tuple[dict[str, frozenset[VReg]],
+                                      dict[str, frozenset[VReg]]]:
+    """Backward live-variable dataflow over ``func``'s blocks.
+
+    Returns the live-in and live-out vreg sets per block label, the
+    least fixpoint of ``in = use | (out - def)`` with ``out`` the union
+    of the successors' live-in sets.
+    """
+    gen: dict[str, frozenset[VReg]] = {}
+    kill: dict[str, frozenset[VReg]] = {}
+    for block in func.blocks:
+        use: set[VReg] = set()
+        defined: set[VReg] = set()
+        for inst in block.instrs:
+            use.update(reg for reg in inst.uses() if reg not in defined)
+            defined.update(inst.defs())
+        gen[block.label] = frozenset(use)
+        kill[block.label] = frozenset(defined)
+    live_in: dict[str, frozenset[VReg]] = \
+        {block.label: frozenset() for block in func.blocks}
+    live_out = dict(live_in)
+    changed = True
+    while changed:
+        changed = False
+        for block in reversed(func.blocks):
+            label = block.label
+            out = frozenset().union(*(live_in.get(succ, frozenset())
+                                      for succ in block.successors()))
+            live_out[label] = out
+            new = gen[label] | (out - kill[label])
+            if new != live_in[label]:
+                live_in[label] = new
+                changed = True
+    return live_in, live_out
+
+
 @dataclass
 class GlobalData:
     """One global variable's layout and initializer.

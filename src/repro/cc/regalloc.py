@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ir import (CallInst, FLoad, FStore, Function, Inst, Load, Move, Store,
-                 VReg)
+                 VReg, liveness)
 from .target import TargetSpec
 
 
@@ -57,43 +57,8 @@ class Allocation:
         return self.fp_assignment[vreg]
 
 
-def _liveness(func: Function) -> dict[str, set[VReg]]:
-    """Backward dataflow: live-in set per block label."""
-    blocks = func.blocks
-    block_map = func.block_map()
-    use_sets: dict[str, set[VReg]] = {}
-    def_sets: dict[str, set[VReg]] = {}
-    for block in blocks:
-        uses: set[VReg] = set()
-        defs: set[VReg] = set()
-        for inst in block.instrs:
-            for u in inst.uses():
-                if u not in defs:
-                    uses.add(u)
-            defs.update(inst.defs())
-        use_sets[block.label] = uses
-        def_sets[block.label] = defs
-
-    live_in: dict[str, set[VReg]] = {b.label: set() for b in blocks}
-    live_out: dict[str, set[VReg]] = {b.label: set() for b in blocks}
-    changed = True
-    while changed:
-        changed = False
-        for block in reversed(blocks):
-            out: set[VReg] = set()
-            for succ in block.successors():
-                out |= live_in.get(succ, set())
-            new_in = use_sets[block.label] | (out - def_sets[block.label])
-            if out != live_out[block.label] or \
-                    new_in != live_in[block.label]:
-                live_out[block.label] = out
-                live_in[block.label] = new_in
-                changed = True
-    return live_in, live_out
-
-
 def _build_intervals(func: Function) -> tuple[list[Interval], list[int]]:
-    live_in, live_out = _liveness(func)
+    live_in, live_out = liveness(func)
     position = 0
     ranges: dict[VReg, list[int]] = {}
     call_positions: list[int] = []

@@ -19,6 +19,8 @@ from repro.analysis import (ValueDomain, analyze_executable,
                             analyze_source, build_cfg, resolve_cfg,
                             solve)
 from repro.analysis.absint import U32_MAX, Interval, const, eval_cond
+from repro.bench import SUITE
+from repro.cc import build_executable, get_target
 from repro.isa import D16, DLXE, Cond, Instr, Op
 
 from .test_analysis import _raw_exe, _rules
@@ -351,6 +353,104 @@ class TestResolveCfg:
         _cfg, result = resolve_cfg(exe, DLXE)
         assert result.functions["_start"].unresolved_calls == 1
         assert result.functions["_start"].callees == []
+
+
+def _two_step_recovery(exe, isa, symbols, target):
+    """Reference recovery: the value-feedback loop without direct-call
+    promotion, then one round that makes every ``jld`` target that
+    starts no function a root -- how images were recovered before
+    :func:`resolve_cfg` promoted direct calls itself."""
+    extra = {}
+    for _round in range(64):
+        cfg = build_cfg(exe, isa, symbols=symbols,
+                        extra_funcs=extra or None)
+        result = analyze_executable(exe, isa, symbols=symbols,
+                                    target=target, cfg=cfg)
+        new = sorted(t for t in result.resolved_targets
+                     if t not in cfg.visited)
+        if not new:
+            break
+        for t in new:
+            extra[t] = f"fn_{t:x}"
+    extra = {}
+    for block in cfg.blocks.values():
+        if not block.is_call:
+            continue
+        _pc, term = block.terminator
+        if term.op != Op.JLD:
+            continue
+        tgt = term.imm
+        fo = cfg.func_of(tgt)
+        if fo is None or fo[0] != tgt:
+            extra[tgt] = f"fn_{tgt:x}"
+    if not extra:
+        return cfg, result
+    extra.update({addr: name for addr, name in cfg.funcs})
+    cfg = build_cfg(exe, isa, symbols=symbols, extra_funcs=extra)
+    result = analyze_executable(exe, isa, symbols=symbols, target=target,
+                                cfg=cfg)
+    return cfg, result
+
+
+def _block_shapes(cfg):
+    return {start: ([pc for pc, _instr in block.instrs], block.succs,
+                    block.indirect, block.is_call, block.is_return,
+                    block.is_halt)
+            for start, block in cfg.blocks.items()}
+
+
+def _assert_recovery_matches(exe, target, labels, where):
+    cfg, result = resolve_cfg(exe, target.isa, symbols=labels,
+                              target=target)
+    ref_cfg, ref_result = _two_step_recovery(exe, target.isa, labels,
+                                             target)
+    assert cfg.funcs == ref_cfg.funcs, where
+    assert _block_shapes(cfg) == _block_shapes(ref_cfg), where
+    assert result.functions == ref_result.functions, where
+    assert result.findings == ref_result.findings, where
+    for block in cfg.blocks.values():
+        _pc, term = block.terminator
+        if term.op == Op.JLD:
+            assert cfg.func_of(term.imm)[0] == term.imm, where
+
+
+class TestRecoveryReference:
+    """:func:`resolve_cfg` against the two-step reference on toolchain
+    images: Lab images keep only global symbols (D16 calls resolve
+    through the value analysis, DLXe calls through promotion), file
+    images carry every label."""
+
+    @pytest.mark.parametrize("target_name", ["d16", "dlxe"])
+    def test_lab_images(self, lab, target_name):
+        target = get_target(target_name)
+        for bench in SUITE:
+            _assert_recovery_matches(
+                lab.executable(bench.name, target_name), target, None,
+                (bench.name, target_name))
+
+    @pytest.mark.parametrize("target_name", ["d16", "dlxe"])
+    def test_labelled_images(self, target_name):
+        for bench in SUITE:
+            built = build_executable(bench.source, target_name)
+            _assert_recovery_matches(built.executable, built.target,
+                                     built.labels,
+                                     (bench.name, target_name))
+
+    def test_direct_call_target_becomes_a_function(self):
+        # No symbol names the callee: only the jld makes it a root.
+        instrs = [
+            Instr(op=Op.JLD, imm=0x100C),           # 0x1000
+            Instr(op=Op.TRAP, imm=0),               # 0x1004
+            Instr(op=Op.NOP),                       # 0x1008
+            Instr(op=Op.MVI, rd=2, imm=7),          # 0x100c  hidden f
+            Instr(op=Op.J, rs1=1),                  # 0x1010
+        ]
+        exe = _raw_exe(DLXE, instrs)
+        assert build_cfg(exe, DLXE).funcs == [(0x1000, "_start")]
+        cfg, result = resolve_cfg(exe, DLXE)
+        assert (0x100C, "fn_100c") in cfg.funcs
+        assert result.functions["_start"].callees == ["fn_100c"]
+        assert result.returned_constant("fn_100c") == 7
 
 
 # ----------------------------------------------- real toolchain output

@@ -4,8 +4,9 @@ from repro.cc import compile_and_run
 from repro.cc.codegen import fold_immediates
 from repro.cc.irgen import lower_program
 from repro.cc.opt import optimize_module
+from repro.cc.ir import liveness
 from repro.cc.parser import parse
-from repro.cc.regalloc import allocate, _build_intervals, _liveness
+from repro.cc.regalloc import allocate, _build_intervals
 from repro.cc.target import get_target
 
 
@@ -28,7 +29,7 @@ class TestLiveness:
         }
         """
         func, _tgt = prepare(src, "f")
-        live_in, live_out = _liveness(func)
+        live_in, live_out = liveness(func)
         # the loop body must carry both acc and n
         body = [b for b in func.blocks if "body" in b.label]
         assert body

@@ -1,7 +1,8 @@
 """Translation validation: symbolic equivalence of passes and binaries.
 
-Covers the :mod:`repro.analysis.equiv` driver — liveness, cut points,
-the per-pass simulation relation (proven / unknown / divergent), the
+Covers the :mod:`repro.analysis.equiv` driver — the IR liveness it
+reads (:func:`repro.cc.ir.liveness`), cut points, the per-pass
+simulation relation (proven / unknown / divergent), the
 planted-miscompile mutation campaign, IR-vs-binary summary matching,
 LICM preheader edge cases, and the ``repro lint --tv`` / ``--all``
 surface.
@@ -13,12 +14,12 @@ from dataclasses import dataclass
 
 from repro.analysis.equiv import (DIVERGENT, MUTATION_SOURCE, PROVEN,
                                   UNKNOWN, check_binary_program,
-                                  check_pass, cut_points, live_in_map,
+                                  check_pass, cut_points,
                                   mutation_campaign, tv_program,
                                   validate_passes)
 from repro.cc import compile_to_assembly
 from repro.cc.ir import (AddrGlobal, Bin, Block, CJump, Const, Function,
-                         Jump, Ret, Store, VReg)
+                         Jump, Ret, Store, VReg, liveness)
 from repro.cc.irgen import lower_program
 from repro.cc.opt import (dead_code, fold_constants, licm,
                           optimize_module, self_hoistable, simplify_cfg)
@@ -49,7 +50,7 @@ def _loop_func():
 
 class TestLiveness:
     def test_loop_variable_live_at_header(self):
-        live = live_in_map(_loop_func())
+        live, _out = liveness(_loop_func())
         # v0 is tested at the header and decremented in the body.
         assert _vi(0) in live["header"]
         assert _vi(0) in live["body"]
@@ -57,7 +58,7 @@ class TestLiveness:
         assert _vi(0) not in live["entry"]
 
     def test_def_kills_liveness(self):
-        live = live_in_map(_loop_func())
+        live, _out = liveness(_loop_func())
         # v2 is defined and used wholly inside the exit block.
         assert _vi(2) not in live["exit"]
 

@@ -22,14 +22,17 @@ from hypothesis import strategies as st
 
 from repro.analysis import (SCHEMA_VERSION, RULES, SiteClass,
                             analyze_icache, analyze_wcet, build_cfg,
-                            find_loops, icache_cell, validate_icache)
+                            find_loops, icache_cell, solve,
+                            validate_icache)
+from repro.analysis import icache
 from repro.analysis.cfg import BasicBlock
 from repro.analysis.icache import (_access, _block_word_runs,
-                                   _decompose, _geometry, _join,
-                                   _solve_function, _taint_reasons,
-                                   _State, FetchSite)
+                                   _CacheDomain, _decompose, _geometry,
+                                   _join, _taint_reasons, _State,
+                                   FetchSite)
 from repro.analysis.wcet import _FuncInfo, FunctionTiming
 from repro.asm import Assembler, link
+from repro.bench import SUITE
 from repro.cache.cache import Cache, CacheConfig
 from repro.cc import build_executable, get_target
 from repro.cc.codegen import generate_assembly
@@ -37,6 +40,7 @@ from repro.cc.irgen import lower_program
 from repro.cc.opt import optimize_module
 from repro.cc.parser import parse
 from repro.cc.runtime import RUNTIME_SOURCE
+from repro.experiments.cacheperf import CACHE_SIZES
 from repro.machine import run_executable
 
 from .test_cache_vector import dedup_consecutive
@@ -250,9 +254,49 @@ def _make_info(layout, edges, entry, width):
                      call_of={})
 
 
-def _classify(info, config, cold):
-    """The per-function classification step of analyze_icache."""
-    g = _geometry(config)
+def _solve_function(info, g, sites, damage, cold):
+    """Reference I-cache fixpoint: the dedicated reverse-postorder
+    worklist the analysis ran before its domain moved onto
+    ``absint.solve``.  The lattice has no widening, so both reach the
+    same least fixpoint whatever the visit order."""
+    blocks = info.blocks
+    entry = info.timing.start
+    pos = {b: i for i, b in enumerate(info.forest.dom.rpo)}
+    states = {entry: _State(cold=cold)}
+    pending = {entry}
+    while pending:
+        b = min(pending, key=lambda n: pos.get(n, len(pos)))
+        pending.discard(b)
+        out = states[b].copy()
+        for site in sites.get(b, ()):
+            _access(out, site, g)
+        blk = blocks[b]
+        if blk.is_call:
+            callee = info.call_of.get(b)
+            d = damage.get(callee) if callee is not None else None
+            if d is None:
+                out.clear()
+            else:
+                out.damage(d)
+        for s in blk.succs:
+            if s not in blocks:
+                continue
+            if s in states:
+                joined = _join(states[s], out)
+                if joined.key() != states[s].key():
+                    states[s] = joined
+                    pending.add(s)
+            else:
+                states[s] = out.copy()
+                pending.add(s)
+    return states
+
+
+def _keys(states):
+    return {b: state.key() for b, state in states.items()}
+
+
+def _fetch_sites(info, g):
     by_block = {}
     for b, blk in info.blocks.items():
         runs = []
@@ -262,7 +306,15 @@ def _classify(info, config, cold):
                                   func=info.timing.start, block=b,
                                   line=line, tag=tag, sub=sub))
         by_block[b] = runs
-    states = _solve_function(info, g, by_block, {}, cold=cold)
+    return by_block
+
+
+def _classify(info, config, cold):
+    """The per-function classification step of analyze_icache."""
+    g = _geometry(config)
+    by_block = _fetch_sites(info, g)
+    states = solve(info.blocks, info.timing.start,
+                   _CacheDomain(info, g, by_block, {}, cold=cold))
     classes = {}
     for b, runs in by_block.items():
         entry_state = states.get(b)
@@ -338,11 +390,64 @@ class TestSyntheticSoundness:
         by_block, classes = _classify(info, SMALL, cold=True)
         assert classes[(0x0, 0x0)] == (False, False)
         assert classes[(0x0, 0x4)] == (True, False)
-        states = _solve_function(info, _geometry(SMALL), by_block, {},
-                                 cold=True)
+        states = solve(info.blocks, 0x0, _CacheDomain(
+            info, _geometry(SMALL), by_block, {}, cold=True))
         # The latch block always runs after the header: its entry
         # state carries a must guarantee for the header's line.
         assert states[0x8].must_at(0) is not None
+
+
+class TestFixpointReference:
+    """The I-cache domain on ``absint.solve`` against the reference
+    worklist: equal block-entry states (``_State.key()``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(info=_synthetic_cfgs(), cold=st.booleans())
+    def test_synthetic_cfgs(self, info, cold):
+        g = _geometry(SMALL)
+        by_block = _fetch_sites(info, g)
+        got = solve(info.blocks, info.timing.start,
+                    _CacheDomain(info, g, by_block, {}, cold=cold))
+        assert _keys(got) == _keys(
+            _solve_function(info, g, by_block, {}, cold=cold))
+
+    def test_suite_cells_every_size_cold_and_warm(self, lab,
+                                                  monkeypatch):
+        # Every function analyze_icache solves, on the 30 Lab cells
+        # under each cache size, re-solved with both entry modes.
+        domains = []
+
+        def recording_solve(blocks, entry, domain, **kw):
+            domains.append(domain)
+            return solve(blocks, entry, domain, **kw)
+
+        monkeypatch.setattr(icache, "solve", recording_solve)
+        fixpoints = 0
+        for bench in SUITE:
+            for target_name in ("d16", "dlxe"):
+                target = get_target(target_name)
+                program = analyze_wcet(lab.executable(bench.name,
+                                                      target_name),
+                                       target.isa, target=target)
+                for size in CACHE_SIZES:
+                    domains.clear()
+                    analyze_icache(program, CacheConfig(size))
+                    assert domains, (bench.name, target_name, size)
+                    for dom in domains:
+                        for cold in (True, False):
+                            got = solve(dom.info.blocks,
+                                        dom.info.timing.start,
+                                        _CacheDomain(dom.info, dom.g,
+                                                     dom.sites,
+                                                     dom.damage, cold))
+                            want = _solve_function(dom.info, dom.g,
+                                                   dom.sites, dom.damage,
+                                                   cold)
+                            assert _keys(got) == _keys(want), \
+                                (bench.name, target_name, size, cold,
+                                 dom.info.timing.name)
+                            fixpoints += 1
+        assert fixpoints > 30 * len(CACHE_SIZES) * 2
 
 
 # ------------------------------------------------ BinaryCFG edge cases

@@ -16,16 +16,20 @@ branches, both ISAs):
 
 from __future__ import annotations
 
+import dataclasses
 import random
+import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import resolve_cfg
+from repro.analysis import ValueDomain, absint, resolve_cfg
 from repro.analysis.liveness import (FULL, _load_byte_mask,
                                      analyze_liveness, liveness_findings,
                                      smear)
 from repro.asm import assemble, link
+from repro.bench import SUITE
 from repro.cc import build_executable
 from repro.cc.target import get_target
 from repro.isa import D16, DLXE, Op
@@ -97,14 +101,68 @@ def test_compiled_suite_cell_has_no_dead_frame_stores():
     source = get_benchmark("ackermann").source
     exe = build_executable(source, "d16").executable
     target = get_target("d16")
-    cfg, result = resolve_cfg(exe, target.isa, target=target)
-    live = analyze_liveness(exe, target.isa, target=target, cfg=cfg,
-                            result=result)
+    _cfg, result = resolve_cfg(exe, target.isa, target=target)
+    live = analyze_liveness(exe, target.isa, target=target, result=result)
     findings, waived = liveness_findings(live)
     assert not [f for f in findings if f.rule == "LIV001"]
     # ABI-convention frame traffic is waived with a justification,
     # not silently dropped.
     assert waived and all(why for _where, why in waived)
+
+
+def _resolved_states(result, target):
+    """Reference value states: every function solved again, as the
+    liveness analysis did before it read the recovery's states."""
+    cfg = result.cfg
+    gp_value = cfg.exe.symbols.get("__gp")
+    states = {}
+    for fstart, name in cfg.funcs:
+        blocks = {b.start: b for b in cfg.function_blocks(fstart)}
+        if fstart not in blocks:
+            continue
+        domain = ValueDomain(
+            cfg, preserved=absint.callee_saved(target),
+            gp_value=None if name == "_start" else gp_value)
+        states[fstart] = absint.solve(blocks, fstart, domain)
+    return states
+
+
+@pytest.mark.parametrize("target_name", ["d16", "dlxe"])
+def test_liveness_reads_the_recovered_value_states(lab, monkeypatch,
+                                                   target_name):
+    target = get_target(target_name)
+    real_solve = absint.solve
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args[1])
+        return real_solve(*args, **kwargs)
+
+    dead_stores = 0
+    for bench in SUITE:
+        exe = lab.executable(bench.name, target_name)
+        _cfg, result = resolve_cfg(exe, target.isa, target=target)
+        with monkeypatch.context() as patch:
+            for name, module in list(sys.modules.items()):
+                if name.startswith("repro") \
+                        and getattr(module, "solve", None) is real_solve:
+                    patch.setattr(module, "solve", counting_solve)
+            live = analyze_liveness(exe, target.isa, target=target,
+                                    result=result)
+        assert calls == [], bench.name
+        ref_states = _resolved_states(result, target)
+        assert result.states == ref_states, bench.name
+        ref = analyze_liveness(exe, target.isa, target=target,
+                               result=dataclasses.replace(
+                                   result, states=ref_states))
+        assert live.live_in == ref.live_in, bench.name
+        assert live.dead_writes == ref.dead_writes, bench.name
+        assert live.dead_stores == ref.dead_stores, bench.name
+        assert live.loads == ref.loads, bench.name
+        dead_stores += len(live.dead_stores)
+    # Dead frame stores need the SP-relative values: a liveness run
+    # that lost its value states would find none.
+    assert dead_stores > 0
 
 
 # ------------------------------------------------ random programs
