@@ -65,7 +65,7 @@ from .vuln import (CellVulnerability, MaskingOracle, SiteVerdict,
 from .loops import DomTree, Loop, LoopForest, dominator_tree, find_loops
 from .timing import (BlockBounds, StaticBounds, TimingValidation,
                      block_stall_bounds, check_timing, exit_seed,
-                     predecessor_seed, static_bounds, validate_run)
+                     static_bounds, validate_run)
 from .wcet import (DEFAULT_SLACK, FunctionTiming, LoopBound, ProgramWcet,
                    WcetValidation, analyze_wcet, check_wcet,
                    infer_loop_bound, validate_wcet)
@@ -106,7 +106,7 @@ __all__ = [
     "icache_cell", "icache_suite", "infer_loop_bound", "is_ground",
     "lint_assembly", "lint_executable", "lint_program", "lint_suite",
     "liveness_findings", "mutation_campaign",
-    "predecessor_seed", "render_json", "render_text", "resolve_cfg",
+    "render_json", "render_text", "resolve_cfg",
     "rule_doc_url", "single_def_terms", "solve", "static_bounds",
     "summarize", "summarize_binary_function", "summarize_ir_function",
     "timing_cell", "timing_suite", "tv_program", "tv_suite",

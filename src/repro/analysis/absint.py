@@ -57,6 +57,9 @@ U32_MAX = U32 - 1
 #: Joins per block before widening kicks in (keeps loops terminating).
 WIDEN_AFTER = 4
 
+#: Sweep/analysis rounds :func:`resolve_cfg` runs at most.
+MAX_RECOVERY_ROUNDS = 64
+
 
 class Interval(NamedTuple):
     """An unsigned 32-bit value range ``[lo, hi]`` (inclusive)."""
@@ -568,12 +571,10 @@ class AnalysisResult:
 class _Reporter:
     """Check hooks invoked by the domain during the reporting pass."""
 
-    def __init__(self, result: AnalysisResult, summary: FunctionSummary,
-                 mem_limit: int):
+    def __init__(self, result: AnalysisResult, summary: FunctionSummary):
         self.result = result
         self.summary = summary
         self.cfg = result.cfg
-        self.mem_limit = mem_limit
 
     def _emit(self, rule: str, pc: int, message: str) -> None:
         self.result.findings.append(
@@ -587,11 +588,11 @@ class _Reporter:
         addr = _add_sub(base_value, const(instr.imm), sub=False)
         if not isinstance(addr, Interval):
             return
-        if addr.lo >= self.mem_limit or addr.hi + size > U32:
+        if addr.lo >= DEFAULT_MEM_SIZE or addr.hi + size > U32:
             self._emit(
                 "ABS002", pc,
                 f"'{instr}' accesses {addr!r}, provably outside the "
-                f"{self.mem_limit:#x}-byte simulated memory")
+                f"{DEFAULT_MEM_SIZE:#x}-byte simulated memory")
         elif addr.is_const and addr.lo % size:
             self._emit(
                 "ABS002", pc,
@@ -681,7 +682,6 @@ def callee_saved(target: TargetSpec | None) -> frozenset[int]:
 def analyze_executable(exe: Executable, isa: IsaSpec, *,
                        symbols: dict[str, int] | None = None,
                        target: TargetSpec | None = None,
-                       mem_limit: int = DEFAULT_MEM_SIZE,
                        cfg: BinaryCFG | None = None) -> AnalysisResult:
     """Run the value/stack analysis over every function of an image.
 
@@ -690,8 +690,7 @@ def analyze_executable(exe: Executable, isa: IsaSpec, *,
     Without a ``cfg`` the image is recovered by :func:`resolve_cfg`.
     """
     if cfg is None:
-        return resolve_cfg(exe, isa, symbols=symbols, target=target,
-                           mem_limit=mem_limit)[1]
+        return resolve_cfg(exe, isa, symbols=symbols, target=target)[1]
     preserved = callee_saved(target)
     gp_value = exe.symbols.get("__gp")
     result = AnalysisResult(cfg=cfg, findings=[], functions={})
@@ -708,7 +707,7 @@ def analyze_executable(exe: Executable, isa: IsaSpec, *,
         result.states[fstart] = in_states
         summary = FunctionSummary(name=name, start=fstart)
         result.functions[name] = summary
-        reporter = _Reporter(result, summary, mem_limit)
+        reporter = _Reporter(result, summary)
         for start in sorted(blocks):
             state = in_states.get(start)
             if state is None:
@@ -727,8 +726,6 @@ def analyze_executable(exe: Executable, isa: IsaSpec, *,
 def resolve_cfg(exe: Executable, isa: IsaSpec, *,
                 symbols: dict[str, int] | None = None,
                 target: TargetSpec | None = None,
-                mem_limit: int = DEFAULT_MEM_SIZE,
-                max_rounds: int = 64,
                 ) -> tuple[BinaryCFG, AnalysisResult]:
     """CFG recovery with value-analysis feedback, to a fixpoint.
 
@@ -743,15 +740,15 @@ def resolve_cfg(exe: Executable, isa: IsaSpec, *,
     way: a Lab image's symbol table keeps only globals, and without
     those roots a DLXe image, whose calls are all direct, would fold
     into its entry function and show no call graph.  With a full
-    symbol table the first round already converges.
+    symbol table the first round already converges; recovery stops
+    after :data:`MAX_RECOVERY_ROUNDS` rounds regardless.
     """
     extra: dict[int, str] = {}
-    for _round in range(max_rounds):
+    for _round in range(MAX_RECOVERY_ROUNDS):
         cfg = build_cfg(exe, isa, symbols=symbols,
                         extra_funcs=extra or None)
         result = analyze_executable(exe, isa, symbols=symbols,
-                                    target=target, mem_limit=mem_limit,
-                                    cfg=cfg)
+                                    target=target, cfg=cfg)
         new = {t for t in result.resolved_targets
                if t not in cfg.visited}
         for block in cfg.blocks.values():

@@ -210,7 +210,7 @@ def timing_cell(exe: Executable, target: TargetSpec, stats: RunStats, *,
     simulator's interlock total must land inside the CFG-aggregated
     per-block [lower, upper] stall bounds (TIM001 on violation, TIM002
     on a coverage gap)."""
-    validation = check_timing(exe, target.isa, stats, model=params,
+    validation = check_timing(exe, target, stats, model=params,
                               symbols=labels)
     return validation, validation.findings
 
@@ -239,18 +239,18 @@ def icache_cell(exe: Executable, target: TargetSpec, stats: RunStats,
                 labels: dict[str, int] | None = None,
                 params: PipelineParams | None = None,
                 sizes: Iterable[int] | None = None,
-                block: int = 32, sub_block: int = 8,
                 penalty: int = DEFAULT_MISS_PENALTY,
                 ) -> tuple[list[tuple[ICacheAnalysis, ICacheValidation]],
                            list[Finding]]:
     """Classify one image's fetches for each cache size and replay its
     trace as the soundness oracle: must/may/persistence classification,
-    composed miss upper bounds, CACHE001-005.  The result holds one
+    composed miss upper bounds, CACHE001-005.  Every cache has the
+    figures' 32-byte blocks of 8-byte sub-blocks.  The result holds one
     ``(analysis, validation)`` pair per size.  Analysis findings repeat
     identically across sizes (boundability is a structural property),
     so the findings are deduplicated."""
     from ..cache.cache import CacheConfig
-    from ..experiments.cacheperf import CACHE_SIZES
+    from ..experiments.cacheperf import CACHE_SIZES, FIGURE_BLOCK, SUB_BLOCK
 
     program = analyze_wcet(exe, target.isa, model=params, symbols=labels,
                            target=target)
@@ -259,7 +259,7 @@ def icache_cell(exe: Executable, target: TargetSpec, stats: RunStats,
     seen: set[tuple[str, str, str]] = set()
     for size in CACHE_SIZES if sizes is None else sizes:
         analysis = analyze_icache(program, CacheConfig(
-            size=size, block=block, sub_block=sub_block))
+            size=size, block=FIGURE_BLOCK, sub_block=SUB_BLOCK))
         validation = validate_icache(analysis, itrace, stats,
                                      penalty=penalty)
         pairs.append((analysis, validation))
@@ -372,7 +372,6 @@ def icache_suite(targets: Iterable[str] = DEFAULT_TARGETS,
                  programs: Iterable[str] | None = None, *,
                  lab: Lab | None = None,
                  sizes: Iterable[int] | None = None,
-                 block: int = 32, sub_block: int = 8,
                  penalty: int = DEFAULT_MISS_PENALTY,
                  ) -> tuple[list[LintReport], dict]:
     """Validate the static I-cache classification over the suite.
@@ -390,8 +389,8 @@ def icache_suite(targets: Iterable[str] = DEFAULT_TARGETS,
         trace = lab.trace(name, t)
         return icache_cell(lab.executable(name, t), get_target(t),
                            trace.run.stats, trace.itrace,
-                           params=lab.params, sizes=sizes, block=block,
-                           sub_block=sub_block, penalty=penalty)
+                           params=lab.params, sizes=sizes,
+                           penalty=penalty)
 
     return _suite(targets, programs, lab, check)
 
@@ -440,9 +439,8 @@ def validate_vuln(lab: Lab, programs: Iterable[str] | None = None,
     site/proven counts for reports and CI assertions.
     """
     from ..experiments.runner import ExperimentError
-    from ..faults.campaign import plan_cell
-    from ..faults.inject import run_cache_fault, run_fault
-    from ..faults.model import GoldenRun
+    from ..faults.campaign import run_cell
+    from ..faults.model import DEFAULT_KINDS
     from .vuln import check_soundness
 
     _reports, results = vuln_suite(targets, programs, lab=lab,
@@ -451,18 +449,9 @@ def validate_vuln(lab: Lab, programs: Iterable[str] | None = None,
     sites = proven = 0
     by_kind: dict[str, dict[str, int]] = {}
     for (name, target_name), (cell, _waived) in sorted(results.items()):
-        stats = lab.run(name, target_name).stats
-        golden = GoldenRun(instructions=stats.instructions,
-                           interlocks=stats.interlocks,
-                           exit_code=stats.exit_code, output=stats.output)
-        exe = lab.executable(name, target_name)
-        executed = [
-            run_cache_fault(lab.trace(name, target_name).itrace, spec)
-            if spec.kind == "cache"
-            else run_fault(exe, spec, golden, params=lab.params)
-            for spec in plan_cell(name, target_name, golden, exe,
-                                  faults=faults, seed=seed)]
-        contradictions += check_soundness(cell, executed)
+        executed = run_cell(lab, name, target_name, faults=faults,
+                            seed=seed, kinds=DEFAULT_KINDS, prune=False)
+        contradictions += check_soundness(cell, executed.results)
         sites += len(cell.verdicts)
         proven += cell.proven_masked
         for kind, counts in cell.by_kind().items():

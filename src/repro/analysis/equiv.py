@@ -44,10 +44,9 @@ from ..cc.parser import parse
 from ..cc.runtime import RUNTIME_SOURCE
 from .cfg import build_cfg
 from .findings import Finding, finding
-from .symex import (MAX_LEAVES, MAX_STEPS, Leaf, Term, Unknown,
-                    explore_region, ground_leaves, is_ground,
-                    single_def_terms, sym, summarize_binary_function,
-                    summarize_ir_function)
+from .symex import (Leaf, Term, Unknown, explore_region, ground_leaves,
+                    is_ground, single_def_terms, sym,
+                    summarize_binary_function, summarize_ir_function)
 
 #: Verdicts (ordered by badness).
 PROVEN = "proven"
@@ -79,8 +78,8 @@ def cut_points(before: Function, after: Function) -> frozenset[str]:
     """
     bmap = before.block_map()
     amap = after.block_map()
-    reachable = {b.label for b in _reachable_blocks(before)} \
-        & {b.label for b in _reachable_blocks(after)}
+    reachable = {b.label for b in before.reachable_blocks()} \
+        & {b.label for b in after.reachable_blocks()}
     return frozenset(
         label for label in set(bmap) & set(amap)
         if label in reachable
@@ -271,10 +270,8 @@ def _compare_leaves(leaves_before: list[Leaf], leaves_after: list[Leaf],
 # --------------------------------------------------- per-pass validation
 
 
-def check_pass(before: Function, after: Function, *,
-               max_steps: int = MAX_STEPS,
-               max_leaves: int = MAX_LEAVES,
-               ) -> tuple[str, str | None, int]:
+def check_pass(before: Function,
+               after: Function) -> tuple[str, str | None, int]:
     """Check the simulation relation between two versions of a function.
 
     Returns ``(verdict, reason, regions_checked)`` where the verdict is
@@ -313,12 +310,10 @@ def check_pass(before: Function, after: Function, *,
     checked = 0
     for region, start_b, start_a in regions:
         try:
-            leaves_b = explore_region(
-                before, start_b, cuts=cuts, region=region,
-                init=init_b, max_steps=max_steps, max_leaves=max_leaves)
-            leaves_a = explore_region(
-                after, start_a, cuts=cuts, region=region,
-                init=init_a, max_steps=max_steps, max_leaves=max_leaves)
+            leaves_b = explore_region(before, start_b, cuts=cuts,
+                                      region=region, init=init_b)
+            leaves_a = explore_region(after, start_a, cuts=cuts,
+                                      region=region, init=init_a)
         except Unknown as exc:
             return UNKNOWN, f"region '{region}': {exc.reason}", checked
         problem = _compare_leaves(leaves_b, leaves_a, live_of,
@@ -347,9 +342,8 @@ class PassCheck:
         return f"{self.function}:{self.pass_name}#{self.round}"
 
 
-def validate_passes(module: Module, *, opt_level: int = 2,
-                    max_steps: int = MAX_STEPS,
-                    max_leaves: int = MAX_LEAVES) -> list[PassCheck]:
+def validate_passes(module: Module, *,
+                    opt_level: int = 2) -> list[PassCheck]:
     """Optimize ``module`` with per-pass translation validation.
 
     The module is optimized in place (exactly as ``optimize_module``
@@ -366,8 +360,7 @@ def validate_passes(module: Module, *, opt_level: int = 2,
                                     changed, PROVEN,
                                     "structurally unchanged", 0))
             return
-        verdict, reason, regions = check_pass(
-            before, after, max_steps=max_steps, max_leaves=max_leaves)
+        verdict, reason, regions = check_pass(before, after)
         checks.append(PassCheck(func_name, pass_name, round_index,
                                 changed, verdict, reason, regions))
 
@@ -453,8 +446,6 @@ def check_binary_program(source: str,
                          targets: Sequence[str] = ("d16", "dlxe"), *,
                          opt_level: int = 2,
                          include_runtime: bool = True,
-                         max_steps: int = MAX_STEPS,
-                         max_leaves: int = MAX_LEAVES,
                          ) -> list[BinaryCheck]:
     """Semantic IR-vs-binary validation of every comparable function.
 
@@ -466,13 +457,11 @@ def check_binary_program(source: str,
         else source
     module = lower_program(parse(full_source))
     optimize_module(module, level=opt_level)
-    return _check_binary_module(module, targets, opt_level=opt_level,
-                                max_steps=max_steps, max_leaves=max_leaves)
+    return _check_binary_module(module, targets, opt_level=opt_level)
 
 
 def _check_binary_module(module: Module, targets: Sequence[str], *,
-                         opt_level: int, max_steps: int, max_leaves: int,
-                         ) -> list[BinaryCheck]:
+                         opt_level: int) -> list[BinaryCheck]:
     """:func:`check_binary_program` on an optimized ``module``.
 
     Code generation legalizes the IR in place, so each target compiles
@@ -505,9 +494,7 @@ def _check_binary_module(module: Module, targets: Sequence[str], *,
                 continue
             try:
                 ir_leaves = ground_leaves(
-                    summarize_ir_function(func, signatures,
-                                          max_steps=max_steps,
-                                          max_leaves=max_leaves),
+                    summarize_ir_function(func, signatures),
                     ground_symbols)
             except Unknown as exc:
                 checks.append(BinaryCheck(func.name, target_name,
@@ -520,8 +507,7 @@ def _check_binary_module(module: Module, targets: Sequence[str], *,
                 continue
             try:
                 mc_leaves = summarize_binary_function(
-                    cfg, fstart, func.name, signatures,
-                    max_steps=max_steps, max_leaves=max_leaves)
+                    cfg, fstart, func.name, signatures)
             except Unknown as exc:
                 checks.append(BinaryCheck(
                     func.name, target_name, UNKNOWN,
@@ -567,18 +553,13 @@ class TvReport:
 def tv_program(source: str, program: str = "<source>", *,
                targets: Sequence[str] = ("d16", "dlxe"),
                opt_level: int = 2,
-               include_runtime: bool = True,
-               max_steps: int = MAX_STEPS,
-               max_leaves: int = MAX_LEAVES) -> TvReport:
+               include_runtime: bool = True) -> TvReport:
     """Run both translation-validation layers over one program."""
     full_source = (RUNTIME_SOURCE + "\n" + source) if include_runtime \
         else source
     module = lower_program(parse(full_source))
-    passes = validate_passes(module, opt_level=opt_level,
-                             max_steps=max_steps, max_leaves=max_leaves)
-    binary = _check_binary_module(module, targets, opt_level=opt_level,
-                                  max_steps=max_steps,
-                                  max_leaves=max_leaves)
+    passes = validate_passes(module, opt_level=opt_level)
+    binary = _check_binary_module(module, targets, opt_level=opt_level)
     findings: list[Finding] = []
     for check in passes:
         if check.verdict == DIVERGENT:
@@ -631,26 +612,13 @@ class MutantResult:
         return self.verdict != PROVEN
 
 
-def _reachable_blocks(func: Function) -> list:
-    """Blocks reachable from the entry — mutations planted in dead
-    blocks would be (correctly) proven unobservable."""
-    blocks = func.block_map()
-    reached: set[str] = set()
-    stack = [func.blocks[0].label] if func.blocks else []
-    while stack:
-        label = stack.pop()
-        if label in reached:
-            continue
-        reached.add(label)
-        block = blocks.get(label)
-        if block is not None:
-            stack.extend(block.successors())
-    return [block for block in func.blocks if block.label in reached]
+# Mutators plant only in blocks reachable from the entry: a mutation in
+# a dead block would be (correctly) proven unobservable.
 
 
 def _mutate_store_offset(func: Function, rng: random.Random) -> bool:
     """Shift one store's displacement — a classic fold_offsets bug."""
-    stores = [inst for block in _reachable_blocks(func)
+    stores = [inst for block in func.reachable_blocks()
               for inst in block.instrs if isinstance(inst, Store)]
     if not stores:
         return False
@@ -660,7 +628,7 @@ def _mutate_store_offset(func: Function, rng: random.Random) -> bool:
 
 def _mutate_store_drop(func: Function, rng: random.Random) -> bool:
     """Delete one store — over-eager dead-code elimination."""
-    sites = [(block, index) for block in _reachable_blocks(func)
+    sites = [(block, index) for block in func.reachable_blocks()
              for index, inst in enumerate(block.instrs)
              if isinstance(inst, Store)]
     if not sites:
@@ -681,7 +649,7 @@ def _mutate_undef_use(func: Function, rng: random.Random) -> bool:
         for inst in block.instrs:
             if isinstance(inst, (Store, Ret, CJump, CallInst)):
                 consumed.update(inst.uses())
-    sites = [(block, index) for block in _reachable_blocks(func)
+    sites = [(block, index) for block in func.reachable_blocks()
              for index, inst in enumerate(block.instrs)
              if not isinstance(inst, (Store, Ret, CJump, CallInst, Jump))
              and inst.defs()
@@ -710,7 +678,7 @@ def _resolve_jumps(func: Function, label: str) -> str:
 def _mutate_cjump_swap(func: Function, rng: random.Random) -> bool:
     """Swap a conditional branch's targets without negating the
     condition — an inverted-branch miscompile."""
-    sites = [inst for block in _reachable_blocks(func)
+    sites = [inst for block in func.reachable_blocks()
              for inst in block.instrs
              if isinstance(inst, CJump)
              and _resolve_jumps(func, inst.if_true)
@@ -727,7 +695,7 @@ def _mutate_jump_retarget(func: Function, rng: random.Random) -> bool:
     CFG rewrite (bad jump threading / preheader insertion)."""
     labels = [block.label for block in func.blocks]
     sites = []
-    for block in _reachable_blocks(func):
+    for block in func.reachable_blocks():
         term = block.terminator
         if not isinstance(term, Jump):
             continue
@@ -752,7 +720,7 @@ def _mutate_const_value(func: Function, rng: random.Random) -> bool:
         for inst in block.instrs:
             if isinstance(inst, (Store, Ret, CJump, CallInst)):
                 consumed.update(inst.uses())
-    sites = [inst for block in _reachable_blocks(func)
+    sites = [inst for block in func.reachable_blocks()
              for inst in block.instrs
              if isinstance(inst, Const) and inst.dst in consumed]
     if not sites:
@@ -810,13 +778,10 @@ int main() {
 """
 
 
-def mutation_campaign(source: str = MUTATION_SOURCE, *,
-                      seed: int = 42, opt_level: int = 2,
-                      include_runtime: bool = False,
-                      max_steps: int = MAX_STEPS,
-                      max_leaves: int = MAX_LEAVES) -> list[MutantResult]:
+def mutation_campaign(*, seed: int = 42) -> list[MutantResult]:
     """Plant seeded miscompiles into pass outputs; record detection.
 
+    :data:`MUTATION_SOURCE` (no runtime library) is optimized at ``-O2``.
     For every distinct pass in the pipeline the campaign takes that
     pass's applications (in order), perturbs a clone of each
     *output* with every applicable mutation from :data:`MUTATIONS`, and
@@ -824,9 +789,7 @@ def mutation_campaign(source: str = MUTATION_SOURCE, *,
     mutated output.  A sound checker reports every mutant as
     non-proven (``caught``).
     """
-    full_source = (RUNTIME_SOURCE + "\n" + source) if include_runtime \
-        else source
-    module = lower_program(parse(full_source))
+    module = lower_program(parse(MUTATION_SOURCE))
     snapshots: list[tuple[str, str, int, Function, Function]] = []
 
     def observer(func_name: str, pass_name: str, round_index: int,
@@ -836,7 +799,7 @@ def mutation_campaign(source: str = MUTATION_SOURCE, *,
             snapshots.append((func_name, pass_name, round_index,
                               before, after.clone()))
 
-    optimize_module(module, level=opt_level, observer=observer)
+    optimize_module(module, level=2, observer=observer)
 
     rng = random.Random(seed)
     results: list[MutantResult] = []
@@ -851,9 +814,7 @@ def mutation_campaign(source: str = MUTATION_SOURCE, *,
                 mutant = after.clone()
                 if not mutate(mutant, rng):
                     continue
-                verdict, reason, _regions = check_pass(
-                    before, mutant, max_steps=max_steps,
-                    max_leaves=max_leaves)
+                verdict, reason, _regions = check_pass(before, mutant)
                 results.append(MutantResult(
                     func_name, pass_name, round_index, mutation_name,
                     verdict, reason))

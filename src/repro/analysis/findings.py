@@ -157,11 +157,9 @@ class Finding:
                 "location": self.location, "message": self.message}
 
 
-def finding(rule_id: str, location: str, message: str,
-            severity: Severity | None = None) -> Finding:
-    """Build a finding, defaulting severity from the rule catalog."""
-    rule = RULES[rule_id]
-    return Finding(rule=rule_id, severity=severity or rule.severity,
+def finding(rule_id: str, location: str, message: str) -> Finding:
+    """Build a finding at its rule's catalog severity."""
+    return Finding(rule=rule_id, severity=RULES[rule_id].severity,
                    location=location, message=message)
 
 

@@ -27,8 +27,7 @@ from collections.abc import Iterator
 
 from ..cc.ir import (AddrGlobal, AddrStack, Bin, Block, CJump, Cmp, Const,
                      Cvt, FCmp, FConst, FLoad, FStore, Function, Inst, Load,
-                     Module, Move, Ret, StackSlot, Store, TERMINATORS, Un,
-                     VReg)
+                     Module, Move, StackSlot, Store, TERMINATORS, Un, VReg)
 from .findings import Finding, finding
 
 _INT_BIN = {"add", "sub", "mul", "div", "rem", "and", "or", "xor",
@@ -72,7 +71,7 @@ def verify_function(func: Function) -> list[Finding]:
                     "IR003", loc,
                     f"branch target '{succ}' is not a block"))
 
-    reachable = _reachable(func, block_map)
+    reachable = {block.label for block in func.reachable_blocks()}
     for block in func.blocks:
         if block.label not in reachable:
             out.append(finding("IR005", f"{func.name}:{block.label}",
@@ -91,19 +90,6 @@ def verify_module(module: Module) -> list[Finding]:
     for func in module.functions:
         out.extend(verify_function(func))
     return out
-
-
-def _reachable(func: Function,
-               block_map: dict[str, Block]) -> set[str]:
-    seen: set[str] = set()
-    stack = [func.blocks[0].label]
-    while stack:
-        label = stack.pop()
-        if label in seen or label not in block_map:
-            continue
-        seen.add(label)
-        stack.extend(block_map[label].successors())
-    return seen
 
 
 # -------------------------------------------------------- def-before-use

@@ -134,10 +134,6 @@ class LoopForest:
     loops: dict[int, Loop] = field(default_factory=dict)   # by header
     irreducible: tuple[tuple[int, int], ...] = ()
 
-    @property
-    def reducible(self) -> bool:
-        return not self.irreducible
-
     def innermost_first(self) -> list[Loop]:
         """Loops ordered so inner loops precede the loops containing
         them (body-size order; ties cannot nest)."""

@@ -678,9 +678,7 @@ class IRExecutor:
     def __init__(self, func: Function, *, cuts: frozenset[str],
                  region: str, init: Callable[[VReg], Term],
                  mode: str = "pass",
-                 signatures: Mapping[str, int] | None = None,
-                 max_steps: int = MAX_STEPS,
-                 max_leaves: int = MAX_LEAVES) -> None:
+                 signatures: Mapping[str, int] | None = None) -> None:
         self.blocks = func.block_map()
         self.func = func
         self.cuts = cuts
@@ -688,8 +686,6 @@ class IRExecutor:
         self.init = init
         self.mode = mode
         self.signatures = signatures
-        self.max_steps = max_steps
-        self.max_leaves = max_leaves
         self.stack_atoms: frozenset[Term] = frozenset(
             ("slot", slot.id) for slot in func.slots)
 
@@ -707,9 +703,9 @@ class IRExecutor:
                                entry=state is first)
             except _Halted as halted:
                 leaves.append(halted.leaf)
-            if len(leaves) > self.max_leaves:
+            if len(leaves) > MAX_LEAVES:
                 raise Unknown(f"region '{self.region}': more than "
-                              f"{self.max_leaves} symbolic paths")
+                              f"{MAX_LEAVES} symbolic paths")
         return leaves
 
     def _run_path(self, state: _PathState, pending: list[_PathState],
@@ -739,9 +735,9 @@ class IRExecutor:
         """Execute one block; returns the next label or None (done)."""
         for inst in block.instrs:
             state.steps += 1
-            if state.steps > self.max_steps:
+            if state.steps > MAX_STEPS:
                 raise Unknown(f"region '{self.region}': exceeded "
-                              f"{self.max_steps} instructions")
+                              f"{MAX_STEPS} instructions")
             if isinstance(inst, Ret):
                 ret = (state.env.get(inst.src)
                        if inst.src is not None else None)
@@ -954,21 +950,14 @@ class _Halted(Exception):
 
 
 def explore_region(func: Function, start: str, *, cuts: frozenset[str],
-                   region: str, init: Callable[[VReg], Term],
-                   mode: str = "pass",
-                   max_steps: int = MAX_STEPS,
-                   max_leaves: int = MAX_LEAVES) -> list[Leaf]:
+                   region: str, init: Callable[[VReg], Term]) -> list[Leaf]:
     """All symbolic paths from ``start`` to the next cut points."""
-    executor = IRExecutor(func, cuts=cuts, region=region, init=init,
-                          mode=mode, max_steps=max_steps,
-                          max_leaves=max_leaves)
+    executor = IRExecutor(func, cuts=cuts, region=region, init=init)
     return executor.explore(start)
 
 
 def summarize_ir_function(func: Function,
-                          signatures: Mapping[str, int], *,
-                          max_steps: int = MAX_STEPS,
-                          max_leaves: int = MAX_LEAVES) -> list[Leaf]:
+                          signatures: Mapping[str, int]) -> list[Leaf]:
     """Whole-function observable summary of an IR function.
 
     Integer parameters are named by their argument registers
@@ -996,8 +985,7 @@ def summarize_ir_function(func: Function,
         raise Unknown(f"{func.name}: empty function")
     executor = IRExecutor(func, cuts=frozenset(), region="<fn>",
                           init=init, mode="summary",
-                          signatures=signatures,
-                          max_steps=max_steps, max_leaves=max_leaves)
+                          signatures=signatures)
     return executor.explore(func.blocks[0].label)
 
 
@@ -1065,15 +1053,11 @@ class MachineExecutor:
     """
 
     def __init__(self, cfg: BinaryCFG, fstart: int, name: str,
-                 signatures: Mapping[str, int], *,
-                 max_steps: int = MAX_STEPS,
-                 max_leaves: int = MAX_LEAVES) -> None:
+                 signatures: Mapping[str, int]) -> None:
         self.cfg = cfg
         self.fstart = fstart
         self.name = name
         self.signatures = signatures
-        self.max_steps = max_steps
-        self.max_leaves = max_leaves
         self.width = cfg.width
         self.zero_r0 = cfg.isa.name == "DLXe"
         self.blocks = {block.start: block
@@ -1118,9 +1102,9 @@ class MachineExecutor:
                 self._run_path(state, pending, leaves)
             except _Halted as halted:
                 leaves.append(halted.leaf)
-            if len(leaves) > self.max_leaves:
+            if len(leaves) > MAX_LEAVES:
                 raise Unknown(f"{self.name}: more than "
-                              f"{self.max_leaves} symbolic paths")
+                              f"{MAX_LEAVES} symbolic paths")
         return leaves
 
     def _run_path(self, state: _MachState, pending: list[_MachState],
@@ -1144,9 +1128,9 @@ class MachineExecutor:
                    leaves: list[Leaf]) -> int | None:
         for pc, instr in block.instrs:
             state.steps += 1
-            if state.steps > self.max_steps:
+            if state.steps > MAX_STEPS:
                 raise Unknown(f"{self.name}: exceeded "
-                              f"{self.max_steps} instructions")
+                              f"{MAX_STEPS} instructions")
             if instr.op in _CONTROL_OPS:
                 return self._control(pc, instr, state, pending, leaves)
             self._eval(pc, instr, state)
@@ -1400,14 +1384,10 @@ class MachineExecutor:
 
 
 def summarize_binary_function(cfg: BinaryCFG, fstart: int, name: str,
-                              signatures: Mapping[str, int], *,
-                              max_steps: int = MAX_STEPS,
-                              max_leaves: int = MAX_LEAVES) \
+                              signatures: Mapping[str, int]) \
         -> list[Leaf]:
     """Whole-function observable summary of one binary function."""
-    executor = MachineExecutor(cfg, fstart, name, signatures,
-                               max_steps=max_steps,
-                               max_leaves=max_leaves)
+    executor = MachineExecutor(cfg, fstart, name, signatures)
     return executor.explore()
 
 

@@ -60,10 +60,11 @@ from dataclasses import dataclass, field
 from ..asm.objfile import Executable
 from collections.abc import Sequence
 
-from ..isa import Instr, IsaSpec
+from ..cc.target import TargetSpec
+from ..isa import Instr
 from ..machine.pipeline import HazardModel, PipelineModel, hazard_indices
 from ..machine.stats import RunStats
-from .cfg import BasicBlock, BinaryCFG, build_cfg
+from .cfg import BasicBlock, BinaryCFG
 from .findings import Finding, finding
 
 #: Entry seed for a block's lower-bound run: guaranteed remaining
@@ -84,7 +85,7 @@ def block_stall_bounds(instrs: Sequence[tuple[int, Instr] | Instr],
     :class:`~repro.analysis.cfg.BasicBlock`'s body) or bare
     instructions.  ``entry_seed`` optionally tightens the lower bound
     with latencies every real entry state provably still carries (see
-    :func:`predecessor_seed`); the upper bound is unaffected.
+    :func:`exit_seed`); the upper bound is unaffected.
     """
     lo_model = HazardModel(model)
     hi_model = HazardModel(model)
@@ -172,37 +173,6 @@ def exit_seed(block: BasicBlock, model: PipelineModel) -> EntrySeed:
     return seeds, math_seed
 
 
-def predecessor_seed(preds: list, model: PipelineModel,
-                     cache: dict[int, EntrySeed] | None = None) -> EntrySeed:
-    """Componentwise minimum of the exit seeds of all predecessors.
-
-    ``preds`` holds the predecessor :class:`BasicBlock`s of one block.
-    A call or indirect predecessor contributes the zero seed (the real
-    dynamic predecessor — callee, return site, or unknown jump source
-    — executes arbitrary code first), as does an empty list (function
-    entries and other blocks the static CFG cannot see into).
-    """
-    combined: EntrySeed | None = None
-    for pred in preds:
-        if pred.is_call or pred.indirect:
-            return _ZERO_SEED
-        if cache is not None and pred.start in cache:
-            seed = cache[pred.start]
-        else:
-            seed = exit_seed(pred, model)
-            if cache is not None:
-                cache[pred.start] = seed
-        if combined is None:
-            combined = seed
-        else:
-            regs = {idx: min(v, seed[0][idx])
-                    for idx, v in combined[0].items() if idx in seed[0]}
-            combined = (regs, min(combined[1], seed[1]))
-        if not combined[0] and not combined[1]:
-            return _ZERO_SEED
-    return combined if combined is not None else _ZERO_SEED
-
-
 @dataclass(frozen=True)
 class BlockBounds:
     """Static timing facts for one basic block."""
@@ -240,23 +210,14 @@ class StaticBounds:
         return "\n".join(lines)
 
 
-def static_bounds(exe_or_cfg: Executable | BinaryCFG,
-                  isa: IsaSpec | None = None, *,
-                  model: PipelineModel | None = None,
-                  symbols: dict[str, int] | None = None,
+def static_bounds(cfg: BinaryCFG, *, model: PipelineModel | None = None,
                   lookback: bool = True) -> StaticBounds:
-    """Compute per-block stall bounds for an image (or pre-built CFG).
+    """Compute per-block stall bounds over a recovered image CFG.
 
     With ``lookback`` (the default) each block's lower bound is seeded
     from the guaranteed exit latencies of its CFG predecessors; pass
     ``lookback=False`` for the plain cold-entry bound.
     """
-    if isinstance(exe_or_cfg, BinaryCFG):
-        cfg = exe_or_cfg
-    else:
-        if isa is None:
-            raise ValueError("isa is required with a raw executable")
-        cfg = build_cfg(exe_or_cfg, isa, symbols=symbols)
     model = model or PipelineModel()
 
     preds: dict[int, list[BasicBlock]] = {}
@@ -408,19 +369,19 @@ def validate_run(bounds: StaticBounds, stats: RunStats) -> TimingValidation:
         covered_instructions=covered, findings=findings)
 
 
-def check_timing(exe: Executable, isa: IsaSpec, stats: RunStats, *,
+def check_timing(exe: Executable, target: TargetSpec, stats: RunStats, *,
                  model: PipelineModel | None = None,
-                 symbols: dict[str, int] | None = None,
-                 cfg: BinaryCFG | None = None) -> TimingValidation:
+                 symbols: dict[str, int] | None = None) -> TimingValidation:
     """One-call harness: static bounds + validation for one run.
 
-    Without a pre-built ``cfg`` the control flow is recovered with
-    value-analysis feedback (:func:`~repro.analysis.absint.resolve_cfg`),
-    so D16's pool-loaded indirect calls are followed even when the
-    executable's symbol table lost the function labels.
+    The control flow is recovered on ``target`` with value-analysis
+    feedback (:func:`~repro.analysis.absint.resolve_cfg`), so D16's
+    pool-loaded indirect calls are followed even when the executable's
+    symbol table lost the function labels.
     """
-    if cfg is None:
-        from .absint import resolve_cfg
-        cfg, _result = resolve_cfg(exe, isa, symbols=symbols)
+    from .absint import resolve_cfg
+
+    cfg, _result = resolve_cfg(exe, target.isa, symbols=symbols,
+                               target=target)
     sb = static_bounds(cfg, model=model)
     return validate_run(sb, stats)

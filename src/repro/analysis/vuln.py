@@ -454,7 +454,6 @@ def classify_cell(bench: str, target_name: str, exe: Executable,
                   target: TargetSpec, itrace: Sequence[int],
                   golden_instructions: int, *,
                   faults: int = 20, seed: int = 42,
-                  kinds: tuple[str, ...] | None = None,
                   liveness: LivenessAnalysis | None = None,
                   ) -> CellVulnerability:
     """Statically classify one campaign cell's planned fault list.
@@ -464,13 +463,13 @@ def classify_cell(bench: str, target_name: str, exe: Executable,
     beyond the golden trace the caller already has.
     """
     from ..faults.campaign import plan_cell
-    from ..faults.model import DEFAULT_KINDS, GoldenRun
+    from ..faults.model import GoldenRun
 
     oracle = build_oracle(exe, target, itrace, liveness=liveness)
     golden = GoldenRun(instructions=golden_instructions, interlocks=0,
                        exit_code=0)
     specs = plan_cell(bench, target_name, golden, exe, faults=faults,
-                      seed=seed, kinds=kinds or DEFAULT_KINDS)
+                      seed=seed)
     verdicts = [oracle.classify(spec) for spec in specs]
     return CellVulnerability(bench=bench, target=target_name,
                              verdicts=verdicts,

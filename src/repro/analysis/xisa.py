@@ -24,10 +24,9 @@ reported — a code-generation or ISA-model bug, never optimization
 noise.
 
 :func:`check_cross_isa` is the one-call harness: compile one source
-for each target, analyze both images, and compare.  Since the
-translation-validation layer landed it also runs a *semantic* tier by
-default: every function whose machine-code observable-effect summary
-is symbolically proven against the shared IR on both targets
+for each target, analyze both images, and compare.  It also runs a
+*semantic* tier: every function whose machine-code observable-effect
+summary is symbolically proven against the shared IR on both targets
 (:func:`repro.analysis.equiv.check_binary_program`) is semantically
 consistent across the ISAs by transitivity — count-consistency
 upgraded to behavior, with proven divergence surfaced as EQ004.
@@ -189,15 +188,14 @@ def analyze_source(source: str, target: TargetSpec | str, *,
 def check_cross_isa(source: str,
                     targets: tuple[str, str] = ("d16", "dlxe"), *,
                     opt_level: int = 2,
-                    include_runtime: bool = True,
-                    semantic: bool = True) -> CrossIsaReport:
+                    include_runtime: bool = True) -> CrossIsaReport:
     """Compile ``source`` for both targets, analyze, and cross-check.
 
-    With ``semantic`` (the default) the count-based XISA comparison is
-    upgraded with the translation-validation tier: each binary's
-    observable-effect summaries are symbolically matched against the
-    shared IR, and a function whose summaries are proven on every
-    target is semantically consistent across the ISAs by transitivity.
+    The count-based XISA comparison is upgraded with the
+    translation-validation tier: each binary's observable-effect
+    summaries are symbolically matched against the shared IR, and a
+    function whose summaries are proven on every target is
+    semantically consistent across the ISAs by transitivity.
     Only *proven* divergence adds findings (EQ004); incompleteness is
     recorded in :attr:`CrossIsaReport.semantic`, never reported as an
     error — the same erring-on-silence contract as the XISA rules.
@@ -207,8 +205,6 @@ def check_cross_isa(source: str,
                              include_runtime=include_runtime)
         for name in targets}
     report = compare_analyses(results)
-    if not semantic:
-        return report
     from .equiv import (BinaryCheck, DIVERGENT, PROVEN,
                         check_binary_program)
 

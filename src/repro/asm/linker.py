@@ -5,7 +5,7 @@ Memory map of a linked executable::
     text_base (default 0x1000):  all text sections, in object order
     data_base (text end, 16-aligned): all data sections, in object order
     __gp   = data_base            (global pointer for gp-relative access)
-    __stack_top = configurable    (initial stack pointer)
+    __stack_top = STACK_TOP       (initial stack pointer)
 
 The linker defines ``__gp``, ``__data_start``, ``__data_end`` and
 ``__stack_top``; the entry point is the global symbol ``_start``.
@@ -22,11 +22,11 @@ from .objfile import Executable, LinkError, ObjectFile, Reloc
 TEXT_BASE = 0x1000
 STACK_TOP = 0x0010_0000          # 1 MiB; grows down
 DATA_ALIGN = 16
+ENTRY_SYMBOL = "_start"
 
 
-def link(objects: list[ObjectFile], *, text_base: int = TEXT_BASE,
-         stack_top: int = STACK_TOP, entry_symbol: str = "_start",
-         ) -> Executable:
+def link(objects: list[ObjectFile], *,
+         text_base: int = TEXT_BASE) -> Executable:
     """Link ``objects`` into an executable image."""
     if not objects:
         raise LinkError("nothing to link")
@@ -60,7 +60,7 @@ def link(objects: list[ObjectFile], *, text_base: int = TEXT_BASE,
         "__gp": data_base,
         "__data_start": data_base,
         "__data_end": data_base + len(data),
-        "__stack_top": stack_top,
+        "__stack_top": STACK_TOP,
     }
     # Function starts: every non-dot label inside the text segment, the
     # rule CFG recovery uses; a local name defined by two objects keeps
@@ -99,11 +99,11 @@ def link(objects: list[ObjectFile], *, text_base: int = TEXT_BASE,
 
     entry = None
     for table in local_tables:
-        if entry_symbol in table:
-            entry = table[entry_symbol]
+        if ENTRY_SYMBOL in table:
+            entry = table[ENTRY_SYMBOL]
             break
     if entry is None:
-        raise LinkError(f"no entry symbol {entry_symbol!r}")
+        raise LinkError(f"no entry symbol {ENTRY_SYMBOL!r}")
 
     return Executable(isa_name=isa_name, text_base=text_base,
                       text=bytes(text), data_base=data_base,

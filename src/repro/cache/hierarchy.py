@@ -44,10 +44,6 @@ class CacheRates:
         """D-cache write misses per data-write instruction."""
         return self.wmisses / self.writes if self.writes else 0.0
 
-    @property
-    def total_misses(self) -> int:
-        return self.imisses + self.rmisses + self.wmisses
-
 
 def simulate_caches(itrace, dtrace, stats: RunStats, *,
                     icache: CacheConfig, dcache: CacheConfig) -> CacheRates:

@@ -92,20 +92,11 @@ def build_executable(source: str, target: TargetSpec | str, *,
 
 
 def compile_and_run(source: str, target: TargetSpec | str, *,
-                    stdin: bytes = b"", opt_level: int = 2,
-                    include_runtime: bool = True,
-                    max_instructions: int = 2_000_000_000,
-                    trace_instructions: bool = False,
-                    trace_data: bool = False,
-                    verify_ir: bool = False):
-    """Compile and execute; returns (stats, machine, result)."""
+                    stdin: bytes = b"", include_runtime: bool = True):
+    """Compile at ``-O2`` and execute; returns (stats, machine, result)."""
     from ..machine import run_executable
 
-    result = build_executable(source, target, opt_level=opt_level,
-                              include_runtime=include_runtime,
-                              verify_ir=verify_ir)
-    stats, machine = run_executable(
-        result.executable, stdin=stdin,
-        max_instructions=max_instructions,
-        trace_instructions=trace_instructions, trace_data=trace_data)
+    result = build_executable(source, target,
+                              include_runtime=include_runtime)
+    stats, machine = run_executable(result.executable, stdin=stdin)
     return stats, machine, result

@@ -450,6 +450,20 @@ class Function:
     def block_map(self) -> dict[str, Block]:
         return {b.label: b for b in self.blocks}
 
+    def reachable_blocks(self) -> list[Block]:
+        """The blocks a path from the entry block reaches, in layout
+        order."""
+        blocks = self.block_map()
+        reached: set[str] = set()
+        stack = [self.blocks[0].label] if self.blocks else []
+        while stack:
+            label = stack.pop()
+            if label in reached or label not in blocks:
+                continue
+            reached.add(label)
+            stack.extend(blocks[label].successors())
+        return [block for block in self.blocks if block.label in reached]
+
     def clone(self) -> Function:
         """An independent copy: blocks, instructions and lists are
         copied, the frozen ``VReg`` and ``StackSlot`` values shared.

@@ -290,8 +290,8 @@ class _FuncLowering:
         self.block.instrs.append(inst)
         return inst
 
-    def new_tmp(self, cls: str, hint: str = "") -> VReg:
-        return self.func.new_vreg(cls, hint)
+    def new_tmp(self, cls: str) -> VReg:
+        return self.func.new_vreg(cls)
 
     def new_label(self, hint: str) -> str:
         label = f".L{self.func.name}_{hint}{self.next_label}"

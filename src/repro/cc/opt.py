@@ -362,7 +362,6 @@ def dead_code(func: Function) -> bool:
 def simplify_cfg(func: Function) -> bool:
     """Thread jumps, drop unreachable blocks, collapse trivial CJumps."""
     changed = False
-    blocks = func.block_map()
 
     # Jump threading: a block that is just "jump X" can be bypassed.
     forward: dict[str, str] = {}
@@ -394,20 +393,7 @@ def simplify_cfg(func: Function) -> bool:
                 block.instrs[-1] = Jump(term.if_true)
                 changed = True
 
-    # Reachability from the entry block.
-    if not func.blocks:
-        return changed
-    reachable: set[str] = set()
-    stack = [func.blocks[0].label]
-    while stack:
-        label = stack.pop()
-        if label in reachable:
-            continue
-        reachable.add(label)
-        block = blocks.get(label)
-        if block is not None:
-            stack.extend(block.successors())
-    new_blocks = [b for b in func.blocks if b.label in reachable]
+    new_blocks = func.reachable_blocks()
     if len(new_blocks) != len(func.blocks):
         changed = True
     func.blocks = new_blocks
@@ -504,14 +490,20 @@ def dedupe_single_defs(func: Function) -> bool:
 # ------------------------------------------------------------------- LICM
 
 
-def _dominators(func: Function) -> dict[str, set[str]]:
-    """Iterative dominator sets per block label."""
-    labels = [b.label for b in func.blocks]
-    preds: dict[str, set[str]] = {label: set() for label in labels}
+def _predecessors(func: Function) -> dict[str, list[str]]:
+    """Predecessor labels of every block, in layout order."""
+    preds: dict[str, list[str]] = {b.label: [] for b in func.blocks}
     for block in func.blocks:
         for succ in block.successors():
             if succ in preds:
-                preds[succ].add(block.label)
+                preds[succ].append(block.label)
+    return preds
+
+
+def _dominators(func: Function,
+                preds: dict[str, list[str]]) -> dict[str, set[str]]:
+    """Iterative dominator sets per block label."""
+    labels = [b.label for b in func.blocks]
     entry = labels[0]
     dom: dict[str, set[str]] = {label: set(labels) for label in labels}
     dom[entry] = {entry}
@@ -530,13 +522,9 @@ def _dominators(func: Function) -> dict[str, set[str]]:
     return dom
 
 
-def _natural_loop(func: Function, header: str, tail: str) -> set[str]:
+def _natural_loop(preds: dict[str, list[str]], header: str,
+                  tail: str) -> set[str]:
     """Blocks of the natural loop for back edge tail -> header."""
-    preds: dict[str, list[str]] = {b.label: [] for b in func.blocks}
-    for block in func.blocks:
-        for succ in block.successors():
-            if succ in preds:
-                preds[succ].append(block.label)
     body = {header, tail}
     stack = [tail]
     while stack:
@@ -575,7 +563,8 @@ def licm(func: Function) -> bool:
                 def_counts[d] = def_counts.get(d, 0) + 1
                 def_blocks.setdefault(d, set()).add(block.label)
 
-    dom = _dominators(func)
+    preds = _predecessors(func)
+    dom = _dominators(func, preds)
     changed = False
     handled_headers: set[str] = set()
     for block in func.blocks:
@@ -586,7 +575,7 @@ def licm(func: Function) -> bool:
             if header in handled_headers:
                 continue
             handled_headers.add(header)
-            body = _natural_loop(func, header, block.label)
+            body = _natural_loop(preds, header, block.label)
             hoisted: list = []
             moved = True
             hoisted_defs: set[VReg] = set()
@@ -608,6 +597,7 @@ def licm(func: Function) -> bool:
             if hoisted:
                 changed = True
                 _insert_preheader(func, header, body, hoisted)
+                preds = _predecessors(func)
     return changed
 
 

@@ -242,8 +242,7 @@ def _sequence_cost(instrs: list[Inst], params: PipelineParams) -> int:
     return time
 
 
-def schedule_function(func: Function,
-                      params: PipelineParams = _DEFAULT_PARAMS) -> None:
-    """Schedule every block of a function."""
+def schedule_function(func: Function) -> None:
+    """Schedule every block of a function for the default pipeline."""
     for block in func.blocks:
-        schedule_block(block, params)
+        schedule_block(block)

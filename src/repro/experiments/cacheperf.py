@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cache import CacheConfig, CacheRates, simulate_caches_grid
+from ..machine.perf import cycles_with_cache
 from .report import format_series, format_table
 from .runner import Lab, TraceRun
 
@@ -24,6 +25,9 @@ CACHE_SIZES = (1024, 2048, 4096, 8192, 16384)
 BLOCK_SIZES = (8, 16, 32, 64)
 SUB_BLOCK = 8
 MISS_PENALTIES = (4, 8, 12, 16)
+#: The block size Figures 16-19 plot, and Figure 19's miss penalty.
+FIGURE_BLOCK = 32
+FIGURE19_PENALTY = 4
 
 
 @dataclass
@@ -54,33 +58,31 @@ class CacheStudy:
 
     def cycles(self, program: str, target: str, size: int, block: int,
                penalty: int) -> int:
-        point = self.point(program, target, size, block)
-        stats = self.traces[(program, target)].run.stats
-        return (stats.instructions + stats.interlocks
-                + penalty * point.rates.total_misses)
+        rates = self.point(program, target, size, block).rates
+        return cycles_with_cache(
+            self.traces[(program, target)].run.stats, miss_penalty=penalty,
+            imisses=rates.imisses, rmisses=rates.rmisses,
+            wmisses=rates.wmisses)
 
 
-def grid_configs(sizes=CACHE_SIZES, blocks=BLOCK_SIZES,
-                 sub_block: int = SUB_BLOCK) -> list[CacheConfig]:
+def grid_configs(sizes=CACHE_SIZES, blocks=BLOCK_SIZES) -> list[CacheConfig]:
     """The paper's size x block parameter grid as CacheConfig objects."""
-    return [CacheConfig(size=size, block=block, sub_block=sub_block)
-            for size in sizes for block in blocks if block >= sub_block]
+    return [CacheConfig(size=size, block=block, sub_block=SUB_BLOCK)
+            for size in sizes for block in blocks if block >= SUB_BLOCK]
 
 
 def run_cache_study(lab: Lab, programs=CACHE_PROGRAMS, *,
-                    sizes=CACHE_SIZES, blocks=BLOCK_SIZES,
-                    targets=("d16", "dlxe"),
-                    sub_block: int = SUB_BLOCK) -> CacheStudy:
-    """Simulate the cache grid over traced runs.
+                    sizes=CACHE_SIZES, blocks=BLOCK_SIZES) -> CacheStudy:
+    """Simulate the cache grid over D16 and DLXe traced runs.
 
     Each trace is converted once for the whole size x block grid and
     replayed per geometry by :func:`repro.cache.simulate_caches_grid`.
     """
-    configs = grid_configs(sizes, blocks, sub_block)
+    configs = grid_configs(sizes, blocks)
     points: dict[tuple, CachePoint] = {}
     traces: dict[tuple[str, str], TraceRun] = {}
     for program in programs:
-        for target in targets:
+        for target in ("d16", "dlxe"):
             trace = lab.trace(program, target)
             traces[(program, target)] = trace
             rates_by_config = simulate_caches_grid(
@@ -138,7 +140,8 @@ def format_miss_rate_table(study: CacheStudy, program: str) -> str:
 # ------------------------------------------------------------- Figure 16
 
 
-def format_figure16(study: CacheStudy, *, block: int = 32) -> str:
+def format_figure16(study: CacheStudy, *,
+                    block: int = FIGURE_BLOCK) -> str:
     """Figure 16: instruction-cache miss rates vs size."""
     parts = []
     programs = sorted({key[0] for key in study.points})
@@ -159,11 +162,10 @@ def format_figure16(study: CacheStudy, *, block: int = 32) -> str:
 # --------------------------------------------------------- Figures 17-18
 
 
-def format_figures_17_18(study: CacheStudy, *, size: int,
-                         block: int = 32,
-                         penalties=MISS_PENALTIES) -> str:
+def format_figures_17_18(study: CacheStudy, *, size: int) -> str:
     """Figures 17 (4K caches) and 18 (16K): CPI vs miss penalty."""
     figure = 17 if size == 4096 else 18
+    block, penalties = FIGURE_BLOCK, MISS_PENALTIES
     parts = []
     programs = sorted({key[0] for key in study.points})
     for program in programs:
@@ -187,9 +189,9 @@ def format_figures_17_18(study: CacheStudy, *, size: int,
 # ------------------------------------------------------------- Figure 19
 
 
-def format_figure19(study: CacheStudy, *, block: int = 32,
-                    penalty: int = 4) -> str:
+def format_figure19(study: CacheStudy) -> str:
     """Figure 19: instruction traffic in words/cycle vs cache size."""
+    block, penalty = FIGURE_BLOCK, FIGURE19_PENALTY
     parts = []
     programs = sorted({key[0] for key in study.points})
     sizes = sorted({key[2] for key in study.points})

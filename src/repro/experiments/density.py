@@ -19,8 +19,9 @@ class DensityRow:
     program: str
     sizes: dict[str, int]            # target -> bytes
 
-    def ratio(self, target: str, base: str = "d16") -> float:
-        return self.sizes[target] / self.sizes[base]
+    def ratio(self, target: str) -> float:
+        """``target``'s measure relative to D16's."""
+        return self.sizes[target] / self.sizes["d16"]
 
 
 @dataclass
@@ -28,8 +29,8 @@ class DensityResult:
     rows: list[DensityRow]
     targets: tuple[str, ...]
 
-    def average_ratio(self, target: str, base: str = "d16") -> float:
-        return mean(row.ratio(target, base) for row in self.rows)
+    def average_ratio(self, target: str) -> float:
+        return mean(row.ratio(target) for row in self.rows)
 
 
 def run_density(lab: Lab, programs=None,

@@ -19,6 +19,9 @@ from .runner import Lab, mean
 _ALU_IMM_OPS = {Op.ADDI, Op.SUBI, Op.ANDI, Op.ORI, Op.XORI}
 _MEM_OPS = {Op.LD, Op.ST, Op.LDH, Op.LDHU, Op.LDB, Op.LDBU, Op.STH, Op.STB}
 
+#: Table 4's trace: DLXe restricted to 16 registers and two-address code.
+RESTRICTED_DLXE = "dlxe/16/2"
+
 
 # ----------------------------------------------------------- data traffic
 
@@ -125,19 +128,19 @@ def _d16_mem_ok(op: Op, offset: int) -> bool:
     return offset == 0
 
 
-def run_immediates(lab: Lab, programs=None,
-                   target: str = "dlxe/16/2") -> list[ImmediateBreakdown]:
+def run_immediates(lab: Lab, programs=None) -> list[ImmediateBreakdown]:
     """Table 4: classify restricted-DLXe dynamic immediates.
 
     The paper measures DLXe restricted to 16 registers and two-address
-    code, then asks which remaining (immediate-field) advantages the
-    trace actually exploits beyond D16 limits.
+    code (:data:`RESTRICTED_DLXE`), then asks which remaining
+    (immediate-field) advantages the trace actually exploits beyond D16
+    limits.
     """
-    grid = lab.runs(programs, (target,))
+    grid = lab.runs(programs, (RESTRICTED_DLXE,))
     out = []
     mvi_bound = 1 << (MVI_IMM_BITS - 1)
     for name, runs in grid.items():
-        stats = runs[target].stats
+        stats = runs[RESTRICTED_DLXE].stats
         compare_imm = alu_over = mem_over = move_over = 0
         for instr, count in stats.executed_instructions():
             op = instr.op

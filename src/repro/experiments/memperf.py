@@ -61,15 +61,9 @@ class MemPerfResult:
 
 
 def run_memperf(lab: Lab, programs=None, *,
-                bus_bits: int = 32,
-                wait_states=WAIT_STATES,
-                jobs: int | None = None) -> MemPerfResult:
-    """Sweep memory wait states for cacheless D16 and DLXe machines.
-
-    ``jobs`` overrides the lab's process fan-out for the underlying
-    compile/run grid (the wait-state sweep itself is arithmetic).
-    """
-    grid = lab.runs(programs, ("d16", "dlxe"), jobs=jobs)
+                bus_bits: int = 32) -> MemPerfResult:
+    """Sweep memory wait states for cacheless D16 and DLXe machines."""
+    grid = lab.runs(programs, ("d16", "dlxe"))
     rows = []
     result = MemPerfResult(bus_bits=bus_bits, rows=rows)
     for name, runs in grid.items():
@@ -78,15 +72,15 @@ def run_memperf(lab: Lab, programs=None, *,
             program=name, bus_bits=bus_bits,
             d16_cycles={ws: cycles_no_cache(d16, latency=ws,
                                             bus_bits=bus_bits)
-                        for ws in wait_states},
+                        for ws in WAIT_STATES},
             dlxe_cycles={ws: cycles_no_cache(dlxe, latency=ws,
                                              bus_bits=bus_bits)
-                         for ws in wait_states},
+                         for ws in WAIT_STATES},
             d16_instructions=d16.instructions,
             dlxe_instructions=dlxe.instructions))
         result.fetch_rates[name] = {
             ws: fetches_per_cycle(d16, latency=ws, bus_bits=bus_bits)
-            for ws in wait_states}
+            for ws in WAIT_STATES}
     return result
 
 

@@ -19,8 +19,9 @@ class PathLengthRow:
     program: str
     counts: dict[str, int]           # target -> instructions
 
-    def ratio(self, target: str, base: str = "d16") -> float:
-        return self.counts[target] / self.counts[base]
+    def ratio(self, target: str) -> float:
+        """``target``'s measure relative to D16's."""
+        return self.counts[target] / self.counts["d16"]
 
 
 @dataclass
@@ -28,8 +29,8 @@ class PathLengthResult:
     rows: list[PathLengthRow]
     targets: tuple[str, ...]
 
-    def average_ratio(self, target: str, base: str = "d16") -> float:
-        return mean(row.ratio(target, base) for row in self.rows)
+    def average_ratio(self, target: str) -> float:
+        return mean(row.ratio(target) for row in self.rows)
 
 
 def run_pathlength(lab: Lab, programs=None,

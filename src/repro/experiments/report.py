@@ -32,11 +32,10 @@ def format_table(headers: list[str], rows: list[list], *,
 
 
 def format_series(title: str, x_label: str, xs: list,
-                  series: dict[str, list[float]], *,
-                  precision: int = 3) -> str:
+                  series: dict[str, list[float]]) -> str:
     """Render figure data as one row per x value, one column per series."""
     headers = [x_label] + list(series)
     rows = []
     for index, x in enumerate(xs):
         rows.append([x] + [series[name][index] for name in series])
-    return format_table(headers, rows, title=title, precision=precision)
+    return format_table(headers, rows, title=title)

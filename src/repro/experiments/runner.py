@@ -129,11 +129,6 @@ class Lab:
     ``REPRO_CACHE_DIR``), ``False`` disables persistence, and an
     :class:`~repro.labcache.ArtifactCache` (or a path) uses that store.
     ``jobs`` is the default process fan-out for :meth:`runs`.
-    ``preflight_lint`` runs the static-analysis suite (``repro lint``)
-    over each (benchmark, target) cell before compiling it and raises
-    :class:`ExperimentError` on lint errors — an opt-in guard for
-    experiment campaigns whose numbers would silently absorb a
-    miscompile.
 
     Fail-soft knob: ``max_instructions`` is the simulator watchdog
     fuel per run (a hung benchmark raises
@@ -143,14 +138,11 @@ class Lab:
 
     def __init__(self, *, params: PipelineParams | None = None,
                  cache=None, jobs: int = 1,
-                 preflight_lint: bool = False,
                  max_instructions: int = DEFAULT_FUEL):
         self.params = params or PipelineParams()
         self.cache: ArtifactCache = resolve_cache(cache)
         self.jobs = max(1, int(jobs))
-        self.preflight_lint = preflight_lint
         self.max_instructions = max_instructions
-        self._linted: set[tuple[str, str]] = set()
         self._runs: dict[tuple[str, str], ProgramRun] = {}
         self._traces: dict[tuple[str, str], TraceRun] = {}
         self._executables: dict[tuple[str, str], object] = {}
@@ -185,25 +177,11 @@ class Lab:
 
     # ------------------------------------------------------------ access
 
-    def _preflight(self, bench: Benchmark, target_name: str) -> None:
-        key = (bench.name, target_name)
-        if not self.preflight_lint or key in self._linted:
-            return
-        from ..analysis import has_errors, lint_program, render_text
-
-        findings = lint_program(bench.source, get_target(target_name))
-        if has_errors(findings):
-            raise ExperimentError(
-                f"{bench.name} on {target_name} failed pre-flight "
-                f"lint:\n{render_text(findings)}")
-        self._linted.add(key)
-
     def executable(self, bench_name: str, target_name: str):
         key = (bench_name, target_name)
         if key not in self._executables:
             bench = get_benchmark(bench_name)
             get_target(target_name)          # validate early
-            self._preflight(bench, target_name)
             cache_key = self._exe_key(bench, target_name)
             exe = self.cache.get(cache_key)
             if exe is None:
@@ -315,7 +293,6 @@ class Lab:
                 get_benchmark(name)
                 get_target(target)
             settings = {"params": self.params, "cache": self.cache,
-                        "preflight_lint": self.preflight_lint,
                         "max_instructions": self.max_instructions}
             done = fan_out(_grid_cell_worker, pending, jobs, settings)
         grid: dict[str, dict[str, ProgramRun | RunError]] = {}

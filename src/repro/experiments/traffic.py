@@ -49,9 +49,8 @@ class TrafficResult:
         return mean(row.traffic_saving for row in self.rows)
 
 
-def run_traffic(lab: Lab, programs=None, *,
-                jobs: int | None = None) -> TrafficResult:
-    grid = lab.runs(programs, ("d16", "dlxe"), jobs=jobs)
+def run_traffic(lab: Lab, programs=None) -> TrafficResult:
+    grid = lab.runs(programs, ("d16", "dlxe"))
     rows = []
     for name, runs in grid.items():
         d16, dlxe = runs["d16"], runs["dlxe"]
@@ -112,10 +111,9 @@ class InterlockRow:
         return self.dlxe_interlocks / self.dlxe_instructions
 
 
-def run_interlocks(lab: Lab, programs=None, *,
-                   jobs: int | None = None) -> list[InterlockRow]:
+def run_interlocks(lab: Lab, programs=None) -> list[InterlockRow]:
     """Table 10: delayed-load and math-unit interlocks."""
-    grid = lab.runs(programs, ("d16", "dlxe"), jobs=jobs)
+    grid = lab.runs(programs, ("d16", "dlxe"))
     rows = []
     for name, runs in grid.items():
         rows.append(InterlockRow(

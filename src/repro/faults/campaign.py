@@ -11,6 +11,9 @@ Each cell walks one fault-free machine along its golden path, pausing
 at the triggers in ascending order, and injects every fault into a fork
 taken at its trigger: the cell simulates its golden prefix once, and
 every result equals the one a fresh machine per site gives.
+:func:`run_cell` runs one cell on a caller's Lab: the service's
+``faults`` requests and the vulnerability sweep
+(:func:`repro.analysis.validate_vuln`) execute their cells through it.
 
 The campaign itself is fail-soft.  A cell whose *golden* run fails
 (e.g. a hung benchmark caught by the watchdog) is recorded as a typed
@@ -33,8 +36,8 @@ from ..experiments.runner import MAIN_TARGETS, Lab, RunError, fan_out
 from ..labcache import resolve_cache
 from ..machine import DEFAULT_FUEL, Machine, MachineError
 from .inject import FunctionMap, fuel_for, run_cache_fault, run_fault
-from .model import (DEFAULT_KINDS, OUTCOMES, SCHEMA_VERSION, FaultResult,
-                    FaultSpec, GoldenRun)
+from .model import (DEFAULT_KINDS, OUTCOMES, SCHEMA_VERSION, TRAP_MODES,
+                    FaultResult, FaultSpec, GoldenRun)
 
 if TYPE_CHECKING:
     from ..analysis.vuln import SiteVerdict
@@ -76,8 +79,7 @@ def plan_cell(bench: str, target: str, golden: GoldenRun,
                                 "bit": rng.randrange(8)})
         elif kind == "trap":
             spec = FaultSpec(**{**spec.__dict__,
-                                "mode": rng.choice(("getc-eof",
-                                                    "sbrk-exhaust"))})
+                                "mode": rng.choice(TRAP_MODES)})
         elif kind == "cache":
             spec = FaultSpec(**{**spec.__dict__,
                                 "line": rng.randrange(256),
@@ -160,8 +162,6 @@ class FaultCampaign:
     faults: int = 20
     seed: int = 1
     kinds: tuple[str, ...] = DEFAULT_KINDS
-    #: Map injection sites to functions via the image's function table.
-    attribute_functions: bool = True
     #: Skip injections the static vulnerability analysis proves masked
     #: (:mod:`repro.analysis.vuln`).  Pruned sites are recorded with
     #: outcome ``masked`` and a ``pruned:`` detail, so outcome counts
@@ -180,7 +180,6 @@ class FaultCampaign:
         config: dict[str, Any] = {
             "faults": self.faults, "seed": self.seed,
             "kinds": tuple(self.kinds),
-            "attribute": self.attribute_functions,
             "prune_masked": self.prune_masked,
             "max_instructions": self.max_instructions,
             "cache": resolve_cache(self.cache)}
@@ -248,13 +247,25 @@ def _campaign_cell(bench_name: str, target: str, config: dict[str, Any],
     """Plan and execute every fault of one cell (any process)."""
     lab = Lab(cache=config["cache"],
               max_instructions=config["max_instructions"])
+    return run_cell(lab, bench_name, target, faults=config["faults"],
+                    seed=config["seed"], kinds=config["kinds"],
+                    prune=bool(config["prune_masked"]))
+
+
+def run_cell(lab: Lab, bench_name: str, target: str, *, faults: int,
+             seed: int, kinds: tuple[str, ...], prune: bool) -> CellReport:
+    """Plan and execute every fault of one cell on ``lab``.
+
+    Sites are attributed to the functions of the image's function
+    table.  A golden run that fails leaves the report's ``error`` set
+    and executes nothing.
+    """
     # The masking oracle and cache faults replay the golden path's
     # address trace; a cell that needs it takes the traced run as its
     # golden run instead of simulating the same path twice.
-    prune = bool(config.get("prune_masked"))
     itrace = None
     try:
-        if prune or "cache" in config["kinds"]:
+        if prune or "cache" in kinds:
             trace = lab.trace(bench_name, target)
             itrace = trace.itrace
             golden_run = trace.run
@@ -269,11 +280,10 @@ def _campaign_cell(bench_name: str, target: str, config: dict[str, Any],
     golden = GoldenRun(instructions=stats.instructions,
                        interlocks=stats.interlocks,
                        exit_code=stats.exit_code, output=stats.output)
-    specs = plan_cell(bench_name, target, golden, exe,
-                      faults=config["faults"], seed=config["seed"],
-                      kinds=config["kinds"])
+    specs = plan_cell(bench_name, target, golden, exe, faults=faults,
+                      seed=seed, kinds=kinds)
 
-    functions = FunctionMap(exe.functions) if config["attribute"] else None
+    functions = FunctionMap(exe.functions)
     # Static masking verdicts gate execution under --prune-masked; the
     # oracle is an optimization, so an analysis failure disables
     # pruning for the cell, and the report says why.
@@ -296,8 +306,7 @@ def _campaign_cell(bench_name: str, target: str, config: dict[str, Any],
         verdict = verdicts.get(spec.index)
         if verdict is not None and verdict.masked:
             pc = verdict.pc
-            function = functions.function_at(pc) \
-                if functions is not None and pc is not None else ""
+            function = functions.function_at(pc) if pc is not None else ""
             results[spec.index] = FaultResult(
                 spec=spec, outcome="masked", function=function,
                 detail=f"pruned: {verdict.reason}")

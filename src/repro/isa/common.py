@@ -13,17 +13,6 @@ WORD_MASK = 0xFFFFFFFF
 HALF_MASK = 0xFFFF
 BYTE_MASK = 0xFF
 
-# Register-role conventions shared by both ISAs (see DESIGN.md).  DLXe
-# additionally fixes r0 = 0; D16 uses r0 as the implicit compare result.
-REG_ZERO = 0          # DLXe hardwired zero / D16 compare destination
-REG_LINK = 1          # linkage register for jl (both ISAs, per the paper)
-REG_RET = 2           # integer return value
-REG_ARG_FIRST = 2     # first integer argument register
-REG_ARG_COUNT = 4     # r2..r5 carry arguments
-FREG_RET = 0          # FP return value (f0, or f0:f1 for doubles)
-FREG_ARG_FIRST = 2    # first FP argument register (even, so pairs fit)
-FREG_ARG_COUNT = 4    # f2,f4,f6,f8 (pairs for doubles)
-
 
 class IsaError(Exception):
     """Base class for ISA-level errors."""

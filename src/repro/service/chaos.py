@@ -83,9 +83,9 @@ class ChaosPlan:
 
 
 def make_plan(seed: int, *, kills: int, hangs: int, slows: int,
-              corruptions: int, horizon: int,
-              commit_horizon: int | None = None) -> ChaosPlan:
-    """Schedule injections over the first ``horizon`` dispatches.
+              corruptions: int, horizon: int) -> ChaosPlan:
+    """Schedule injections over the first ``horizon`` dispatches, and
+    store corruptions over the first three quarters of as many commits.
 
     ``horizon`` should sit at or below the expected number of unique
     batches so the plan actually fires; retries dispatch with fresh
@@ -108,8 +108,7 @@ def make_plan(seed: int, *, kills: int, hangs: int, slows: int,
         directives[seqs[cursor]] = {"action": "slow",
                                     "sleep_s": SLOW_SLEEP_S}
         cursor += 1
-    window = commit_horizon if commit_horizon is not None \
-        else max(corruptions, horizon * 3 // 4)
+    window = max(corruptions, horizon * 3 // 4)
     commits = rng.sample(range(1, window + 1),
                          min(corruptions, window))
     return ChaosPlan(directives_by_seq=directives,
@@ -183,16 +182,15 @@ def _run_stream(root: Path, requests: list[Request], *, seed: int,
 
 def chaos_campaign(root: str | os.PathLike[str], *, seed: int = 42,
                    count: int = 1000, failures: int = 24,
-                   jobs: int = 2, task_timeout: float = 5.0,
-                   horizon: int | None = None) -> dict[str, Any]:
+                   jobs: int = 2,
+                   task_timeout: float = 5.0) -> dict[str, Any]:
     """Clean run vs chaos run over one stream; byte-compare report."""
     base = Path(root)
     requests = generate_requests(seed, count)
     unique = len({json.dumps(r.material(), sort_keys=True)
                   for r in requests})
     mix = split_failures(failures)
-    plan = make_plan(seed, horizon=horizon if horizon is not None
-                     else max(4, unique * 3 // 4), **mix)
+    plan = make_plan(seed, horizon=max(4, unique * 3 // 4), **mix)
 
     clean, clean_stats = _run_stream(
         base / "clean", requests, seed=seed, jobs=jobs,

@@ -17,7 +17,7 @@ and a fault-injected run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 #: Work kinds the service accepts (the lab's expensive artifact kinds
@@ -120,17 +120,12 @@ class ServiceStats:
     retries: int = 0
     failures: int = 0
     breaker_short_circuits: int = 0
-    worker_restarts: int = 0
     recovered: int = 0
-    extra: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
+        return {
             "requests": self.requests, "batches": self.batches,
             "coalesced": self.coalesced, "cache_hits": self.cache_hits,
             "retries": self.retries, "failures": self.failures,
             "breaker_short_circuits": self.breaker_short_circuits,
-            "worker_restarts": self.worker_restarts,
             "recovered": self.recovered}
-        out.update(self.extra)
-        return out

@@ -28,19 +28,19 @@ QUICK_TARGETS = ("d16", "dlxe")
 #: Traffic mix (kind -> weight); run-heavy like a real study driver.
 MIX = {"run": 10, "compile": 4, "trace": 2, "lint": 3, "faults": 1}
 
+#: Sequential waves a replayed stream is split into.
+WAVES = 10
 
-def generate_requests(seed: int, count: int, *,
-                      benchmarks: tuple[str, ...] = QUICK_BENCHMARKS,
-                      targets: tuple[str, ...] = QUICK_TARGETS
-                      ) -> list[Request]:
+
+def generate_requests(seed: int, count: int) -> list[Request]:
     """A deterministic mixed request stream of ``count`` requests."""
     rng = random.Random(seed)
     kinds = [k for k in KINDS for _ in range(MIX[k])]
     out: list[Request] = []
     for index in range(count):
         kind = rng.choice(kinds)
-        bench = rng.choice(benchmarks)
-        target = rng.choice(targets)
+        bench = rng.choice(QUICK_BENCHMARKS)
+        target = rng.choice(QUICK_TARGETS)
         faults = 4 if kind == "faults" else 0
         fseed = rng.randrange(1, 4) if kind == "faults" else 1
         out.append(Request(kind=kind, bench=bench, target=target,
@@ -50,9 +50,9 @@ def generate_requests(seed: int, count: int, *,
 
 
 def execute_in_waves(service: SimulationService,
-                     requests: list[Request], *,
-                     waves: int = 10) -> list[Response]:
-    """Execute a stream in sequential waves (parallel within each).
+                     requests: list[Request]) -> list[Response]:
+    """Execute a stream in :data:`WAVES` sequential waves (parallel
+    within each).
 
     Waves model a study driver issuing query batches over time: a
     request repeated in a *later* wave exercises the store's read path
@@ -60,7 +60,7 @@ def execute_in_waves(service: SimulationService,
     coalescing onto an in-flight batch the way a single all-at-once
     submission would.
     """
-    size = max(1, -(-len(requests) // max(1, waves)))
+    size = max(1, -(-len(requests) // WAVES))
     responses: list[Response] = []
     for start in range(0, len(requests), size):
         responses.extend(service.execute(requests[start:start + size]))

@@ -62,8 +62,7 @@ class Scheduler:
     def __init__(self, store: JournaledStore, pool: WorkerPool, *,
                  backoff: BackoffPolicy | None = None,
                  breaker: CircuitBreaker | None = None,
-                 seed: int = 0,
-                 batch_threads: int | None = None) -> None:
+                 seed: int = 0) -> None:
         self.store = store
         self.pool = pool
         self.backoff = backoff if backoff is not None else BackoffPolicy()
@@ -72,10 +71,9 @@ class Scheduler:
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
         self._active: dict[str, _Batch] = {}
-        workers = batch_threads if batch_threads is not None \
-            else max(4, pool.jobs * 2)
         self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="svc-batch")
+            max_workers=max(4, pool.jobs * 2),
+            thread_name_prefix="svc-batch")
 
     # --------------------------------------------------------- lifecycle
 

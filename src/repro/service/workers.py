@@ -128,26 +128,19 @@ def execute_request(lab: Any, request: Request) -> dict[str, Any]:
         return {"findings": len(findings), "errors": errors,
                 "by_rule": dict(sorted(by_rule.items()))}
     if kind == "faults":
-        from ..faults import plan_cell, run_fault
-        from ..faults.model import GoldenRun
+        from ..experiments.runner import ExperimentError
+        from ..faults.campaign import run_cell
+        from ..faults.model import DEFAULT_KINDS
 
-        run = lab.run(request.bench, request.target)
-        exe = lab.executable(request.bench, request.target)
-        stats = run.stats
-        golden = GoldenRun(instructions=stats.instructions,
-                           interlocks=stats.interlocks,
-                           exit_code=stats.exit_code,
-                           output=stats.output)
-        specs = plan_cell(request.bench, request.target, golden, exe,
-                          faults=max(1, request.faults),
-                          seed=request.seed)
-        outcomes: dict[str, int] = {}
-        for spec in specs:
-            result = run_fault(exe, spec, golden)
-            outcomes[result.outcome] = \
-                outcomes.get(result.outcome, 0) + 1
-        return {"faults": len(specs), "seed": request.seed,
-                "outcomes": dict(sorted(outcomes.items()))}
+        cell = run_cell(lab, request.bench, request.target,
+                        faults=max(1, request.faults), seed=request.seed,
+                        kinds=DEFAULT_KINDS, prune=False)
+        if cell.error:
+            raise ExperimentError(cell.error)
+        outcomes = {outcome: count for outcome, count
+                    in sorted(cell.outcome_counts().items()) if count}
+        return {"faults": len(cell.results), "seed": request.seed,
+                "outcomes": outcomes}
     raise ValueError(f"unknown request kind {kind!r}")
 
 

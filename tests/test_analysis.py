@@ -653,37 +653,3 @@ class TestImageModes:
                            if line.startswith(f"timing: {src}/")]
         assert len(rows["0"]) == len(rows["2"]) == 1
         assert rows["0"] != rows["2"]
-
-
-# ------------------------------------------------- runner pre-flight
-
-
-class TestLabPreflight:
-    def test_preflight_failure_raises(self, monkeypatch):
-        import repro.analysis as analysis
-        from repro.analysis import finding
-        from repro.experiments.runner import ExperimentError, Lab
-
-        monkeypatch.setattr(
-            analysis, "lint_program",
-            lambda source, target, **kw: [
-                finding("BIN001", "text:0x1000", "seeded miscompile")])
-        lab = Lab(cache=False, preflight_lint=True)
-        with pytest.raises(ExperimentError, match="pre-flight lint"):
-            lab.executable("ackermann", "d16")
-
-    def test_preflight_clean_is_memoized(self, monkeypatch):
-        import repro.analysis as analysis
-        from repro.experiments.runner import Lab
-
-        calls = []
-
-        def fake_lint(source, target, **kw):
-            calls.append(target)
-            return []
-
-        monkeypatch.setattr(analysis, "lint_program", fake_lint)
-        lab = Lab(cache=False, preflight_lint=True)
-        lab.executable("ackermann", "d16")
-        lab.executable("ackermann", "d16")
-        assert len(calls) == 1

@@ -103,24 +103,6 @@ class TestParallelGrid:
         # The load delay reached the workers: it changes the interlocks.
         assert interlocks[0] != interlocks[1]
 
-    def test_preflight_lint_runs_in_the_workers(self, tmp_path,
-                                                monkeypatch):
-        import repro.analysis as analysis
-        from repro.analysis import finding
-
-        monkeypatch.setattr(
-            analysis, "lint_program",
-            lambda source, target, **kw: [
-                finding("BIN001", "text:0x1000", "seeded miscompile")])
-        lab = Lab(cache=tmp_path / "cache", preflight_lint=True)
-        grid = lab.runs(self.PROGRAMS, MAIN_TARGETS, jobs=2, partial=True)
-        for name in self.PROGRAMS:
-            for target in MAIN_TARGETS:
-                err = grid[name][target]
-                assert isinstance(err, RunError)
-                assert err.kind == "error"
-                assert "pre-flight lint" in err.message
-
     def test_parallel_workers_populate_shared_cache(self, tmp_path):
         lab = Lab(cache=tmp_path / "cache")
         lab.runs(("ackermann",), MAIN_TARGETS, jobs=2)

@@ -399,6 +399,41 @@ class TestWorkerPoolReal:
                                       target="d16"))
 
 
+class TestFaultsRequest:
+    """A ``faults`` request runs the campaign's cell code in the
+    worker's Lab."""
+
+    def test_payload_equals_the_campaign_outcomes(self, lab):
+        # queens on d16, seed 1 plans a cache-fault site among its four.
+        from repro.faults import FaultCampaign
+        from repro.service.workers import execute_request
+
+        payload = execute_request(lab, Request(
+            kind="faults", bench="queens", target="d16", faults=4, seed=1))
+        report = FaultCampaign(benchmarks=("queens",), targets=("d16",),
+                               faults=4, seed=1, cache=lab.cache).run()
+        cell, = report["cells"]
+        assert "cache" in {fault["kind"] for fault in cell["faults"]}
+        assert payload == {
+            "faults": 4, "seed": 1,
+            "outcomes": {outcome: count for outcome, count
+                         in sorted(cell["outcomes"].items()) if count}}
+
+    def test_golden_run_failure_raises(self):
+        from repro.bench import Benchmark, register_benchmark
+        from repro.experiments import Lab
+        from repro.experiments.runner import ExperimentError
+        from repro.service.workers import execute_request
+
+        register_benchmark(Benchmark(
+            "svc-wrong-output", "prints 5, expects 6", ("6",),
+            inline_source="int main() { puti(5); return 0; }"))
+        with pytest.raises(ExperimentError, match="unexpected output"):
+            execute_request(Lab(cache=False), Request(
+                kind="faults", bench="svc-wrong-output", target="d16",
+                faults=2, seed=1))
+
+
 class TestServiceEndToEnd:
     def test_mixed_stream_with_recovery_and_wire(self, tmp_path):
         import asyncio

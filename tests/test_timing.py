@@ -13,8 +13,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (block_stall_bounds, check_timing, exit_seed,
-                            predecessor_seed, resolve_cfg, static_bounds,
+from repro.analysis import (block_stall_bounds, build_cfg, check_timing,
+                            exit_seed, resolve_cfg, static_bounds,
                             timing_cell, validate_run)
 from repro.cc import build_executable, get_target
 from repro.isa import DLXE, Instr, Op
@@ -24,6 +24,7 @@ from repro.machine.pipeline import PipelineModel
 from .test_analysis import _raw_exe, _rules
 
 MODEL = PipelineModel()
+DLXE_TARGET = get_target("dlxe")
 
 
 # ------------------------------------------------- single-block bounds
@@ -120,7 +121,7 @@ class TestBoundsBracketSimulation:
         # (simulator and HazardModel share the PipelineModel rules).
         assert lo == stats.interlocks
         assert hi >= stats.interlocks
-        validation = check_timing(exe, DLXE, stats)
+        validation = check_timing(exe, DLXE_TARGET, stats)
         assert validation.findings == []
         assert validation.in_bounds and validation.fully_covered
         assert validation.interlock_lo <= stats.interlocks \
@@ -143,7 +144,7 @@ class TestValidateRun:
     def test_clean_run_validates(self):
         exe = _stalling_exe()
         stats, _machine = run_executable(exe)
-        validation = check_timing(exe, DLXE, stats)
+        validation = check_timing(exe, DLXE_TARGET, stats)
         assert validation.findings == []
         assert validation.interlock_lo >= 1
         assert validation.cycles_lo <= validation.cycles_observed \
@@ -156,7 +157,7 @@ class TestValidateRun:
         exe = _stalling_exe()
         stats, _machine = run_executable(exe)
         stats.interlocks = 10 ** 6                  # seeded violation
-        validation = check_timing(exe, DLXE, stats)
+        validation = check_timing(exe, DLXE_TARGET, stats)
         assert "TIM001" in _rules(validation.findings)
         assert not validation.in_bounds
 
@@ -164,7 +165,7 @@ class TestValidateRun:
         exe = _stalling_exe()
         stats, _machine = run_executable(exe)
         stats.interlocks = 0                        # seeded violation
-        validation = check_timing(exe, DLXE, stats)
+        validation = check_timing(exe, DLXE_TARGET, stats)
         findings = [f for f in validation.findings if f.rule == "TIM001"]
         assert findings and "below" in findings[0].message
 
@@ -178,7 +179,7 @@ class TestValidateRun:
         ])
         stats, _machine = run_executable(exe)
         stats.exec_counts[2] = 3                    # seeded stray site
-        validation = check_timing(exe, DLXE, stats)
+        validation = check_timing(exe, DLXE_TARGET, stats)
         findings = [f for f in validation.findings if f.rule == "TIM002"]
         assert findings and "outside" in findings[0].message
 
@@ -186,12 +187,12 @@ class TestValidateRun:
         exe = _stalling_exe()
         stats, _machine = run_executable(exe)
         stats.exec_counts[1] += 1                   # seeded CFG mismatch
-        validation = check_timing(exe, DLXE, stats)
+        validation = check_timing(exe, DLXE_TARGET, stats)
         findings = [f for f in validation.findings if f.rule == "TIM002"]
         assert findings and "vary" in findings[0].message
 
     def test_static_bounds_describe_smoke(self):
-        bounds = static_bounds(_stalling_exe(), DLXE)
+        bounds = static_bounds(build_cfg(_stalling_exe(), DLXE))
         text = bounds.describe()
         assert "blocks" in text and "stalls" in text
 
@@ -247,23 +248,6 @@ class TestLookbackSeeds:
         assert seeded_lo == MODEL.load_delay
         assert hi >= seeded_lo
 
-    def test_predecessor_seed_takes_componentwise_min(self):
-        loading = _pred_block([Instr(op=Op.LD, rd=5, rs1=3, imm=0)])
-        moving = _pred_block([Instr(op=Op.MVI, rd=5, imm=1)],
-                             start=0x2000)
-        assert predecessor_seed([loading], MODEL) == \
-            ({5: MODEL.load_delay}, 0)
-        # A single-cycle writer guarantees nothing, so the combined
-        # seed collapses.
-        assert predecessor_seed([loading, moving], MODEL) == ({}, 0)
-
-    def test_call_and_indirect_predecessors_are_opaque(self):
-        body = [Instr(op=Op.LD, rd=5, rs1=3, imm=0)]
-        assert predecessor_seed(
-            [_pred_block(body, is_call=True)], MODEL) == ({}, 0)
-        assert predecessor_seed(
-            [_pred_block(body, indirect=True)], MODEL) == ({}, 0)
-
     def test_lookback_tightens_soundly(self, isa_target):
         from .conftest import compile_run
 
@@ -309,7 +293,7 @@ class TestProgramValidation:
                 exe = lab.executable(name, target_name)
                 run = lab.run(name, target_name)
                 validation = check_timing(
-                    exe, get_target(target_name).isa, run.stats,
+                    exe, get_target(target_name), run.stats,
                     model=lab.params)
                 assert validation.findings == [], (name, target_name)
                 assert validation.fully_covered
