@@ -24,9 +24,8 @@ from repro.experiments import (
     format_figures_17_18, format_miss_rate_table, format_table3,
     format_table4, format_table5, format_table6, format_table7,
     format_table8, format_table9, format_table10, format_table13,
-    format_tables_11_12, run_cache_study, run_data_traffic, run_density,
-    run_immediates, run_interlocks, run_memperf, run_pathlength,
-    run_summary, run_traffic)
+    format_tables_11_12, run_cache_study, run_data_traffic, run_immediates,
+    run_interlocks, run_memperf, run_summary, run_traffic)
 
 
 def banner(text):
@@ -94,7 +93,7 @@ def main():
     print()
     print(format_figure14(result32, result64))
     print()
-    print(format_figure15(result32, result64, lab, programs))
+    print(format_figure15(result32, result64))
 
     banner("Section 4.1: caches (Figures 16-19, Tables 13-16)")
     cache_programs = CACHE_PROGRAMS if not fast else ("assem",)

@@ -64,11 +64,11 @@ from .vuln import (CellVulnerability, MaskingOracle, SiteVerdict,
                    check_soundness, classify_cell, vuln_findings)
 from .loops import DomTree, Loop, LoopForest, dominator_tree, find_loops
 from .timing import (BlockBounds, StaticBounds, TimingValidation,
-                     block_stall_bounds, check_timing, exit_seed,
-                     static_bounds, validate_run)
+                     block_stall_bounds, exit_seed, static_bounds,
+                     validate_run)
 from .wcet import (DEFAULT_SLACK, FunctionTiming, LoopBound, ProgramWcet,
-                   WcetValidation, analyze_wcet, check_wcet,
-                   infer_loop_bound, validate_wcet)
+                   WcetValidation, analyze_wcet, infer_loop_bound,
+                   validate_wcet)
 from .symex import (Leaf, Term, Unknown, explore_region, ground_leaves,
                     is_ground, single_def_terms,
                     summarize_binary_function, summarize_ir_function)
@@ -97,7 +97,7 @@ __all__ = [
     "block_stall_bounds", "build_cfg", "build_oracle",
     "check_binary_program", "check_cross_isa", "check_pass",
     "check_soundness",
-    "check_timing", "check_wcet", "classify_cell", "compare_analyses",
+    "classify_cell", "compare_analyses",
     "cross_isa_suite", "density_cell", "density_suite",
     "dominator_tree",
     "estimate_halfwords", "exit_code", "exit_seed", "explore_region",

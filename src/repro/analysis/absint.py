@@ -541,9 +541,16 @@ class FunctionSummary:
 
 @dataclass
 class AnalysisResult:
-    """Findings plus per-function summaries of one analyzed image."""
+    """Findings plus per-function summaries of one analyzed image.
+
+    The result of :func:`resolve_cfg` is the recovered image every
+    image analysis reads: ``cfg`` is its control-flow graph, and
+    ``target`` the target it was analyzed on, whose callee-saved set
+    every later stage assumes across calls.
+    """
 
     cfg: BinaryCFG
+    target: TargetSpec | None
     findings: list[Finding]
     functions: dict[str, FunctionSummary]
     #: Constant register-indirect control targets proven by the value
@@ -679,21 +686,19 @@ def callee_saved(target: TargetSpec | None) -> frozenset[int]:
     return target.callee_saved_int
 
 
-def analyze_executable(exe: Executable, isa: IsaSpec, *,
-                       symbols: dict[str, int] | None = None,
-                       target: TargetSpec | None = None,
-                       cfg: BinaryCFG | None = None) -> AnalysisResult:
+def analyze_executable(cfg: BinaryCFG, *,
+                       target: TargetSpec | None) -> AnalysisResult:
     """Run the value/stack analysis over every function of an image.
 
     ``target`` (a :class:`~repro.cc.target.TargetSpec`) supplies the
     register set assumed preserved across calls (:func:`callee_saved`).
-    Without a ``cfg`` the image is recovered by :func:`resolve_cfg`.
+    Images are recovered by :func:`resolve_cfg`, which runs this on
+    each round's CFG.
     """
-    if cfg is None:
-        return resolve_cfg(exe, isa, symbols=symbols, target=target)[1]
     preserved = callee_saved(target)
-    gp_value = exe.symbols.get("__gp")
-    result = AnalysisResult(cfg=cfg, findings=[], functions={})
+    gp_value = cfg.exe.symbols.get("__gp")
+    result = AnalysisResult(cfg=cfg, target=target, findings=[],
+                            functions={})
 
     for fstart, name in cfg.funcs:
         blocks = {b.start: b for b in cfg.function_blocks(fstart)}
@@ -725,8 +730,7 @@ def analyze_executable(exe: Executable, isa: IsaSpec, *,
 
 def resolve_cfg(exe: Executable, isa: IsaSpec, *,
                 symbols: dict[str, int] | None = None,
-                target: TargetSpec | None = None,
-                ) -> tuple[BinaryCFG, AnalysisResult]:
+                target: TargetSpec | None = None) -> AnalysisResult:
     """CFG recovery with value-analysis feedback, to a fixpoint.
 
     The plain reachability sweep cannot follow register-indirect calls
@@ -742,13 +746,15 @@ def resolve_cfg(exe: Executable, isa: IsaSpec, *,
     into its entry function and show no call graph.  With a full
     symbol table the first round already converges; recovery stops
     after :data:`MAX_RECOVERY_ROUNDS` rounds regardless.
+
+    This is the one place an image is recovered: the result, whose
+    ``cfg`` is the recovered CFG, is what every image analysis takes.
     """
     extra: dict[int, str] = {}
     for _round in range(MAX_RECOVERY_ROUNDS):
         cfg = build_cfg(exe, isa, symbols=symbols,
                         extra_funcs=extra or None)
-        result = analyze_executable(exe, isa, symbols=symbols,
-                                    target=target, cfg=cfg)
+        result = analyze_executable(cfg, target=target)
         new = {t for t in result.resolved_targets
                if t not in cfg.visited}
         for block in cfg.blocks.values():
@@ -761,4 +767,4 @@ def resolve_cfg(exe: Executable, isa: IsaSpec, *,
             break
         for t in sorted(new):
             extra[t] = f"fn_{t:x}"
-    return cfg, result
+    return result

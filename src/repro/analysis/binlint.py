@@ -32,10 +32,9 @@ from __future__ import annotations
 from ..asm.assembler import AsmError, Assembler
 from collections.abc import Iterator
 
-from ..asm.objfile import Executable
 from ..cc.target import REG_LINK, TargetSpec
 from ..isa import DecodingError, IsaSpec, OP_INFO, Op
-from .cfg import BinaryCFG, CALL_OPS, build_cfg
+from .cfg import BinaryCFG, CALL_OPS
 from .findings import Finding, finding
 
 _SAVE_BASES = (9, 15)     # assembler temporary (AT), stack pointer
@@ -61,23 +60,17 @@ def lint_assembly(source: str, isa: IsaSpec) -> list[Finding]:
     return out
 
 
-def lint_executable(exe: Executable, isa: IsaSpec, *,
-                    symbols: dict[str, int] | None = None,
-                    target: TargetSpec | None = None,
-                    cfg: BinaryCFG | None = None) -> list[Finding]:
+def lint_executable(cfg: BinaryCFG, *,
+                    target: TargetSpec | None) -> list[Finding]:
     """Lint a linked image; see the module docstring for the rules.
 
-    ``symbols`` maps label names to absolute text addresses (the
-    executable's own table only retains globals; the lint driver passes
-    the full label map from the object file).  Non-dot text symbols
-    are treated as function starts: reachability roots and
-    calling-convention extents.  A pre-built ``cfg`` (from
-    :func:`repro.analysis.cfg.build_cfg`) is reused instead of
-    re-walking the image.
+    ``cfg`` is the image's reachability sweep
+    (:func:`repro.analysis.cfg.build_cfg`); the lint driver builds it
+    from the object file's full label map, whose non-dot text symbols
+    are function starts: reachability roots and calling-convention
+    extents.  With a ``target`` the calling convention is linted too.
     """
-    if cfg is None:
-        cfg = build_cfg(exe, isa, symbols=symbols)
-    base, end, width = cfg.base, cfg.end, cfg.width
+    isa, base, end, width = cfg.isa, cfg.base, cfg.end, cfg.width
     describe = cfg.describe
 
     out: list[Finding] = []

@@ -177,10 +177,11 @@ class ProgramDensity:
 def analyze_density(cfg: BinaryCFG) -> ProgramDensity:
     """Estimate the D16 compressibility of a DLXe image's functions.
 
-    ``cfg`` is the recovered image (:func:`~repro.analysis.absint.
-    resolve_cfg`).  Only 32-bit images are meaningful input: a D16
-    image is already in its densest form, so the analysis returns an
-    empty report for one rather than inventing numbers.
+    ``cfg`` is the CFG of an image that
+    :func:`~repro.analysis.absint.resolve_cfg` recovered.  Only 32-bit
+    images are meaningful input: a D16 image is already in its densest
+    form, so the analysis returns an empty report for one rather than
+    inventing numbers.
     """
     report = ProgramDensity(cfg=cfg, functions={})
     if cfg.isa.name != "DLXe":

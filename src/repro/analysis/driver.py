@@ -16,9 +16,11 @@ whole-program [BCET, WCET] interval composition, static I-cache
 classification, D16-compressibility estimation of DLXe images, and
 liveness plus static fault classification.  Each mode has one
 per-cell function (:func:`timing_cell`, :func:`wcet_cell`,
-:func:`icache_cell`, :func:`density_cell`, :func:`vuln_cell`), called
-by its ``*_suite`` loop on :class:`~repro.experiments.runner.Lab`
-images and by ``repro lint FILE`` on the file's one image and run.
+:func:`icache_cell`, :func:`density_cell`, :func:`vuln_cell`) that
+takes the image :func:`~repro.analysis.absint.resolve_cfg` recovered.
+Its ``*_suite`` loop recovers each
+:class:`~repro.experiments.runner.Lab` image once per cell, and
+``repro lint FILE`` recovers the file's one image once for every mode.
 :func:`cross_isa_suite` and :func:`tv_suite` read source instead:
 D16-vs-DLXe consistency checking, and per-pass + IR-vs-binary
 translation validation.  ``repro lint --all`` runs every mode in one
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..asm import AsmError, Assembler, link
-from ..asm.objfile import Executable
+from ..asm.objfile import text_labels
 from ..bench import SUITE, get_benchmark
 from ..cc import TargetSpec, get_target
 from ..cc.codegen import generate_assembly
@@ -47,7 +49,7 @@ from ..cc.parser import parse
 from ..cc.runtime import RUNTIME_SOURCE
 from ..machine.pipeline import PipelineParams
 from ..machine.stats import RunStats
-from .absint import analyze_executable, resolve_cfg
+from .absint import AnalysisResult, analyze_executable, resolve_cfg
 from .binlint import lint_assembly, lint_executable
 from .cfg import build_cfg
 from .density import ProgramDensity, analyze_density
@@ -55,8 +57,9 @@ from .findings import Finding, finding, has_errors, render_text
 from .icache import (ICacheAnalysis, ICacheValidation, analyze_icache,
                      validate_icache)
 from .irverify import verify_module
-from .timing import TimingValidation, check_timing
-from .wcet import DEFAULT_SLACK, WcetValidation, analyze_wcet, check_wcet
+from .timing import TimingValidation, static_bounds, validate_run
+from .wcet import (DEFAULT_SLACK, ProgramWcet, WcetValidation, analyze_wcet,
+                   validate_wcet)
 from .xisa import check_cross_isa
 
 if TYPE_CHECKING:
@@ -156,16 +159,11 @@ def _lint_back_end(module: Module, target: TargetSpec,
         findings.append(finding(
             "ENC001", f"{target.isa.name}:line {exc.line_no}", str(exc)))
         return findings
-    # The executable's symbol table only retains globals; rebuild the
-    # full label map from the object file (single-object link: section
-    # offsets translate directly to absolute addresses).
-    symbols = {sym.name: exe.text_base + sym.value
-               for sym in obj.symbols.values() if sym.section == "text"}
-    cfg = build_cfg(exe, target.isa, symbols=symbols)
-    findings.extend(lint_executable(exe, target.isa, symbols=symbols,
-                                    target=target, cfg=cfg))
-    findings.extend(analyze_executable(exe, target.isa, symbols=symbols,
-                                       target=target, cfg=cfg).findings)
+    # The plain sweep over the object file's full label map: the binary
+    # lint checks exactly what the labels make reachable.
+    cfg = build_cfg(exe, target.isa, symbols=text_labels(obj, exe))
+    findings.extend(lint_executable(cfg, target=target))
+    findings.extend(analyze_executable(cfg, target=target).findings)
     return findings
 
 
@@ -195,37 +193,33 @@ def lint_suite(targets: Iterable[str] = DEFAULT_TARGETS,
 
 # --------------------------------------------------------- image modes
 #
-# One function per mode checks one cell: a linked image on its target.
-# Each returns ``(result, findings)``.  ``labels`` is the object file's
-# text-label map, or ``None`` for a Lab image, whose symbol table keeps
-# only globals: its CFG is then recovered with value-analysis feedback
-# (resolving D16's pool-loaded calls) rather than from labels.
+# One function per mode checks one cell: an image recovered by
+# :func:`~repro.analysis.absint.resolve_cfg`, or for --wcet and
+# --icache its whole-program interval.  Each returns ``(result,
+# findings)``.  A Lab image's symbol table keeps only globals, so its
+# recovery resolves D16's pool-loaded calls by value-analysis feedback;
+# ``repro lint FILE`` recovers its image from the object file's labels.
 
 
-def timing_cell(exe: Executable, target: TargetSpec, stats: RunStats, *,
-                labels: dict[str, int] | None = None,
+def timing_cell(image: AnalysisResult, stats: RunStats, *,
                 params: PipelineParams | None = None,
                 ) -> tuple[TimingValidation, list[Finding]]:
     """Validate one image's static cycle bounds against its run: the
     simulator's interlock total must land inside the CFG-aggregated
     per-block [lower, upper] stall bounds (TIM001 on violation, TIM002
     on a coverage gap)."""
-    validation = check_timing(exe, target, stats, model=params,
-                              symbols=labels)
+    validation = validate_run(static_bounds(image.cfg, model=params), stats)
     return validation, validation.findings
 
 
-def wcet_cell(exe: Executable, target: TargetSpec, stats: RunStats, *,
-              labels: dict[str, int] | None = None,
-              params: PipelineParams | None = None,
+def wcet_cell(program: ProgramWcet, stats: RunStats, *,
               slack: float | None = DEFAULT_SLACK,
               ) -> tuple[WcetValidation, list[Finding]]:
     """Bracket one run's cycle count with the whole-program static
-    interval: loop recovery, bound inference, and interprocedural
-    [BCET, WCET] composition (TIM003 when the simulated cycles escape
-    the interval, LOOP001/TIM004/TIM005 for the soundness caveats)."""
-    validation = check_wcet(exe, target.isa, stats, model=params,
-                            symbols=labels, target=target, slack=slack)
+    interval of :func:`~repro.analysis.wcet.analyze_wcet` (TIM003 when
+    the simulated cycles escape the interval, LOOP001/TIM004/TIM005 for
+    the soundness caveats)."""
+    validation = validate_wcet(program, stats, slack=slack)
     return validation, validation.findings
 
 
@@ -234,10 +228,8 @@ def wcet_cell(exe: Executable, target: TargetSpec, stats: RunStats, *,
 DEFAULT_MISS_PENALTY = 8
 
 
-def icache_cell(exe: Executable, target: TargetSpec, stats: RunStats,
+def icache_cell(program: ProgramWcet, stats: RunStats,
                 itrace: Sequence[int], *,
-                labels: dict[str, int] | None = None,
-                params: PipelineParams | None = None,
                 sizes: Iterable[int] | None = None,
                 penalty: int = DEFAULT_MISS_PENALTY,
                 ) -> tuple[list[tuple[ICacheAnalysis, ICacheValidation]],
@@ -252,8 +244,6 @@ def icache_cell(exe: Executable, target: TargetSpec, stats: RunStats,
     from ..cache.cache import CacheConfig
     from ..experiments.cacheperf import CACHE_SIZES, FIGURE_BLOCK, SUB_BLOCK
 
-    program = analyze_wcet(exe, target.isa, model=params, symbols=labels,
-                           target=target)
     pairs = []
     findings: list[Finding] = []
     seen: set[tuple[str, str, str]] = set()
@@ -271,19 +261,15 @@ def icache_cell(exe: Executable, target: TargetSpec, stats: RunStats,
     return pairs, findings
 
 
-def density_cell(exe: Executable, target: TargetSpec, *,
-                 labels: dict[str, int] | None = None,
+def density_cell(image: AnalysisResult,
                  ) -> tuple[ProgramDensity, list[Finding]]:
     """Estimate the D16 compressibility of one 32-bit image (DEN001)."""
-    cfg, _result = resolve_cfg(exe, target.isa, symbols=labels,
-                               target=target)
-    density = analyze_density(cfg)
+    density = analyze_density(image.cfg)
     return density, density.findings
 
 
-def vuln_cell(program: str, target_name: str, exe: Executable,
-              target: TargetSpec, stats: RunStats, itrace: Sequence[int],
-              *, labels: dict[str, int] | None = None,
+def vuln_cell(program: str, target_name: str, image: AnalysisResult,
+              stats: RunStats, itrace: Sequence[int], *,
               faults: int = 20, seed: int = 42,
               ) -> tuple[tuple[CellVulnerability, list[tuple[str, str]]],
                          list[Finding]]:
@@ -296,27 +282,27 @@ def vuln_cell(program: str, target_name: str, exe: Executable,
     summarizes the register-file exposure (VULN002).  The result is
     ``(CellVulnerability, waived)``.
     """
-    from .liveness import analyze_liveness, liveness_findings
-    from .vuln import classify_cell, vuln_findings
+    from .liveness import liveness_findings
+    from .vuln import build_oracle, classify_cell, vuln_findings
 
-    liveness = analyze_liveness(exe, target.isa, symbols=labels,
-                                target=target)
-    live_findings, waived = liveness_findings(liveness, target)
-    cell = classify_cell(program, target_name, exe, target, itrace,
-                         stats.instructions, faults=faults, seed=seed,
-                         liveness=liveness)
+    oracle = build_oracle(image, itrace)
+    live_findings, waived = liveness_findings(oracle.liveness, image.target)
+    cell = classify_cell(program, target_name, oracle, stats.instructions,
+                         faults=faults, seed=seed)
     return (cell, waived), live_findings + vuln_findings(cell)
 
 
 def _suite(targets: Iterable[str], programs: Iterable[str] | None,
            lab: Lab | None,
-           check: Callable[[Lab, str, str], tuple[Any, list[Finding]]],
+           check: Callable[[Lab, str, str, AnalysisResult],
+                           tuple[Any, list[Finding]]],
            ) -> tuple[list[LintReport], dict]:
-    """Run ``check(lab, program, target)`` on every cell of the suite.
+    """Run ``check(lab, program, target, image)`` on every cell.
 
-    Returns one report per cell and the results keyed by ``(program,
-    target)``.  Images and runs come from ``lab`` (a fresh
-    :class:`~repro.experiments.runner.Lab` when ``None``), so repeated
+    ``image`` is the cell's :class:`~repro.experiments.runner.Lab`
+    image, recovered once by :func:`resolve_cfg`.  Returns one report
+    per cell and the results keyed by ``(program, target)``.  Images
+    and runs come from ``lab`` (a fresh Lab when ``None``), so repeated
     invocations ride its persistent artifact cache and skip simulation.
     """
     from ..experiments.runner import Lab
@@ -329,7 +315,10 @@ def _suite(targets: Iterable[str], programs: Iterable[str] | None,
     results: dict[tuple[str, str], Any] = {}
     for name in names:
         for target_name in targets:
-            result, findings = check(lab, name, target_name)
+            target = get_target(target_name)
+            image = resolve_cfg(lab.executable(name, target_name),
+                                target.isa, target=target)
+            result, findings = check(lab, name, target_name, image)
             results[(name, target_name)] = result
             reports.append(LintReport(program=name, target=target_name,
                                       findings=findings))
@@ -346,9 +335,9 @@ def timing_suite(targets: Iterable[str] = DEFAULT_TARGETS,
     ``(program, target)`` to the :class:`TimingValidation` — the
     tightness numbers feed EXPERIMENTS.md.
     """
-    return _suite(targets, programs, lab, lambda lab, name, t: timing_cell(
-        lab.executable(name, t), get_target(t), lab.run(name, t).stats,
-        params=lab.params))
+    return _suite(targets, programs, lab, lambda lab, name, t, image:
+                  timing_cell(image, lab.run(name, t).stats,
+                              params=lab.params))
 
 
 def wcet_suite(targets: Iterable[str] = DEFAULT_TARGETS,
@@ -363,9 +352,9 @@ def wcet_suite(targets: Iterable[str] = DEFAULT_TARGETS,
     per-function bound records and BCET ratios feed EXPERIMENTS.md and
     the ``--json`` report.
     """
-    return _suite(targets, programs, lab, lambda lab, name, t: wcet_cell(
-        lab.executable(name, t), get_target(t), lab.run(name, t).stats,
-        params=lab.params, slack=slack))
+    return _suite(targets, programs, lab, lambda lab, name, t, image:
+                  wcet_cell(analyze_wcet(image, model=lab.params),
+                            lab.run(name, t).stats, slack=slack))
 
 
 def icache_suite(targets: Iterable[str] = DEFAULT_TARGETS,
@@ -383,13 +372,12 @@ def icache_suite(targets: Iterable[str] = DEFAULT_TARGETS,
     """
     sizes = tuple(sizes) if sizes is not None else None
 
-    def check(lab: Lab, name: str, t: str,
+    def check(lab: Lab, name: str, t: str, image: AnalysisResult,
               ) -> tuple[list[tuple[ICacheAnalysis, ICacheValidation]],
                          list[Finding]]:
         trace = lab.trace(name, t)
-        return icache_cell(lab.executable(name, t), get_target(t),
-                           trace.run.stats, trace.itrace,
-                           params=lab.params, sizes=sizes,
+        return icache_cell(analyze_wcet(image, model=lab.params),
+                           trace.run.stats, trace.itrace, sizes=sizes,
                            penalty=penalty)
 
     return _suite(targets, programs, lab, check)
@@ -405,8 +393,8 @@ def density_suite(programs: Iterable[str] | None = None, *,
     property of the 32-bit encoding, so the suite runs one target
     (DLXe by default); reports carry the DEN001 INFO findings.
     """
-    return _suite((target,), programs, lab, lambda lab, name, t: density_cell(
-        lab.executable(name, t), get_target(t)))
+    return _suite((target,), programs, lab,
+                  lambda lab, name, t, image: density_cell(image))
 
 
 def vuln_suite(targets: Iterable[str] = DEFAULT_TARGETS,
@@ -420,10 +408,10 @@ def vuln_suite(targets: Iterable[str] = DEFAULT_TARGETS,
     target)`` to ``(CellVulnerability, waived)`` — the cross-ISA AVF
     numbers feed EXPERIMENTS.md and the ``--json`` report.
     """
-    return _suite(targets, programs, lab, lambda lab, name, t: vuln_cell(
-        name, t, lab.executable(name, t), get_target(t),
-        lab.run(name, t).stats, lab.trace(name, t).itrace,
-        faults=faults, seed=seed))
+    return _suite(targets, programs, lab, lambda lab, name, t, image:
+                  vuln_cell(name, t, image, lab.run(name, t).stats,
+                            lab.trace(name, t).itrace, faults=faults,
+                            seed=seed))
 
 
 def validate_vuln(lab: Lab, programs: Iterable[str] | None = None,

@@ -59,11 +59,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..asm.objfile import Executable
 from ..cc.target import REG_LINK, REG_RET, REG_SP, TargetSpec
-from ..isa import Instr, IsaSpec, Op
+from ..isa import Instr, Op
 from .absint import (_MEM_SIZES, AnalysisResult, Interval, SPRel,
-                     ValueDomain, Value, callee_saved, resolve_cfg)
+                     ValueDomain, Value, callee_saved)
 from .cfg import BasicBlock, BinaryCFG
 
 FULL = 0xFFFFFFFF
@@ -789,18 +788,8 @@ def liveness_findings(analysis: LivenessAnalysis,
     return out, waived
 
 
-def analyze_liveness(exe: Executable, isa: IsaSpec, *,
-                     symbols: dict[str, int] | None = None,
-                     target: TargetSpec | None = None,
-                     result: AnalysisResult | None = None,
-                     ) -> LivenessAnalysis:
-    """Backward liveness over every function of a linked image.
-
-    ``result`` lets a caller that already recovered the image share its
-    CFG, resolved call targets and value states; otherwise
-    :func:`~repro.analysis.absint.resolve_cfg` recovers it here.
-    """
-    if result is None:
-        _cfg, result = resolve_cfg(exe, isa, symbols=symbols,
-                                   target=target)
-    return _ImageLiveness(result).run()
+def analyze_liveness(image: AnalysisResult) -> LivenessAnalysis:
+    """Backward liveness over every function of an image recovered by
+    :func:`~repro.analysis.absint.resolve_cfg`, reading its CFG,
+    resolved call targets and value states."""
+    return _ImageLiveness(image).run()

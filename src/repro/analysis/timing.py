@@ -57,10 +57,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..asm.objfile import Executable
 from collections.abc import Sequence
 
-from ..cc.target import TargetSpec
 from ..isa import Instr
 from ..machine.pipeline import HazardModel, PipelineModel, hazard_indices
 from ..machine.stats import RunStats
@@ -368,20 +366,3 @@ def validate_run(bounds: StaticBounds, stats: RunStats) -> TimingValidation:
         instructions=stats.instructions,
         covered_instructions=covered, findings=findings)
 
-
-def check_timing(exe: Executable, target: TargetSpec, stats: RunStats, *,
-                 model: PipelineModel | None = None,
-                 symbols: dict[str, int] | None = None) -> TimingValidation:
-    """One-call harness: static bounds + validation for one run.
-
-    The control flow is recovered on ``target`` with value-analysis
-    feedback (:func:`~repro.analysis.absint.resolve_cfg`), so D16's
-    pool-loaded indirect calls are followed even when the executable's
-    symbol table lost the function labels.
-    """
-    from .absint import resolve_cfg
-
-    cfg, _result = resolve_cfg(exe, target.isa, symbols=symbols,
-                               target=target)
-    sb = static_bounds(cfg, model=model)
-    return validate_run(sb, stats)

@@ -72,10 +72,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ..asm.objfile import Executable
-from ..cc.target import TargetSpec
 from ..isa import Op
 from ..machine.memory import DEFAULT_MEM_SIZE
+from .absint import AnalysisResult
 from .findings import Finding, finding
 from .liveness import (FULL, LivenessAnalysis, _load_byte_mask,
                        analyze_liveness)
@@ -164,15 +163,13 @@ class CellVulnerability:
 class MaskingOracle:
     """Per-image static masked/ACE classifier for fault specs."""
 
-    def __init__(self, exe: Executable, target: TargetSpec,
-                 liveness: LivenessAnalysis, itrace: Sequence[int], *,
-                 stdin: bytes = b"",
+    def __init__(self, liveness: LivenessAnalysis, itrace: Sequence[int],
+                 *, stdin: bytes = b"",
                  mem_size: int = DEFAULT_MEM_SIZE) -> None:
-        self.exe = exe
-        self.target = target
-        self.isa = target.isa
         self.liveness = liveness
         self.cfg = liveness.cfg
+        self.exe = self.cfg.exe
+        self.isa = self.cfg.isa
         self.itrace = itrace
         self.stdin = stdin
         self.mem_size = mem_size
@@ -433,48 +430,35 @@ def avf_summary(liveness: LivenessAnalysis,
         functions=dict(sorted(per_func.items())))
 
 
-def build_oracle(exe: Executable, target: TargetSpec,
-                 itrace: Sequence[int], *, stdin: bytes = b"",
-                 liveness: LivenessAnalysis | None = None,
-                 ) -> MaskingOracle:
-    """Run the CFG/value/liveness stack and wrap it in an oracle.
-
-    ``liveness`` lets callers that already analyzed the image (the
-    lint driver) share the result; otherwise the full pipeline runs:
-    CFG recovery with value-analysis feedback
-    (:func:`~repro.analysis.absint.resolve_cfg`), then the backward
-    liveness fixpoint.
-    """
-    if liveness is None:
-        liveness = analyze_liveness(exe, target.isa, target=target)
-    return MaskingOracle(exe, target, liveness, itrace, stdin=stdin)
+def build_oracle(image: AnalysisResult, itrace: Sequence[int], *,
+                 stdin: bytes = b"") -> MaskingOracle:
+    """Run the backward liveness fixpoint over an image recovered by
+    :func:`~repro.analysis.absint.resolve_cfg` and wrap it in an
+    oracle."""
+    return MaskingOracle(analyze_liveness(image), itrace, stdin=stdin)
 
 
-def classify_cell(bench: str, target_name: str, exe: Executable,
-                  target: TargetSpec, itrace: Sequence[int],
+def classify_cell(bench: str, target_name: str, oracle: MaskingOracle,
                   golden_instructions: int, *,
-                  faults: int = 20, seed: int = 42,
-                  liveness: LivenessAnalysis | None = None,
-                  ) -> CellVulnerability:
+                  faults: int = 20, seed: int = 42) -> CellVulnerability:
     """Statically classify one campaign cell's planned fault list.
 
     Plans exactly the specs the seeded campaign would execute (same
     PRNG stream) and runs every one through the oracle — no simulation
-    beyond the golden trace the caller already has.
+    beyond the golden trace the oracle already holds.
     """
     from ..faults.campaign import plan_cell
     from ..faults.model import GoldenRun
 
-    oracle = build_oracle(exe, target, itrace, liveness=liveness)
     golden = GoldenRun(instructions=golden_instructions, interlocks=0,
                        exit_code=0)
-    specs = plan_cell(bench, target_name, golden, exe, faults=faults,
-                      seed=seed)
+    specs = plan_cell(bench, target_name, golden, oracle.exe,
+                      faults=faults, seed=seed)
     verdicts = [oracle.classify(spec) for spec in specs]
     return CellVulnerability(bench=bench, target=target_name,
                              verdicts=verdicts,
                              summary=avf_summary(oracle.liveness,
-                                                 itrace))
+                                                 oracle.itrace))
 
 
 def vuln_findings(cell: CellVulnerability) -> list[Finding]:

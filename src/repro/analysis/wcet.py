@@ -42,14 +42,13 @@ import heapq
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from ..asm.objfile import Executable
-from ..cc.target import INT_ARG_REGS, REG_LINK, REG_RET, REG_SP, TargetSpec
-from ..isa import COND_NEGATE, COND_SWAP, Cond, Instr, IsaSpec, Op, to_s32
+from ..cc.target import INT_ARG_REGS, REG_LINK, REG_RET, REG_SP
+from ..isa import COND_NEGATE, COND_SWAP, Cond, Instr, Op, to_s32
 from ..isa.refs import ldc_pool_addr
 from ..machine.pipeline import PipelineModel
 from ..machine.stats import RunStats
-from .absint import (Interval, SPRel, ValueDomain, _join_value, _signed,
-                     callee_saved, resolve_cfg, solve)
+from .absint import (AnalysisResult, Interval, SPRel, ValueDomain,
+                     _join_value, _signed, callee_saved, solve)
 from .cfg import BasicBlock, BinaryCFG
 from .findings import Finding, finding
 from .loops import DomTree, Loop, LoopForest, find_loops
@@ -1093,21 +1092,18 @@ def _join_args(a: dict[int, Interval],
     return joined
 
 
-def analyze_wcet(exe: Executable, isa: IsaSpec, *,
-                 model: PipelineModel | None = None,
-                 symbols: dict[str, int] | None = None,
-                 target: TargetSpec | None = None) -> ProgramWcet:
-    """Compose the whole-program static cycle interval of an image,
-    recovered with value-analysis feedback by
-    :func:`~repro.analysis.absint.resolve_cfg`."""
-    cfg, result = resolve_cfg(exe, isa, symbols=symbols, target=target)
+def analyze_wcet(image: AnalysisResult, *,
+                 model: PipelineModel | None) -> ProgramWcet:
+    """Compose the whole-program static cycle interval of an image
+    recovered by :func:`~repro.analysis.absint.resolve_cfg`."""
+    cfg = image.cfg
     model = model or PipelineModel()
     bounds = static_bounds(cfg, model=model)
-    preserved = callee_saved(target)
-    gp_value = exe.symbols.get("__gp")
+    preserved = callee_saved(image.target)
+    gp_value = cfg.exe.symbols.get("__gp")
 
     call_targets: dict[int, int | None] = {}
-    for summary in result.functions.values():
+    for summary in image.functions.values():
         for pc, tgt in summary.call_sites:
             call_targets[pc] = tgt
 
@@ -1338,13 +1334,3 @@ def validate_wcet(program: ProgramWcet, stats: RunStats, *,
     return WcetValidation(program=program, observed_cycles=observed,
                           findings=findings)
 
-
-def check_wcet(exe: Executable, isa: IsaSpec, stats: RunStats, *,
-               model: PipelineModel | None = None,
-               symbols: dict[str, int] | None = None,
-               target: TargetSpec | None = None,
-               slack: float | None = DEFAULT_SLACK) -> WcetValidation:
-    """One-call harness: whole-program interval + run validation."""
-    program = analyze_wcet(exe, isa, model=model, symbols=symbols,
-                           target=target)
-    return validate_wcet(program, stats, slack=slack)

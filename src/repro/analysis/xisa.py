@@ -37,13 +37,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..asm import AsmError, Assembler, link
+from ..asm.objfile import text_labels
 from ..cc import TargetSpec, get_target
 from ..cc.codegen import generate_assembly
 from ..cc.irgen import lower_program
 from ..cc.opt import optimize_module
 from ..cc.parser import parse
 from ..cc.runtime import RUNTIME_SOURCE
-from .absint import AnalysisResult, FunctionSummary, analyze_executable
+from .absint import AnalysisResult, FunctionSummary, resolve_cfg
 from .findings import Finding, finding
 
 
@@ -161,10 +162,11 @@ def compare_analyses(results: dict[str, AnalysisResult],
 def analyze_source(source: str, target: TargetSpec | str, *,
                    opt_level: int = 2,
                    include_runtime: bool = True) -> AnalysisResult:
-    """Compile one minic source and run the value analysis on the image.
+    """Compile one minic source and recover its image.
 
     Mirrors the lint driver's layering (full label map from the object
-    file, so every function is a named reachability root).
+    file, so every function is a named reachability root); the image is
+    recovered by :func:`~repro.analysis.absint.resolve_cfg`.
     """
     if isinstance(target, str):
         target = get_target(target)
@@ -179,10 +181,8 @@ def analyze_source(source: str, target: TargetSpec | str, *,
         raise ValueError(
             f"{target.isa.name}: source does not assemble "
             f"(line {exc.line_no}): {exc}") from exc
-    symbols = {sym.name: exe.text_base + sym.value
-               for sym in obj.symbols.values() if sym.section == "text"}
-    return analyze_executable(exe, target.isa, symbols=symbols,
-                              target=target)
+    return resolve_cfg(exe, target.isa, symbols=text_labels(obj, exe),
+                       target=target)
 
 
 def check_cross_isa(source: str,

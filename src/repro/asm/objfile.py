@@ -70,6 +70,17 @@ class ObjectFile:
         return self.sections[name]
 
 
+def text_labels(obj: ObjectFile, exe: Executable) -> dict[str, int]:
+    """Absolute address of every text label of ``obj``, locals included.
+
+    ``exe`` must be ``obj`` linked alone, so that text offsets translate
+    directly to addresses.  The executable's own symbol table keeps
+    only globals.
+    """
+    return {sym.name: exe.text_base + sym.value
+            for sym in obj.symbols.values() if sym.section == "text"}
+
+
 @dataclass
 class Executable:
     """A linked, loadable program image."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .. import __version__ as TOOLCHAIN_VERSION
 from ..asm import assemble, link
-from ..asm.objfile import Executable
+from ..asm.objfile import Executable, text_labels
 from .codegen import generate_assembly
 from .irgen import lower_program
 from .opt import optimize_module
@@ -84,11 +84,9 @@ def build_executable(source: str, target: TargetSpec | str, *,
                                    verify_ir=verify_ir)
     obj = assemble(assembly, target.isa)
     executable = link([obj])
-    # One object file: its text offsets translate directly to addresses.
-    labels = {sym.name: executable.text_base + sym.value
-              for sym in obj.symbols.values() if sym.section == "text"}
     return CompileResult(target=target, assembly=assembly,
-                         executable=executable, labels=labels)
+                         executable=executable,
+                         labels=text_labels(obj, executable))
 
 
 def compile_and_run(source: str, target: TargetSpec | str, *,

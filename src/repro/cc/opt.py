@@ -567,7 +567,9 @@ def licm(func: Function) -> bool:
     dom = _dominators(func, preds)
     changed = False
     handled_headers: set[str] = set()
-    for block in func.blocks:
+    # A snapshot: _insert_preheader inserts into func.blocks, at or
+    # before the block being visited, which would hand it out again.
+    for block in list(func.blocks):
         for succ in block.successors():
             if succ not in dom.get(block.label, set()):
                 continue            # not a back edge

@@ -376,37 +376,41 @@ def _lint(args) -> int:
 def _lint_image(args, file: str, source: str, icache_sizes):
     """The requested image modes on one source file.
 
-    Builds the file's image once and runs it at most once (traced when
-    a mode reads the instruction trace); returns ``(mode, result,
-    findings)`` per mode, in report order.
+    Builds the file's image once, recovers it once, composes its
+    whole-program interval at most once and runs it at most once
+    (traced when a mode reads the instruction trace); returns ``(mode,
+    result, findings)`` per mode, in report order.
     """
-    from .analysis import (density_cell, icache_cell, timing_cell,
-                           vuln_cell, wcet_cell)
+    from .analysis import (analyze_wcet, density_cell, icache_cell,
+                           resolve_cfg, timing_cell, vuln_cell, wcet_cell)
 
     built = build_executable(source, args.target, opt_level=args.opt,
                              include_runtime=not args.no_runtime)
-    exe, target, labels = built.executable, built.target, built.labels
+    exe, target = built.executable, built.target
+    image = resolve_cfg(exe, target.isa, symbols=built.labels,
+                        target=target)
     stats = itrace = None
     if args.timing or args.wcet or args.icache or args.vuln:
         stats, machine = run_executable(
             exe, trace_instructions=args.icache or args.vuln)
         itrace = machine.itrace
+    program = analyze_wcet(image, model=None) \
+        if args.wcet or args.icache else None
     cells = []
     if args.timing:
-        cells.append(("timing",
-                      *timing_cell(exe, target, stats, labels=labels)))
+        cells.append(("timing", *timing_cell(image, stats)))
     if args.wcet:
-        cells.append(("wcet", *wcet_cell(exe, target, stats, labels=labels,
+        cells.append(("wcet", *wcet_cell(program, stats,
                                          slack=args.wcet_slack)))
     if args.density:
-        cells.append(("density", *density_cell(exe, target, labels=labels)))
+        cells.append(("density", *density_cell(image)))
     if args.icache:
         cells.append(("icache", *icache_cell(
-            exe, target, stats, itrace, labels=labels, sizes=icache_sizes,
+            program, stats, itrace, sizes=icache_sizes,
             penalty=args.icache_penalty)))
     if args.vuln:
         cells.append(("vuln", *vuln_cell(
-            file, target.name, exe, target, stats, itrace, labels=labels,
+            file, target.name, image, stats, itrace,
             faults=args.vuln_faults, seed=args.vuln_seed)))
     return cells
 

@@ -13,7 +13,7 @@ factored out (the paper's "D16 normalized" curves).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..machine.perf import cycles_no_cache, fetches_per_cycle
 from .report import format_series, format_table
@@ -30,6 +30,8 @@ class MemPerfRow:
     dlxe_cycles: dict[int, int]
     d16_instructions: int
     dlxe_instructions: int
+    d16_fetch_rates: dict[int, float]    # wait states -> fetches/cycle
+    dlxe_fetch_rates: dict[int, float]
 
     def ratio(self, latency: int) -> float:
         """DLXe/D16 cycle ratio (paper Tables 11-12)."""
@@ -40,7 +42,6 @@ class MemPerfRow:
 class MemPerfResult:
     bus_bits: int
     rows: list[MemPerfRow]
-    fetch_rates: dict[str, dict[int, float]] = field(default_factory=dict)
 
     def mean_ratio(self, latency: int) -> float:
         return mean(row.ratio(latency) for row in self.rows)
@@ -65,7 +66,6 @@ def run_memperf(lab: Lab, programs=None, *,
     """Sweep memory wait states for cacheless D16 and DLXe machines."""
     grid = lab.runs(programs, ("d16", "dlxe"))
     rows = []
-    result = MemPerfResult(bus_bits=bus_bits, rows=rows)
     for name, runs in grid.items():
         d16, dlxe = runs["d16"].stats, runs["dlxe"].stats
         rows.append(MemPerfRow(
@@ -77,11 +77,14 @@ def run_memperf(lab: Lab, programs=None, *,
                                              bus_bits=bus_bits)
                          for ws in WAIT_STATES},
             d16_instructions=d16.instructions,
-            dlxe_instructions=dlxe.instructions))
-        result.fetch_rates[name] = {
-            ws: fetches_per_cycle(d16, latency=ws, bus_bits=bus_bits)
-            for ws in WAIT_STATES}
-    return result
+            dlxe_instructions=dlxe.instructions,
+            d16_fetch_rates={ws: fetches_per_cycle(d16, latency=ws,
+                                                   bus_bits=bus_bits)
+                             for ws in WAIT_STATES},
+            dlxe_fetch_rates={ws: fetches_per_cycle(dlxe, latency=ws,
+                                                    bus_bits=bus_bits)
+                              for ws in WAIT_STATES}))
+    return MemPerfResult(bus_bits=bus_bits, rows=rows)
 
 
 def format_tables_11_12(result: MemPerfResult) -> str:
@@ -121,23 +124,17 @@ def format_figure14(result32: MemPerfResult,
 
 
 def format_figure15(result32: MemPerfResult,
-                    result64: MemPerfResult, lab: Lab,
-                    programs=None) -> str:
+                    result64: MemPerfResult) -> str:
     """Figure 15: instruction-fetch bus saturation (fetches/cycle)."""
     wait_states = sorted(result32.rows[0].d16_cycles)
-    grid = lab.runs(programs, ("d16", "dlxe"))
     parts = []
     for result in (result32, result64):
-        series = {"DLXe": [], "D16": []}
-        for ws in wait_states:
-            series["DLXe"].append(mean(
-                fetches_per_cycle(runs["dlxe"].stats, latency=ws,
-                                  bus_bits=result.bus_bits)
-                for runs in grid.values()))
-            series["D16"].append(mean(
-                fetches_per_cycle(runs["d16"].stats, latency=ws,
-                                  bus_bits=result.bus_bits)
-                for runs in grid.values()))
+        series = {
+            "DLXe": [mean(row.dlxe_fetch_rates[ws] for row in result.rows)
+                     for ws in wait_states],
+            "D16": [mean(row.d16_fetch_rates[ws] for row in result.rows)
+                    for ws in wait_states],
+        }
         parts.append(format_series(
             f"Figure 15 ({result.bus_bits}-bit fetch): fetches per cycle",
             "wait states", list(wait_states), series))

@@ -291,10 +291,13 @@ def run_cell(lab: Lab, bench_name: str, target: str, *, faults: int,
     verdicts: dict[int, "SiteVerdict"] = {}
     if prune:
         try:
+            from ..analysis.absint import resolve_cfg
             from ..analysis.vuln import build_oracle
             from ..cc.target import TARGETS
 
-            oracle = build_oracle(exe, TARGETS[target], itrace)
+            target_spec = TARGETS[target]
+            image = resolve_cfg(exe, target_spec.isa, target=target_spec)
+            oracle = build_oracle(image, itrace)
             verdicts = {spec.index: oracle.classify(spec)
                         for spec in specs}
         except Exception as exc:  # noqa: BLE001 - pruning is best-effort

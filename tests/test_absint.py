@@ -165,7 +165,7 @@ class TestValueWidening:
 
 
 def _analyze_raw(isa, instrs, **kwargs):
-    return analyze_executable(_raw_exe(isa, instrs, **kwargs), isa)
+    return resolve_cfg(_raw_exe(isa, instrs, **kwargs), isa)
 
 
 class TestAbsRules:
@@ -296,13 +296,13 @@ def _call_program(reg):
 class TestCallEffects:
     def test_callee_saved_register_survives_call(self):
         exe = _raw_exe(DLXE, _call_program(10), symbols={"f": 0x14})
-        result = analyze_executable(exe, DLXE)
+        result = resolve_cfg(exe, DLXE)
         # r10 is assumed preserved: still provably zero after the call.
         assert "ABS004" in _rules(result.findings)
 
     def test_scratch_register_is_clobbered_by_call(self):
         exe = _raw_exe(DLXE, _call_program(5), symbols={"f": 0x14})
-        result = analyze_executable(exe, DLXE)
+        result = resolve_cfg(exe, DLXE)
         assert "ABS004" not in _rules(result.findings)
 
     def test_function_summary_facts(self):
@@ -314,7 +314,7 @@ class TestCallEffects:
             Instr(op=Op.MVI, rd=2, imm=42),         # 0x1010  f
             Instr(op=Op.J, rs1=1),                  # 0x1014
         ], symbols={"f": 0x10})
-        result = analyze_executable(exe, DLXE)
+        result = resolve_cfg(exe, DLXE)
         start = result.functions["_start"]
         assert start.callees == ["f"]
         assert start.unresolved_calls == 0
@@ -338,8 +338,8 @@ class TestResolveCfg:
         exe = _raw_exe(DLXE, instrs)
         plain = build_cfg(exe, DLXE)
         assert 0x100C not in plain.visited
-        cfg, result = resolve_cfg(exe, DLXE)
-        assert 0x100C in cfg.visited
+        result = resolve_cfg(exe, DLXE)
+        assert 0x100C in result.cfg.visited
         assert "fn_100c" in result.functions
         assert result.functions["_start"].callees == ["fn_100c"]
         assert result.returned_constant("fn_100c") == 7
@@ -350,7 +350,7 @@ class TestResolveCfg:
             Instr(op=Op.JL, rs1=9),                 # target unknown
             Instr(op=Op.TRAP, imm=0),
         ])
-        _cfg, result = resolve_cfg(exe, DLXE)
+        result = resolve_cfg(exe, DLXE)
         assert result.functions["_start"].unresolved_calls == 1
         assert result.functions["_start"].callees == []
 
@@ -364,8 +364,7 @@ def _two_step_recovery(exe, isa, symbols, target):
     for _round in range(64):
         cfg = build_cfg(exe, isa, symbols=symbols,
                         extra_funcs=extra or None)
-        result = analyze_executable(exe, isa, symbols=symbols,
-                                    target=target, cfg=cfg)
+        result = analyze_executable(cfg, target=target)
         new = sorted(t for t in result.resolved_targets
                      if t not in cfg.visited)
         if not new:
@@ -387,8 +386,7 @@ def _two_step_recovery(exe, isa, symbols, target):
         return cfg, result
     extra.update({addr: name for addr, name in cfg.funcs})
     cfg = build_cfg(exe, isa, symbols=symbols, extra_funcs=extra)
-    result = analyze_executable(exe, isa, symbols=symbols, target=target,
-                                cfg=cfg)
+    result = analyze_executable(cfg, target=target)
     return cfg, result
 
 
@@ -400,8 +398,8 @@ def _block_shapes(cfg):
 
 
 def _assert_recovery_matches(exe, target, labels, where):
-    cfg, result = resolve_cfg(exe, target.isa, symbols=labels,
-                              target=target)
+    result = resolve_cfg(exe, target.isa, symbols=labels, target=target)
+    cfg = result.cfg
     ref_cfg, ref_result = _two_step_recovery(exe, target.isa, labels,
                                              target)
     assert cfg.funcs == ref_cfg.funcs, where
@@ -447,8 +445,8 @@ class TestRecoveryReference:
         ]
         exe = _raw_exe(DLXE, instrs)
         assert build_cfg(exe, DLXE).funcs == [(0x1000, "_start")]
-        cfg, result = resolve_cfg(exe, DLXE)
-        assert (0x100C, "fn_100c") in cfg.funcs
+        result = resolve_cfg(exe, DLXE)
+        assert (0x100C, "fn_100c") in result.cfg.funcs
         assert result.functions["_start"].callees == ["fn_100c"]
         assert result.returned_constant("fn_100c") == 7
 

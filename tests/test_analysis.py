@@ -14,11 +14,11 @@ import json
 
 import pytest
 
-from repro.analysis import (LintReport, Severity, has_errors,
+from repro.analysis import (LintReport, Severity, build_cfg, has_errors,
                             lint_assembly, lint_executable, lint_program,
                             lint_suite, verify_function, verify_module)
 from repro.asm import assemble, link
-from repro.asm.objfile import Executable
+from repro.asm.objfile import Executable, text_labels
 from repro.cc import get_target
 from repro.cc.ir import (Bin, Block, CJump, Const, FStore, Function,
                          Jump, Ret, StackSlot, Store, VReg)
@@ -269,26 +269,26 @@ def _undecodable_word(isa) -> int:
 class TestBinaryLint:
     def test_branch_outside_text_bin003(self):
         exe = _raw_exe(D16, [Instr(op=Op.BR, imm=0x200)])
-        findings = lint_executable(exe, D16)
+        findings = lint_executable(build_cfg(exe, D16), target=None)
         assert "BIN003" in _rules(findings)
 
     def test_reachable_undecodable_bin002(self):
         bad = _undecodable_word(D16)
         exe = _raw_exe(D16, [], extra=bad.to_bytes(2, "little"))
-        findings = lint_executable(exe, D16)
+        findings = lint_executable(build_cfg(exe, D16), target=None)
         assert "BIN002" in _rules(findings)
 
     def test_unreachable_code_bin005_is_warning(self):
         exe = _raw_exe(D16, [Instr(op=Op.TRAP, imm=0),
                              Instr(op=Op.ADD, rd=2, rs1=2, rs2=3)])
-        findings = lint_executable(exe, D16)
+        findings = lint_executable(build_cfg(exe, D16), target=None)
         assert "BIN005" in _rules(findings)
         assert not _errors(findings)
 
     def test_clean_image_is_clean(self):
         exe = _raw_exe(D16, [Instr(op=Op.MVI, rd=3, imm=7),
                              Instr(op=Op.TRAP, imm=0)])
-        assert lint_executable(exe, D16) == []
+        assert lint_executable(build_cfg(exe, D16), target=None) == []
 
     def test_callee_saved_clobber_cc001_cc002(self):
         source = """
@@ -306,10 +306,8 @@ class TestBinaryLint:
         """
         obj = assemble(source, DLXE)
         exe = link([obj])
-        symbols = {s.name: exe.text_base + s.value
-                   for s in obj.symbols.values() if s.section == "text"}
-        findings = lint_executable(exe, DLXE, symbols=symbols,
-                                   target=get_target("dlxe"))
+        cfg = build_cfg(exe, DLXE, symbols=text_labels(obj, exe))
+        findings = lint_executable(cfg, target=get_target("dlxe"))
         rules = _rules(findings)
         assert "CC001" in rules and "CC002" in rules
         assert any("r10" in f.message for f in findings
@@ -339,10 +337,8 @@ class TestBinaryLint:
         """
         obj = assemble(source, DLXE)
         exe = link([obj])
-        symbols = {s.name: exe.text_base + s.value
-                   for s in obj.symbols.values() if s.section == "text"}
-        findings = lint_executable(exe, DLXE, symbols=symbols,
-                                   target=get_target("dlxe"))
+        cfg = build_cfg(exe, DLXE, symbols=text_labels(obj, exe))
+        findings = lint_executable(cfg, target=get_target("dlxe"))
         assert not {"CC001", "CC002"} & _rules(findings)
 
 
@@ -593,6 +589,42 @@ class TestImageModes:
         # traced for --icache/--vuln.
         assert len(optimized) == 3
         assert len(simulated) == 1
+
+    def test_file_all_recovers_the_image_once(self, tmp_path,
+                                              monkeypatch, capsys):
+        from repro.analysis import analyze_wcet, resolve_cfg
+        from repro.cli import main
+
+        recovered = _count_calls(monkeypatch,
+                                 _binding_modules(resolve_cfg),
+                                 "resolve_cfg")
+        composed = _count_calls(monkeypatch,
+                                _binding_modules(analyze_wcet),
+                                "analyze_wcet")
+        src = tmp_path / "p.mc"
+        src.write_text(self.SOURCE)
+        assert main(["lint", str(src), "-t", "d16", "--all"]) == 0
+        # Every image mode reads one recovery; --wcet and --icache
+        # share one whole-program interval.
+        assert len(recovered) == 1
+        assert len(composed) == 1
+
+    def test_suite_all_recovers_each_cell_once_per_mode(self, lab,
+                                                        monkeypatch,
+                                                        capsys):
+        from repro.analysis import resolve_cfg
+        from repro.cli import main
+
+        for target in ("d16", "dlxe"):          # warm the artifact cache
+            lab.run("ackermann", target)
+            lab.trace("ackermann", target)
+        recovered = _count_calls(monkeypatch,
+                                 _binding_modules(resolve_cfg),
+                                 "resolve_cfg")
+        assert main(["lint", "ackermann", "--all", "--json"]) == 0
+        # Two cells each for --timing, --wcet, --icache and --vuln, and
+        # the DLXe cell for --density.
+        assert len(recovered) == 9
 
     def test_suite_all_reads_each_cell_once(self, lab, monkeypatch,
                                             capsys):

@@ -249,6 +249,54 @@ class TestLICM:
             stats, _m, _r = compile_and_run(src, target)
             assert stats.output == "18"
 
+    def test_each_block_is_visited_once(self, monkeypatch):
+        """Inserting a preheader must not hand the pass a block twice.
+        A visit looks up the block's dominators once per successor."""
+        from collections import Counter
+
+        from repro.cc import opt
+
+        calls: list[tuple[Counter, dict[str, int]]] = []
+        dominators = opt._dominators
+        insert_preheader = opt._insert_preheader
+        inserted: list[str] = []
+
+        class Lookups(dict):
+            def get(self, label, default=None):
+                self.counts[label] += 1
+                return super().get(label, default)
+
+        def recording_dominators(func, preds):
+            dom = Lookups(dominators(func, preds))
+            dom.counts = Counter()
+            calls.append((dom.counts, {b.label: len(b.successors())
+                                       for b in func.blocks
+                                       if b.successors()}))
+            return dom
+
+        def counting_insert(func, header, body, hoisted):
+            inserted.append(header)
+            insert_preheader(func, header, body, hoisted)
+
+        monkeypatch.setattr(opt, "_dominators", recording_dominators)
+        monkeypatch.setattr(opt, "_insert_preheader", counting_insert)
+        module = lower("""
+            int g[4]; int h[4];
+            int main() {
+                int i, j, total = 0;
+                for (i = 0; i < 4; i++) {
+                    g[i] = i;
+                    for (j = 0; j < 4; j++) h[j] = h[j] + g[i];
+                }
+                for (i = 0; i < 4; i++) total = total + h[i];
+                return total;
+            }
+        """)
+        optimize_module(module)
+        assert len(inserted) == 3
+        for counts, successors in calls:
+            assert counts == Counter(successors)
+
 
 class TestPipelineIdempotence:
     def test_double_optimize_stable(self):

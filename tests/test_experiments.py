@@ -144,8 +144,9 @@ class TestMemPerf:
             > result32.mean_ratio(0)
         # Figure 15: the D16 fetch stream needs under one
         # transaction per cycle.
-        for rates in result32.fetch_rates.values():
-            assert all(0 < rates[ws] <= 1 for ws in (0, 1, 2, 3))
+        for row in result32.rows:
+            assert all(0 < row.d16_fetch_rates[ws] <= 1
+                       for ws in (0, 1, 2, 3))
 
     def test_wider_bus_helps_dlxe(self, flab):
         result32 = run_memperf(flab, FAST, bus_bits=32)

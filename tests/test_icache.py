@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import (SCHEMA_VERSION, RULES, SiteClass,
                             analyze_icache, analyze_wcet, build_cfg,
-                            find_loops, icache_cell, solve,
+                            find_loops, icache_cell, resolve_cfg, solve,
                             validate_icache)
 from repro.analysis import icache
 from repro.analysis.cfg import BasicBlock
@@ -71,7 +71,8 @@ def hello_d16():
     """(exe, target, program, stats, machine) for HELLO on D16."""
     exe, target = _build(HELLO, "d16")
     stats, machine = run_executable(exe, trace_instructions=True)
-    program = analyze_wcet(exe, target.isa, target=target)
+    program = analyze_wcet(resolve_cfg(exe, target.isa, target=target),
+                           model=None)
     return exe, target, program, stats, machine
 
 
@@ -426,9 +427,10 @@ class TestFixpointReference:
         for bench in SUITE:
             for target_name in ("d16", "dlxe"):
                 target = get_target(target_name)
-                program = analyze_wcet(lab.executable(bench.name,
-                                                      target_name),
-                                       target.isa, target=target)
+                image = resolve_cfg(lab.executable(bench.name,
+                                                   target_name),
+                                    target.isa, target=target)
+                program = analyze_wcet(image, model=None)
                 for size in CACHE_SIZES:
                     domains.clear()
                     analyze_icache(program, CacheConfig(size))
@@ -617,9 +619,11 @@ class TestDriverAndRules:
         built = build_executable(HELLO, isa_target)
         stats, machine = run_executable(built.executable,
                                         trace_instructions=True)
+        image = resolve_cfg(built.executable, built.target.isa,
+                            symbols=built.labels, target=built.target)
         cells, _findings = icache_cell(
-            built.executable, built.target, stats, machine.itrace,
-            labels=built.labels, sizes=(1024, 8192))
+            analyze_wcet(image, model=None), stats, machine.itrace,
+            sizes=(1024, 8192))
         assert len(cells) == 2
         for _analysis, validation in cells:
             assert validation.ok

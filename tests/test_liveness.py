@@ -72,7 +72,7 @@ def test_load_byte_masks():
 
 def test_overwritten_register_write_is_dead():
     exe = build("mvi r3, 5\nmvi r3, 7\nadd r2, r2, r3\ntrap 0\n")
-    live = analyze_liveness(exe, D16)
+    live = analyze_liveness(resolve_cfg(exe, D16))
     assert not live.imprecise
     dead_pcs = {w.pc for w in live.dead_writes}
     assert exe.text_base in dead_pcs          # first mvi r3 overwritten
@@ -81,17 +81,17 @@ def test_overwritten_register_write_is_dead():
 
 def test_result_feeding_exit_code_is_live():
     exe = build("mvi r2, 9\ntrap 0\n")
-    live = analyze_liveness(exe, D16)
+    live = analyze_liveness(resolve_cfg(exe, D16))
     assert live.live_mask(exe.text_base + 2, 2) == 0xFF  # exit low byte
     assert not live.dead_writes
 
 
 def test_unaddressable_and_hardwired_registers_are_dead():
     exe_d16 = build("mvi r2, 0\ntrap 0\n", D16)
-    live = analyze_liveness(exe_d16, D16)
+    live = analyze_liveness(resolve_cfg(exe_d16, D16))
     assert live.live_mask(exe_d16.text_base, 16) == 0   # no r16 on D16
     exe_dlxe = build("mvi r2, 0\ntrap 0\n", DLXE)
-    live = analyze_liveness(exe_dlxe, DLXE)
+    live = analyze_liveness(resolve_cfg(exe_dlxe, DLXE))
     assert live.live_mask(exe_dlxe.text_base, 0) == 0   # hardwired r0
 
 
@@ -101,8 +101,7 @@ def test_compiled_suite_cell_has_no_dead_frame_stores():
     source = get_benchmark("ackermann").source
     exe = build_executable(source, "d16").executable
     target = get_target("d16")
-    _cfg, result = resolve_cfg(exe, target.isa, target=target)
-    live = analyze_liveness(exe, target.isa, target=target, result=result)
+    live = analyze_liveness(resolve_cfg(exe, target.isa, target=target))
     findings, waived = liveness_findings(live)
     assert not [f for f in findings if f.rule == "LIV001"]
     # ABI-convention frame traffic is waived with a justification,
@@ -141,20 +140,18 @@ def test_liveness_reads_the_recovered_value_states(lab, monkeypatch,
     dead_stores = 0
     for bench in SUITE:
         exe = lab.executable(bench.name, target_name)
-        _cfg, result = resolve_cfg(exe, target.isa, target=target)
+        result = resolve_cfg(exe, target.isa, target=target)
         with monkeypatch.context() as patch:
             for name, module in list(sys.modules.items()):
                 if name.startswith("repro") \
                         and getattr(module, "solve", None) is real_solve:
                     patch.setattr(module, "solve", counting_solve)
-            live = analyze_liveness(exe, target.isa, target=target,
-                                    result=result)
+            live = analyze_liveness(result)
         assert calls == [], bench.name
         ref_states = _resolved_states(result, target)
         assert result.states == ref_states, bench.name
-        ref = analyze_liveness(exe, target.isa, target=target,
-                               result=dataclasses.replace(
-                                   result, states=ref_states))
+        ref = analyze_liveness(dataclasses.replace(result,
+                                                   states=ref_states))
         assert live.live_in == ref.live_in, bench.name
         assert live.dead_writes == ref.dead_writes, bench.name
         assert live.dead_stores == ref.dead_stores, bench.name
@@ -271,7 +268,7 @@ def test_analysis_refines_syntactic_liveness(program, isa_name):
     isa = D16 if isa_name == "d16" else DLXE
     lines = render(instrs, branches, cond, isa is D16)
     exe = build("\n".join(lines) + "\n", isa)
-    live = analyze_liveness(exe, isa)
+    live = analyze_liveness(resolve_cfg(exe, isa))
     assert not live.imprecise
     prog, live_in = syntactic_live(lines)
     width = isa.width_bytes
@@ -290,7 +287,7 @@ def test_dead_bit_flips_never_change_output(program, isa_name, rng):
     isa = D16 if isa_name == "d16" else DLXE
     lines = render(instrs, branches, cond, isa is D16)
     exe = build("\n".join(lines) + "\n", isa)
-    live = analyze_liveness(exe, isa)
+    live = analyze_liveness(resolve_cfg(exe, isa))
     assert not live.imprecise
     golden = Machine(exe).run()
     for trigger in range(1, golden.instructions):

@@ -13,9 +13,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (block_stall_bounds, build_cfg, check_timing,
-                            exit_seed, resolve_cfg, static_bounds,
-                            timing_cell, validate_run)
+from repro.analysis import (block_stall_bounds, build_cfg, exit_seed,
+                            resolve_cfg, static_bounds, timing_cell,
+                            validate_run)
 from repro.cc import build_executable, get_target
 from repro.isa import DLXE, Instr, Op
 from repro.machine import run_executable
@@ -25,6 +25,13 @@ from .test_analysis import _raw_exe, _rules
 
 MODEL = PipelineModel()
 DLXE_TARGET = get_target("dlxe")
+
+
+def _validate(exe, stats, target=DLXE_TARGET, params=None):
+    """One run checked against the bounds of its recovered image."""
+    image = resolve_cfg(exe, target.isa, target=target)
+    validation, _findings = timing_cell(image, stats, params=params)
+    return validation
 
 
 # ------------------------------------------------- single-block bounds
@@ -121,7 +128,7 @@ class TestBoundsBracketSimulation:
         # (simulator and HazardModel share the PipelineModel rules).
         assert lo == stats.interlocks
         assert hi >= stats.interlocks
-        validation = check_timing(exe, DLXE_TARGET, stats)
+        validation = _validate(exe, stats)
         assert validation.findings == []
         assert validation.in_bounds and validation.fully_covered
         assert validation.interlock_lo <= stats.interlocks \
@@ -144,7 +151,7 @@ class TestValidateRun:
     def test_clean_run_validates(self):
         exe = _stalling_exe()
         stats, _machine = run_executable(exe)
-        validation = check_timing(exe, DLXE_TARGET, stats)
+        validation = _validate(exe, stats)
         assert validation.findings == []
         assert validation.interlock_lo >= 1
         assert validation.cycles_lo <= validation.cycles_observed \
@@ -157,7 +164,7 @@ class TestValidateRun:
         exe = _stalling_exe()
         stats, _machine = run_executable(exe)
         stats.interlocks = 10 ** 6                  # seeded violation
-        validation = check_timing(exe, DLXE_TARGET, stats)
+        validation = _validate(exe, stats)
         assert "TIM001" in _rules(validation.findings)
         assert not validation.in_bounds
 
@@ -165,7 +172,7 @@ class TestValidateRun:
         exe = _stalling_exe()
         stats, _machine = run_executable(exe)
         stats.interlocks = 0                        # seeded violation
-        validation = check_timing(exe, DLXE_TARGET, stats)
+        validation = _validate(exe, stats)
         findings = [f for f in validation.findings if f.rule == "TIM001"]
         assert findings and "below" in findings[0].message
 
@@ -179,7 +186,7 @@ class TestValidateRun:
         ])
         stats, _machine = run_executable(exe)
         stats.exec_counts[2] = 3                    # seeded stray site
-        validation = check_timing(exe, DLXE_TARGET, stats)
+        validation = _validate(exe, stats)
         findings = [f for f in validation.findings if f.rule == "TIM002"]
         assert findings and "outside" in findings[0].message
 
@@ -187,7 +194,7 @@ class TestValidateRun:
         exe = _stalling_exe()
         stats, _machine = run_executable(exe)
         stats.exec_counts[1] += 1                   # seeded CFG mismatch
-        validation = check_timing(exe, DLXE_TARGET, stats)
+        validation = _validate(exe, stats)
         findings = [f for f in validation.findings if f.rule == "TIM002"]
         assert findings and "vary" in findings[0].message
 
@@ -255,8 +262,8 @@ class TestLookbackSeeds:
                   " for (i = 0; i < 8; i = i + 1) s = s + i * i;"
                   " return s; }")
         stats, _machine, result = compile_run(source, isa_target)
-        cfg, _res = resolve_cfg(result.executable,
-                                get_target(isa_target).isa)
+        cfg = resolve_cfg(result.executable,
+                          get_target(isa_target).isa).cfg
         cold = static_bounds(cfg, lookback=False)
         warm = static_bounds(cfg)
         for start, bb in warm.blocks.items():
@@ -278,8 +285,9 @@ class TestProgramValidation:
     def test_timing_program_brackets_run(self, isa_target):
         built = build_executable(self.SOURCE, isa_target)
         stats, _machine = run_executable(built.executable)
-        validation, _findings = timing_cell(built.executable, built.target,
-                                            stats, labels=built.labels)
+        image = resolve_cfg(built.executable, built.target.isa,
+                            symbols=built.labels, target=built.target)
+        validation, _findings = timing_cell(image, stats)
         assert validation.findings == []
         assert validation.in_bounds and validation.fully_covered
         assert validation.interlock_lo <= validation.interlocks_observed \
@@ -292,9 +300,8 @@ class TestProgramValidation:
             for target_name in ("d16", "dlxe"):
                 exe = lab.executable(name, target_name)
                 run = lab.run(name, target_name)
-                validation = check_timing(
-                    exe, get_target(target_name), run.stats,
-                    model=lab.params)
+                validation = _validate(exe, run.stats,
+                                       get_target(target_name), lab.params)
                 assert validation.findings == [], (name, target_name)
                 assert validation.fully_covered
                 assert validation.interlock_lo <= run.stats.interlocks \

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.analysis import resolve_cfg
 from repro.analysis.vuln import (CellVulnerability, SiteVerdict,
                                  VulnSummary, build_oracle,
                                  check_soundness, classify_cell)
@@ -21,6 +22,11 @@ from repro.cc.target import get_target
 from repro.faults import (FaultCampaign, FaultResult, FaultSpec,
                           GoldenRun, plan_cell, run_cache_fault,
                           run_fault)
+
+
+def _image(exe, target_name):
+    target = get_target(target_name)
+    return resolve_cfg(exe, target.isa, target=target)
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +41,8 @@ def ackermann_cells(lab):
                            exit_code=stats.exit_code,
                            output=stats.output)
         itrace = lab.trace("ackermann", target_name).itrace
-        cell = classify_cell("ackermann", target_name, exe,
-                             get_target(target_name), itrace,
+        oracle = build_oracle(_image(exe, target_name), itrace)
+        cell = classify_cell("ackermann", target_name, oracle,
                              golden.instructions, faults=10, seed=42)
         specs = plan_cell("ackermann", target_name, golden, exe,
                           faults=10, seed=42)
@@ -144,7 +150,7 @@ class TestMaskingOracle:
     def test_out_of_file_register_is_masked_on_d16(self, lab):
         exe = lab.executable("ackermann", "d16")
         itrace = lab.trace("ackermann", "d16").itrace
-        oracle = build_oracle(exe, get_target("d16"), itrace)
+        oracle = build_oracle(_image(exe, "d16"), itrace)
         spec = FaultSpec(index=0, bench="ackermann", target="d16",
                          kind="reg", trigger=5, reg=20, bit=3)
         verdict = oracle.classify(spec)
@@ -153,7 +159,7 @@ class TestMaskingOracle:
     def test_hardwired_zero_is_masked_on_dlxe(self, lab):
         exe = lab.executable("ackermann", "dlxe")
         itrace = lab.trace("ackermann", "dlxe").itrace
-        oracle = build_oracle(exe, get_target("dlxe"), itrace)
+        oracle = build_oracle(_image(exe, "dlxe"), itrace)
         spec = FaultSpec(index=0, bench="ackermann", target="dlxe",
                          kind="reg", trigger=5, reg=0, bit=3)
         assert oracle.classify(spec).masked
@@ -161,7 +167,7 @@ class TestMaskingOracle:
     def test_post_exit_trigger_is_masked(self, lab):
         exe = lab.executable("ackermann", "d16")
         itrace = lab.trace("ackermann", "d16").itrace
-        oracle = build_oracle(exe, get_target("d16"), itrace)
+        oracle = build_oracle(_image(exe, "d16"), itrace)
         spec = FaultSpec(index=0, bench="ackermann", target="d16",
                          kind="reg", trigger=len(itrace) + 7, reg=2,
                          bit=0)
@@ -171,7 +177,7 @@ class TestMaskingOracle:
     def test_untouched_cache_line_is_masked(self, lab):
         exe = lab.executable("ackermann", "d16")
         itrace = lab.trace("ackermann", "d16").itrace
-        oracle = build_oracle(exe, get_target("d16"), itrace)
+        oracle = build_oracle(_image(exe, "d16"), itrace)
         touched = {(a // 32) % 256 for a in itrace}
         free = next(line for line in range(256) if line not in touched)
         spec = FaultSpec(index=0, bench="ackermann", target="d16",
@@ -189,7 +195,7 @@ class TestMaskingOracle:
         shared = [0x1000, 0x1000 + 8192, 0x1010]      # all line 128
         alone = [0x1020, 0x1FE0, 0x2404]              # lines 129, 255, 32
         trace = (shared + alone) * 3 + [0x1040]       # line 130
-        oracle = build_oracle(exe, get_target("d16"), trace)
+        oracle = build_oracle(_image(exe, "d16"), trace)
         touched = set()
         for pc in trace:                               # per fetch
             touched.add((pc // 32) % 256)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (RULES, Severity, analyze_density,
-                            analyze_wcet, check_wcet, dominator_tree,
+                            analyze_wcet, dominator_tree,
                             estimate_halfwords, find_loops,
                             fused_constant_pair, resolve_cfg,
                             validate_wcet)
@@ -116,9 +116,9 @@ def _checked(source: str, target_name: str):
     stats, _machine, result = compile_run(source, target_name,
                                           include_runtime=False)
     target = get_target(target_name)
-    validation = check_wcet(result.executable, target.isa, stats,
-                            target=target)
-    return stats, validation
+    program = analyze_wcet(resolve_cfg(result.executable, target.isa,
+                                       target=target), model=None)
+    return stats, validate_wcet(program, stats)
 
 
 class TestWholeProgram:
@@ -159,8 +159,8 @@ class TestWholeProgram:
         stats, _machine, result = compile_run(BOUNDED, isa_target,
                                               include_runtime=False)
         target = get_target(isa_target)
-        program = analyze_wcet(result.executable, target.isa,
-                               target=target)
+        program = analyze_wcet(resolve_cfg(result.executable, target.isa,
+                                           target=target), model=None)
         stats.instructions, stats.interlocks = 3, 0   # below BCET
         low = validate_wcet(program, stats)
         assert "TIM003" in _rules(low.findings)
@@ -172,8 +172,8 @@ class TestWholeProgram:
         stats, _machine, result = compile_run(BOUNDED, isa_target,
                                               include_runtime=False)
         target = get_target(isa_target)
-        program = analyze_wcet(result.executable, target.isa,
-                               target=target)
+        program = analyze_wcet(resolve_cfg(result.executable, target.isa,
+                                           target=target), model=None)
         val = validate_wcet(program, stats, slack=0.001)
         assert "TIM005" in _rules(val.findings)
         assert validate_wcet(program, stats, slack=None).findings == []
@@ -186,8 +186,9 @@ class TestWholeProgram:
                 exe = lab.executable(name, target_name)
                 run = lab.run(name, target_name)
                 target = get_target(target_name)
-                val = check_wcet(exe, target.isa, run.stats,
-                                 model=lab.params, target=target)
+                image = resolve_cfg(exe, target.isa, target=target)
+                val = validate_wcet(analyze_wcet(image, model=lab.params),
+                                    run.stats)
                 observed = run.stats.instructions + run.stats.interlocks
                 assert "TIM003" not in _rules(val.findings), \
                     (name, target_name)
@@ -266,8 +267,7 @@ class TestDensity:
     def test_dlxe_image_compresses(self):
         _stats, _machine, result = compile_run(BOUNDED, "dlxe",
                                                include_runtime=False)
-        cfg, _res = resolve_cfg(result.executable,
-                                get_target("dlxe").isa)
+        cfg = resolve_cfg(result.executable, get_target("dlxe").isa).cfg
         density = analyze_density(cfg)
         assert density.functions
         assert density.est_d16_bytes < density.dlxe_bytes
@@ -279,8 +279,7 @@ class TestDensity:
     def test_d16_image_reports_empty(self):
         _stats, _machine, result = compile_run(BOUNDED, "d16",
                                                include_runtime=False)
-        cfg, _res = resolve_cfg(result.executable,
-                                get_target("d16").isa)
+        cfg = resolve_cfg(result.executable, get_target("d16").isa).cfg
         density = analyze_density(cfg)
         assert density.functions == {}
         assert density.findings == []

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import (analyze_executable, check_cross_isa,
-                            compare_analyses, cross_isa_suite)
+from repro.analysis import (check_cross_isa, compare_analyses,
+                            cross_isa_suite, resolve_cfg)
 from repro.isa import DLXE, Instr, Op
 
 from .test_analysis import _raw_exe, _rules
@@ -20,7 +20,7 @@ from .test_analysis import _raw_exe, _rules
 
 def _analyzed(instrs, symbols=None):
     exe = _raw_exe(DLXE, instrs, symbols=symbols)
-    return analyze_executable(exe, DLXE)
+    return resolve_cfg(exe, DLXE)
 
 
 def _call_return_image(ret_value, *, trap_in_f=None):
