@@ -19,6 +19,16 @@ Bit-identical accounting is preserved by construction:
 * instruction-fetch word/doubleword transactions are resolved at
   compile time -- inside a block the pc sequence is static, so only the
   entry boundary needs a runtime comparison;
+* a register read that the block's own code already proves ready
+  emits no scoreboard check: the register was read by an earlier slot
+  of the block and not written since, or its in-block producer issued
+  at least its result latency earlier.  Such a read can neither stall
+  nor classify a stall, and every ``ready``/``wk`` store stays inline,
+  so the scoreboard after any exit is the one ``step`` leaves;
+* word loads and stores at a word-aligned, in-range address read and
+  write the memory's bytearray directly through prebound ``struct``
+  methods; any other address calls the ``Memory`` accessor, which
+  raises the interpreter's exact error;
 * every slot whose functional semantics can raise (memory accesses,
   division, traps, float conversions) runs inside a ``try`` whose
   handler spills the in-flight counters into a shared scratch list and
@@ -36,9 +46,10 @@ Compilation is *warm*: the dispatcher steps a block-entry slot through
 the ordinary interpreter until it has been entered
 :data:`HOT_THRESHOLD` times, and only then fuses it -- cold start-up
 code never pays the (dominant) ``compile()`` cost.  Generated code
-objects contain no machine state -- registers, memory accessors,
-trace recorders and trap objects enter through the closure's default
-arguments -- so they are cached on the
+objects contain no machine state -- registers, the memory's bytearray,
+size and accessors, trace recorders and trap objects enter through the
+closure's default arguments, and a block binds only the names its body
+uses -- so they are cached on the
 :class:`~repro.asm.objfile.Executable` keyed by ``(entry,
 pipeline-params, traces)`` and shared by every machine running that
 image (fault campaigns construct thousands).  A machine whose
@@ -52,6 +63,7 @@ every compiled block covering it.
 
 from __future__ import annotations
 
+import re
 import struct
 from array import array
 
@@ -105,11 +117,13 @@ class CompiledBlock:
 # them from here), and bound into compiled blocks as B2F/F2B/B2D/D2B/CL.
 
 # Prebound Struct methods skip the per-call format-string lookup; these
-# run hundreds of thousands of times in FP-heavy benchmarks.
-_PACK_I = struct.Struct("<I").pack
+# run hundreds of thousands of times in FP-heavy benchmarks.  The word
+# struct also reads and writes memory words inside compiled blocks.
+_WORD = struct.Struct("<I")
+_PACK_I = _WORD.pack
 _UNPACK_F = struct.Struct("<f").unpack
 _PACK_F = struct.Struct("<f").pack
-_UNPACK_I = struct.Struct("<I").unpack
+_UNPACK_I = _WORD.unpack
 _PACK_II = struct.Struct("<II").pack
 _UNPACK_D = struct.Struct("<d").unpack
 _PACK_D = struct.Struct("<d").pack
@@ -148,6 +162,12 @@ def _clamp_s32(value: float) -> int:
 
 # --------------------------------------------------------------- helpers
 
+
+def _s32(expr):
+    """Inline ``to_s32(expr)``: the same value for every int."""
+    return f"((({expr}) & M ^ 0x80000000) - 0x80000000)"
+
+
 #: cond -> (python comparison operator, needs signed conversion).
 #: Equality is sign-agnostic on masked 32-bit values; float compares
 #: use the operator alone (signedness is meaningless on floats).
@@ -165,7 +185,7 @@ _ALU_EXPR = {
     Op.AND: "g[{a}] & g[{b}]",
     Op.OR: "g[{a}] | g[{b}]",
     Op.XOR: "g[{a}] ^ g[{b}]",
-    Op.SHRA: "(S32(g[{a}]) >> (g[{b}] & 31)) & M",
+    Op.SHRA: "(" + _s32("g[{a}]") + " >> (g[{b}] & 31)) & M",
     Op.SHR: "g[{a}] >> (g[{b}] & 31)",
     Op.SHL: "(g[{a}] << (g[{b}] & 31)) & M",
 }
@@ -176,7 +196,7 @@ _ALUI_EXPR = {
     Op.ANDI: "g[{a}] & {c}",
     Op.ORI: "g[{a}] | {c}",
     Op.XORI: "g[{a}] ^ {c}",
-    Op.SHRAI: "(S32(g[{a}]) >> {sh}) & M",
+    Op.SHRAI: "(" + _s32("g[{a}]") + " >> {sh}) & M",
     Op.SHRI: "g[{a}] >> {sh}",
     Op.SHLI: "(g[{a}] << {sh}) & M",
 }
@@ -193,21 +213,29 @@ _RAISING = frozenset({
     Op.ST, Op.STH, Op.STB, Op.DIV, Op.REM, Op.TRAP,
 })
 
-#: Names every compiled block binds as defaults, machine state and
+#: Names a compiled block may bind as defaults, machine state and
 #: helpers alike; per-block handler fallbacks (``H{j}``) are appended.
+#: A block binds only the ones its body uses: CPython copies every
+#: default into the frame on each call.
 _STD_NAMES = (
-    "g", "f", "ready", "wk", "S", "M", "S32",
+    "g", "f", "ready", "wk", "S", "M",
+    "D", "SZ", "UW", "PW",
     "RW", "RH", "RB", "WW", "WH", "WB",
     "FST", "TH", "TP", "MM", "NP", "ME",
     "B2F", "F2B", "B2D", "D2B", "CL", "abs", "float",
 )
+
+#: Identifiers in generated source.  The body's one string literal, the
+#: division-by-zero message, holds none of the bindable names.
+_IDENT = re.compile(r"\b[A-Za-z_]\w*")
 
 
 def _timing_lines(reads, writes, mlat, rlat, wkind):
     """Emit the scoreboard/interlock update for one slot.
 
     Mirrors the interpreter's rules exactly, with the slot's hazard
-    indices and latencies baked in as constants.
+    indices and latencies baked in as constants.  ``reads`` holds only
+    the registers the block has not already proven ready (``_generate``).
     """
     lines = []
     if not reads and not mlat:
@@ -282,21 +310,23 @@ def _functional_lines(instr, addr, width, zero_r0, handler_name,
         assign(f"{(imm << 16) & WORD_MASK}")
     elif op == Op.CMP:
         cmp_op, signed = _CMP_OPS[instr.cond]
+        a, b = f"g[{rs1}]", f"g[{rs2}]"
         if signed:
-            expr = f"S32(g[{rs1}]) {cmp_op} S32(g[{rs2}])"
-        else:
-            expr = f"g[{rs1}] {cmp_op} g[{rs2}]"
-        assign(f"1 if {expr} else 0")
+            a, b = _s32(a), _s32(b)
+        assign(f"1 if {a} {cmp_op} {b} else 0")
     elif op == Op.CMPI:
         cmp_op, signed = _CMP_OPS[instr.cond]
         uimm = imm & WORD_MASK
         rhs = to_s32(uimm) if signed else uimm
-        lhs = f"S32(g[{rs1}])" if signed else f"g[{rs1}]"
+        lhs = _s32(f"g[{rs1}]") if signed else f"g[{rs1}]"
         assign(f"1 if {lhs} {cmp_op} {rhs} else 0")
     elif op == Op.MUL:
-        assign(f"(S32(g[{rs1}]) * S32(g[{rs2}])) & M")
+        # The low 32 bits of a product do not depend on whether its
+        # operands are read signed: this equals to_s32(a) * to_s32(b).
+        assign(f"(g[{rs1}] * g[{rs2}]) & M")
     elif op in (Op.DIV, Op.REM):
-        lines.append(f"_a = S32(g[{rs1}]); _b = S32(g[{rs2}])")
+        a, b = _s32(f"g[{rs1}]"), _s32(f"g[{rs2}]")
+        lines.append(f"_a = {a}; _b = {b}")
         lines.append("if _b == 0:")
         lines.append(f"    raise ME('division by zero at pc={addr:#x}')")
         lines.append("_q = abs(_a) // abs(_b)")
@@ -305,9 +335,15 @@ def _functional_lines(instr, addr, width, zero_r0, handler_name,
             assign("(_a - _q * _b) & M")
         else:
             assign("_q & M")
-    elif op in (Op.LD, Op.LDH, Op.LDHU, Op.LDB, Op.LDBU):
+    elif op == Op.LD:
+        # Word-aligned and in range: read the bytearray directly.  Any
+        # other address goes to the accessor, which raises step's error.
+        lines.append(f"_a = (g[{rs1}] + {imm}) & M")
+        assign("UW(D, _a)[0] if not _a & 3 and _a + 4 <= SZ else RW(_a)")
+        if dtrace:
+            lines.append("DT(_a & -4)")
+    elif op in (Op.LDH, Op.LDHU, Op.LDB, Op.LDBU):
         read = {
-            Op.LD: "RW({a})",
             Op.LDH: "RH({a}, True) & M",
             Op.LDHU: "RH({a})",
             Op.LDB: "RB({a}, True) & M",
@@ -322,11 +358,22 @@ def _functional_lines(instr, addr, width, zero_r0, handler_name,
             assign(read.format(a=ea))
     elif op == Op.LDC:
         pool = ldc_pool_addr(addr, imm)
-        assign(f"RW({pool})")
+        # The pool address is static: only the bound waits for run time.
+        if pool >= 0 and not pool & 3:
+            assign(f"UW(D, {pool})[0] if {pool + 4} <= SZ else RW({pool})")
+        else:
+            assign(f"RW({pool})")
         if dtrace:
             lines.append(f"DT({pool})")
-    elif op in (Op.ST, Op.STH, Op.STB):
-        writer = {Op.ST: "WW", Op.STH: "WH", Op.STB: "WB"}[op]
+    elif op == Op.ST:
+        lines.append(f"_a = (g[{rs1}] + {imm}) & M")
+        lines.append(f"if not _a & 3 and _a + 4 <= SZ: "
+                     f"PW(D, _a, g[{rs2}] & M)")
+        lines.append(f"else: WW(_a, g[{rs2}])")
+        if dtrace:
+            lines.append("DT((_a & -4) | 1)")
+    elif op in (Op.STH, Op.STB):
+        writer = {Op.STH: "WH", Op.STB: "WB"}[op]
         ea = f"(g[{rs1}] + {imm}) & M"
         if dtrace:
             lines.append(f"_a = {ea}")
@@ -367,9 +414,11 @@ def _functional_lines(instr, addr, width, zero_r0, handler_name,
         lines.append(f"FST[0] = 1 if B2D(f[{rs1}], f[{rs1 + 1}]) {cmp_op} "
                      f"B2D(f[{rs2}], f[{rs2 + 1}]) else 0")
     elif op == Op.SI2SF:
-        lines.append(f"f[{rd}] = F2B(float(S32(f[{rs1}])))")
+        s32_src = _s32(f"f[{rs1}]")
+        lines.append(f"f[{rd}] = F2B(float({s32_src}))")
     elif op == Op.SI2DF:
-        lines.append(f"_lo, _hi = D2B(float(S32(f[{rs1}])))")
+        s32_src = _s32(f"f[{rs1}]")
+        lines.append(f"_lo, _hi = D2B(float({s32_src}))")
         lines.append(f"f[{rd}] = _lo")
         lines.append(f"f[{rd + 1}] = _hi")
     elif op == Op.SF2SI:
@@ -496,12 +545,26 @@ def _generate(machine, entry, idxs):
 
     last_j = len(idxs) - 1
     next_expr_emitted = False
+    # In-block hazard resolution: ``known[r]`` is the first slot whose
+    # read of register r needs no check.  Once a slot has read r, r is
+    # ready (ready[r] <= time) until the block writes it again; a write
+    # at slot p with result latency lat is ready from slot p + lat on.
+    # A read known ready can neither stall its slot nor be the
+    # ``ready[r] == _n`` term that classifies a stall.  The scoreboard
+    # on block entry is unknown, so nothing is known at slot 0.
+    known = {}
     for j, idx in enumerate(idxs):
         instr = program[idx]
         addr = base + idx * width
-        lines += _timing_lines(machine.reads_l[idx], machine.writes_l[idx],
-                               machine.mlat[idx], machine.rlat[idx],
+        reads = [r for r in dict.fromkeys(machine.reads_l[idx])
+                 if known.get(r, j + 1) > j]
+        writes, rlat = machine.writes_l[idx], machine.rlat[idx]
+        lines += _timing_lines(reads, writes, machine.mlat[idx], rlat,
                                machine.wkind[idx])
+        for r in reads:
+            known[r] = j + 1
+        for w in writes:
+            known[w] = j + rlat
         if instr.op in CONTROL_OPS:
             body, may_self = _control_lines(instr, addr, width)
             lines += body
@@ -538,15 +601,13 @@ def _generate(machine, entry, idxs):
 
     params = ["time", "math_free", "interlocks", "load_il", "math_il",
               "cur_word", "cur_dword", "ifw", "ifd"]
-    names = list(_STD_NAMES)
-    if itrace:
-        names += ["IT", "PCS"]
-    if dtrace:
-        names.append("DT")
+    body = "".join(f"    {line}\n" for line in lines)
+    used = set(_IDENT.findall(body))
+    names = [name for name in _STD_NAMES + ("IT", "PCS", "DT")
+             if name in used]
     names += [name for name, _ in handler_slots]
     params += [f"{name}={name}" for name in names]
-    src = (f"def _block({', '.join(params)}):\n"
-           + "".join(f"    {line}\n" for line in lines))
+    src = f"def _block({', '.join(params)}):\n" + body
     code = compile(src, f"<block@{base + entry * width:#x}>", "exec")
     max_adv = len(idxs) * max(1, machine.params.max_result_latency)
     return code, tuple(handler_slots), max_adv
@@ -582,7 +643,9 @@ def compile_block(machine, entry):
     namespace = {
         "g": machine.g, "f": machine.f,
         "ready": machine._ready, "wk": machine._rkind,
-        "S": machine._spill, "M": WORD_MASK, "S32": to_s32,
+        "S": machine._spill, "M": WORD_MASK,
+        "D": mem.data, "SZ": mem.size,
+        "UW": _WORD.unpack_from, "PW": _WORD.pack_into,
         "RW": mem.read_word, "RH": mem.read_half, "RB": mem.read_byte,
         "WW": mem.write_word, "WH": mem.write_half, "WB": mem.write_byte,
         "FST": machine.fpstat, "TH": machine.traps.handle,

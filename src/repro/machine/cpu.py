@@ -790,6 +790,9 @@ class Machine:
         executed = st["executed"]
         stop_at = executed + (1 << 62) if stop_after is None else stop_after
         cycle_limit = (1 << 62) if max_cycles is None else max_cycles
+        # A block runs only if all of its slots retire before both the
+        # pause point and the fuel limit.
+        retire_limit = min(stop_at, max_instructions)
         pc = self.pc
 
         blocks = self._blocks
@@ -835,8 +838,7 @@ class Machine:
                                 blocks[idx] = blk + 1
                                 blk = False
                     if blk is not False \
-                            and executed + blk.n <= stop_at \
-                            and executed + blk.n <= max_instructions \
+                            and executed + blk.n <= retire_limit \
                             and time + blk.max_adv <= cycle_limit:
                         spill[0] = -1
                         try:

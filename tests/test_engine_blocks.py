@@ -13,16 +13,23 @@ force compilation on the second visit of every block entry.
 """
 
 import hashlib
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.asm import assemble, link
 from repro.faults import GoldenRun, run_fault
-from repro.isa import D16, DLXE
+from repro.isa import D16, DLXE, Op
+from repro.isa.operations import CONTROL_OPS
 from repro.machine import (Machine, MachineError, MachineTimeout,
-                           run_executable)
+                           PipelineParams, run_executable)
 from repro.machine import cpu as cpu_mod
 from repro.machine.blocks import CompiledBlock
+from repro.machine.memory import DEFAULT_MEM_SIZE
+
+from .strategies import d16_instructions, dlxe_instructions
 
 HEADER = ".text\n.global _start\n_start:\n"
 
@@ -709,3 +716,252 @@ class TestFork:
         assert traces_of(twin) == traces_of(golden)
         parent.run()
         assert traces_of(parent) == traces_of(golden)
+
+
+#: Each iteration reads a (store address, load address) pair from a
+#: table the test writes at ``TABLE``, then stores through the first and
+#: loads through the second, so a test picks the iteration and the
+#: access that faults.  The store and the load sit mid-block.
+TABLE = 0x8000
+TABLE_TMPL = """
+mvi r5, 8
+shli r5, r5, 12
+mvi {cnt}, 8
+loop:
+ld r4, (r5)
+ld r7, 4(r5)
+addi r5, r5, 8
+add r2, r2, {cnt}
+st r2, (r4)
+ld r6, (r7)
+add r3, r3, r6
+subi {cnt}, {cnt}, 1
+bnz {cnt}, loop
+trap 0
+"""
+
+
+def paused_state(machine):
+    """Everything a run leaves behind, valid after a raise as well."""
+    return (arch_state(machine), dict(machine._st), tuple(machine.counts),
+            tuple(machine._ready), tuple(machine._rkind),
+            traces_of(machine))
+
+
+class TestInlineWordAccess:
+    """Compiled blocks access aligned, in-range words directly and hand
+    every other address to the ``Memory`` accessor.
+
+    The step engine always calls the accessor, so it is the oracle for
+    the error text and for everything a raise leaves behind.
+    """
+
+    def run_table(self, exe, engine, pairs, traced, **kwargs):
+        machine = Machine(exe, engine=engine, trace_instructions=traced,
+                          trace_data=traced, **kwargs)
+        for i, (store, load) in enumerate(pairs):
+            machine.mem.write_word(TABLE + 8 * i, store)
+            machine.mem.write_word(TABLE + 8 * i + 4, load)
+        try:
+            end = stats_key(machine.run())
+        except MachineError as exc:
+            end = str(exc)
+        return machine, end
+
+    def both(self, exe, pairs, traced, **kwargs):
+        m_step, e_step = self.run_table(exe, "step", pairs, traced,
+                                        **kwargs)
+        m_blk, e_blk = self.run_table(exe, "blocks", pairs, traced,
+                                      **kwargs)
+        assert e_step == e_blk
+        assert paused_state(m_step) == paused_state(m_blk)
+        assert compiled(m_blk)
+        return m_blk, e_blk
+
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    @pytest.mark.parametrize("isa", [D16, DLXE], ids=["d16", "dlxe"])
+    def test_last_valid_word(self, hot, isa, traced):
+        exe = build_asm(TABLE_TMPL.format(cnt=CNT[isa]), isa)
+        last = DEFAULT_MEM_SIZE - 4
+        machine, end = self.both(exe, [(last, last)] * 8, traced)
+        assert not isinstance(end, str), end
+        # The last iteration stored r2 = 8 + 7 + ... + 1 = 36 there, and
+        # r3 sums every value loaded back: 8 + 15 + 21 + ... + 36.
+        assert machine.mem.read_word(last) == 36
+        assert machine.g[3] == 204
+
+    @pytest.mark.parametrize("bad", [
+        ("load", 0x9002, "misaligned 4-byte access at 0x9002"),
+        ("store", 0x9001, "misaligned 4-byte access at 0x9001"),
+        ("store", 0x100000, "access at 0x100000 out of range"),
+        ("store", 0xFFFFFFFC, "access at 0xfffffffc out of range"),
+    ], ids=["misaligned-load", "misaligned-store", "store-past-end",
+            "store-wraps"])
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    @pytest.mark.parametrize("isa", [D16, DLXE], ids=["d16", "dlxe"])
+    def test_fault_mid_block(self, hot, isa, traced, bad):
+        access, addr, text = bad
+        exe = build_asm(TABLE_TMPL.format(cnt=CNT[isa]), isa)
+        pairs = [(0x9000 + 8 * i, 0x9000 + 8 * i) for i in range(8)]
+        pairs[5] = (addr, pairs[5][1]) if access == "store" \
+            else (pairs[5][0], addr)
+        machine, end = self.both(exe, pairs, traced)
+        assert isinstance(end, str) and text in end
+        # The sixth iteration faults inside a compiled block, past the
+        # first load and before the branch that ends the block.
+        pc = int(end.split("at pc=")[1].split(":")[0], 16)
+        slot = machine.index_of(pc)
+        assert machine.program[slot].op.value == \
+            ("st" if access == "store" else "ld")
+        assert any(blk.entry < slot < blk.entry + blk.n - 1
+                   for blk in machine._live.values()), "fault not mid-block"
+
+    @pytest.mark.parametrize("isa", [D16, DLXE], ids=["d16", "dlxe"])
+    def test_smaller_memory_shares_code_and_keeps_its_bound(self, hot, isa):
+        # Code objects are cached per Executable and do not depend on
+        # the memory size: each machine binds its own bytearray and
+        # bound, so a smaller machine faults where a larger one does not.
+        exe = build_asm(TABLE_TMPL.format(cnt=CNT[isa]), isa)
+        word = 0x7FFFC
+        pairs = [(0x9000, 0x9000)] * 5 + [(word, word)] * 3
+        _, end = self.both(exe, pairs, False)
+        assert not isinstance(end, str), end
+        cached = set(exe._block_code_cache)
+        _, end = self.both(exe, pairs, False, mem_size=word + 4)
+        assert not isinstance(end, str), end
+        _, end = self.both(exe, pairs, False, mem_size=0x40000)
+        assert f"access at {word:#x} out of range" in end
+        assert set(exe._block_code_cache) == cached
+
+    #: (a, b, shift): operands with the sign bit set, the most negative
+    #: word over -1, a shift count above 31, and dividends and divisors
+    #: of either sign.
+    SIGNED = [(-7, 2, 33), (-(1 << 31), -1, 31), (-1, -3, 1),
+              (12345, -67, 4), (-100000, 7, 0)]
+
+    @pytest.mark.parametrize("a,b,shift", SIGNED)
+    @pytest.mark.parametrize("isa", [D16, DLXE], ids=["d16", "dlxe"])
+    def test_signed_operands(self, hot, isa, a, b, shift):
+        # CMPI has no D16 encoding; every D16 CMP writes r0.
+        cmp_rd = "r0" if isa is D16 else "r13"
+        extra = "" if isa is D16 else (
+            "cmpilt r14, r4, -5\nadd r12, r12, r14\n"
+            "cmpige r14, r5, -9\nadd r12, r12, r14\n")
+        body = (f"mv r6, r4\nshra r6, r6, r8\n"
+                f"mv r7, r4\nshrai r7, r7, 5\n"
+                f"mv r9, r4\nmul r9, r9, r5\n"
+                f"mv r10, r4\ndiv r10, r10, r5\n"
+                f"mv r11, r4\nrem r11, r11, r5\n"
+                f"cmplt {cmp_rd}, r4, r5\nadd r12, r12, {cmp_rd}\n"
+                f"cmple {cmp_rd}, r5, r4\nadd r12, r12, {cmp_rd}\n"
+                f"{extra}subi r4, r4, 3\n")
+        exe = build_asm(SKELETON.format(cnt=CNT[isa], body=body,
+                                        n=HOT_ITERATIONS), isa)
+        finals = []
+        for engine in ("step", "blocks"):
+            machine = Machine(exe, engine=engine)
+            machine.g[4], machine.g[5], machine.g[8] = \
+                a & 0xFFFFFFFF, b & 0xFFFFFFFF, shift
+            stats = machine.run()
+            finals.append((stats_key(stats), paused_state(machine)))
+        assert finals[0] == finals[1]
+        assert compiled(machine)
+
+
+#: A loop around ``body`` whose counter lives in r15, so the body may
+#: write every other register, r0 included (D16's branches and CMP use
+#: r0).  ``n`` iterations.
+SKELETON = """
+mvi r15, {n}
+loop:
+{body}
+mv {cnt}, r15
+subi {cnt}, {cnt}, 1
+mv r15, {cnt}
+bnz {cnt}, loop
+trap 0
+"""
+
+#: Enough iterations to cross the real warm-up threshold, so the
+#: property test below needs no patched threshold.
+HOT_ITERATIONS = cpu_mod.HOT_THRESHOLD + 4
+
+
+#: Alignment mask of each memory operation's access.
+_ACCESS_ALIGN = {Op.LD: 3, Op.ST: 3, Op.LDH: 1, Op.LDHU: 1, Op.STH: 1,
+                 Op.LDB: 0, Op.LDBU: 0, Op.STB: 0}
+
+_MATH_CLASSES = sorted(PipelineParams().math_latency)
+
+pipelines = st.builds(
+    lambda load_delay, lats: PipelineParams(
+        load_delay=load_delay, math_latency=dict(zip(_MATH_CLASSES, lats))),
+    st.integers(0, 3),
+    st.lists(st.integers(1, 12), min_size=len(_MATH_CLASSES),
+             max_size=len(_MATH_CLASSES)))
+
+
+def loopable(isa):
+    """Random instructions the ``SKELETON`` body may hold.
+
+    No control transfer or trap, nothing that writes the loop counter
+    r15, and no memory operation based on r15 or on DLXe's hardwired
+    r0, whose base ``aimed`` could not set.
+    """
+    bad_bases = {15} if isa is D16 else {0, 15}
+    instrs = d16_instructions() if isa is D16 else dlxe_instructions()
+    return instrs.filter(lambda instr: (
+        instr.op not in CONTROL_OPS and instr.op != Op.TRAP
+        and ("g", 15) not in instr.writes()
+        and not (instr.op in _ACCESS_ALIGN and instr.rs1 in bad_bases)))
+
+
+def aimed(isa, instr):
+    """Assembly for ``instr``, a memory operation first pointed at an
+    aligned address in a data window (D16 0x8000, DLXe near 0x10000)."""
+    line = str(instr)
+    if instr.op not in _ACCESS_ALIGN:
+        return line
+    base = f"r{instr.rs1}"
+    if isa is D16:      # D16 offsets are aligned already
+        return f"mvi {base}, 8\nshli {base}, {base}, 12\n{line}"
+    pad = -instr.imm & _ACCESS_ALIGN[instr.op]
+    return f"mvhi {base}, 1\naddi {base}, {base}, {pad}\n{line}"
+
+
+class TestHazardElisionProperty:
+    """Which scoreboard checks a block drops depends on the latencies,
+    so random straight-line runs are looped past the warm-up threshold
+    under random pipelines, and every counter, register, memory byte
+    and scoreboard entry must match ``step``.
+    """
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.parametrize("isa", [D16, DLXE], ids=["d16", "dlxe"])
+    def test_random_runs_match_step(self, isa, data):
+        run = data.draw(st.lists(loopable(isa), min_size=1, max_size=16))
+        params = data.draw(pipelines)
+        regs = data.draw(st.lists(st.integers(0, 0xFFFFFFFF),
+                                  min_size=32, max_size=32))
+        floats = data.draw(st.lists(st.floats(-1e6, 1e6, width=32),
+                                    min_size=32, max_size=32))
+        body = "\n".join(aimed(isa, instr) for instr in run)
+        exe = build_asm(SKELETON.format(cnt=CNT[isa], body=body,
+                                        n=HOT_ITERATIONS), isa)
+        if isa is DLXE:
+            regs[0] = 0
+        finals = []
+        for engine in ("step", "blocks"):
+            machine = Machine(exe, engine=engine, params=params)
+            machine.g[:] = regs
+            machine.f[:] = [struct.unpack("<I", struct.pack("<f", x))[0]
+                            for x in floats]
+            try:
+                end = stats_key(machine.run())
+            except Exception as exc:  # both engines must raise alike
+                end = (type(exc).__name__, str(exc))
+            finals.append((end, paused_state(machine)))
+        assert finals[0] == finals[1]

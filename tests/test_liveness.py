@@ -17,7 +17,6 @@ branches, both ISAs):
 from __future__ import annotations
 
 import dataclasses
-import random
 import sys
 
 import pytest
