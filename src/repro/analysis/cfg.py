@@ -27,13 +27,8 @@ from dataclasses import dataclass, field
 
 from ..asm.objfile import Executable
 from ..isa import DecodingError, Instr, IsaSpec, Op, OpKind
-from ..isa.refs import (ABS_JUMPS, PCREL_BRANCHES, ldc_pool_addr,
-                        transfer_target)
+from ..isa.refs import ldc_pool_addr, transfer_target
 
-#: PC-relative branches with a statically known target.
-STATIC_BRANCHES = PCREL_BRANCHES
-#: Direct (J-type) jumps with an absolute target in the immediate.
-STATIC_JUMPS = ABS_JUMPS
 #: Calls (direct and register-indirect).
 CALL_OPS = (Op.JL, Op.JLD)
 #: Ops after which execution cannot fall through.
@@ -43,10 +38,6 @@ NO_FALLTHROUGH = (Op.BR, Op.J, Op.JD)
 def is_halt(instr: Instr) -> bool:
     """Trap 0 halts the machine: it terminates a block with no successor."""
     return instr.op == Op.TRAP and instr.imm == 0
-
-
-#: The statically known control-flow target of an instruction, if any.
-static_target = transfer_target
 
 
 @dataclass
@@ -206,7 +197,7 @@ def build_cfg(exe: Executable, isa: IsaSpec, *,
             cfg.ldc_refs.append((pc, addr))
             if base <= addr < end:
                 pool.update(range(addr, addr + 4))
-        tgt = static_target(pc, instr)
+        tgt = transfer_target(pc, instr)
         if tgt is not None:
             cfg.branch_targets.append((pc, tgt))
             if base <= tgt < end:
@@ -257,12 +248,12 @@ def _finish_block(cfg: BinaryCFG, block: BasicBlock) -> None:
     if is_halt(last):
         block.is_halt = True
     elif op in (Op.BR, Op.JD):
-        tgt = static_target(last_pc, last)
+        tgt = transfer_target(last_pc, last)
         if cfg.base <= tgt < cfg.end:
             succs.append(tgt)
     elif op in (Op.BZ, Op.BNZ):
         succs.append(fall)
-        tgt = static_target(last_pc, last)
+        tgt = transfer_target(last_pc, last)
         if cfg.base <= tgt < cfg.end:
             succs.append(tgt)
     elif op in CALL_OPS:

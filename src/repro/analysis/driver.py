@@ -414,31 +414,29 @@ def vuln_suite(targets: Iterable[str] = DEFAULT_TARGETS,
                             seed=seed))
 
 
-def validate_vuln(lab: Lab, programs: Iterable[str] | None = None,
-                  targets: Iterable[str] = DEFAULT_TARGETS, *,
-                  faults: int = 20, seed: int = 42) -> dict:
+def validate_vuln(lab: Lab, *, seed: int = 42) -> dict:
     """Soundness sweep of the static fault-vulnerability analysis.
 
-    Runs :func:`vuln_suite` on ``lab``, then executes every classified
-    fault site for real and cross-checks: a site the analysis proved
-    masked must be observed masked.  Raises
+    Runs :func:`vuln_suite` over the suite on ``lab``, then executes
+    every classified fault site for real and cross-checks: a site the
+    analysis proved masked must be observed masked.  Raises
     :class:`~repro.experiments.runner.ExperimentError` on any VULN001
     contradiction (locked to zero in CI).  Returns the aggregate
     site/proven counts for reports and CI assertions.
     """
     from ..experiments.runner import ExperimentError
     from ..faults.campaign import run_cell
-    from ..faults.model import DEFAULT_KINDS
+    from ..faults.model import FAULT_KINDS
     from .vuln import check_soundness
 
-    _reports, results = vuln_suite(targets, programs, lab=lab,
-                                   faults=faults, seed=seed)
+    _reports, results = vuln_suite(lab=lab, seed=seed)
     contradictions: list[Finding] = []
     sites = proven = 0
     by_kind: dict[str, dict[str, int]] = {}
     for (name, target_name), (cell, _waived) in sorted(results.items()):
-        executed = run_cell(lab, name, target_name, faults=faults,
-                            seed=seed, kinds=DEFAULT_KINDS, prune=False)
+        executed = run_cell(lab, name, target_name,
+                            faults=len(cell.verdicts), seed=seed,
+                            kinds=FAULT_KINDS, prune=False)
         contradictions += check_soundness(cell, executed.results)
         sites += len(cell.verdicts)
         proven += cell.proven_masked

@@ -753,25 +753,17 @@ def _replay(analysis: ICacheAnalysis, addrs: np.ndarray,
 
 
 def validate_icache(analysis: ICacheAnalysis, itrace: Sequence[int],
-                    stats: RunStats, *,
-                    penalty: int,
-                    config: CacheConfig | None = None,
-                    ) -> ICacheValidation:
-    """Replay ``itrace`` and check every static claim against it.
+                    stats: RunStats, *, penalty: int) -> ICacheValidation:
+    """Replay ``itrace`` on the analyzed configuration and check every
+    static claim against it.
 
-    ``config``, when given, must equal the analyzed configuration --
-    a mismatch is a CACHE004 error (the sweep would otherwise compare
-    bounds and misses from different geometries).  ``stats`` is the
-    run's :class:`~repro.machine.stats.RunStats`; observed cycles are
-    ``instructions + interlocks + penalty * misses``, the same
-    I-cache-only cycle model the cacheperf experiments use.
+    ``stats`` is the run's :class:`~repro.machine.stats.RunStats`;
+    observed cycles are ``instructions + interlocks + penalty *
+    misses``, the same I-cache-only cycle model the cacheperf
+    experiments use.  A trace that leaves the analyzed text segment is
+    a CACHE004 error.
     """
     findings: list[Finding] = []
-    if config is not None and config != analysis.config:
-        findings.append(finding(
-            "CACHE004", "config",
-            f"analysis ran on {analysis.config} but validation was "
-            f"asked about {config}"))
     config = analysis.config
     cfg = analysis.program.cfg
     addrs = vector.as_addresses(itrace)

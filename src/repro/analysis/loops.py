@@ -140,15 +140,6 @@ class LoopForest:
         return sorted(self.loops.values(),
                       key=lambda lp: (len(lp.body), lp.header))
 
-    def loop_of(self, block: int) -> Loop | None:
-        """The innermost loop containing ``block``, if any."""
-        best = None
-        for loop in self.loops.values():
-            if block in loop.body and (
-                    best is None or len(loop.body) < len(best.body)):
-                best = loop
-        return best
-
 
 def find_loops(blocks: dict[int, BasicBlock], entry: int) -> LoopForest:
     """Recover the natural-loop forest of one function's blocks."""

@@ -3,7 +3,7 @@
 For every basic block recovered by :mod:`repro.analysis.cfg` this
 module derives a provable lower and upper bound on the interlock
 stalls one execution of the block can incur, using the *same*
-:class:`~repro.machine.pipeline.PipelineModel` latency table and
+:class:`~repro.machine.pipeline.PipelineParams` latency table and
 :class:`~repro.machine.pipeline.HazardModel` rules as the simulator —
 the analyzer cannot drift from the machine because they share one
 source of truth.
@@ -13,7 +13,7 @@ The bounds exploit two facts about the hazard rules:
 * stalls are **monotone** in the block-entry state (every update is a
   ``max`` or an addition of a non-negative latency), and
 * at any instruction boundary no register can be more than
-  ``PipelineModel.max_result_latency`` cycles from ready, and the math
+  ``PipelineParams.max_result_latency`` cycles from ready, and the math
   unit no further from free (a result becomes ready at most that many
   cycles after its writer issues).
 
@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 from ..isa import Instr
-from ..machine.pipeline import HazardModel, PipelineModel, hazard_indices
+from ..machine.pipeline import HazardModel, PipelineParams, hazard_indices
 from ..machine.stats import RunStats
 from .cfg import BasicBlock, BinaryCFG
 from .findings import Finding, finding
@@ -74,7 +74,7 @@ _ZERO_SEED: EntrySeed = ({}, 0)
 
 
 def block_stall_bounds(instrs: Sequence[tuple[int, Instr] | Instr],
-                       model: PipelineModel,
+                       model: PipelineParams,
                        entry_seed: EntrySeed | None = None
                        ) -> tuple[int, int]:
     """Provable [lo, hi] interlock stalls for one straight-line run.
@@ -108,7 +108,7 @@ def block_stall_bounds(instrs: Sequence[tuple[int, Instr] | Instr],
 
 
 def _suffix_stall_upper(instrs: Sequence[tuple[int, Instr] | Instr],
-                        start: int, model: PipelineModel) -> int:
+                        start: int, model: PipelineParams) -> int:
     """Upper bound on the stalls ``instrs[start:]`` can insert, from
     the everything-busy state (sound for any real mid-block state)."""
     hm = HazardModel(model)
@@ -119,7 +119,7 @@ def _suffix_stall_upper(instrs: Sequence[tuple[int, Instr] | Instr],
                for item in instrs[start:])
 
 
-def exit_seed(block: BasicBlock, model: PipelineModel) -> EntrySeed:
+def exit_seed(block: BasicBlock, model: PipelineParams) -> EntrySeed:
     """Latencies ``block`` itself guarantees at its exit boundary.
 
     For the last writer of each hazard index, sitting ``gap`` slots
@@ -194,7 +194,7 @@ class StaticBounds:
     """Per-block cycle/stall bounds for one linked image."""
 
     cfg: BinaryCFG
-    model: PipelineModel
+    model: PipelineParams
     blocks: dict[int, BlockBounds]           # block start -> bounds
 
     def describe(self) -> str:
@@ -208,22 +208,20 @@ class StaticBounds:
         return "\n".join(lines)
 
 
-def static_bounds(cfg: BinaryCFG, *, model: PipelineModel | None = None,
-                  lookback: bool = True) -> StaticBounds:
+def static_bounds(cfg: BinaryCFG, *,
+                  model: PipelineParams | None = None) -> StaticBounds:
     """Compute per-block stall bounds over a recovered image CFG.
 
-    With ``lookback`` (the default) each block's lower bound is seeded
-    from the guaranteed exit latencies of its CFG predecessors; pass
-    ``lookback=False`` for the plain cold-entry bound.
+    Each block's lower bound is seeded from the guaranteed exit
+    latencies of its CFG predecessors.
     """
-    model = model or PipelineModel()
+    model = model or PipelineParams()
 
     preds: dict[int, list[BasicBlock]] = {}
     entry_points = {cfg.exe.entry} | {addr for addr, _name in cfg.funcs}
-    if lookback:
-        for _start, block in cfg.blocks.items():
-            for succ in block.succs:
-                preds.setdefault(succ, []).append(block)
+    for _start, block in cfg.blocks.items():
+        for succ in block.succs:
+            preds.setdefault(succ, []).append(block)
 
     seed_cache: dict[int, EntrySeed] = {}
 
@@ -244,16 +242,15 @@ def static_bounds(cfg: BinaryCFG, *, model: PipelineModel | None = None,
     blocks = {}
     for start, block in cfg.blocks.items():
         lo, hi = block_stall_bounds(block.instrs, model)
-        if lookback:
-            # Every execution of the block enters via *some* static
-            # predecessor, so the minimum over per-predecessor seeded
-            # runs is a sound (and tighter) lower bound than seeding
-            # with the componentwise-minimum vector.
-            seeds = [s for s in pred_seeds(start) if s != _ZERO_SEED]
-            if seeds and len(seeds) == len(preds.get(start, [])):
-                lo = min(block_stall_bounds(block.instrs, model,
-                                            entry_seed=s)[0]
-                         for s in seeds)
+        # Every execution of the block enters via *some* static
+        # predecessor, so the minimum over per-predecessor seeded runs
+        # is a sound (and tighter) lower bound than seeding with the
+        # componentwise-minimum vector.
+        seeds = [s for s in pred_seeds(start) if s != _ZERO_SEED]
+        if seeds and len(seeds) == len(preds.get(start, [])):
+            lo = min(block_stall_bounds(block.instrs, model,
+                                        entry_seed=s)[0]
+                     for s in seeds)
         blocks[start] = BlockBounds(start=start,
                                     n_instrs=len(block.instrs),
                                     stall_lo=lo, stall_hi=hi)
@@ -284,15 +281,6 @@ class TimingValidation:
     @property
     def cycles_hi(self) -> int:
         return self.instructions + self.interlock_hi
-
-    @property
-    def fully_covered(self) -> bool:
-        return self.covered_instructions == self.instructions
-
-    @property
-    def in_bounds(self) -> bool:
-        return not self.findings or all(
-            f.rule != "TIM001" for f in self.findings)
 
     @property
     def tightness(self) -> float:

@@ -44,10 +44,10 @@ analysis and the golden instruction trace:
 
 ``trap``
     ``getc-eof`` truncates stdin at the current read position — an
-    identity on the empty stdin every campaign run uses, and a no-op
-    whenever no ``trap 2`` is reachable.  ``sbrk-exhaust`` pulls the
-    heap limit down to the current break, which only ``trap 3`` can
-    observe (the handler fails soft with -1, it never raises).
+    identity on the empty stdin every campaign run uses.
+    ``sbrk-exhaust`` pulls the heap limit down to the current break,
+    which only ``trap 3`` can observe (the handler fails soft with -1,
+    it never raises).
 
 ``cache``
     The replay corrupts one line's metadata.  Masked when no address
@@ -163,16 +163,13 @@ class CellVulnerability:
 class MaskingOracle:
     """Per-image static masked/ACE classifier for fault specs."""
 
-    def __init__(self, liveness: LivenessAnalysis, itrace: Sequence[int],
-                 *, stdin: bytes = b"",
-                 mem_size: int = DEFAULT_MEM_SIZE) -> None:
+    def __init__(self, liveness: LivenessAnalysis,
+                 itrace: Sequence[int]) -> None:
         self.liveness = liveness
         self.cfg = liveness.cfg
         self.exe = self.cfg.exe
         self.isa = self.cfg.isa
         self.itrace = itrace
-        self.stdin = stdin
-        self.mem_size = mem_size
         self.zero_r0 = self.isa.name == "DLXe"
         self.num_gregs = self.isa.num_gregs
         #: Immediates of every reachable ``trap`` instruction.
@@ -295,7 +292,7 @@ class MaskingOracle:
         if self.liveness.imprecise:
             return self._verdict(
                 spec, False, "control-flow attribution is incomplete")
-        addr = spec.addr % self.mem_size
+        addr = spec.addr % DEFAULT_MEM_SIZE
         text_end = self.exe.text_base + len(self.exe.text)
         if self.exe.text_base <= addr < text_end:
             return self._verdict(
@@ -338,17 +335,11 @@ class MaskingOracle:
 
     def _classify_trap(self, spec: "FaultSpec") -> SiteVerdict:
         if spec.mode == "getc-eof":
-            if not self.stdin:
-                return self._verdict(
-                    spec, True,
-                    "stdin is empty: truncating at the read position "
-                    "is an identity")
-            if not self.liveness.imprecise and 2 not in self.trap_codes:
-                return self._verdict(spec, True,
-                                     "no reachable getc trap")
-            return self._verdict(spec, False,
-                                 "a reachable getc may observe the "
-                                 "truncated stdin")
+            # Programs run with an empty stdin.
+            return self._verdict(
+                spec, True,
+                "stdin is empty: truncating at the read position "
+                "is an identity")
         if spec.mode == "sbrk-exhaust":
             if self.liveness.imprecise:
                 return self._verdict(
@@ -430,12 +421,12 @@ def avf_summary(liveness: LivenessAnalysis,
         functions=dict(sorted(per_func.items())))
 
 
-def build_oracle(image: AnalysisResult, itrace: Sequence[int], *,
-                 stdin: bytes = b"") -> MaskingOracle:
+def build_oracle(image: AnalysisResult,
+                 itrace: Sequence[int]) -> MaskingOracle:
     """Run the backward liveness fixpoint over an image recovered by
     :func:`~repro.analysis.absint.resolve_cfg` and wrap it in an
     oracle."""
-    return MaskingOracle(analyze_liveness(image), itrace, stdin=stdin)
+    return MaskingOracle(analyze_liveness(image), itrace)
 
 
 def classify_cell(bench: str, target_name: str, oracle: MaskingOracle,

@@ -45,7 +45,7 @@ from typing import NamedTuple
 from ..cc.target import INT_ARG_REGS, REG_LINK, REG_RET, REG_SP
 from ..isa import COND_NEGATE, COND_SWAP, Cond, Instr, Op, to_s32
 from ..isa.refs import ldc_pool_addr
-from ..machine.pipeline import PipelineModel
+from ..machine.pipeline import PipelineParams
 from ..machine.stats import RunStats
 from .absint import (AnalysisResult, Interval, SPRel, ValueDomain,
                      _join_value, _signed, callee_saved, solve)
@@ -1093,11 +1093,11 @@ def _join_args(a: dict[int, Interval],
 
 
 def analyze_wcet(image: AnalysisResult, *,
-                 model: PipelineModel | None) -> ProgramWcet:
+                 model: PipelineParams | None) -> ProgramWcet:
     """Compose the whole-program static cycle interval of an image
     recovered by :func:`~repro.analysis.absint.resolve_cfg`."""
     cfg = image.cfg
-    model = model or PipelineModel()
+    model = model or PipelineParams()
     bounds = static_bounds(cfg, model=model)
     preserved = callee_saved(image.target)
     gp_value = cfg.exe.symbols.get("__gp")

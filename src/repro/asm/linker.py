@@ -2,7 +2,7 @@
 
 Memory map of a linked executable::
 
-    text_base (default 0x1000):  all text sections, in object order
+    TEXT_BASE (0x1000):               all text sections, in object order
     data_base (text end, 16-aligned): all data sections, in object order
     __gp   = data_base            (global pointer for gp-relative access)
     __stack_top = STACK_TOP       (initial stack pointer)
@@ -25,16 +25,13 @@ DATA_ALIGN = 16
 ENTRY_SYMBOL = "_start"
 
 
-def link(objects: list[ObjectFile], *,
-         text_base: int = TEXT_BASE) -> Executable:
-    """Link ``objects`` into an executable image."""
+def link(objects: list[ObjectFile]) -> Executable:
+    """Link ``objects`` into an executable image at :data:`TEXT_BASE`."""
     if not objects:
         raise LinkError("nothing to link")
     isa_name = objects[0].isa_name
     if any(o.isa_name != isa_name for o in objects):
         raise LinkError("cannot mix ISAs in one link")
-    if text_base % 4:
-        raise LinkError("text base must be word-aligned")
 
     # Concatenate sections, remembering each object's placement.
     text = bytearray()
@@ -51,11 +48,11 @@ def link(objects: list[ObjectFile], *,
                 buf.extend(section.data)
         placements.append(place)
 
-    data_base = text_base + len(text)
+    data_base = TEXT_BASE + len(text)
     data_base += (-data_base) % DATA_ALIGN
 
     # Global symbol table.
-    bases = {"text": text_base, "data": data_base}
+    bases = {"text": TEXT_BASE, "data": data_base}
     symbols: dict[str, int] = {
         "__gp": data_base,
         "__data_start": data_base,
@@ -65,7 +62,7 @@ def link(objects: list[ObjectFile], *,
     # Function starts: every non-dot label inside the text segment, the
     # rule CFG recovery uses; a local name defined by two objects keeps
     # its first address.
-    text_end = text_base + len(text)
+    text_end = TEXT_BASE + len(text)
     functions: dict[str, int] = {}
     local_tables: list[dict[str, int]] = []
     for obj, place in zip(objects, placements):
@@ -105,7 +102,7 @@ def link(objects: list[ObjectFile], *,
     if entry is None:
         raise LinkError(f"no entry symbol {ENTRY_SYMBOL!r}")
 
-    return Executable(isa_name=isa_name, text_base=text_base,
+    return Executable(isa_name=isa_name, text_base=TEXT_BASE,
                       text=bytes(text), data_base=data_base,
                       data=bytes(data), entry=entry, symbols=symbols,
                       functions=functions)

@@ -101,10 +101,6 @@ class Executable:
         return len(self.text)
 
     @property
-    def data_size(self) -> int:
-        return len(self.data)
-
-    @property
     def binary_size(self) -> int:
         """Stripped-binary size: text + data bytes (the density metric)."""
         return len(self.text) + len(self.data)

@@ -1,7 +1,7 @@
 """The paper's benchmark suite as minic sources plus a registry."""
 
-from .suite import (BY_NAME, CACHE_SUITE, PROGRAM_DIR, SUITE, Benchmark,
-                    check_output, get_benchmark, register_benchmark)
+from .suite import (BY_NAME, PROGRAM_DIR, SUITE, Benchmark, check_output,
+                    get_benchmark, register_benchmark)
 
-__all__ = ["BY_NAME", "CACHE_SUITE", "PROGRAM_DIR", "SUITE", "Benchmark",
+__all__ = ["BY_NAME", "PROGRAM_DIR", "SUITE", "Benchmark",
            "check_output", "get_benchmark", "register_benchmark"]

@@ -2,8 +2,8 @@
 
 Every program is self-checking: it prints a deterministic result line
 whose exact text must match across all targets (``expected_markers``
-are substrings the output must contain).  ``cache_program`` marks the
-three applications used for the cache experiments (assem, latex, ipl).
+are substrings the output must contain).  The cache experiments use
+three of them (``repro.experiments.cacheperf.CACHE_PROGRAMS``).
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ class Benchmark:
     name: str
     description: str
     expected_markers: tuple[str, ...]
-    cache_program: bool = False
-    uses_fp: bool = False
     #: Source text for ad-hoc benchmarks (fault-injection and
     #: robustness tests) that have no file under ``programs/``.
     inline_source: str | None = None
@@ -41,7 +39,7 @@ SUITE: tuple[Benchmark, ...] = (
     Benchmark("ackermann", "Computes the Ackermann function.",
               ("ack(2,6)=15", "ack(3,4)=125", "calls=10426")),
     Benchmark("assem", "A two-pass assembler (the paper's D16 assembler).",
-              ("words=204", "errors=0", "checksum="), cache_program=True),
+              ("words=204", "errors=0", "checksum=")),
     Benchmark("bubblesort", "Sorting program from the Stanford suite.",
               ("sorted=1", "sum=")),
     Benchmark("queens", "The Stanford eight-queens program.",
@@ -53,27 +51,24 @@ SUITE: tuple[Benchmark, ...] = (
     Benchmark("grep", "A text scanner in the spirit of BSD grep.",
               ("lines=208", "quick=", "q.ick=")),
     Benchmark("linpack", "LU factorization and solve (daxpy-based).",
-              ("info=-1", "resid_ok=1"), uses_fp=True),
+              ("info=-1", "resid_ok=1")),
     Benchmark("matrix", "Gaussian elimination plus integer matrix product.",
-              ("norm=", "trace="), uses_fp=True),
+              ("norm=", "trace=")),
     Benchmark("dhrystone", "The synthetic integer benchmark.",
               ("int_glob=5", "bool_glob=")),
     Benchmark("pi", "Computes digits of pi (integer spigot).",
               ("3.14159265358979",)),
     Benchmark("solver", "Newton-Raphson iterative solver.",
-              ("dottie=0.739085", "root="), uses_fp=True),
+              ("dottie=0.739085", "root=")),
     Benchmark("latex", "A paragraph typesetter (the paper's 'latex').",
-              ("words=", "lines=", "check="), cache_program=True),
+              ("words=", "lines=", "check=")),
     Benchmark("ipl", "A function plotter (the paper's 'ipl').",
-              ("pixels=", "check="), cache_program=True, uses_fp=True),
+              ("pixels=", "check=")),
     Benchmark("whetstone", "The synthetic floating-point benchmark.",
-              ("x=", "e1[3]=", "j="), uses_fp=True),
+              ("x=", "e1[3]=", "j=")),
 )
 
 BY_NAME = {bench.name: bench for bench in SUITE}
-
-#: Programs the paper uses for the cache experiments (Section 4.1).
-CACHE_SUITE = tuple(bench for bench in SUITE if bench.cache_program)
 
 
 def register_benchmark(bench: Benchmark) -> Benchmark:

@@ -71,11 +71,6 @@ class Cache:
     def misses(self) -> int:
         return self.read_misses + self.write_misses
 
-    def reset_stats(self) -> None:
-        self.read_accesses = self.read_misses = 0
-        self.write_accesses = self.write_misses = 0
-        self.traffic_words = 0
-
     def corrupt_line(self, line: int, *, tag_bit: int | None = None,
                      sub_bit: int | None = None) -> None:
         """Flip one bit of a line's metadata (fault injection).
@@ -96,35 +91,25 @@ class Cache:
                 raise ValueError(f"sub-block bit {sub_bit} out of range")
             self.valid[line] ^= 1 << sub_bit
 
-    def access(self, addr: int, *, write: bool = False) -> bool:
-        """Access one address; returns True on hit."""
+    def access(self, addr: int) -> bool:
+        """Read one address; returns True on hit."""
         cfg = self.config
         block_index = addr // cfg.block
         line = block_index % cfg.num_lines
         tag = block_index // cfg.num_lines
         sub = (addr % cfg.block) // cfg.sub_block
         bit = 1 << sub
-        if write:
-            self.write_accesses += 1
-        else:
-            self.read_accesses += 1
+        self.read_accesses += 1
         if self.tags[line] == tag and self.valid[line] & bit:
             return True
         if self.tags[line] != tag:
             self.tags[line] = tag
             self.valid[line] = 0
-        words = cfg.sub_block // 4
-        if write:
-            self.write_misses += 1
-            self.valid[line] |= bit
-            self.traffic_words += words
-        else:
-            self.read_misses += 1
-            nsubs = cfg.subs_per_block
-            next_bit = 1 << ((sub + 1) % nsubs)
-            fetched = 1 + ((self.valid[line] & next_bit) == 0)
-            self.valid[line] |= bit | next_bit
-            self.traffic_words += words * fetched
+        self.read_misses += 1
+        next_bit = 1 << ((sub + 1) % cfg.subs_per_block)
+        fetched = 1 + ((self.valid[line] & next_bit) == 0)
+        self.valid[line] |= bit | next_bit
+        self.traffic_words += cfg.sub_block // 4 * fetched
         return False
 
     def run_reads(self, addresses) -> None:

@@ -51,7 +51,6 @@ class CompileResult:
 def compile_to_assembly(source: str, target: TargetSpec | str, *,
                         opt_level: int = 2,
                         include_runtime: bool = True,
-                        schedule: bool = True,
                         verify_ir: bool = False) -> str:
     """Compile minic source to an assembly listing.
 
@@ -66,21 +65,18 @@ def compile_to_assembly(source: str, target: TargetSpec | str, *,
     program = parse(full_source)
     module = lower_program(program)
     optimize_module(module, level=opt_level, verify=verify_ir)
-    return generate_assembly(module, target,
-                             schedule=schedule and opt_level >= 1)
+    return generate_assembly(module, target, schedule=opt_level >= 1)
 
 
 def build_executable(source: str, target: TargetSpec | str, *,
                      opt_level: int = 2,
                      include_runtime: bool = True,
-                     schedule: bool = True,
                      verify_ir: bool = False) -> CompileResult:
     """Compile, assemble and link a minic program."""
     if isinstance(target, str):
         target = get_target(target)
     assembly = compile_to_assembly(source, target, opt_level=opt_level,
                                    include_runtime=include_runtime,
-                                   schedule=schedule,
                                    verify_ir=verify_ir)
     obj = assemble(assembly, target.isa)
     executable = link([obj])
@@ -89,12 +85,10 @@ def build_executable(source: str, target: TargetSpec | str, *,
                          labels=text_labels(obj, executable))
 
 
-def compile_and_run(source: str, target: TargetSpec | str, *,
-                    stdin: bytes = b"", include_runtime: bool = True):
+def compile_and_run(source: str, target: TargetSpec | str):
     """Compile at ``-O2`` and execute; returns (stats, machine, result)."""
     from ..machine import run_executable
 
-    result = build_executable(source, target,
-                              include_runtime=include_runtime)
-    stats, machine = run_executable(result.executable, stdin=stdin)
+    result = build_executable(source, target)
+    stats, machine = run_executable(result.executable)
     return stats, machine, result

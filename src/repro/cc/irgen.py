@@ -45,10 +45,6 @@ _CMP_OPS = {"==": Cond.EQ, "!=": Cond.NE, "<": Cond.LT, ">": Cond.GT,
             "<=": Cond.LE, ">=": Cond.GE}
 _UNSIGNED_COND = {Cond.LT: Cond.LTU, Cond.GT: Cond.GTU, Cond.LE: Cond.LEU,
                   Cond.GE: Cond.GEU, Cond.EQ: Cond.EQ, Cond.NE: Cond.NE}
-_NEGATE = {Cond.EQ: Cond.NE, Cond.NE: Cond.EQ, Cond.LT: Cond.GE,
-           Cond.GE: Cond.LT, Cond.GT: Cond.LE, Cond.LE: Cond.GT,
-           Cond.LTU: Cond.GEU, Cond.GEU: Cond.LTU, Cond.GTU: Cond.LEU,
-           Cond.LEU: Cond.GTU}
 
 _INT_BIN = {"+": "add", "-": "sub", "*": "mul", "/": "div", "%": "rem",
             "&": "and", "|": "or", "^": "xor", "<<": "shl", ">>": "shra"}

@@ -27,16 +27,17 @@ from ..machine.pipeline import PipelineParams
 from .ir import (Block, CallInst, FCmp, FLoad, FStore, Function, Inst,
                  Load, Store, TERMINATORS, VReg)
 
-_DEFAULT_PARAMS = PipelineParams()
+#: The pipeline whose latencies the scheduler hides.
+_PARAMS = PipelineParams()
 
 
-def _latency(inst: Inst, params: PipelineParams) -> int:
+def _latency(inst: Inst) -> int:
     """Cycles until this instruction's result may be consumed."""
     if isinstance(inst, (Load, FLoad)):
-        return 1 + params.load_delay
+        return 1 + _PARAMS.load_delay
     math_class = _math_class(inst)
     if math_class is not None:
-        return params.latency_of(math_class)
+        return _PARAMS.latency_of(math_class)
     return 1
 
 
@@ -85,8 +86,7 @@ class _Node:
     ready_at: int = 0
 
 
-def _build_graph(instrs: list[Inst],
-                 params: PipelineParams) -> list[_Node]:
+def _build_graph(instrs: list[Inst]) -> list[_Node]:
     nodes = [_Node(index=i, inst=inst) for i, inst in enumerate(instrs)]
     last_writer: dict[VReg, int] = {}
     readers_since: dict[VReg, list[int]] = {}
@@ -104,11 +104,10 @@ def _build_graph(instrs: list[Inst],
             nodes[dst].preds.add(src)
 
     for i, inst in enumerate(instrs):
-        node_latency = _latency(inst, params)
         for use in inst.uses():
             writer = last_writer.get(use)
             if writer is not None:
-                edge(writer, i, _latency(instrs[writer], params))
+                edge(writer, i, _latency(instrs[writer]))
             readers_since.setdefault(use, []).append(i)
         for definition in inst.defs():
             writer = last_writer.get(definition)
@@ -153,8 +152,7 @@ def _build_graph(instrs: list[Inst],
     return nodes
 
 
-def schedule_block(block: Block,
-                   params: PipelineParams = _DEFAULT_PARAMS) -> None:
+def schedule_block(block: Block) -> None:
     """Reorder one block's instructions to reduce stalls."""
     instrs = block.instrs
     if len(instrs) < 3:
@@ -165,7 +163,7 @@ def schedule_block(block: Block,
     # The terminator joins the graph (its operand latencies matter: a
     # compare feeding the branch must not drift to the very end), but is
     # pinned last with ordering edges from every other node.
-    nodes = _build_graph(instrs, params)
+    nodes = _build_graph(instrs)
     if has_terminator:
         last = nodes[-1]
         for node in nodes[:-1]:
@@ -201,7 +199,7 @@ def schedule_block(block: Block,
         issue = max(time, effective_ready(chosen))
         time = issue + 1
         if _math_class(chosen.inst) is not None:
-            math_free = issue + _latency(chosen.inst, params)
+            math_free = issue + _latency(chosen.inst)
         for succ, latency in chosen.succs.items():
             node = nodes[succ]
             node.unscheduled_preds -= 1
@@ -214,12 +212,12 @@ def schedule_block(block: Block,
     # the sequence twice back-to-back, so loop-carried latency (the next
     # iteration consuming this one's tail) is part of the estimate —
     # naive per-block scheduling can otherwise pessimize tight loops.
-    if _sequence_cost(scheduled + scheduled, params) \
-            <= _sequence_cost(instrs + instrs, params):
+    if _sequence_cost(scheduled + scheduled) \
+            <= _sequence_cost(instrs + instrs):
         block.instrs = scheduled
 
 
-def _sequence_cost(instrs: list[Inst], params: PipelineParams) -> int:
+def _sequence_cost(instrs: list[Inst]) -> int:
     """Issue-cycle estimate of a straight-line order (HazardModel rules)."""
     ready: dict[VReg, int] = {}
     math_free = 0
@@ -234,7 +232,7 @@ def _sequence_cost(instrs: list[Inst], params: PipelineParams) -> int:
         if is_math and math_free > issue:
             issue = math_free
         time = issue
-        latency = _latency(inst, params)
+        latency = _latency(inst)
         if is_math:
             math_free = time + latency
         for definition in inst.defs():

@@ -28,8 +28,8 @@ from .machine import (DEFAULT_FUEL, MachineTimeout, cycles_no_cache,
 EXIT_TIMEOUT = 124
 
 
-def _add_target(parser, default="d16"):
-    parser.add_argument("-t", "--target", default=default,
+def _add_target(parser):
+    parser.add_argument("-t", "--target", default="d16",
                         choices=sorted(TARGETS),
                         help="compiler configuration (default %(default)s)")
 

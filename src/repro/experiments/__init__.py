@@ -2,10 +2,9 @@
 
 from .runner import (ExperimentError, Lab, MAIN_TARGETS, PAPER_TARGETS,
                      ProgramRun, RunError, TraceRun, default_programs,
-                     geomean, grid_records, mean)
-from .density import DensityResult, format_figure4, format_table6, run_density
-from .pathlength import (PathLengthResult, format_figure5, format_table7,
-                         run_pathlength)
+                     geomean, mean)
+from .density import MeasureResult, format_figure4, format_table6, run_density
+from .pathlength import format_figure5, format_table7, run_pathlength
 from .summary import (SummaryResult, format_figures_11_12, format_table5,
                       run_summary)
 from .features import (DataTrafficResult, ImmediateBreakdown,
@@ -22,9 +21,9 @@ from .cacheperf import (CACHE_PROGRAMS, CacheStudy, format_figure16,
                         grid_configs, run_cache_study)
 
 __all__ = [
-    "CACHE_PROGRAMS", "CacheStudy", "DataTrafficResult", "DensityResult",
-    "ExperimentError", "ImmediateBreakdown", "InterlockRow", "Lab",
-    "MAIN_TARGETS", "MemPerfResult", "PAPER_TARGETS", "PathLengthResult",
+    "CACHE_PROGRAMS", "CacheStudy", "DataTrafficResult", "ExperimentError",
+    "ImmediateBreakdown", "InterlockRow", "Lab", "MAIN_TARGETS",
+    "MeasureResult", "MemPerfResult", "PAPER_TARGETS",
     "ProgramRun", "RunError",
     "SummaryResult", "TraceRun", "TrafficResult", "default_programs",
     "format_figure4", "format_figure5", "format_figure13",
@@ -33,8 +32,7 @@ __all__ = [
     "format_figures_6_7", "format_miss_rate_table", "format_table3",
     "format_table4", "format_table5", "format_table6", "format_table7",
     "format_table8", "format_table9", "format_table10", "format_table13",
-    "format_tables_11_12", "geomean", "grid_configs", "grid_records",
-    "mean",
+    "format_tables_11_12", "geomean", "grid_configs", "mean",
     "run_cache_study",
     "run_data_traffic", "run_density", "run_immediates", "run_interlocks",
     "run_memperf", "run_pathlength", "run_summary", "run_traffic",

@@ -140,9 +140,9 @@ def format_miss_rate_table(study: CacheStudy, program: str) -> str:
 # ------------------------------------------------------------- Figure 16
 
 
-def format_figure16(study: CacheStudy, *,
-                    block: int = FIGURE_BLOCK) -> str:
+def format_figure16(study: CacheStudy) -> str:
     """Figure 16: instruction-cache miss rates vs size."""
+    block = FIGURE_BLOCK
     parts = []
     programs = sorted({key[0] for key in study.points})
     sizes = sorted({key[2] for key in study.points})

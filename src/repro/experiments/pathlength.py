@@ -3,66 +3,32 @@ Figure 12, Table 7).
 
 Path length is the total dynamic instruction count.  Ratios are
 reported relative to D16 = 1.0, so a DLXe value below 1 means DLXe
-executes fewer instructions.
+executes fewer instructions.  The table type is Table 6's
+(:mod:`repro.experiments.density`), read from ``path_length``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .report import format_table
-from .runner import Lab, PAPER_TARGETS, mean
-
-
-@dataclass
-class PathLengthRow:
-    program: str
-    counts: dict[str, int]           # target -> instructions
-
-    def ratio(self, target: str) -> float:
-        """``target``'s measure relative to D16's."""
-        return self.counts[target] / self.counts["d16"]
-
-
-@dataclass
-class PathLengthResult:
-    rows: list[PathLengthRow]
-    targets: tuple[str, ...]
-
-    def average_ratio(self, target: str) -> float:
-        return mean(row.ratio(target) for row in self.rows)
+from .density import (MeasureResult, format_measure_figure,
+                      format_measure_table, measure_grid)
+from .runner import Lab, PAPER_TARGETS
 
 
 def run_pathlength(lab: Lab, programs=None,
-                   targets=PAPER_TARGETS) -> PathLengthResult:
+                   targets=PAPER_TARGETS) -> MeasureResult:
     """Measure dynamic instruction counts across configurations."""
-    grid = lab.runs(programs, targets)
-    rows = [PathLengthRow(
-        program=name,
-        counts={t: grid[name][t].path_length for t in targets})
-        for name in grid]
-    return PathLengthResult(rows=rows, targets=tuple(targets))
+    return measure_grid(lab, "path_length", programs, targets)
 
 
-def format_table7(result: PathLengthResult) -> str:
+def format_table7(result: MeasureResult) -> str:
     """Paper Table 7: path length summary."""
-    headers = ["Program"] + list(result.targets)
-    rows = [[row.program] + [row.counts[t] for t in result.targets]
-            for row in result.rows]
-    body = format_table(headers, rows, title="Table 7: path length "
-                                             "(dynamic instructions)")
-    ratio_rows = [["path length ratio (avg)"]
-                  + [f"{result.average_ratio(t):.3f}"
-                     for t in result.targets]]
-    ratios = format_table(headers, ratio_rows)
-    return body + "\n" + ratios
+    return format_measure_table(
+        result, title="Table 7: path length (dynamic instructions)",
+        ratio_label="path length ratio (avg)", precision=3)
 
 
-def format_figure5(result: PathLengthResult) -> str:
+def format_figure5(result: MeasureResult) -> str:
     """Paper Figure 5: DLXe path length relative to D16."""
-    headers = ["Program", "DLXe/D16 path ratio"]
-    rows = [[row.program, row.ratio("dlxe")] for row in result.rows]
-    rows.append(["average", result.average_ratio("dlxe")])
-    return format_table(headers, rows,
-                        title="Figure 5: DLXe path length reduction",
-                        precision=3)
+    return format_measure_figure(
+        result, title="Figure 5: DLXe path length reduction",
+        label="DLXe/D16 path ratio", precision=3)

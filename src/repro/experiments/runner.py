@@ -13,12 +13,12 @@ artifacts into the shared on-disk cache, and returns picklable results
 that the parent assembles in deterministic grid order -- parallel
 output is byte-identical to sequential output.
 
-The grid is *fail-soft*: bounded retry when a worker process dies, the
-simulator's instruction fuel against hangs, and a partial-results mode
-(``runs(..., partial=True)``) where a failed cell yields a typed
-:class:`RunError` record instead of aborting the whole sweep --
-required by adversarial workloads (fault-injection campaigns) where
-individual cells are *expected* to hang or crash.
+:func:`fan_out` is the one fail-soft path, shared by the grid and the
+fault campaigns: a cell that raises, or whose worker process dies
+after a bounded retry, comes back as a typed :class:`RunError` while
+every other cell completes; the simulator's instruction fuel bounds a
+hang.  :meth:`Lab.runs` raises the first such error in grid order, and
+a fault campaign records it as an error cell.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ import math
 import time as _time
 from array import array
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Literal, Sequence, TypeVar
 
 from ..bench import SUITE, Benchmark, check_output, get_benchmark
 from ..cc import build_executable, get_target
-from ..labcache import (ArtifactCache, params_fingerprint, resolve_cache,
+from ..labcache import (ArtifactCache, default_cache, params_fingerprint,
                         source_fingerprint, target_fingerprint)
-from ..machine import DEFAULT_FUEL, RunStats, run_executable
+from ..machine import RunStats, run_executable
 from ..machine.pipeline import PipelineParams
 
 #: The paper's five compiler configurations (Table 5-7 columns).
@@ -78,43 +78,22 @@ class TraceRun:
 
 @dataclass
 class RunError:
-    """Typed record for a grid cell that failed to produce a run.
+    """Typed record for a :func:`fan_out` cell that produced no result.
 
-    Returned in place of a :class:`ProgramRun` when ``runs(...,
-    partial=True)``; ``kind`` is one of ``"error"`` (deterministic
-    failure: lint, miscompare, simulator fault, watchdog timeout) or
-    ``"worker-lost"`` (the worker process died and retries were
-    exhausted).
+    ``kind`` is ``"error"`` (the cell raised: lint, miscompare,
+    simulator fault, watchdog timeout) or ``"worker-lost"`` (the worker
+    process died and retries were exhausted).
     """
 
     bench: str
     target: str
     kind: str
     message: str
-    attempts: int = 1
-    backoff_total_s: float = 0.0
-    breaker_open: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return False
-
-    def to_dict(self) -> dict:
-        """JSON-ready record for partial-grid reports."""
-        return {"bench": self.bench, "target": self.target,
-                "ok": False, "kind": self.kind,
-                "message": self.message, "attempts": self.attempts,
-                "backoff_total_s": round(self.backoff_total_s, 6),
-                "breaker_open": self.breaker_open}
+    attempts: int
 
     def __str__(self) -> str:
-        extra = ""
-        if self.backoff_total_s:
-            extra = f" (+{self.backoff_total_s:.2f}s backoff)"
-        if self.breaker_open:
-            extra += " [breaker open]"
         return (f"{self.bench}/{self.target}: {self.kind} after "
-                f"{self.attempts} attempt(s){extra}: {self.message}")
+                f"{self.attempts} attempt(s): {self.message}")
 
 
 class ExperimentError(Exception):
@@ -127,22 +106,20 @@ class Lab:
     ``cache`` selects the persistent artifact cache: ``None`` uses the
     environment default (``.repro-cache/``, honouring ``REPRO_CACHE`` /
     ``REPRO_CACHE_DIR``), ``False`` disables persistence, and an
-    :class:`~repro.labcache.ArtifactCache` (or a path) uses that store.
-    ``jobs`` is the default process fan-out for :meth:`runs`.
-
-    Fail-soft knob: ``max_instructions`` is the simulator watchdog
-    fuel per run (a hung benchmark raises
-    :class:`~repro.machine.MachineTimeout` instead of spinning on the
-    2-billion default).
+    :class:`~repro.labcache.ArtifactCache` uses that store.  ``jobs``
+    is the process fan-out of :meth:`runs`.
     """
 
     def __init__(self, *, params: PipelineParams | None = None,
-                 cache=None, jobs: int = 1,
-                 max_instructions: int = DEFAULT_FUEL):
+                 cache: ArtifactCache | Literal[False] | None = None,
+                 jobs: int = 1):
         self.params = params or PipelineParams()
-        self.cache: ArtifactCache = resolve_cache(cache)
+        if cache is None:
+            cache = default_cache()
+        elif cache is False:
+            cache = ArtifactCache(enabled=False)
+        self.cache: ArtifactCache = cache
         self.jobs = max(1, int(jobs))
-        self.max_instructions = max_instructions
         self._runs: dict[tuple[str, str], ProgramRun] = {}
         self._traces: dict[tuple[str, str], TraceRun] = {}
         self._executables: dict[tuple[str, str], object] = {}
@@ -210,9 +187,7 @@ class Lab:
         payload = self.cache.get(cache_key)
         if payload is None:
             exe = self.executable(bench_name, target_name)
-            stats, _machine = run_executable(
-                exe, params=self.params,
-                max_instructions=self.max_instructions)
+            stats, _machine = run_executable(exe, params=self.params)
             self._check(bench, target_name, stats)
             payload = {"stats": stats, "binary_size": exe.binary_size,
                        "text_size": exe.text_size}
@@ -238,8 +213,7 @@ class Lab:
             exe = self.executable(bench_name, target_name)
             stats, machine = run_executable(
                 exe, params=self.params,
-                trace_instructions=True, trace_data=True,
-                max_instructions=self.max_instructions)
+                trace_instructions=True, trace_data=True)
             self._check(bench, target_name, stats)
             itrace, dtrace = machine.itrace, machine.dtrace
             self.cache.put(cache_key, {
@@ -266,59 +240,40 @@ class Lab:
 
     def runs(self, programs: Iterable[str] | None = None,
              targets: Iterable[str] = MAIN_TARGETS,
-             jobs: int | None = None,
-             partial: bool = False,
-             ) -> dict[str, dict[str, ProgramRun | RunError]]:
+             ) -> dict[str, dict[str, ProgramRun]]:
         """Run a program x target grid; returns runs[program][target].
 
         With ``jobs > 1`` the missing cells are fanned out over a
         process pool; results are assembled in grid order, so the
-        returned structure is identical to a sequential run.
-
-        With ``partial=True`` a failing cell does not abort the sweep:
-        its grid slot holds a typed :class:`RunError` (kind ``error`` /
-        ``worker-lost``) and every other cell still completes.  The
-        default (``partial=False``) keeps the historic
-        raise-on-first-failure contract.
+        returned structure is identical to a sequential run.  The first
+        failing cell in grid order raises.
         """
         names = list(programs) if programs is not None \
             else [bench.name for bench in SUITE]
         targets = tuple(targets)
-        jobs = self.jobs if jobs is None else max(1, int(jobs))
         pending = [(name, target) for name in names for target in targets
                    if (name, target) not in self._runs]
         done: dict[tuple[str, str], Any] = {}
-        if jobs > 1 and len(pending) > 1:
+        if self.jobs > 1 and len(pending) > 1:
             for name, target in pending:       # validate before forking
                 get_benchmark(name)
                 get_target(target)
-            settings = {"params": self.params, "cache": self.cache,
-                        "max_instructions": self.max_instructions}
-            done = fan_out(_grid_cell_worker, pending, jobs, settings)
-        grid: dict[str, dict[str, ProgramRun | RunError]] = {}
+            settings = {"params": self.params, "cache": self.cache}
+            done = fan_out(_grid_cell_worker, pending, self.jobs, settings)
+        grid: dict[str, dict[str, ProgramRun]] = {}
         for name in names:
-            row: dict[str, ProgramRun | RunError] = {}
+            row: dict[str, ProgramRun] = {}
             for target in targets:
                 result = done.get((name, target))
                 if isinstance(result, RunError):
-                    if not partial:     # the first failure in grid order
-                        raise ExperimentError(str(result))
-                    row[target] = result
-                    continue
+                    raise ExperimentError(str(result))
                 if result is not None:
                     stats, binary_size, text_size = result
                     self._runs[name, target] = ProgramRun(
                         bench=get_benchmark(name), target_name=target,
                         stats=stats, binary_size=binary_size,
                         text_size=text_size)
-                try:
-                    row[target] = self.run(name, target)
-                except Exception as exc:  # noqa: BLE001 - fail-soft
-                    if not partial:
-                        raise
-                    row[target] = RunError(
-                        bench=name, target=target, kind="error",
-                        message=f"{type(exc).__name__}: {exc}")
+                row[target] = self.run(name, target)
             grid[name] = row
         return grid
 
@@ -353,9 +308,7 @@ def fan_out(fn: Callable[..., _R], cells: Sequence[tuple[str, str]],
 
     def failed(cell: tuple[str, str], kind: str, message: str) -> RunError:
         return RunError(bench=cell[0], target=cell[1], kind=kind,
-                        message=message, attempts=attempts[cell],
-                        backoff_total_s=RETRY_DELAY_S
-                        * (attempts[cell] - 1))
+                        message=message, attempts=attempts[cell])
 
     rounds = [list(cells)] if cells else []
     while rounds:
@@ -390,35 +343,6 @@ def fan_out(fn: Callable[..., _R], cells: Sequence[tuple[str, str]],
         if rounds:
             _time.sleep(RETRY_DELAY_S)
     return results
-
-
-def grid_records(grid: dict[str, dict[str, ProgramRun | RunError]],
-                 ) -> list[dict]:
-    """Flatten a (possibly partial) grid into JSON-ready records.
-
-    Successful cells carry their headline statistics; failed cells
-    carry the full :class:`RunError` diagnostics (kind, message,
-    attempts, accumulated backoff, breaker state), so a degraded sweep
-    is diagnosable from the JSON report alone.
-    """
-    records: list[dict] = []
-    for bench_name in sorted(grid):
-        row = grid[bench_name]
-        for target_name in row:
-            cell = row[target_name]
-            if isinstance(cell, RunError):
-                records.append(cell.to_dict())
-                continue
-            stats = cell.stats
-            records.append({
-                "bench": bench_name, "target": target_name, "ok": True,
-                "instructions": stats.instructions,
-                "interlocks": stats.interlocks,
-                "ifetch_words": stats.ifetch_words,
-                "exit_code": stats.exit_code,
-                "binary_size": cell.binary_size,
-                "text_size": cell.text_size})
-    return records
 
 
 def geomean(values: Iterable[float]) -> float:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .density import DensityResult, run_density
-from .pathlength import PathLengthResult, run_pathlength
+from .density import MeasureResult, run_density
+from .pathlength import run_pathlength
 from .report import format_table
 from .runner import Lab, PAPER_TARGETS
 
@@ -25,8 +25,8 @@ CORNERS = {
 
 @dataclass
 class SummaryResult:
-    density: DensityResult
-    pathlength: PathLengthResult
+    density: MeasureResult
+    pathlength: MeasureResult
 
     def code_size_ratio(self, regs: int, addrs: int) -> float:
         return self.density.average_ratio(CORNERS[(regs, addrs)])

@@ -33,10 +33,9 @@ from typing import TYPE_CHECKING, Any
 from ..bench import get_benchmark
 from ..cc import get_target
 from ..experiments.runner import MAIN_TARGETS, Lab, RunError, fan_out
-from ..labcache import resolve_cache
-from ..machine import DEFAULT_FUEL, Machine, MachineError
+from ..machine import Machine, MachineError
 from .inject import FunctionMap, fuel_for, run_cache_fault, run_fault
-from .model import (DEFAULT_KINDS, OUTCOMES, SCHEMA_VERSION, TRAP_MODES,
+from .model import (FAULT_KINDS, OUTCOMES, SCHEMA_VERSION, TRAP_MODES,
                     FaultResult, FaultSpec, GoldenRun)
 
 if TYPE_CHECKING:
@@ -47,7 +46,7 @@ if TYPE_CHECKING:
 
 def plan_cell(bench: str, target: str, golden: GoldenRun,
               exe: "Executable", *, faults: int, seed: int,
-              kinds: tuple[str, ...] = DEFAULT_KINDS) -> list[FaultSpec]:
+              kinds: tuple[str, ...] = FAULT_KINDS) -> list[FaultSpec]:
     """Deterministically derive one cell's fault list.
 
     The PRNG stream is keyed by ``(seed, bench, target)`` only — not by
@@ -161,14 +160,12 @@ class FaultCampaign:
     targets: tuple[str, ...] = MAIN_TARGETS
     faults: int = 20
     seed: int = 1
-    kinds: tuple[str, ...] = DEFAULT_KINDS
+    kinds: tuple[str, ...] = FAULT_KINDS
     #: Skip injections the static vulnerability analysis proves masked
     #: (:mod:`repro.analysis.vuln`).  Pruned sites are recorded with
     #: outcome ``masked`` and a ``pruned:`` detail, so outcome counts
     #: are identical to an unpruned run — only the simulations saved.
     prune_masked: bool = False
-    max_instructions: int = DEFAULT_FUEL
-    cache: object = None              # Lab cache selector
 
     def run(self, jobs: int = 1) -> dict[str, object]:
         """Execute the campaign; returns the versioned report dict."""
@@ -180,9 +177,7 @@ class FaultCampaign:
         config: dict[str, Any] = {
             "faults": self.faults, "seed": self.seed,
             "kinds": tuple(self.kinds),
-            "prune_masked": self.prune_masked,
-            "max_instructions": self.max_instructions,
-            "cache": resolve_cache(self.cache)}
+            "prune_masked": self.prune_masked}
         jobs = max(1, int(jobs))
         if jobs > 1 and len(cells) > 1:
             results = fan_out(_campaign_cell, cells, jobs, config)
@@ -245,9 +240,7 @@ def render_report(report: dict[str, object]) -> str:
 def _campaign_cell(bench_name: str, target: str, config: dict[str, Any],
                    ) -> CellReport:
     """Plan and execute every fault of one cell (any process)."""
-    lab = Lab(cache=config["cache"],
-              max_instructions=config["max_instructions"])
-    return run_cell(lab, bench_name, target, faults=config["faults"],
+    return run_cell(Lab(), bench_name, target, faults=config["faults"],
                     seed=config["seed"], kinds=config["kinds"],
                     prune=bool(config["prune_masked"]))
 

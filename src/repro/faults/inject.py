@@ -34,7 +34,6 @@ from .model import (CRASH, DETECTED, HANG, MASKED, SDC, FaultResult,
 
 if TYPE_CHECKING:
     from ..asm.objfile import Executable
-    from ..cache import CacheConfig
     from ..machine.pipeline import PipelineParams
 
 #: Faulty runs get this many times the golden path length as fuel
@@ -108,7 +107,7 @@ def apply_fault(machine: Machine, spec: FaultSpec) -> str:
 
 
 def run_fault(exe: "Executable", spec: FaultSpec, golden: GoldenRun, *,
-              params: "PipelineParams | None" = None, stdin: bytes = b"",
+              params: "PipelineParams | None" = None,
               functions: FunctionMap | None = None,
               machine: Machine | None = None) -> FaultResult:
     """Run ``exe`` with one injected fault; classify against golden.
@@ -129,7 +128,7 @@ def run_fault(exe: "Executable", spec: FaultSpec, golden: GoldenRun, *,
                 f"{spec.trigger}")
         machine = machine.fork()
     else:
-        machine = Machine(exe, params=params, stdin=stdin)
+        machine = Machine(exe, params=params)
         try:
             machine.run(stop_after=spec.trigger, max_instructions=fuel)
         except MachineError as exc:
@@ -174,8 +173,7 @@ def run_fault(exe: "Executable", spec: FaultSpec, golden: GoldenRun, *,
                        detail=where, stats_differ=differ)
 
 
-def run_cache_fault(itrace: Iterable[int], spec: FaultSpec,
-                    config: "CacheConfig | None" = None) -> FaultResult:
+def run_cache_fault(itrace: Iterable[int], spec: FaultSpec) -> FaultResult:
     """Replay an instruction-address trace with one corrupt cache line.
 
     The :mod:`repro.cache` models carry no data, only metadata (tags
@@ -184,10 +182,11 @@ def run_cache_fault(itrace: Iterable[int], spec: FaultSpec,
     valid bit fakes a hit on stale contents or forces a refetch, and a
     flipped tag bit does the same at line granularity.  Masked means
     the corrupt metadata was overwritten before it was ever consulted.
+    The cache is the 8 KB configuration the masking oracle assumes.
     """
     from ..cache import Cache, CacheConfig, vector
 
-    config = config or CacheConfig(size=8192)
+    config = CacheConfig(size=8192)
     addresses = vector.as_addresses(itrace)
     cut = spec.trigger % addresses.size if addresses.size else 0
 

@@ -39,9 +39,6 @@ SCHEMA_VERSION = 2
 #: Fault kinds the injector understands, in canonical order.
 FAULT_KINDS = ("ifetch", "reg", "mem", "trap", "cache")
 
-#: Default kinds for a campaign (all of them).
-DEFAULT_KINDS = FAULT_KINDS
-
 #: Outcome classes, in canonical (report) order.
 OUTCOMES = ("masked", "sdc", "detected", "hang", "crash")
 

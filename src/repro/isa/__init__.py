@@ -8,7 +8,7 @@ The public surface of this package:
 """
 
 from .common import (DecodingError, EncodingError, IsaError, sign_extend,
-                     to_s32, to_u32)
+                     to_s32)
 from .instruction import Instr, make
 from .operations import (CONTROL_OPS, COND_NEGATE, COND_SWAP, D16_CONDS,
                          MNEMONIC_TO_OP, OP_INFO, Cond, Op, OpInfo, OpKind)
@@ -20,5 +20,5 @@ __all__ = [
     "DLXE", "DecodingError", "EncodingError", "ISAS", "Instr", "IsaError",
     "IsaSpec", "MNEMONIC_TO_OP", "OP_INFO", "Cond", "Op", "OpInfo",
     "OpKind", "get_isa", "ldc_pool_addr", "make", "sign_extend", "to_s32",
-    "to_u32", "transfer_target",
+    "transfer_target",
 ]

@@ -6,12 +6,7 @@ words are 4 bytes, halfwords 2 bytes, and all values are little-endian.
 
 from __future__ import annotations
 
-WORD_BYTES = 4
-HALF_BYTES = 2
 WORD_BITS = 32
-WORD_MASK = 0xFFFFFFFF
-HALF_MASK = 0xFFFF
-BYTE_MASK = 0xFF
 
 
 class IsaError(Exception):
@@ -46,11 +41,6 @@ def fits_signed(value: int, bits: int) -> bool:
 def fits_unsigned(value: int, bits: int) -> bool:
     """True if ``value`` is representable as a ``bits``-bit unsigned field."""
     return 0 <= value < (1 << bits)
-
-
-def to_u32(value: int) -> int:
-    """Wrap an arbitrary Python int into the machine's 32-bit word."""
-    return value & WORD_MASK
 
 
 def to_s32(value: int) -> int:

@@ -35,7 +35,7 @@ from __future__ import annotations
 from .common import (EncodingError, DecodingError, fits_signed,
                      fits_unsigned, sign_extend)
 from .instruction import Instr
-from .operations import Cond, D16_CONDS, Op
+from .operations import Cond, D16_CONDS, Op, fp_pair_error
 
 WIDTH_BYTES = 2
 NUM_GREGS = 16
@@ -123,6 +123,9 @@ def supports(instr: Instr) -> str | None:
     for _field, _cls, index in instr.reg_operands():
         if not 0 <= index < 16:
             return f"register {index} exceeds D16's 16-register file"
+    pair = fp_pair_error(instr, NUM_FREGS)
+    if pair is not None:
+        return pair
     if op in (Op.LD, Op.ST):
         if instr.imm % 4 != 0 or not 0 <= instr.imm <= MAX_MEM_OFFSET:
             return (f"word offset {instr.imm} outside D16 range "
@@ -261,7 +264,11 @@ def decode(word: int) -> Instr:
             raise DecodingError(f"bad D16 RR opcode in {word:#06x}")
         op, cond = key if isinstance(key, tuple) else (key, None)
         rx, ry = word & 0xF, (word >> 4) & 0xF
-        return _rr_decode(op, cond, rx, ry)
+        instr = _rr_decode(op, cond, rx, ry)
+        pair = fp_pair_error(instr, NUM_FREGS)
+        if pair is not None:
+            raise DecodingError(f"{pair}: {word:#06x}")
+        return instr
 
     if word >> 13:                              # MVI
         return Instr(Op.MVI, rd=word & 0xF,

@@ -30,7 +30,7 @@ from __future__ import annotations
 from .common import (EncodingError, DecodingError, fits_signed,
                      fits_unsigned, sign_extend)
 from .instruction import Instr
-from .operations import Cond, Op
+from .operations import Cond, Op, fp_pair_error
 
 WIDTH_BYTES = 4
 NUM_GREGS = 32
@@ -40,7 +40,6 @@ IMM_BITS = 16
 BR_OFF_BITS = 16       # word-scaled, signed: +/- 128 KiB
 J_OFF_BITS = 26
 
-IMM_RANGE = (-(1 << (IMM_BITS - 1)), (1 << (IMM_BITS - 1)) - 1)
 BR_RANGE = (-(1 << (BR_OFF_BITS - 1)) * 4, ((1 << (BR_OFF_BITS - 1)) - 1) * 4)
 
 _COND_ORDER = (Cond.LT, Cond.LTU, Cond.LE, Cond.LEU, Cond.EQ, Cond.NE,
@@ -110,9 +109,6 @@ _R_DECODE = {v: k for k, v in _R_FUNCS.items()}
 #: Ops with no DLXe encoding even after canonicalization.
 UNSUPPORTED_OPS = frozenset({Op.LDC})
 
-#: Pseudo-ops removed by canonicalization (r0-based synonyms).
-PSEUDO_OPS = frozenset({Op.MV, Op.MVI, Op.NEG, Op.INV})
-
 
 def canonicalize(instr: Instr) -> Instr:
     """Rewrite pseudo-ops onto base DLXe operations using r0 == 0."""
@@ -137,6 +133,9 @@ def supports(instr: Instr) -> str | None:
     for _field, _cls, index in instr.reg_operands():
         if not 0 <= index < 32:
             return f"register {index} exceeds DLXe's 32-register file"
+    pair = fp_pair_error(instr, NUM_FREGS)
+    if pair is not None:
+        return pair
     if op in _I_OPS or (op == Op.CMPI):
         imm = instr.imm
         if op in (Op.MVHI, Op.TRAP):
@@ -216,7 +215,11 @@ def decode(word: int) -> Instr:
         rs1 = (word >> 21) & 0x1F
         rs2 = (word >> 16) & 0x1F
         rd = (word >> 11) & 0x1F
-        return _r_decode(op, cond, rd, rs1, rs2)
+        instr = _r_decode(op, cond, rd, rs1, rs2)
+        pair = fp_pair_error(instr, NUM_FREGS)
+        if pair is not None:
+            raise DecodingError(f"{pair}: {word:#010x}")
+        return instr
 
     if major in _J_DECODE:
         op = _J_DECODE[major]

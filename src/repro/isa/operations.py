@@ -21,6 +21,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .instruction import Instr
 
 
 class Op(enum.Enum):
@@ -289,6 +293,32 @@ CONTROL_OPS = frozenset(
     op for op, info in OP_INFO.items()
     if info.kind in (OpKind.BRANCH, OpKind.JUMP)
 )
+
+#: The register fields a double-precision op names as the first of an
+#: FP register pair ``(fN, fN+1)``.
+FP_PAIR_FIELDS: dict[Op, tuple[str, ...]] = {
+    **dict.fromkeys((Op.ADD_DF, Op.SUB_DF, Op.MUL_DF, Op.DIV_DF),
+                    ("rd", "rs1", "rs2")),
+    **dict.fromkeys((Op.NEG_DF, Op.MV_DF), ("rd", "rs1")),
+    Op.CMP_DF: ("rs1", "rs2"),
+    Op.SI2DF: ("rd",), Op.SF2DF: ("rd",),
+    Op.DF2SI: ("rs1",), Op.DF2SF: ("rs1",),
+}
+
+
+def fp_pair_error(instr: "Instr", num_fregs: int) -> str | None:
+    """Why ``instr`` names a register pair that runs past the end of a
+    ``num_fregs``-register FP file (None when it does not).
+
+    Both encodings reject such an instruction: encoding it is an
+    :class:`EncodingError`, decoding it a :class:`DecodingError`.
+    """
+    for field in FP_PAIR_FIELDS.get(instr.op, ()):
+        if getattr(instr, field) == num_fregs - 1:
+            return (f"{instr.op.value} pairs f{num_fregs - 1} with "
+                    f"f{num_fregs}, past the {num_fregs}-register FP file")
+    return None
+
 
 #: Mnemonic -> Op lookup for the assembler.
 MNEMONIC_TO_OP: dict[str, Op] = {op.value: op for op in Op}

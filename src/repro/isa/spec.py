@@ -31,10 +31,6 @@ class IsaSpec:
     def width_bits(self) -> int:
         return self.width_bytes * 8
 
-    def encode_bytes(self, instr: Instr) -> bytes:
-        """Encode one instruction to its little-endian byte representation."""
-        return struct.pack(self._pack, self.encode(instr))
-
     def decode_bytes(self, data: bytes, offset: int = 0) -> Instr:
         """Decode one instruction from little-endian bytes at ``offset``."""
         (word,) = struct.unpack_from(self._pack, data, offset)

@@ -325,17 +325,3 @@ def default_cache() -> ArtifactCache:
     """The process-default cache, honouring REPRO_CACHE/REPRO_CACHE_DIR."""
     return ArtifactCache(enabled=cache_enabled())
 
-
-def resolve_cache(cache: Any) -> ArtifactCache:
-    """Normalize a ``Lab(cache=...)`` argument.
-
-    ``None`` -> the environment-default cache; ``False`` -> a disabled
-    cache; an :class:`ArtifactCache` passes through.
-    """
-    if cache is None:
-        return default_cache()
-    if cache is False:
-        return ArtifactCache(enabled=False)
-    if isinstance(cache, ArtifactCache):
-        return cache
-    return ArtifactCache(cache)

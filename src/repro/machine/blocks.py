@@ -63,6 +63,7 @@ every compiled block covering it.
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 from array import array
@@ -152,12 +153,23 @@ def _float_to_f64_bits(value: float) -> tuple[int, int]:
 
 
 def _clamp_s32(value: float) -> int:
-    value = int(value)  # truncate toward zero
-    if value > 0x7FFFFFFF:
-        value = 0x7FFFFFFF
-    elif value < -0x80000000:
-        value = -0x80000000
-    return value & WORD_MASK
+    """Truncate toward zero, saturating at the 32-bit signed range
+    (infinities included); a NaN converts to 0."""
+    if value != value:
+        return 0
+    if value >= 0x7FFFFFFF:
+        return 0x7FFFFFFF
+    if value <= -0x80000000:
+        return 0x80000000
+    return int(value) & WORD_MASK
+
+
+def _div_by_zero(a: float, b: float) -> float:
+    """IEEE 754 ``a / b`` for a zero ``b``, where Python raises: an
+    infinity signed by both operands, or a NaN for 0/0 and NaN/0."""
+    if a == 0.0 or a != a:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
 # --------------------------------------------------------------- helpers
@@ -201,13 +213,12 @@ _ALUI_EXPR = {
     Op.SHLI: "(g[{a}] << {sh}) & M",
 }
 
-_FP3_SF = {Op.ADD_SF: "+", Op.SUB_SF: "-", Op.MUL_SF: "*", Op.DIV_SF: "/"}
-_FP3_DF = {Op.ADD_DF: "+", Op.SUB_DF: "-", Op.MUL_DF: "*", Op.DIV_DF: "/"}
+_FP3_SF = {Op.ADD_SF: "+", Op.SUB_SF: "-", Op.MUL_SF: "*"}
+_FP3_DF = {Op.ADD_DF: "+", Op.SUB_DF: "-", Op.MUL_DF: "*"}
 
 #: Ops whose functional code can raise and therefore need the spilling
-#: ``try`` wrapper (memory faults, division by zero, trap errors); all
-#: MATH-kind ops get the wrapper too (float division and the
-#: float-to-int conversions can raise, and the ``try`` is free).
+#: ``try`` wrapper (memory faults, integer division by zero, trap
+#: errors); all MATH-kind ops get the wrapper too (the ``try`` is free).
 _RAISING = frozenset({
     Op.LD, Op.LDH, Op.LDHU, Op.LDB, Op.LDBU, Op.LDC,
     Op.ST, Op.STH, Op.STB, Op.DIV, Op.REM, Op.TRAP,
@@ -222,7 +233,7 @@ _STD_NAMES = (
     "D", "SZ", "UW", "PW",
     "RW", "RH", "RB", "WW", "WH", "WB",
     "FST", "TH", "TP", "MM", "NP", "ME",
-    "B2F", "F2B", "B2D", "D2B", "CL", "abs", "float",
+    "B2F", "F2B", "B2D", "D2B", "CL", "DZ", "abs", "float",
 )
 
 #: Identifiers in generated source.  The body's one string literal, the
@@ -391,6 +402,16 @@ def _functional_lines(instr, addr, width, zero_r0, handler_name,
         assign("FST[0]")
     elif op == Op.NOP:
         pass
+    elif op == Op.DIV_SF:
+        lines.append(f"_a = B2F(f[{rs1}])")
+        lines.append(f"_b = B2F(f[{rs2}])")
+        lines.append(f"f[{rd}] = F2B(_a / _b if _b else DZ(_a, _b))")
+    elif op == Op.DIV_DF:
+        lines.append(f"_a = B2D(f[{rs1}], f[{rs1 + 1}])")
+        lines.append(f"_b = B2D(f[{rs2}], f[{rs2 + 1}])")
+        lines.append("_lo, _hi = D2B(_a / _b if _b else DZ(_a, _b))")
+        lines.append(f"f[{rd}] = _lo")
+        lines.append(f"f[{rd + 1}] = _hi")
     elif op in _FP3_SF:
         c = _FP3_SF[op]
         lines.append(f"f[{rd}] = F2B(B2F(f[{rs1}]) {c} B2F(f[{rs2}]))")
@@ -652,7 +673,7 @@ def compile_block(machine, entry):
         "TP": machine.traps, "MM": machine, "NP": NoProgress,
         "ME": MachineError, "B2F": _f32_bits_to_float,
         "F2B": _float_to_f32_bits, "B2D": _f64_bits_to_float,
-        "D2B": _float_to_f64_bits, "CL": _clamp_s32,
+        "D2B": _float_to_f64_bits, "CL": _clamp_s32, "DZ": _div_by_zero,
         "abs": abs, "float": float,
     }
     if machine.itrace is not None:

@@ -32,8 +32,9 @@ from ..isa.common import to_s32
 from ..isa.refs import ldc_pool_addr
 from ..isa.operations import Cond
 from .blocks import (HOT_THRESHOLD, CompiledBlock, NoProgress,
-                     _clamp_s32, _f32_bits_to_float, _f64_bits_to_float,
-                     _float_to_f32_bits, _float_to_f64_bits, compile_block)
+                     _clamp_s32, _div_by_zero, _f32_bits_to_float,
+                     _f64_bits_to_float, _float_to_f32_bits,
+                     _float_to_f64_bits, compile_block)
 from .memory import DEFAULT_MEM_SIZE, Memory, MemoryError_
 from .pipeline import PipelineParams, hazard_indices
 from .stats import RunStats
@@ -124,14 +125,14 @@ _FP3_SINGLE = {
     Op.ADD_SF: lambda a, b: a + b,
     Op.SUB_SF: lambda a, b: a - b,
     Op.MUL_SF: lambda a, b: a * b,
-    Op.DIV_SF: lambda a, b: a / b,
+    Op.DIV_SF: lambda a, b: a / b if b else _div_by_zero(a, b),
 }
 
 _FP3_DOUBLE = {
     Op.ADD_DF: lambda a, b: a + b,
     Op.SUB_DF: lambda a, b: a - b,
     Op.MUL_DF: lambda a, b: a * b,
-    Op.DIV_DF: lambda a, b: a / b,
+    Op.DIV_DF: lambda a, b: a / b if b else _div_by_zero(a, b),
 }
 
 

@@ -91,13 +91,3 @@ class Memory:
         if addr < 0 or addr >= self.size:
             self._check(addr, 1)
         self.data[addr] = value & 0xFF
-
-    def read_cstring(self, addr: int, limit: int = 4096) -> bytes:
-        """Read a NUL-terminated string (for trap handlers and tests)."""
-        out = bytearray()
-        while len(out) < limit:
-            byte = self.read_byte(addr + len(out))
-            if byte == 0:
-                break
-            out.append(byte)
-        return bytes(out)

@@ -42,11 +42,6 @@ def cycles_with_cache(stats: RunStats, *, miss_penalty: int,
             + miss_penalty * (imisses + rmisses + wmisses))
 
 
-def cpi(cycles: int, instructions: int) -> float:
-    """Average cycles per instruction."""
-    return cycles / instructions if instructions else 0.0
-
-
 def normalized_cpi(cycles: int, reference_instructions: int) -> float:
     """Cycles divided by a reference path length (factor out IC)."""
     return cycles / reference_instructions if reference_instructions else 0.0

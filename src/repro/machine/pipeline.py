@@ -35,7 +35,7 @@ FP_STATUS_REG = 64
 
 
 @dataclass(frozen=True)
-class PipelineModel:
+class PipelineParams:
     """The introspectable latency table of the execution pipeline.
 
     One source of truth for every timing rule: the reference
@@ -92,11 +92,6 @@ class PipelineModel:
         return max(max(self.math_latency.values()), 1 + self.load_delay)
 
 
-#: Historical name, kept as an alias: the "params" objects threaded
-#: through Lab / labcache / Machine are exactly the pipeline model.
-PipelineParams = PipelineModel
-
-
 def hazard_indices(instr: Instr) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Map an instruction's reads/writes to ready-vector indices.
 
@@ -119,8 +114,8 @@ def hazard_indices(instr: Instr) -> tuple[tuple[int, ...], tuple[int, ...]]:
 class HazardModel:
     """Reference interlock model: feed retired instructions in order."""
 
-    def __init__(self, params: PipelineModel | None = None):
-        self.params = params or PipelineModel()
+    def __init__(self, params: PipelineParams | None = None):
+        self.params = params or PipelineParams()
         self.ready = [0] * 65          # earliest cycle each value is usable
         self.writer = ["alu"] * 65     # kind of the last writer per register
         self.math_free = 0             # cycle the math unit becomes free

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..isa import Instr, Op
+from ..isa import Instr
 
 
 @dataclass
@@ -39,15 +39,6 @@ class RunStats:
     def interlock_rate(self) -> float:
         """Interlocks per instruction (paper Table 10's Rate column)."""
         return self.interlocks / self.instructions if self.instructions else 0.0
-
-    def dynamic_op_counts(self) -> dict[Op, int]:
-        """Dynamic execution count per operation."""
-        counts: dict[Op, int] = {}
-        for instr, count in zip(self.program, self.exec_counts):
-            if instr is None or count == 0:
-                continue
-            counts[instr.op] = counts.get(instr.op, 0) + count
-        return counts
 
     def executed_instructions(self):
         """Yield ``(instr, dynamic_count)`` for every executed static site."""

@@ -28,9 +28,6 @@ TRAP_PUTC = 1
 TRAP_GETC = 2
 TRAP_SBRK = 3
 
-#: Codes with defined semantics (everything else raises TrapError).
-KNOWN_TRAPS = (TRAP_EXIT, TRAP_PUTC, TRAP_GETC, TRAP_SBRK)
-
 
 class TrapError(Exception):
     """Raised for undefined trap codes."""

@@ -8,13 +8,14 @@ fraction so a burst of failing batches does not resubmit in lockstep.
 
 Deterministic in-cell failures (lint errors, output miscompares,
 simulator faults) are never retried; instead they feed the per-cell
-:class:`CircuitBreaker`.  After ``threshold`` consecutive failures the
-breaker *opens* and subsequent submissions of that cell short-circuit
-to a typed error carrying the recorded failure — a repeatedly failing
-cell degrades to a cheap, diagnosable answer instead of occupying
-workers and poisoning batch latency.  After ``cooldown`` short-circuits
-the breaker goes *half-open* and lets one probe execution through; a
-success closes it, another failure re-opens it.
+:class:`CircuitBreaker`.  After :data:`BREAKER_THRESHOLD` consecutive
+failures the breaker *opens* and subsequent submissions of that cell
+short-circuit to a typed error carrying the recorded failure — a
+repeatedly failing cell degrades to a cheap, diagnosable answer instead
+of occupying workers and poisoning batch latency.  After
+:data:`BREAKER_COOLDOWN` short-circuits the breaker goes *half-open*
+and lets one probe execution through; a success closes it, another
+failure re-opens it.
 """
 
 from __future__ import annotations
@@ -23,23 +24,33 @@ import random
 import threading
 from dataclasses import dataclass
 
+#: Geometric growth of the backoff delay per attempt.
+BACKOFF_FACTOR = 2.0
+
+#: Fraction of each backoff delay randomly shed.
+BACKOFF_JITTER = 0.5
+
+#: Consecutive failures that open a cell's breaker.
+BREAKER_THRESHOLD = 3
+
+#: Short-circuits an open breaker serves before its half-open probe.
+BREAKER_COOLDOWN = 8
+
 
 @dataclass(frozen=True)
 class BackoffPolicy:
     """Exponential backoff with seeded jitter for transient retries."""
 
     base_s: float = 0.05      # first delay
-    factor: float = 2.0       # geometric growth per attempt
     max_s: float = 2.0        # delay ceiling
-    jitter: float = 0.5       # fraction of the delay randomly shed
     max_attempts: int = 5     # total tries (first + retries)
 
     def delay(self, attempt: int, rng: random.Random) -> float:
         """Sleep before retry number ``attempt`` (1-based)."""
         if attempt < 1:
             raise ValueError(f"attempt must be >= 1, got {attempt}")
-        raw = min(self.max_s, self.base_s * self.factor ** (attempt - 1))
-        return raw * (1.0 - self.jitter * rng.random())
+        raw = min(self.max_s, self.base_s * BACKOFF_FACTOR ** (attempt - 1))
+        return raw * (1.0 - BACKOFF_JITTER * rng.random())
 
 
 class CircuitBreaker:
@@ -50,12 +61,7 @@ class CircuitBreaker:
     so distinct (program, target, kind) cells fail independently.
     """
 
-    def __init__(self, *, threshold: int = 3,
-                 cooldown: int = 8) -> None:
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        self.threshold = threshold
-        self.cooldown = max(1, cooldown)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._failures: dict[str, int] = {}     # consecutive failures
         self._open_skips: dict[str, int] = {}   # short-circuits served
@@ -65,24 +71,20 @@ class CircuitBreaker:
         """May this cell execute now?  False == short-circuit.
 
         While open, every call counts toward the cooldown; once
-        ``cooldown`` submissions have been short-circuited the next
-        call is allowed through as the half-open probe.
+        :data:`BREAKER_COOLDOWN` submissions have been short-circuited
+        the next call is allowed through as the half-open probe.
         """
         with self._lock:
-            if self._failures.get(key, 0) < self.threshold:
+            if self._failures.get(key, 0) < BREAKER_THRESHOLD:
                 return True
             skips = self._open_skips.get(key, 0)
-            if skips >= self.cooldown:
+            if skips >= BREAKER_COOLDOWN:
                 # Half-open: admit one probe; reset the cooldown so a
                 # failing probe re-opens for another full window.
                 self._open_skips[key] = 0
                 return True
             self._open_skips[key] = skips + 1
             return False
-
-    def is_open(self, key: str) -> bool:
-        with self._lock:
-            return self._failures.get(key, 0) >= self.threshold
 
     def record_success(self, key: str) -> None:
         with self._lock:
@@ -105,4 +107,4 @@ class CircuitBreaker:
     def open_cells(self) -> int:
         with self._lock:
             return sum(1 for n in self._failures.values()
-                       if n >= self.threshold)
+                       if n >= BREAKER_THRESHOLD)

@@ -61,12 +61,11 @@ class Scheduler:
 
     def __init__(self, store: JournaledStore, pool: WorkerPool, *,
                  backoff: BackoffPolicy | None = None,
-                 breaker: CircuitBreaker | None = None,
                  seed: int = 0) -> None:
         self.store = store
         self.pool = pool
         self.backoff = backoff if backoff is not None else BackoffPolicy()
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
+        self.breaker = CircuitBreaker()
         self.stats = ServiceStats()
         self._rng = random.Random(seed)
         self._lock = threading.Lock()

@@ -31,7 +31,7 @@ import os
 from typing import Any
 
 from .model import KINDS, Request, Response
-from .policy import BackoffPolicy, CircuitBreaker
+from .policy import BackoffPolicy
 from .scheduler import Scheduler
 from .store import JournaledStore
 from .workers import DirectiveSource, WorkerPool
@@ -43,18 +43,14 @@ class SimulationService:
     def __init__(self, root: str | os.PathLike[str], *, jobs: int = 2,
                  task_timeout: float = 60.0,
                  backoff: BackoffPolicy | None = None,
-                 breaker: CircuitBreaker | None = None,
                  seed: int = 0,
-                 max_instructions: int = 2_000_000_000,
                  chaos: DirectiveSource | None = None) -> None:
         self.store = JournaledStore(root)
         self.pool = WorkerPool(
             jobs=jobs, cache_root=self.store.cache.root,
-            max_instructions=max_instructions,
             task_timeout=task_timeout, chaos=chaos)
         self.scheduler = Scheduler(
-            self.store, self.pool, backoff=backoff, breaker=breaker,
-            seed=seed)
+            self.store, self.pool, backoff=backoff, seed=seed)
         self._started = False
 
     # --------------------------------------------------------- lifecycle

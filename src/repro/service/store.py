@@ -49,12 +49,10 @@ JOURNAL_SCHEMA = 1
 class JournaledStore:
     """Content-addressed result store with a write-ahead journal."""
 
-    def __init__(self, root: str | os.PathLike[str], *,
-                 cache: ArtifactCache | None = None) -> None:
+    def __init__(self, root: str | os.PathLike[str]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.cache = cache if cache is not None \
-            else ArtifactCache(self.root / "store")
+        self.cache = ArtifactCache(self.root / "store")
         self.journal_path = self.root / JOURNAL_NAME
         self._lock = threading.Lock()
 
@@ -143,9 +141,9 @@ class JournaledStore:
         (larger but complete) journal in place.
         """
         with self._lock:
-            records = []
-            if self.journal_path.exists():
-                records = self._records_unlocked()
+            # _records takes no lock itself, so it can re-read the
+            # journal under the lock held here.
+            records = self._records()
             open_keys = set()
             for record in records:
                 key = str(record.get("key", ""))
@@ -164,8 +162,3 @@ class JournaledStore:
                 os.fsync(out.fileno())
             os.replace(tmp, self.journal_path)
             return len(records) - len(kept)
-
-    def _records_unlocked(self) -> list[dict[str, Any]]:
-        # _records takes no lock itself; this alias documents that
-        # compact() already holds it while re-reading.
-        return self._records()

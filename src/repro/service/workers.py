@@ -130,11 +130,11 @@ def execute_request(lab: Any, request: Request) -> dict[str, Any]:
     if kind == "faults":
         from ..experiments.runner import ExperimentError
         from ..faults.campaign import run_cell
-        from ..faults.model import DEFAULT_KINDS
+        from ..faults.model import FAULT_KINDS
 
         cell = run_cell(lab, request.bench, request.target,
                         faults=max(1, request.faults), seed=request.seed,
-                        kinds=DEFAULT_KINDS, prune=False)
+                        kinds=FAULT_KINDS, prune=False)
         if cell.error:
             raise ExperimentError(cell.error)
         outcomes = {outcome: count for outcome, count
@@ -144,8 +144,7 @@ def execute_request(lab: Any, request: Request) -> dict[str, Any]:
     raise ValueError(f"unknown request kind {kind!r}")
 
 
-def _worker_main(conn: Connection, cache_root: str, cache_enabled: bool,
-                 max_instructions: int) -> None:
+def _worker_main(conn: Connection, cache_root: str) -> None:
     """Worker process entry: execute tasks until told to stop."""
     import signal
 
@@ -153,8 +152,7 @@ def _worker_main(conn: Connection, cache_root: str, cache_enabled: bool,
     from ..experiments import Lab
     from ..labcache import ArtifactCache
 
-    lab = Lab(cache=ArtifactCache(cache_root, enabled=cache_enabled),
-              max_instructions=max_instructions)
+    lab = Lab(cache=ArtifactCache(cache_root))
     while True:
         try:
             message = conn.recv()
@@ -194,14 +192,10 @@ class WorkerPool:
 
     def __init__(self, *, jobs: int = 2,
                  cache_root: str | os.PathLike[str],
-                 cache_enabled: bool = True,
-                 max_instructions: int = 2_000_000_000,
                  task_timeout: float = DEFAULT_TASK_TIMEOUT,
                  chaos: DirectiveSource | None = None) -> None:
         self.jobs = max(1, int(jobs))
         self.cache_root = str(cache_root)
-        self.cache_enabled = cache_enabled
-        self.max_instructions = max_instructions
         self.task_timeout = task_timeout
         self.chaos = chaos
         self.restarts = 0
@@ -222,8 +216,7 @@ class WorkerPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.cache_root, self.cache_enabled,
-                  self.max_instructions),
+            args=(child_conn, self.cache_root),
             daemon=True)
         proc.start()
         child_conn.close()

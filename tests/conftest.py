@@ -12,10 +12,13 @@ def lab():
 
 
 def compile_run(source: str, target: str, **kwargs):
-    """Convenience: compile and run minic source, returning stats."""
-    from repro.cc import compile_and_run
+    """Convenience: build minic source (``kwargs`` go to
+    ``build_executable``) and run it; returns (stats, machine, result)."""
+    from repro.cc import build_executable
+    from repro.machine import run_executable
 
-    stats, machine, result = compile_and_run(source, target, **kwargs)
+    result = build_executable(source, target, **kwargs)
+    stats, machine = run_executable(result.executable)
     return stats, machine, result
 
 
@@ -30,6 +33,19 @@ def isa_target(request):
 def any_target(request):
     """Parametrize a test over all five paper configurations."""
     return request.param
+
+
+@pytest.fixture
+def short_fuel(monkeypatch):
+    """Cut the simulator watchdog's fuel from 2 billion instructions to
+    2 million for every Lab run (forked workers included)."""
+    import repro.experiments.runner as runner
+
+    real = runner.run_executable
+    monkeypatch.setattr(
+        runner, "run_executable",
+        lambda exe, **kwargs: real(exe, max_instructions=2_000_000,
+                                   **kwargs))
 
 
 @pytest.fixture

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from hypothesis import strategies as st
+from hypothesis import assume, strategies as st
 
 from repro.isa import D16, DLXE, Instr, OP_INFO, Op
-from repro.isa.operations import Cond, D16_CONDS
+from repro.isa.operations import Cond, D16_CONDS, fp_pair_error
 
 _D16_REG = st.integers(min_value=0, max_value=15)
 _DLXE_REG = st.integers(min_value=0, max_value=31)
@@ -80,9 +80,12 @@ def _d16_op_list():
 
 
 def _dlxe_op_list():
-    from repro.isa.dlxe import PSEUDO_OPS, UNSUPPORTED_OPS
+    from repro.isa.dlxe import UNSUPPORTED_OPS
+
+    # Canonicalization rewrites these r0-based synonyms onto base ops.
+    pseudo_ops = {Op.MV, Op.MVI, Op.NEG, Op.INV}
     return sorted((op for op in Op
-                   if op not in UNSUPPORTED_OPS and op not in PSEUDO_OPS),
+                   if op not in UNSUPPORTED_OPS and op not in pseudo_ops),
                   key=lambda o: o.value)
 
 
@@ -92,6 +95,8 @@ def d16_instructions(draw):
     op = draw(st.sampled_from(_d16_op_list()))
     instr = draw(_build(op, _D16_REG, _imm_strategy_d16, D16_CONDS))
     instr = _constrain_d16(instr)
+    # A double-precision pair may not start at the last FP register.
+    assume(fp_pair_error(instr, D16.num_fregs) is None)
     reason = D16.supports(instr)
     if reason is not None:  # pragma: no cover - strategy bug guard
         raise AssertionError(f"strategy produced invalid D16: {reason}")
@@ -103,6 +108,7 @@ def dlxe_instructions(draw):
     """A random instruction valid under the DLXe encoding."""
     op = draw(st.sampled_from(_dlxe_op_list()))
     instr = draw(_build(op, _DLXE_REG, _imm_strategy_dlxe, set(Cond)))
+    assume(fp_pair_error(instr, DLXE.num_fregs) is None)
     reason = DLXE.supports(instr)
     if reason is not None:  # pragma: no cover
         raise AssertionError(f"strategy produced invalid DLXe: {reason}")

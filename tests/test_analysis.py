@@ -247,7 +247,8 @@ class TestAssemblyLint:
 
 
 def _raw_exe(isa, instrs, *, symbols=None, extra=b"") -> Executable:
-    text = b"".join(isa.encode_bytes(i) for i in instrs) + extra
+    text = b"".join(isa.encode(i).to_bytes(isa.width_bytes, "little")
+                    for i in instrs) + extra
     base = 0x1000
     symtab = {"_start": base}
     if symbols:

@@ -50,7 +50,7 @@ class TestBasicBehaviour:
 
     def test_write_does_not_prefetch(self):
         cache = make()
-        cache.access(0x100, write=True)
+        cache.run_tagged([0x100 | 1])
         assert cache.access(0x108) is False
         assert cache.write_misses == 1
 
@@ -71,7 +71,7 @@ class TestBasicBehaviour:
         cache = make(sub=8)
         cache.access(0x100)          # demand + prefetch = 2 sub-blocks
         assert cache.traffic_words == 4
-        cache.access(0x200, write=True)
+        cache.run_tagged([0x200 | 1])
         assert cache.traffic_words == 6
 
 
@@ -87,10 +87,15 @@ class TestBulkInterfaces:
             (b.read_misses, b.traffic_words)
 
     def test_run_tagged_matches_access(self):
+        """Reads through ``access`` and writes one at a time equal the
+        whole stream in one call."""
         stream = [0x0, 0x8 | 1, 0x40, 0x400 | 1, 0x0, 0x8]
         a = make()
         for entry in stream:
-            a.access(entry & ~1, write=bool(entry & 1))
+            if entry & 1:
+                a.run_tagged([entry])
+            else:
+                a.access(entry)
         b = make()
         b.run_tagged(stream)
         assert (a.read_misses, a.write_misses, a.traffic_words) == \
@@ -147,7 +152,7 @@ class TestProperties:
     def test_repeat_run_all_hits(self, addrs):
         cache = make()
         cache.run_reads(addrs)
-        cache.reset_stats()
+        first_misses = cache.read_misses
         blocks_of_line: dict[int, set[int]] = {}
         for a in addrs:
             blocks_of_line.setdefault((a // 32) % 32, set()).add(a // 32)
@@ -158,7 +163,7 @@ class TestProperties:
         # a line that one block alone uses hits on every access.  (Two
         # blocks that share a line can miss on every access, e.g.
         # [1408, 384, 1408, 384], so unique blocks do not bound it.)
-        assert cache.read_misses <= conflicted
+        assert cache.read_misses - first_misses <= conflicted
 
 
 class TestSimulateCaches:

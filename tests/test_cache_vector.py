@@ -62,7 +62,6 @@ class TestReadReplay:
         oracle, vec = pair(geometry)
         for cache in (oracle, vec):
             cache.run_reads(warm)
-            cache.reset_stats()
         oracle.run_reads(addrs)
         replay_reads(vec, addrs)
         assert snapshot(vec) == snapshot(oracle)

@@ -10,9 +10,16 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cc import compile_and_run
+from repro.cc import build_executable
+from repro.machine import run_executable
 
 _WORD = 0xFFFFFFFF
+
+
+def run_bare(src: str, target: str):
+    """Compile ``src`` without the runtime library and run it."""
+    exe = build_executable(src, target, include_runtime=False).executable
+    return run_executable(exe)[0]
 
 
 def _s32(value: int) -> int:
@@ -176,7 +183,7 @@ def test_expression_matches_python(expr, values, target):
     }}
     """
     expected = expr.evaluate(env)
-    stats, _m, _r = compile_and_run(src, target, include_runtime=False)
+    stats = run_bare(src, target)
     assert stats.output == _hex32(expected), src
 
 
@@ -195,7 +202,7 @@ def test_array_sum_matches_python(values, target):
         return 0;
     }}
     """
-    stats, _m, _r = compile_and_run(src, target, include_runtime=False)
+    stats = run_bare(src, target)
     assert stats.output == _hex32(_s32(sum(values)))
 
 
@@ -214,5 +221,5 @@ def test_string_roundtrip(text):
         return 0;
     }}
     """
-    stats, _m, _r = compile_and_run(src, "d16", include_runtime=False)
+    stats = run_bare(src, "d16")
     assert stats.output == text

@@ -14,6 +14,23 @@ def make_block(instrs):
     return Block(label="b", instrs=instrs)
 
 
+def build_o2(source, target, schedule):
+    """Link ``source`` at ``-O2`` with or without the scheduling pass."""
+    from repro.asm import assemble, link
+    from repro.cc import get_target
+    from repro.cc.codegen import generate_assembly
+    from repro.cc.irgen import lower_program
+    from repro.cc.opt import optimize_module
+    from repro.cc.parser import parse
+    from repro.cc.runtime import RUNTIME_SOURCE
+
+    spec = get_target(target)
+    module = lower_program(parse(RUNTIME_SOURCE + "\n" + source))
+    optimize_module(module, level=2)
+    assembly = generate_assembly(module, spec, schedule=schedule)
+    return link([assemble(assembly, spec.isa)])
+
+
 class TestDependencePreservation:
     def test_raw_preserved(self):
         block = make_block([
@@ -83,28 +100,24 @@ class TestDependencePreservation:
 class TestStallReduction:
     def test_load_use_separated(self):
         """A filler instruction should slide into the load delay slot."""
-        params = PipelineParams()
         load = Load(v(2), v(1), 4)
         use = Bin("add", v(3), v(2), v(2))
         filler = Const(v(4), 1)
         naive = [load, use, filler]
-        assert _sequence_cost(naive, params) \
-            > _sequence_cost([load, filler, use], params)
+        assert _sequence_cost(naive) > _sequence_cost([load, filler, use])
         block = make_block(naive + [Jump("n")])
-        schedule_block(block, params)
+        schedule_block(block)
         order = block.instrs
         assert order.index(filler) < order.index(use)
 
     def test_cost_model_math_unit_serializes(self):
-        params = PipelineParams()
         m1 = Bin("mul", v(3), v(1), v(2))
         m2 = Bin("mul", v(6), v(4), v(5))
-        cost = _sequence_cost([m1, m2], params)
-        assert cost >= params.latency_of("imul")
+        cost = _sequence_cost([m1, m2])
+        assert cost >= PipelineParams().latency_of("imul")
 
     def test_scheduler_never_locally_worse(self):
         # The accept-guard: scheduled cost (2x unrolled) <= original.
-        params = PipelineParams()
         instrs = [
             Load(v(2), v(1), 4),
             Bin("add", v(3), v(2), v(2)),
@@ -115,9 +128,9 @@ class TestStallReduction:
             Jump("n"),
         ]
         block = make_block(list(instrs))
-        before = _sequence_cost(instrs[:-1] * 2, params)
-        schedule_block(block, params)
-        after = _sequence_cost(block.instrs[:-1] * 2, params)
+        before = _sequence_cost(instrs[:-1] * 2)
+        schedule_block(block)
+        after = _sequence_cost(block.instrs[:-1] * 2)
         assert after <= before
 
 
@@ -138,13 +151,11 @@ class TestEndToEnd:
             return 0;
         }
         """
-        from repro.cc import build_executable
         from repro.machine import run_executable
 
         outs = {}
         for sched in (False, True):
-            result = build_executable(src, isa_target, schedule=sched)
-            stats, _m = run_executable(result.executable)
+            stats, _m = run_executable(build_o2(src, isa_target, sched))
             outs[sched] = stats.output
         assert outs[False] == outs[True]
 
@@ -161,12 +172,10 @@ class TestEndToEnd:
             return 0;
         }
         """
-        from repro.cc import build_executable
         from repro.machine import run_executable
 
         cycles = {}
         for sched in (False, True):
-            result = build_executable(src, "dlxe", schedule=sched)
-            stats, _m = run_executable(result.executable)
+            stats, _m = run_executable(build_o2(src, "dlxe", sched))
             cycles[sched] = stats.instructions + stats.interlocks
         assert cycles[True] <= cycles[False]

@@ -386,7 +386,11 @@ class TestIntrinsics:
             return 0;
         }
         """
-        stats, _m, _r = compile_and_run(src, isa_target, stdin=b"abc")
+        from repro.cc import build_executable
+        from repro.machine import run_executable
+
+        result = build_executable(src, isa_target)
+        stats, _m = run_executable(result.executable, stdin=b"abc")
         assert stats.output == "bcd"
 
     def test_exit_code(self, isa_target):

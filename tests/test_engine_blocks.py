@@ -965,3 +965,153 @@ class TestHazardElisionProperty:
                 end = (type(exc).__name__, str(exc))
             finals.append((end, paused_state(machine)))
         assert finals[0] == finals[1]
+
+
+#: Division by zero and out-of-range conversions, looped so that the
+#: last pass executes in a compiled block.  Every operation is in D16's
+#: two-address form; ``{cnt}`` is the loop counter.
+FP_EDGE_TMPL = """
+mvi {cnt}, 3
+loop:
+mvi r2, 0
+mvif f2, r2
+div.sf f2, f2, f2
+mvi r3, 1
+mvif f4, r3
+si2sf f4, f4
+mvif f6, r2
+div.sf f4, f4, f6
+mvi r3, -1
+mvif f8, r3
+si2sf f8, f8
+mvif f10, r2
+div.sf f8, f8, f10
+mvi r3, 255
+shli r3, r3, 23
+mvif f1, r3
+sf2si f1, f1
+addi r3, r3, 1
+mvif f3, r3
+sf2si f3, f3
+sf2si f5, f8
+mvi r3, 3
+mvif f12, r3
+si2df f12, f12
+mvif f14, r2
+si2df f14, f14
+div.df f12, f12, f14
+df2si f7, f12
+div.df f14, f14, f14
+df2si f9, f14
+subi {cnt}, {cnt}, 1
+bnz {cnt}, loop
+trap 0
+"""
+
+
+class TestFloatingPointFaults:
+    """IEEE 754 results stay inside the machine on both engines: a zero
+    divisor gives an infinity (a NaN for 0/0), and a conversion to an
+    integer saturates an infinity and turns a NaN into 0."""
+
+    #: FP register -> expected bits after the loop.
+    EXPECTED = {
+        2: 0x7FC00000,             # 0.0f / 0.0f = NaN
+        4: 0x7F800000,             # 1.0f / 0.0f = +inf
+        8: 0xFF800000,             # -1.0f / 0.0f = -inf
+        1: 0x7FFFFFFF,             # sf2si(+inf), bits 0x7f800000
+        3: 0,                      # sf2si(NaN), bits 0x7f800001
+        5: 0x80000000,             # sf2si(-inf)
+        12: 0, 13: 0x7FF00000,     # 3.0 / 0.0 = +inf
+        7: 0x7FFFFFFF,             # df2si(+inf)
+        14: 0, 15: 0x7FF80000,     # 0.0 / 0.0 = NaN
+        9: 0,                      # df2si(NaN)
+    }
+
+    @pytest.mark.parametrize("isa", [D16, DLXE], ids=["d16", "dlxe"])
+    def test_step_and_blocks_agree_on_ieee_results(self, hot, isa):
+        exe = build_asm(FP_EDGE_TMPL.format(cnt=CNT[isa]), isa)
+        ends = []
+        for engine in ("step", "blocks"):
+            machine = Machine(exe, engine=engine)
+            stats = machine.run()
+            assert compiled(machine) == (engine == "blocks")
+            assert {reg: machine.f[reg] for reg in self.EXPECTED} == \
+                self.EXPECTED, engine
+            ends.append((stats_key(stats), tuple(machine.f)))
+        assert ends[0] == ends[1]
+
+    @pytest.mark.parametrize("isa", [D16, DLXE], ids=["d16", "dlxe"])
+    def test_zero_divisor_is_not_a_crash(self, isa):
+        """The reproducer a fault campaign counted as ``crash``."""
+        from repro.faults import FaultSpec
+
+        exe = build_asm("mvi r2, 0\nmvif f2, r2\ndiv.sf f2, f2, f2\n"
+                        "mvi r2, 0\ntrap 0\n", isa)
+        stats, _machine = run_executable(exe)
+        golden = GoldenRun(instructions=stats.instructions,
+                           interlocks=stats.interlocks,
+                           exit_code=stats.exit_code, output=stats.output)
+        spec = FaultSpec(index=0, bench="t", target=isa.name.lower(),
+                         kind="reg", trigger=1, reg=2, bit=0)
+        assert run_fault(exe, spec, golden).outcome == "masked"
+
+
+class TestFpRegisterPairs:
+    """A double-precision pair may not start at the FP file's last
+    register: the encoder, the decoder and so an ifetch fault reject
+    it on both ISAs."""
+
+    #: (isa, a pair past the file's end, the same op one register lower)
+    CASES = [
+        (D16, "add.df f15, f15, f4", "add.df f14, f14, f4"),
+        (D16, "df2sf f2, f15", "df2sf f2, f14"),
+        (DLXE, "add.df f31, f2, f4", "add.df f30, f2, f4"),
+        (DLXE, "add.df f2, f31, f4", "add.df f2, f30, f4"),
+        (DLXE, "mv.df f31, f2", "mv.df f30, f2"),
+        (DLXE, "si2df f31, f2", "si2df f30, f2"),
+        (DLXE, "cmplt.df f2, f31", "cmplt.df f2, f30"),
+    ]
+
+    @pytest.mark.parametrize("isa,bad,good", CASES)
+    def test_assembler_rejects_the_last_register(self, isa, bad, good):
+        from repro.asm.assembler import AsmError
+
+        build_asm(good + "\ntrap 0\n", isa)
+        with pytest.raises(AsmError, match="past the"):
+            build_asm(bad + "\ntrap 0\n", isa)
+
+    @pytest.mark.parametrize("isa,single", [
+        (D16, "add.sf f15, f15, f4"), (D16, "si2df f2, f15"),
+        (DLXE, "df2si f31, f2"), (DLXE, "add.sf f31, f2, f31")])
+    def test_single_precision_operands_may_use_it(self, isa, single):
+        build_asm(single + "\ntrap 0\n", isa)
+
+    @pytest.mark.parametrize("isa,good,bit", [
+        (D16, "add.df f14, f14, f4", 0),      # rx: f14 -> f15
+        (DLXE, "add.df f30, f2, f4", 11)])    # rd: f30 -> f31
+    def test_decoder_and_ifetch_fault_reject_it(self, hot, isa, good, bit,
+                                                monkeypatch):
+        from repro.faults import FaultSpec
+        from repro.isa import DecodingError
+
+        exe = build_asm(f"mvi r2, 0\n{good}\nmvi r2, 0\ntrap 0\n", isa)
+        width = isa.width_bytes
+        word = int.from_bytes(exe.text[width:2 * width], "little")
+        isa.decode(word)
+        with pytest.raises(DecodingError, match="past the"):
+            isa.decode(word ^ (1 << bit))
+        stats, _machine = run_executable(exe)
+        golden = GoldenRun(instructions=stats.instructions,
+                           interlocks=stats.interlocks,
+                           exit_code=stats.exit_code, output=stats.output)
+        spec = FaultSpec(index=0, bench="t", target=isa.name.lower(),
+                         kind="ifetch", trigger=1, bit=bit)
+        results = []
+        for engine in ("step", "blocks"):
+            monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
+            result = run_fault(exe, spec, golden)
+            assert result.outcome == "detected", result.detail
+            assert "<undecodable>" in result.detail
+            results.append(result.to_dict())
+        assert results[0] == results[1]

@@ -197,7 +197,7 @@ class TestCacheStudy:
 
     def test_formatting(self, study):
         assert "Table 13" in format_table13(study)
-        assert "Figure 16" in format_figure16(study, block=32)
+        assert "Figure 16" in format_figure16(study)
         assert "Figure 17" in format_figures_17_18(study, size=4096)
 
 

@@ -7,6 +7,7 @@ from repro.bench import Benchmark, register_benchmark
 from repro.experiments import Lab, RunError, default_programs, geomean, mean
 from repro.experiments.runner import (ExperimentError, MAIN_TARGETS,
                                       PAPER_TARGETS)
+from repro.labcache import ArtifactCache
 from repro.machine.pipeline import PipelineParams
 
 
@@ -85,9 +86,10 @@ class TestParallelGrid:
         interlocks = []
         for index, params in enumerate((None, PipelineParams(load_delay=2))):
             sequential = Lab(cache=False, params=params)
-            grid1 = sequential.runs(self.PROGRAMS, MAIN_TARGETS, jobs=1)
-            parallel = Lab(cache=tmp_path / f"cache{index}", params=params)
-            grid2 = parallel.runs(self.PROGRAMS, MAIN_TARGETS, jobs=2)
+            grid1 = sequential.runs(self.PROGRAMS, MAIN_TARGETS)
+            parallel = Lab(cache=ArtifactCache(tmp_path / f"cache{index}"),
+                           params=params, jobs=2)
+            grid2 = parallel.runs(self.PROGRAMS, MAIN_TARGETS)
 
             assert list(grid1) == list(grid2)
             for name in grid1:
@@ -104,15 +106,15 @@ class TestParallelGrid:
         assert interlocks[0] != interlocks[1]
 
     def test_parallel_workers_populate_shared_cache(self, tmp_path):
-        lab = Lab(cache=tmp_path / "cache")
-        lab.runs(("ackermann",), MAIN_TARGETS, jobs=2)
+        lab = Lab(cache=ArtifactCache(tmp_path / "cache"), jobs=2)
+        lab.runs(("ackermann",), MAIN_TARGETS)
         # Both cells (exe + run artifacts) must be on disk now.
         assert lab.cache.stats().entries >= 4
 
     def test_invalid_cell_raises_before_forking(self, tmp_path):
-        lab = Lab(cache=False)
+        lab = Lab(cache=False, jobs=2)
         with pytest.raises(KeyError):
-            lab.runs(("ackermann", "fortnite"), MAIN_TARGETS, jobs=2)
+            lab.runs(("ackermann", "fortnite"), MAIN_TARGETS)
 
 
 SPIN_SOURCE = """
@@ -139,110 +141,92 @@ def failsoft_benchmarks():
     return ("fs-spin", "fs-bad")
 
 
+def cache_settings(tmp_path):
+    """``_grid_cell_worker`` settings for a Lab on a fresh cache."""
+    return {"cache": ArtifactCache(tmp_path / "cache")}
+
+
 class TestFailSoftGrid:
     """A failing cell yields a typed record; the rest still completes."""
-
-    def test_sequential_partial_collects_error_cells(
-            self, failsoft_benchmarks):
-        lab = Lab(cache=False)
-        grid = lab.runs(("ackermann", "fs-bad"), ("d16",), partial=True)
-        err = grid["fs-bad"]["d16"]
-        assert isinstance(err, RunError)
-        assert err.kind == "error" and not err.ok
-        assert "ExperimentError" in err.message
-        assert grid["ackermann"]["d16"].stats.instructions > 0
 
     def test_worker_raise_yields_error_cell(self, failsoft_benchmarks,
                                             tmp_path):
         """A deterministic in-worker failure must not kill the sweep."""
-        lab = Lab(cache=tmp_path / "cache")
-        grid = lab.runs(("ackermann", "fs-bad"), MAIN_TARGETS, jobs=2,
-                        partial=True)
+        cells = [(name, target) for name in ("ackermann", "fs-bad")
+                 for target in MAIN_TARGETS]
+        results = runner.fan_out(runner._grid_cell_worker, cells, 2,
+                                 cache_settings(tmp_path))
         for target in MAIN_TARGETS:
-            err = grid["fs-bad"][target]
+            err = results["fs-bad", target]
             assert isinstance(err, RunError)
             assert err.kind == "error" and err.attempts == 1
-            assert grid["ackermann"][target].stats.instructions > 0
+            stats, _binary_size, _text_size = results["ackermann", target]
+            assert stats.instructions > 0
 
     def test_hung_benchmark_detected_by_watchdog(self, failsoft_benchmarks,
-                                                 tmp_path):
+                                                 short_fuel, tmp_path):
         """A simulated hang trips the instruction fuel, not the clock."""
-        lab = Lab(cache=tmp_path / "cache", max_instructions=2_000_000)
-        grid = lab.runs(("ackermann", "fs-spin"), MAIN_TARGETS, jobs=2,
-                        partial=True)
+        cells = [(name, target) for name in ("ackermann", "fs-spin")
+                 for target in MAIN_TARGETS]
+        results = runner.fan_out(runner._grid_cell_worker, cells, 2,
+                                 cache_settings(tmp_path))
         for target in MAIN_TARGETS:
-            err = grid["fs-spin"][target]
+            err = results["fs-spin", target]
             assert isinstance(err, RunError)
             assert err.kind == "error"
             assert "MachineTimeout" in err.message
-            assert grid["ackermann"][target].stats.instructions > 0
+            stats, _binary_size, _text_size = results["ackermann", target]
+            assert stats.instructions > 0
 
     def test_non_partial_raises_first_error_in_grid_order(
-            self, failsoft_benchmarks):
-        lab = Lab(cache=False, max_instructions=50_000)
+            self, failsoft_benchmarks, short_fuel):
+        lab = Lab(cache=False, jobs=2)
         with pytest.raises(ExperimentError, match="fs-spin/d16"):
-            lab.runs(("fs-spin", "fs-bad"), MAIN_TARGETS, jobs=2)
+            lab.runs(("fs-spin", "fs-bad"), MAIN_TARGETS)
 
     def test_dead_worker_retried_then_reported(self, dying_build,
                                                tmp_path, monkeypatch):
-        """Worker-process death is retried, then typed worker-lost."""
+        """Worker-process death is retried, then typed worker-lost, and
+        the grid raises it."""
         monkeypatch.setattr(runner, "RETRY_DELAY_S", 0.0)
-        lab = Lab(cache=tmp_path / "cache")
-        grid = lab.runs((dying_build,), MAIN_TARGETS, jobs=2, partial=True)
-        for target in MAIN_TARGETS:
-            err = grid[dying_build][target]
-            assert isinstance(err, RunError)
-            assert err.kind == "worker-lost"
-            assert err.attempts == 2       # first try + one retry
+        lab = Lab(cache=ArtifactCache(tmp_path / "cache"), jobs=2)
+        # First try + one retry.
+        with pytest.raises(ExperimentError,
+                           match=f"{dying_build}/d16: worker-lost after "
+                                 r"2 attempt\(s\)"):
+            lab.runs((dying_build,), MAIN_TARGETS)
 
     def test_dead_worker_does_not_fail_its_siblings(self, dying_build,
                                                     tmp_path, monkeypatch):
         """The dying cells break the shared pool; the healthy cells are
         retried alone and match a sequential run."""
         monkeypatch.setattr(runner, "RETRY_DELAY_S", 0.0)
-        lab = Lab(cache=tmp_path / "cache")
-        grid = lab.runs((dying_build, "ackermann"), MAIN_TARGETS, jobs=2,
-                        partial=True)
+        cells = [(name, target) for name in (dying_build, "ackermann")
+                 for target in MAIN_TARGETS]
+        results = runner.fan_out(runner._grid_cell_worker, cells, 2,
+                                 cache_settings(tmp_path))
         sequential = Lab(cache=False).runs(("ackermann",), MAIN_TARGETS)
         for target in MAIN_TARGETS:
-            assert grid[dying_build][target].kind == "worker-lost"
-            a, b = grid["ackermann"][target], sequential["ackermann"][target]
-            assert isinstance(a, runner.ProgramRun)
-            assert (a.stats, a.binary_size, a.text_size) == \
-                (b.stats, b.binary_size, b.text_size)
+            assert results[dying_build, target].kind == "worker-lost"
+            run = sequential["ackermann"][target]
+            assert results["ackermann", target] == \
+                (run.stats, run.binary_size, run.text_size)
 
     def test_run_error_diagnostics_survive_into_records(
             self, dying_build, monkeypatch, tmp_path):
-        """Degraded grids are diagnosable from the JSON alone: the
-        retry/backoff diagnostics ride the RunError into
-        ``grid_records`` output."""
-        from repro.experiments import grid_records
-
+        """A lost cell's record carries its kind, its attempt count
+        (one per :data:`RETRIES`, plus the first) and the cause."""
         monkeypatch.setattr(runner, "RETRIES", 2)
-        monkeypatch.setattr(runner, "RETRY_DELAY_S", 0.05)
-        lab = Lab(cache=tmp_path / "cache")
-        grid = lab.runs((dying_build,), ("d16", "dlxe"), jobs=2,
-                        partial=True)
-        err = grid[dying_build]["d16"]
+        monkeypatch.setattr(runner, "RETRY_DELAY_S", 0.0)
+        results = runner.fan_out(runner._grid_cell_worker,
+                                 [(dying_build, "d16")], 2,
+                                 cache_settings(tmp_path))
+        err = results[dying_build, "d16"]
         assert isinstance(err, RunError)
-        assert err.attempts == 3
-        assert err.backoff_total_s == pytest.approx(0.1)
-        assert not err.breaker_open
-        assert "+0.10s backoff" in str(err)
-
-        grid.update(lab.runs(("ackermann",), ("d16",), partial=True))
-        records = grid_records(grid)
-        by_cell = {(record["bench"], record["target"]): record
-                   for record in records}
-        bad = by_cell[(dying_build, "d16")]
-        assert bad["ok"] is False
-        assert bad["kind"] == "worker-lost"
-        assert bad["attempts"] == 3
-        assert bad["backoff_total_s"] == pytest.approx(0.1)
-        assert bad["breaker_open"] is False
-        good = by_cell[("ackermann", "d16")]
-        assert good["ok"] is True
-        assert good["instructions"] > 0
+        assert (err.kind, err.attempts) == ("worker-lost", 3)
+        assert str(err).startswith(
+            f"{dying_build}/d16: worker-lost after 3 attempt(s): "
+            f"worker process died")
 
 
 class TestFanOut:
@@ -254,7 +238,7 @@ class TestFanOut:
         cells = [(dying_build, "d16"), ("fs-bad", "d16"),
                  ("ackermann", "d16"), ("queens", "d16")]
         results = runner.fan_out(runner._grid_cell_worker, cells, 2,
-                                 {"cache": tmp_path / "cache"})
+                                 cache_settings(tmp_path))
         assert set(results) == set(cells)
         lost = results[dying_build, "d16"]
         assert isinstance(lost, RunError)
@@ -290,7 +274,7 @@ class TestFanOut:
         monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
         cells = [("ackermann", "d16"), ("queens", "d16")]
         results = runner.fan_out(runner._grid_cell_worker, cells, 2,
-                                 {"cache": tmp_path / "cache"})
+                                 cache_settings(tmp_path))
         assert refused == [("ackermann", "d16")]
         lab = Lab(cache=False)
         for name, target in cells:

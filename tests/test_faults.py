@@ -6,7 +6,6 @@ import pytest
 
 from repro.asm import assemble, link
 from repro.bench import Benchmark, register_benchmark
-from repro.cache import CacheConfig
 from repro.cc import build_executable
 from repro.faults import (DETECTED, FAULT_KINDS, HANG, MASKED, OUTCOMES,
                           SCHEMA_VERSION, SDC, FaultCampaign, FaultSpec,
@@ -127,8 +126,12 @@ class TestOutcomeClasses:
         exe = build_asm("mvi r3, 0\ntrap 2\ntrap 1\nmvi r2, 0\ntrap 0\n")
         golden = golden_of(exe, stdin=b"Z")
         assert golden.output == "Z"
+        # Campaign programs read an empty stdin; a machine paused at the
+        # trigger carries its own.
+        paused = Machine(exe, stdin=b"Z")
+        paused.run(stop_after=1)
         result = run_fault(exe, spec("trap", 1, mode="getc-eof"), golden,
-                           stdin=b"Z")
+                           machine=paused)
         assert result.outcome == SDC
 
     def test_sbrk_exhaust_fault_is_sdc(self):
@@ -160,8 +163,7 @@ class TestCacheFaults:
 
     def test_valid_bit_flip_mid_stream_is_sdc(self):
         result = run_cache_fault(
-            self.ADDRESSES, spec("cache", 1024, line=0, bit=0),
-            config=CacheConfig(size=8192))
+            self.ADDRESSES, spec("cache", 1024, line=0, bit=0))
         assert result.outcome == SDC
         assert "misses" in result.detail
 
@@ -169,8 +171,7 @@ class TestCacheFaults:
         """A flipped tag on a never-matching cold line changes nothing."""
         result = run_cache_fault(
             self.ADDRESSES, spec("cache", len(self.ADDRESSES),
-                                 line=3, bit=9),
-            config=CacheConfig(size=8192))
+                                 line=3, bit=9))
         assert result.outcome == MASKED
 
 
@@ -277,20 +278,27 @@ class TestPlanning:
                 assert s.mode in ("getc-eof", "sbrk-exhaust")
 
 
+def fresh_cache(monkeypatch, path):
+    """Point every Lab built from here on (forked workers included) at
+    an empty artifact cache."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(path))
+
+
 class TestCampaign:
     def test_report_identical_jobs1_vs_jobs2(self, fault_benchmarks,
-                                             tmp_path):
+                                             tmp_path, monkeypatch):
+        fresh_cache(monkeypatch, tmp_path / "cache")
+
         def campaign():
             return FaultCampaign(benchmarks=("fi-sum",), faults=6,
-                                 seed=11, cache=tmp_path / "cache")
+                                 seed=11)
         text1 = render_report(campaign().run(jobs=1))
         text2 = render_report(campaign().run(jobs=2))
         assert text1 == text2
 
-    def test_report_shape_and_rates(self, fault_benchmarks, tmp_path):
+    def test_report_shape_and_rates(self, fault_benchmarks):
         report = FaultCampaign(
-            benchmarks=("fi-sum",), faults=6, seed=11,
-            cache=tmp_path / "cache").run()
+            benchmarks=("fi-sum",), faults=6, seed=11).run()
         assert report["schema_version"] == SCHEMA_VERSION
         assert report["kind"] == "fault-campaign"
         assert set(report["summary"]) == {"d16", "dlxe"}
@@ -302,11 +310,12 @@ class TestCampaign:
                 assert fault["outcome"] in OUTCOMES
 
     def test_hung_golden_run_is_an_error_cell(self, fault_benchmarks,
-                                              tmp_path):
+                                              short_fuel, tmp_path,
+                                              monkeypatch):
         """A benchmark that never terminates must not block the grid."""
+        fresh_cache(monkeypatch, tmp_path / "cache")
         report = FaultCampaign(
             benchmarks=("fi-sum", "fi-spin"), faults=3, seed=2,
-            cache=tmp_path / "cache", max_instructions=50_000,
         ).run(jobs=2)
         by_cell = {(c["bench"], c["target"]): c for c in report["cells"]}
         for target in ("d16", "dlxe"):
@@ -327,9 +336,9 @@ class TestCampaign:
         monkeypatch.setattr(runner, "RETRY_DELAY_S", 0.0)
 
         def cells(*benchmarks):
+            fresh_cache(monkeypatch, tmp_path / "-".join(benchmarks))
             report = FaultCampaign(
-                benchmarks=benchmarks, faults=3, seed=2,
-                cache=tmp_path / "-".join(benchmarks)).run(jobs=2)
+                benchmarks=benchmarks, faults=3, seed=2).run(jobs=2)
             return {(c["bench"], c["target"]): c for c in report["cells"]}
 
         mixed = cells(dying_build, "fi-sum")
@@ -352,9 +361,10 @@ class TestCampaign:
             return real(exe, **kwargs)
 
         monkeypatch.setattr(runner, "run_executable", counting)
+        fresh_cache(monkeypatch, tmp_path / "cache")
         report = FaultCampaign(
-            benchmarks=("fi-sum",), faults=6, seed=11, prune_masked=True,
-            cache=tmp_path / "cache").run(jobs=1)
+            benchmarks=("fi-sum",), faults=6, seed=11,
+            prune_masked=True).run(jobs=1)
         assert len(report["cells"]) == 2
         assert calls == [True, True]
 
@@ -363,9 +373,10 @@ class TestCampaign:
         """Traced goldens and every injection agree with the oracle."""
         def campaign(engine):
             monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
+            fresh_cache(monkeypatch, tmp_path / engine)
             return render_report(FaultCampaign(
                 benchmarks=("fi-sum",), faults=12, seed=5,
-                prune_masked=True, cache=tmp_path / engine).run(jobs=1))
+                prune_masked=True).run(jobs=1))
         assert campaign("step") == campaign("blocks")
 
     def test_golden_prefix_is_simulated_once(self, fault_benchmarks,
@@ -385,10 +396,10 @@ class TestCampaign:
                     retired.append(machine.instructions_executed - before)
 
         monkeypatch.setattr(Machine, "run", counting)
+        fresh_cache(monkeypatch, tmp_path / "cache")
         report = FaultCampaign(
             benchmarks=("fi-sum",), targets=("d16",), faults=12, seed=3,
-            kinds=("ifetch", "reg", "mem", "trap"),
-            cache=tmp_path / "cache").run(jobs=1)
+            kinds=("ifetch", "reg", "mem", "trap")).run(jobs=1)
         triggers = [fault["trigger"]
                     for fault in report["cells"][0]["faults"]]
         assert len(set(triggers)) > 1
@@ -396,10 +407,10 @@ class TestCampaign:
 
     def test_unknown_benchmark_raises_before_running(self):
         with pytest.raises(KeyError):
-            FaultCampaign(benchmarks=("fortnite",), cache=False).run()
+            FaultCampaign(benchmarks=("fortnite",)).run()
         with pytest.raises(KeyError, match="unknown target 'riscv'"):
-            FaultCampaign(benchmarks=("ackermann",), targets=("riscv",),
-                          cache=False).run()
+            FaultCampaign(benchmarks=("ackermann",),
+                          targets=("riscv",)).run()
 
 
 def _fresh_cell(bench, target, config):
@@ -439,8 +450,8 @@ class TestGoldenPathWalk:
 
         config = {"faults": 40, "seed": 3, "cache": lab.cache}
         report = FaultCampaign(benchmarks=("ackermann", "dhrystone"),
-                               faults=config["faults"], seed=config["seed"],
-                               cache=lab.cache).run(jobs=2)
+                               faults=config["faults"],
+                               seed=config["seed"]).run(jobs=2)
         cells = [(c["bench"], c["target"]) for c in report["cells"]]
         fresh = fan_out(_fresh_cell, cells, 2, config)
         outcomes, kinds = set(), set()

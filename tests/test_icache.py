@@ -579,14 +579,6 @@ class TestValidateIcache:
             (vec.fetches, vec.sim_misses)
         assert vec.contradictions == 0
 
-    def test_config_mismatch_is_cache004(self, hello_d16):
-        _exe, _target, program, stats, machine = hello_d16
-        analysis = analyze_icache(program, CacheConfig(2048))
-        v = validate_icache(analysis, machine.itrace, stats, penalty=8,
-                            config=CacheConfig(1024))
-        assert any(f.rule == "CACHE004" for f in v.findings)
-        assert not v.ok
-
     def test_out_of_range_trace_is_cache004(self, hello_d16):
         _exe, _target, program, stats, _machine = hello_d16
         analysis = analyze_icache(program, CacheConfig(2048))

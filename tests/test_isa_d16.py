@@ -128,6 +128,6 @@ def test_roundtrip(instr):
 @settings(max_examples=200)
 @given(d16_instructions())
 def test_bytes_roundtrip(instr):
-    data = D16.encode_bytes(instr)
+    data = D16.encode(instr).to_bytes(2, "little")
     assert len(data) == 2
     assert D16.decode_bytes(data) == instr

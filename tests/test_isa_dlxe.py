@@ -111,6 +111,6 @@ def test_roundtrip(instr):
 @settings(max_examples=200)
 @given(dlxe_instructions())
 def test_bytes_roundtrip(instr):
-    data = DLXE.encode_bytes(instr)
+    data = DLXE.encode(instr).to_bytes(4, "little")
     assert len(data) == 4
     assert DLXE.decode_bytes(data) == instr

@@ -9,8 +9,8 @@ from repro.cc import get_target
 from repro.experiments import Lab
 from repro.experiments.runner import ExperimentError
 from repro.labcache import (ArtifactCache, default_cache_root,
-                            params_fingerprint, resolve_cache,
-                            source_fingerprint, target_fingerprint)
+                            params_fingerprint, source_fingerprint,
+                            target_fingerprint)
 from repro.machine.pipeline import PipelineParams
 
 
@@ -304,25 +304,22 @@ class TestEvictionRace:
 
 
 class TestResolve:
+    """What ``Lab(cache=...)`` selects."""
+
     def test_false_disables(self):
-        assert resolve_cache(False).enabled is False
+        assert Lab(cache=False).cache.enabled is False
 
     def test_none_uses_default_root(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        assert resolve_cache(None).root == default_cache_root()
+        assert Lab().cache.root == default_cache_root()
 
     def test_env_off_disables_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "off")
-        assert resolve_cache(None).enabled is False
+        assert Lab().cache.enabled is False
 
     def test_env_dir_overrides_root(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "alt"))
-        assert resolve_cache(None).root == tmp_path / "alt"
-
-    def test_path_becomes_cache(self, tmp_path):
-        cache = resolve_cache(tmp_path / "c")
-        assert isinstance(cache, ArtifactCache)
-        assert cache.root == tmp_path / "c"
+        assert Lab().cache.root == tmp_path / "alt"
 
 
 class TestLabPersistence:
@@ -372,8 +369,9 @@ class TestLabPersistence:
         root = tmp_path / "cache"
         Lab(cache=ArtifactCache(root)).run("ackermann", "d16")
         warm = Lab(cache=ArtifactCache(root)).run("ackermann", "d16")
-        counts = warm.stats.dynamic_op_counts()
-        assert counts and sum(counts.values()) == warm.stats.instructions
+        counts = [count for _instr, count
+                  in warm.stats.executed_instructions()]
+        assert counts and sum(counts) == warm.stats.instructions
 
     def test_output_verified_even_on_cache_hit(self, tmp_path):
         root = tmp_path / "cache"

@@ -53,7 +53,7 @@ def test_hi_lo_patch_with_carry():
         .data
         x: .word 1
     """, DLXE)
-    exe = link([obj], text_base=0x1000)
+    exe = link([obj])
     address = exe.symbols["__data_start"]
     (mvhi_word,) = struct.unpack_from("<I", exe.text, 0)
     (addi_word,) = struct.unpack_from("<I", exe.text, 4)
@@ -134,5 +134,5 @@ def test_binary_size_is_text_plus_data():
         .space 100
     """, D16)
     exe = link([obj])
-    assert exe.binary_size == exe.text_size + exe.data_size
-    assert exe.data_size == 100
+    assert exe.binary_size == exe.text_size + len(exe.data)
+    assert len(exe.data) == 100

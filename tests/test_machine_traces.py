@@ -100,11 +100,15 @@ def test_exec_counts_sum_to_instructions():
 
 
 def test_dynamic_op_counts():
+    from collections import Counter
+
     from repro.isa import Op
 
     exe = build(SRC, D16)
     for _machine, stats in runs(exe):
-        counts = stats.dynamic_op_counts()
+        counts: Counter = Counter()
+        for instr, count in stats.executed_instructions():
+            counts[instr.op] += count
         assert counts[Op.MVI] == 2
         assert counts[Op.LD] == 1
         assert counts[Op.LDC] == 1

@@ -56,16 +56,6 @@ class TestSubword:
         assert mem.read_half(addr) == value
 
 
-class TestStrings:
-    def test_cstring(self, mem):
-        mem.data[16:21] = b"abc\0d"
-        assert mem.read_cstring(16) == b"abc"
-
-    def test_cstring_limit(self, mem):
-        mem.data[0:8] = b"xxxxxxxx"
-        assert mem.read_cstring(0, limit=4) == b"xxxx"
-
-
 class TestLoader:
     def test_load_executable(self):
         from repro.asm import assemble, link

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.machine import (RunStats, cpi, cycles_no_cache,
+from repro.machine import (RunStats, cycles_no_cache,
                            cycles_with_cache, fetches_per_cycle,
                            normalized_cpi)
 
@@ -43,10 +43,6 @@ class TestWithCache:
 
 
 class TestRatios:
-    def test_cpi(self):
-        assert cpi(2000, 1000) == 2.0
-        assert cpi(0, 0) == 0.0
-
     def test_normalized_cpi(self):
         # Normalizing D16 cycles by the DLXe IC factors out path length.
         assert normalized_cpi(3000, 1500) == 2.0

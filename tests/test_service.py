@@ -16,12 +16,27 @@ from repro.service import (BackoffPolicy, CircuitBreaker, JournaledStore,
                            Request, Scheduler, SimulationService,
                            TaskFailed, WorkerPool, WorkerTransient,
                            generate_requests, is_lost, percentile)
+from repro.service.policy import BREAKER_COOLDOWN, BREAKER_THRESHOLD
 
 RUN_REQ = Request(kind="run", bench="ackermann", target="d16", id="a")
 
 #: Instant retries for stub-pool tests.
-FAST = BackoffPolicy(base_s=0.0005, factor=2.0, max_s=0.002,
-                     jitter=0.5, max_attempts=3)
+FAST = BackoffPolicy(base_s=0.0005, max_s=0.002, max_attempts=3)
+
+
+class FixedRandom:
+    """A jitter source that always draws ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+def fail(breaker, key, times, message="m"):
+    for _ in range(times):
+        breaker.record_failure(key, {"kind": "task", "message": message})
 
 
 class StubPool:
@@ -104,23 +119,21 @@ class TestRequestModel:
 
 class TestBackoffPolicy:
     def test_delays_grow_geometrically_and_cap(self):
-        import random
-
-        policy = BackoffPolicy(base_s=0.1, factor=2.0, max_s=0.5,
-                               jitter=0.0, max_attempts=9)
-        rng = random.Random(0)
-        delays = [policy.delay(n, rng) for n in range(1, 6)]
+        policy = BackoffPolicy(base_s=0.1, max_s=0.5, max_attempts=9)
+        no_jitter = FixedRandom(0.0)
+        delays = [policy.delay(n, no_jitter) for n in range(1, 6)]
         assert delays == [0.1, 0.2, 0.4, 0.5, 0.5]
 
     def test_jitter_only_shortens(self):
         import random
 
-        policy = BackoffPolicy(base_s=0.1, factor=1.0, max_s=1.0,
-                               jitter=0.5, max_attempts=9)
+        policy = BackoffPolicy(base_s=0.1, max_s=0.1, max_attempts=9)
         rng = random.Random(7)
         for attempt in range(1, 20):
             delay = policy.delay(attempt, rng)
             assert 0.05 <= delay <= 0.1
+        # The most a draw can shed is half the delay.
+        assert policy.delay(1, FixedRandom(1.0)) == 0.05
 
     def test_attempt_must_be_positive(self):
         import random
@@ -131,42 +144,43 @@ class TestBackoffPolicy:
 
 class TestCircuitBreaker:
     def test_opens_after_threshold_consecutive_failures(self):
-        breaker = CircuitBreaker(threshold=3, cooldown=5)
-        for _ in range(2):
-            breaker.record_failure("k", {"kind": "task", "message": "m"})
-        assert breaker.allow("k") and not breaker.is_open("k")
-        breaker.record_failure("k", {"kind": "task", "message": "m"})
-        assert breaker.is_open("k")
+        assert (BREAKER_THRESHOLD, BREAKER_COOLDOWN) == (3, 8)
+        breaker = CircuitBreaker()
+        fail(breaker, "k", BREAKER_THRESHOLD - 1)
+        assert breaker.allow("k") and breaker.open_cells() == 0
+        fail(breaker, "k", 1)
+        assert breaker.open_cells() == 1
         assert not breaker.allow("k")
 
     def test_success_resets_the_count(self):
-        breaker = CircuitBreaker(threshold=2, cooldown=5)
-        breaker.record_failure("k", {"kind": "task", "message": "m"})
+        breaker = CircuitBreaker()
+        fail(breaker, "k", BREAKER_THRESHOLD - 1)
         breaker.record_success("k")
-        breaker.record_failure("k", {"kind": "task", "message": "m"})
+        fail(breaker, "k", BREAKER_THRESHOLD - 1)
         assert breaker.allow("k")
 
     def test_half_open_probe_after_cooldown(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=3)
-        breaker.record_failure("k", {"kind": "task", "message": "m"})
-        blocked = [breaker.allow("k") for _ in range(3)]
-        assert blocked == [False, False, False]
+        breaker = CircuitBreaker()
+        fail(breaker, "k", BREAKER_THRESHOLD)
+        blocked = [breaker.allow("k") for _ in range(BREAKER_COOLDOWN)]
+        assert blocked == [False] * BREAKER_COOLDOWN
         assert breaker.allow("k")          # the half-open probe
         breaker.record_success("k")
-        assert breaker.allow("k") and not breaker.is_open("k")
+        assert breaker.allow("k") and breaker.open_cells() == 0
 
     def test_failing_probe_reopens_for_a_full_window(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=2)
-        breaker.record_failure("k", {"kind": "task", "message": "m"})
-        assert [breaker.allow("k") for _ in range(2)] == [False, False]
+        breaker = CircuitBreaker()
+        fail(breaker, "k", BREAKER_THRESHOLD)
+        window = [False] * BREAKER_COOLDOWN
+        assert [breaker.allow("k") for _ in window] == window
         assert breaker.allow("k")
-        breaker.record_failure("k", {"kind": "task", "message": "m2"})
-        assert [breaker.allow("k") for _ in range(2)] == [False, False]
+        fail(breaker, "k", 1, message="m2")
+        assert [breaker.allow("k") for _ in window] == window
         assert breaker.last_error("k")["message"] == "m2"
 
     def test_cells_fail_independently(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=5)
-        breaker.record_failure("a", {"kind": "task", "message": "m"})
+        breaker = CircuitBreaker()
+        fail(breaker, "a", BREAKER_THRESHOLD)
         assert not breaker.allow("a")
         assert breaker.allow("b")
         assert breaker.open_cells() == 1
@@ -289,7 +303,7 @@ class TestScheduler:
         # Infrastructure failures are never cached and never trip the
         # per-cell breaker (the cell itself is fine).
         assert store.get(store.result_key(RUN_REQ)) is None
-        assert not sched.breaker.is_open(store.result_key(RUN_REQ))
+        assert sched.breaker.open_cells() == 0
         sched.close()
 
     def test_deterministic_failure_is_not_retried(self, store):
@@ -306,10 +320,8 @@ class TestScheduler:
 
     def test_breaker_short_circuits_repeated_failures(self, store):
         pool = StubPool(script=[TaskFailed("ValueError", "bad")] * 10)
-        sched = scheduler_for(store, pool,
-                              breaker=CircuitBreaker(threshold=2,
-                                                     cooldown=50))
-        for _ in range(2):
+        sched = scheduler_for(store, pool)
+        for _ in range(BREAKER_THRESHOLD):
             sched.submit(RUN_REQ).result(timeout=10)
         executed = pool.calls
         degraded = sched.submit(RUN_REQ).result(timeout=10)
@@ -411,7 +423,7 @@ class TestFaultsRequest:
         payload = execute_request(lab, Request(
             kind="faults", bench="queens", target="d16", faults=4, seed=1))
         report = FaultCampaign(benchmarks=("queens",), targets=("d16",),
-                               faults=4, seed=1, cache=lab.cache).run()
+                               faults=4, seed=1).run()
         cell, = report["cells"]
         assert "cache" in {fault["kind"] for fault in cell["faults"]}
         assert payload == {

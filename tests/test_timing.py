@@ -19,11 +19,11 @@ from repro.analysis import (block_stall_bounds, build_cfg, exit_seed,
 from repro.cc import build_executable, get_target
 from repro.isa import DLXE, Instr, Op
 from repro.machine import run_executable
-from repro.machine.pipeline import PipelineModel
+from repro.machine.pipeline import PipelineParams
 
 from .test_analysis import _raw_exe, _rules
 
-MODEL = PipelineModel()
+MODEL = PipelineParams()
 DLXE_TARGET = get_target("dlxe")
 
 
@@ -125,12 +125,12 @@ class TestBoundsBracketSimulation:
         stats, _machine = run_executable(exe)
         lo, hi = block_stall_bounds(program, MODEL)
         # One straight-line block from reset: the lower bound is exact
-        # (simulator and HazardModel share the PipelineModel rules).
+        # (simulator and HazardModel share the PipelineParams rules).
         assert lo == stats.interlocks
         assert hi >= stats.interlocks
         validation = _validate(exe, stats)
         assert validation.findings == []
-        assert validation.in_bounds and validation.fully_covered
+        assert validation.covered_instructions == stats.instructions
         assert validation.interlock_lo <= stats.interlocks \
             <= validation.interlock_hi
 
@@ -166,7 +166,6 @@ class TestValidateRun:
         stats.interlocks = 10 ** 6                  # seeded violation
         validation = _validate(exe, stats)
         assert "TIM001" in _rules(validation.findings)
-        assert not validation.in_bounds
 
     def test_observed_below_lower_bound_tim001(self):
         exe = _stalling_exe()
@@ -264,11 +263,13 @@ class TestLookbackSeeds:
         stats, _machine, result = compile_run(source, isa_target)
         cfg = resolve_cfg(result.executable,
                           get_target(isa_target).isa).cfg
-        cold = static_bounds(cfg, lookback=False)
         warm = static_bounds(cfg)
         for start, bb in warm.blocks.items():
-            assert bb.stall_lo >= cold.blocks[start].stall_lo
-            assert bb.stall_hi == cold.blocks[start].stall_hi
+            # The cold bound: the block run from the all-ready state.
+            cold_lo, cold_hi = block_stall_bounds(cfg.blocks[start].instrs,
+                                                  MODEL)
+            assert bb.stall_lo >= cold_lo
+            assert bb.stall_hi == cold_hi
         validation = validate_run(warm, stats)
         assert _rules(validation.findings) == set()
         assert validation.interlock_lo <= stats.interlocks
@@ -289,7 +290,7 @@ class TestProgramValidation:
                             symbols=built.labels, target=built.target)
         validation, _findings = timing_cell(image, stats)
         assert validation.findings == []
-        assert validation.in_bounds and validation.fully_covered
+        assert validation.covered_instructions == stats.instructions
         assert validation.interlock_lo <= validation.interlocks_observed \
             <= validation.interlock_hi
 
@@ -303,6 +304,7 @@ class TestProgramValidation:
                 validation = _validate(exe, run.stats,
                                        get_target(target_name), lab.params)
                 assert validation.findings == [], (name, target_name)
-                assert validation.fully_covered
+                assert validation.covered_instructions == \
+                    run.stats.instructions
                 assert validation.interlock_lo <= run.stats.interlocks \
                     <= validation.interlock_hi

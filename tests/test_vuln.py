@@ -90,30 +90,38 @@ class TestCrossValidation:
         json.dumps(payload)              # report-ready
 
 
-class TestValidateVuln:
-    """The sweep CI runs over the full grid, on one small cell."""
+@pytest.fixture
+def ackermann_suite(monkeypatch):
+    """Shrink the suite the sweep walks to ackermann alone."""
+    import repro.analysis.driver as driver
+    from repro.bench import get_benchmark
 
-    def test_small_grid_is_sound(self, lab):
+    monkeypatch.setattr(driver, "SUITE", (get_benchmark("ackermann"),))
+
+
+class TestValidateVuln:
+    """The sweep CI runs over the full grid, on one small program."""
+
+    def test_small_grid_is_sound(self, lab, ackermann_suite):
         from repro.analysis import validate_vuln
 
-        out = validate_vuln(lab, ["ackermann"], ("d16",), faults=6,
-                            seed=42)
-        assert out["cells"] == 1
-        assert out["sites"] == 6
-        assert out["proven"] == 3
+        out = validate_vuln(lab, seed=42)
+        assert out["cells"] == 2                 # d16 and dlxe
+        assert out["sites"] == 40                # 20 faults per cell
+        assert out["proven"] == 20
         assert out["contradictions"] == 0
-        assert sum(k["sites"] for k in out["by_kind"].values()) == 6
-        assert sum(k["masked"] for k in out["by_kind"].values()) == 3
+        assert sum(k["sites"] for k in out["by_kind"].values()) == 40
+        assert sum(k["masked"] for k in out["by_kind"].values()) == 20
 
-    def test_contradiction_raises(self, lab, monkeypatch):
+    def test_contradiction_raises(self, lab, monkeypatch, ackermann_suite):
         import repro.analysis.vuln as vuln
         from repro.analysis import finding, validate_vuln
         from repro.experiments import ExperimentError
 
         monkeypatch.setattr(vuln, "check_soundness", lambda cell, executed: [
             finding("VULN001", "ackermann/d16", "seeded contradiction")])
-        with pytest.raises(ExperimentError, match="1 proven-masked"):
-            validate_vuln(lab, ["ackermann"], ("d16",), faults=6, seed=42)
+        with pytest.raises(ExperimentError, match="2 proven-masked"):
+            validate_vuln(lab, seed=42)
 
 
 class TestSoundnessChecker:

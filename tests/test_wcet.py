@@ -72,8 +72,8 @@ class TestLoopForest:
         assert inner.parent == 2 and inner.depth == 2
         assert outer.parent is None and outer.depth == 1
         assert forest.innermost_first()[0] is inner
-        assert forest.loop_of(3) is inner
-        assert forest.loop_of(4) is outer
+        assert 3 in inner.body and inner.body < outer.body
+        assert 4 in outer.body and 4 not in inner.body
 
     def test_irreducible_cycle_detected(self):
         # The 2<->3 cycle has two entries (1 -> 2 and 1 -> 3): no
