@@ -35,14 +35,15 @@ with :mod:`~repro.analysis.driver` orchestrating them over programs
 and benchmark suites, feeding ``repro lint``.
 """
 
+from ..machine.perf import DEFAULT_MISS_PENALTY
 from .absint import (AnalysisResult, FunctionSummary, Interval, SPRel,
                      ValueDomain, analyze_executable, resolve_cfg, solve)
 from .binlint import lint_assembly, lint_executable
 from .cfg import BasicBlock, BinaryCFG, build_cfg
 from .density import (FunctionDensity, ProgramDensity, analyze_density,
                       estimate_halfwords, fused_constant_pair)
-from .driver import (DEFAULT_MISS_PENALTY, DEFAULT_TARGETS, EXIT_ERRORS,
-                     EXIT_INTERNAL, EXIT_OK, LintReport, cross_isa_suite,
+from .driver import (DEFAULT_TARGETS, EXIT_ERRORS, EXIT_INTERNAL, EXIT_OK,
+                     LintReport, cross_isa_suite,
                      density_cell, density_suite, exit_code, icache_cell,
                      icache_suite, lint_program, lint_suite, timing_cell,
                      timing_suite, tv_suite, validate_vuln, vuln_cell,

@@ -39,14 +39,15 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..asm import AsmError, Assembler, link
 from ..asm.objfile import text_labels
-from ..bench import SUITE, get_benchmark
+from ..bench import get_benchmark, program_names
 from ..cc import TargetSpec, get_target
 from ..cc.codegen import generate_assembly
 from ..cc.ir import Module
 from ..cc.irgen import lower_program
 from ..cc.opt import PassVerificationError, optimize_module
 from ..cc.parser import parse
-from ..cc.runtime import RUNTIME_SOURCE
+from ..cc.runtime import with_runtime
+from ..machine.perf import DEFAULT_MISS_PENALTY
 from ..machine.pipeline import PipelineParams
 from ..machine.stats import RunStats
 from .absint import AnalysisResult, analyze_executable, resolve_cfg
@@ -122,9 +123,7 @@ def _lint_front_end(source: str, opt_level: int, include_runtime: bool,
     place of the module when those findings hold errors.  Nothing here
     depends on the target, so a suite lints each source once.
     """
-    full_source = (RUNTIME_SOURCE + "\n" + source) if include_runtime \
-        else source
-    module = lower_program(parse(full_source))
+    module = lower_program(parse(with_runtime(source, include_runtime)))
 
     # Per-pass verification localizes errors to the offending pass;
     # the post-optimization sweep adds the warning-level rules (the
@@ -147,7 +146,7 @@ def _lint_back_end(module: Module, target: TargetSpec,
     Code generation rewrites ``module`` in place, so each target needs
     its own copy.
     """
-    assembly = generate_assembly(module, target, schedule=opt_level >= 1)
+    assembly = generate_assembly(module, target, opt_level=opt_level)
     findings = lint_assembly(assembly, target.isa)
     if has_errors(findings):
         return findings
@@ -175,8 +174,7 @@ def lint_suite(targets: Iterable[str] = DEFAULT_TARGETS,
     Each program's front end runs once; every target generates code
     from its own clone of the optimized module.
     """
-    names = list(programs) if programs is not None \
-        else [bench.name for bench in SUITE]
+    names = program_names(programs)
     reports = []
     for name in names:
         module, front = _lint_front_end(get_benchmark(name).source,
@@ -223,11 +221,6 @@ def wcet_cell(program: ProgramWcet, stats: RunStats, *,
     return validation, validation.findings
 
 
-#: Default miss penalty (cycles) for cache-aware bounds -- the middle
-#: of the cacheperf experiment's penalty grid.
-DEFAULT_MISS_PENALTY = 8
-
-
 def icache_cell(program: ProgramWcet, stats: RunStats,
                 itrace: Sequence[int], *,
                 sizes: Iterable[int] | None = None,
@@ -270,7 +263,7 @@ def density_cell(image: AnalysisResult,
 
 def vuln_cell(program: str, target_name: str, image: AnalysisResult,
               stats: RunStats, itrace: Sequence[int], *,
-              faults: int = 20, seed: int = 42,
+              faults: int, seed: int,
               ) -> tuple[tuple[CellVulnerability, list[tuple[str, str]]],
                          list[Finding]]:
     """Liveness lint plus static fault classification of one cell.
@@ -308,8 +301,7 @@ def _suite(targets: Iterable[str], programs: Iterable[str] | None,
     from ..experiments.runner import Lab
 
     lab = lab or Lab()
-    names = list(programs) if programs is not None \
-        else [bench.name for bench in SUITE]
+    names = program_names(programs)
     targets = tuple(targets)
     reports: list[LintReport] = []
     results: dict[tuple[str, str], Any] = {}
@@ -400,7 +392,7 @@ def density_suite(programs: Iterable[str] | None = None, *,
 def vuln_suite(targets: Iterable[str] = DEFAULT_TARGETS,
                programs: Iterable[str] | None = None, *,
                lab: Lab | None = None,
-               faults: int = 20, seed: int = 42,
+               faults: int, seed: int,
                ) -> tuple[list[LintReport], dict]:
     """Liveness lint plus static fault classification over the suite.
 
@@ -408,13 +400,17 @@ def vuln_suite(targets: Iterable[str] = DEFAULT_TARGETS,
     target)`` to ``(CellVulnerability, waived)`` — the cross-ISA AVF
     numbers feed EXPERIMENTS.md and the ``--json`` report.
     """
-    return _suite(targets, programs, lab, lambda lab, name, t, image:
-                  vuln_cell(name, t, image, lab.run(name, t).stats,
-                            lab.trace(name, t).itrace, faults=faults,
-                            seed=seed))
+    def check(lab: Lab, name: str, t: str, image: AnalysisResult,
+              ) -> tuple[tuple[CellVulnerability, list[tuple[str, str]]],
+                         list[Finding]]:
+        trace = lab.trace(name, t)
+        return vuln_cell(name, t, image, trace.run.stats, trace.itrace,
+                         faults=faults, seed=seed)
+
+    return _suite(targets, programs, lab, check)
 
 
-def validate_vuln(lab: Lab, *, seed: int = 42) -> dict:
+def validate_vuln(lab: Lab, *, seed: int) -> dict:
     """Soundness sweep of the static fault-vulnerability analysis.
 
     Runs :func:`vuln_suite` over the suite on ``lab``, then executes
@@ -426,10 +422,11 @@ def validate_vuln(lab: Lab, *, seed: int = 42) -> dict:
     """
     from ..experiments.runner import ExperimentError
     from ..faults.campaign import run_cell
-    from ..faults.model import FAULT_KINDS
+    from ..faults.model import FAULT_KINDS, FAULTS_PER_CELL
     from .vuln import check_soundness
 
-    _reports, results = vuln_suite(lab=lab, seed=seed)
+    _reports, results = vuln_suite(lab=lab, faults=FAULTS_PER_CELL,
+                                   seed=seed)
     contradictions: list[Finding] = []
     sites = proven = 0
     by_kind: dict[str, dict[str, int]] = {}
@@ -470,8 +467,7 @@ def tv_suite(programs: Iterable[str] | None = None, *,
     """
     from .equiv import tv_program
 
-    names = list(programs) if programs is not None \
-        else [bench.name for bench in SUITE]
+    names = program_names(programs)
     pair = "+".join(targets)
     reports: list[LintReport] = []
     results: dict[str, object] = {}
@@ -493,8 +489,7 @@ def cross_isa_suite(programs: Iterable[str] | None = None, *,
     One report per program; the report's target column carries both
     ISA names since each finding is a *pairwise* fact.
     """
-    names = list(programs) if programs is not None \
-        else [bench.name for bench in SUITE]
+    names = program_names(programs)
     pair = "+".join(targets)
     reports = []
     for name in names:

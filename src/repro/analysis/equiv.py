@@ -41,7 +41,7 @@ from ..cc.ir import (CallInst, CJump, Const, Function, Inst, Jump, Module,
 from ..cc.irgen import lower_program
 from ..cc.opt import optimize_module
 from ..cc.parser import parse
-from ..cc.runtime import RUNTIME_SOURCE
+from ..cc.runtime import with_runtime
 from .cfg import build_cfg
 from .findings import Finding, finding
 from .symex import (Leaf, Term, Unknown, explore_region, ground_leaves,
@@ -453,9 +453,7 @@ def check_binary_program(source: str,
     target, and compares grounded IR summaries with symbolic machine
     summaries over the disassembled CFG.
     """
-    full_source = (RUNTIME_SOURCE + "\n" + source) if include_runtime \
-        else source
-    module = lower_program(parse(full_source))
+    module = lower_program(parse(with_runtime(source, include_runtime)))
     optimize_module(module, level=opt_level)
     return _check_binary_module(module, targets, opt_level=opt_level)
 
@@ -473,8 +471,7 @@ def _check_binary_module(module: Module, targets: Sequence[str], *,
     for target_name in targets:
         target: TargetSpec = get_target(target_name)
         compiled = module.clone()
-        assembly = generate_assembly(compiled, target,
-                                     schedule=opt_level >= 1)
+        assembly = generate_assembly(compiled, target, opt_level=opt_level)
         obj = Assembler(target.isa).assemble(assembly)
         exe = link([obj])
         bases = {"text": exe.text_base, "data": exe.data_base, "abs": 0}
@@ -555,9 +552,7 @@ def tv_program(source: str, program: str = "<source>", *,
                opt_level: int = 2,
                include_runtime: bool = True) -> TvReport:
     """Run both translation-validation layers over one program."""
-    full_source = (RUNTIME_SOURCE + "\n" + source) if include_runtime \
-        else source
-    module = lower_program(parse(full_source))
+    module = lower_program(parse(with_runtime(source, include_runtime)))
     passes = validate_passes(module, opt_level=opt_level)
     binary = _check_binary_module(module, targets, opt_level=opt_level)
     findings: list[Finding] = []

@@ -28,7 +28,7 @@ The miss *upper bound* composes like the WCET: per-block miss costs
 (always-miss + not-classified sites), callee bounds folded into call
 blocks, proven loops collapsed to ``bound x longest-iteration`` --
 with persistent sites charged once per entry of their loop via the
-``loop_extra`` hook of :func:`~repro.analysis.wcet._func_wcet`.  Any
+``loop_extra`` hook of :func:`~repro.analysis.wcet._collapse`.  Any
 structural obstruction (unresolved call, recursion, unbounded loop,
 unknown indirect jump) makes the bound refuse (``None``) exactly like
 TIM004/LOOP001 do for cycles -- never silently unsound.
@@ -53,11 +53,12 @@ import numpy as np
 
 from ..cache import vector
 from ..cache.cache import Cache, CacheConfig
+from ..machine.perf import cycles_with_cache
 from ..machine.stats import RunStats
 from .absint import solve
 from .cfg import BasicBlock
 from .findings import Finding, finding
-from .wcet import ProgramWcet, _call_sccs, _FuncInfo, _func_wcet
+from .wcet import ProgramWcet, _call_sccs, _collapse, _FuncInfo
 
 #: ``Cache`` initializes tags to -1: a cold line provably holds no
 #: real (non-negative) tag, which is what makes cold misses provable.
@@ -602,7 +603,8 @@ def analyze_icache(program: ProgramWcet,
                 for key, header in ps_loop.items():
                     if sites[key].func == f:
                         extra[header] = extra.get(header, 0) + 1
-                ub = _func_wcet(info, costs, loop_extra=extra)
+                ub = _collapse(info, costs, info.timing.proven_trips,
+                               longest=True, loop_extra=extra)
                 if ub is None:
                     reason = "loop bounds not provable"
             if reason is not None:
@@ -684,12 +686,6 @@ class ICacheValidation:
     wcet: int | None              # cache-aware upper bound
     findings: list[Finding] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        from .findings import Severity
-        return not any(f.severity == Severity.ERROR
-                       for f in self.findings)
-
     def to_record(self) -> dict:
         record = self.analysis.to_record()
         record.update({
@@ -758,8 +754,8 @@ def validate_icache(analysis: ICacheAnalysis, itrace: Sequence[int],
     static claim against it.
 
     ``stats`` is the run's :class:`~repro.machine.stats.RunStats`;
-    observed cycles are ``instructions + interlocks + penalty *
-    misses``, the same I-cache-only cycle model the cacheperf
+    observed cycles are :func:`~repro.machine.perf.cycles_with_cache`
+    charged with the I-cache misses alone, the formula the cacheperf
     experiments use.  A trace that leaves the analyzed text segment is
     a CACHE004 error.
     """
@@ -785,7 +781,8 @@ def validate_icache(analysis: ICacheAnalysis, itrace: Sequence[int],
             f"simulated fetch misses {misses} exceed the static "
             f"upper bound {miss_ub}"))
     bcet, wcet = analysis.cycle_bounds(penalty)
-    observed = stats.instructions + stats.interlocks + penalty * misses
+    observed = cycles_with_cache(stats, miss_penalty=penalty,
+                                 imisses=misses, rmisses=0, wmisses=0)
     if observed < bcet or (wcet is not None and observed > wcet):
         upper = "unbounded" if wcet is None else str(wcet)
         findings.append(finding(

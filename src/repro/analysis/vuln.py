@@ -357,9 +357,9 @@ class MaskingOracle:
     # ----------------------------------------------------------- cache
 
     def _classify_cache(self, spec: "FaultSpec") -> SiteVerdict:
-        from ..cache import CacheConfig
+        from ..faults.model import FAULT_CACHE
 
-        config = CacheConfig(size=8192)
+        config = FAULT_CACHE
         line = spec.line % config.num_lines
         key = (config.block, config.num_lines)
         touched = self._touched_lines.get(key)
@@ -431,7 +431,7 @@ def build_oracle(image: AnalysisResult,
 
 def classify_cell(bench: str, target_name: str, oracle: MaskingOracle,
                   golden_instructions: int, *,
-                  faults: int = 20, seed: int = 42) -> CellVulnerability:
+                  faults: int, seed: int) -> CellVulnerability:
     """Statically classify one campaign cell's planned fault list.
 
     Plans exactly the specs the seeded campaign would execute (same

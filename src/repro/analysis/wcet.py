@@ -16,12 +16,13 @@ the profile: it bounds every run of a linked image *statically*, by
    that lives in a caller's constant (``init(350)``) is still proven
    in the callee, and
 3. composing per-function ``[BCET, WCET]`` cycle intervals bottom-up
-   over the call graph — best case by collapsing loops to
-   ``min-trips x shortest-iteration-path`` summaries (falling back to
-   plain shortest path over the cyclic graph, which is sound because
-   block costs are non-negative), worst case by collapsing proven
-   loops innermost-first to ``bound x longest-iteration-path`` summary
-   nodes and taking the longest path of the resulting DAG.
+   over the call graph with one loop collapse (:func:`_collapse`):
+   loops fold innermost-first into ``trips x best-iteration-path``
+   summary nodes, then the shortest path of the resulting DAG is the
+   best case (at minimum trip counts, and never below the plain
+   shortest path over the cyclic graph, which is sound because block
+   costs are non-negative) and the longest path the worst case (at
+   proven maximum trip counts).
 
 Everything unprovable degrades *soundly*: an unbounded or irreducible
 loop, an unresolved call, or call-graph recursion makes the affected
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from ..cc.target import INT_ARG_REGS, REG_LINK, REG_RET, REG_SP
 from ..isa import COND_NEGATE, COND_SWAP, Cond, Instr, Op, to_s32
@@ -731,6 +732,12 @@ class FunctionTiming:
     def bounded_loops(self) -> int:
         return sum(1 for lb in self.loops if lb.bounded)
 
+    @property
+    def proven_trips(self) -> dict[int, int]:
+        """Header -> proven maximum header executions per loop entry."""
+        return {lb.header: lb.max_header_execs for lb in self.loops
+                if lb.max_header_execs is not None}
+
     def to_record(self) -> dict:
         return {"name": self.name, "start": self.start,
                 "blocks": self.n_blocks, "bcet": self.bcet,
@@ -752,7 +759,7 @@ class _FuncInfo(NamedTuple):
     call_of: dict[int, int | None]        # call block -> callee start
 
 
-def _kahn(succs: dict[int, set]) -> list[int] | None:
+def _kahn(succs: Mapping[int, Iterable[int]]) -> list[int] | None:
     """Topological order of a successor map, or None on a cycle."""
     indeg = {n: 0 for n in succs}
     for ss in succs.values():
@@ -816,61 +823,78 @@ def _func_bcet(info: _FuncInfo, costs: dict[int, int]) -> int:
     return dist[entry]                # no terminating path found
 
 
-def _func_bcet_collapsed(info: _FuncInfo,
-                         costs: dict[int, int]) -> int | None:
-    """Best case with loops collapsed to ``min-trips x shortest
-    iteration``: every entry into a proven counted loop must execute
-    its header at least ``min_header_execs`` times, and each header
-    visit starts a segment that reaches a latch, an exit, or a
-    terminal block — so charging ``min x (shortest such segment)`` is
-    a sound, usually far tighter, floor than skipping the loop."""
-    forest = info.forest
+def _dag_paths(succs: Mapping[int, Iterable[int]],
+               source: int, cost: dict[int, int],
+               pick: Callable[[int, int], int]) -> dict[int, int] | None:
+    """The ``pick`` (``min`` or ``max``) path cost, both ends included,
+    from ``source`` to every node it reaches in an acyclic successor
+    map; None when the map has a cycle."""
+    topo = _kahn(succs)
+    if topo is None:
+        return None
+    dist = {source: cost[source]}
+    for n in topo:
+        if n not in dist:
+            continue
+        for s in succs[n]:
+            if s in cost:
+                cand = dist[n] + cost[s]
+                dist[s] = pick(dist[s], cand) if s in dist else cand
+    return dist
+
+
+def _collapse(info: _FuncInfo, costs: dict[int, int],
+              trips: dict[int, int], *, longest: bool,
+              loop_extra: dict[int, int] | None = None) -> int | None:
+    """Shortest (or ``longest``) entry-to-end path after collapsing
+    loops innermost-first into ``trips x best-iteration`` nodes.
+
+    An iteration is a path from the header to a segment end: a latch
+    (a full iteration), an exit source, or a terminal block inside the
+    body (break/return/halt cuts it short).  Every entry into a loop
+    executes its header ``trips[header]`` times at least (shortest) or
+    at most (longest), each execution starting one such segment, so
+    ``trips x`` the shortest or longest segment is a sound floor or
+    ceiling.  ``loop_extra`` adds a one-off charge per collapsed loop,
+    keyed by header: the I-cache bound bills persistent fetch sites
+    once per loop entry with it.  None when a loop has no trip count
+    or a cycle is left over (irreducible flow).
+    """
+    pick: Callable[..., int] = max if longest else min
     blocks = info.blocks
-    mins = {lb.header: lb.min_header_execs for lb in info.timing.loops}
-    reach = set(forest.dom.rpo)
+    reach = set(info.forest.dom.rpo)
     node_cost = {a: costs[a] for a in reach}
     node_succs = {a: {s for s in blocks[a].succs if s in reach}
                   for a in reach}
     end_nodes = {a for a in reach if _is_terminal(blocks[a], blocks)}
     alias = {a: a for a in reach}
 
-    for loop in forest.innermost_first():
-        execs = mins.get(loop.header, 1)
+    for loop in info.forest.innermost_first():
+        count = trips.get(loop.header)
         members = {alias[b] for b in loop.body if b in alias}
         head = alias.get(loop.header)
-        if head is None or head not in members:
+        if count is None or head is None or head not in members:
             return None
         sub = {m: [s for s in node_succs[m]
                    if s in members and s != head] for m in members}
-        topo = _kahn(sub)
-        if topo is None:
+        dist = _dag_paths(sub, head, node_cost, pick)
+        if dist is None:
             return None               # leftover cycle: not reducible
-        dist = {head: node_cost[head]}
-        for n in topo:
-            if n not in dist:
-                continue
-            for s in sub[n]:
-                cand = dist[n] + node_cost[s]
-                if cand < dist.get(s, cand + 1):
-                    dist[s] = cand
-        # Segment ends: latches (full iterations), exit sources, and
-        # any terminal inside the body (break/return/halt cuts short).
-        cands = {alias[lt] for lt in loop.latches if lt in alias}
-        cands |= {alias[u] for u, _s in loop.exits if u in alias}
-        cands |= members & end_nodes
-        reached = [dist[c] for c in cands if c in dist]
-        iter_min = min(reached) if reached else dist[head]
-        externals = set()
+        ends = {alias[lt] for lt in loop.latches if lt in alias}
+        ends |= {alias[u] for u, _s in loop.exits if u in alias}
+        ends |= members & end_nodes
+        reached = [dist[e] for e in ends if e in dist]
+        iteration = pick(reached) if reached else dist[head]
+        externals: set[int] = set()
         for m in members:
-            externals |= {s for s in node_succs[m] if s not in members}
-        contains_end = bool(members & end_nodes)
-        for m in members:
-            del node_succs[m]
+            externals |= node_succs.pop(m) - members
             del node_cost[m]
-            end_nodes.discard(m)
-        node_cost[head] = execs * iter_min
+        node_cost[head] = count * iteration
+        if loop_extra is not None:
+            node_cost[head] += loop_extra.get(loop.header, 0)
         node_succs[head] = externals
-        if contains_end:
+        if members & end_nodes:
+            end_nodes -= members
             end_nodes.add(head)
         for b in loop.body:
             alias[b] = head
@@ -878,105 +902,21 @@ def _func_bcet_collapsed(info: _FuncInfo,
     start = alias.get(info.timing.start)
     if start is None or start not in node_cost:
         return None
-    topo = _kahn(node_succs)
-    if topo is None:
+    dist = _dag_paths(node_succs, start, node_cost, pick)
+    if dist is None:
         return None
-    dist = {start: node_cost[start]}
-    for n in topo:
-        if n not in dist:
-            continue
-        for s in node_succs[n]:
-            if s not in node_cost:
-                continue
-            cand = dist[n] + node_cost[s]
-            if cand < dist.get(s, cand + 1):
-                dist[s] = cand
     ends = [dist[n] for n in end_nodes if n in dist]
-    return min(ends) if ends else dist[start]
+    return pick(ends) if ends else dist[start]
 
 
 def _best_case(info: _FuncInfo, costs: dict[int, int]) -> int:
+    """The larger of two sound floors: the plain shortest path and the
+    shortest path with loops collapsed at their minimum trip counts."""
     plain = _func_bcet(info, costs)
-    collapsed = _func_bcet_collapsed(info, costs)
+    collapsed = _collapse(info, costs, {lb.header: lb.min_header_execs
+                                        for lb in info.timing.loops},
+                          longest=False)
     return plain if collapsed is None else max(plain, collapsed)
-
-
-def _func_wcet(info: _FuncInfo, costs: dict[int, int],
-               loop_extra: dict[int, int] | None = None) -> int | None:
-    """Longest-path worst case after collapsing proven loops
-    innermost-first into ``bound x longest-iteration`` nodes.
-
-    ``loop_extra`` charges an additional one-off cost per collapsed
-    loop (keyed by header): the I-cache composition uses it to bill
-    persistent fetch sites once per loop entry rather than once per
-    iteration.
-    """
-    forest = info.forest
-    proven = {lb.header: lb.max_header_execs
-              for lb in info.timing.loops if lb.bounded}
-    reach = set(forest.dom.rpo)
-    node_cost = {a: costs[a] for a in reach}
-    node_succs = {a: {s for s in info.blocks[a].succs if s in reach}
-                  for a in reach}
-    alias = {a: a for a in reach}
-
-    for loop in forest.innermost_first():
-        bound = proven.get(loop.header)
-        if bound is None:
-            return None
-        members = {alias[b] for b in loop.body if b in alias}
-        head = alias.get(loop.header)
-        if head is None or head not in members:
-            return None
-        sub = {m: [s for s in node_succs[m]
-                   if s in members and s != head] for m in members}
-        topo = _kahn(sub)
-        if topo is None:
-            return None               # leftover cycle: not reducible
-        val = {head: node_cost[head]}
-        longest = val[head]
-        for n in topo:
-            if n not in val:
-                continue
-            for s in sub[n]:
-                cand = val[n] + node_cost[s]
-                if cand > val.get(s, cand - 1):
-                    val[s] = cand
-            if val[n] > longest:
-                longest = val[n]
-        externals = set()
-        for m in members:
-            externals |= {s for s in node_succs[m] if s not in members}
-        for m in members:
-            del node_succs[m]
-            del node_cost[m]
-        node_cost[head] = bound * longest
-        if loop_extra is not None:
-            node_cost[head] += loop_extra.get(loop.header, 0)
-        node_succs[head] = externals
-        for b in loop.body:
-            alias[b] = head
-
-    start = alias.get(info.timing.start)
-    if start is None:
-        return None
-    topo = _kahn(node_succs)
-    if topo is None:
-        return None
-    val = {start: node_cost[start]}
-    best = val[start]
-    for n in topo:
-        if n not in val:
-            continue
-        for s in node_succs[n]:
-            if s not in node_cost:
-                continue
-            cand = val[n] + node_cost[s]
-            if cand > val.get(s, cand - 1):
-                val[s] = cand
-        if val[n] > best:
-            best = val[n]
-    return best
 
 
 def _call_sccs(nodes: set[int],
@@ -1256,7 +1196,8 @@ def analyze_wcet(image: AnalysisResult, *,
             if not blockers:
                 costs = _block_costs(info, bounds, lo=False,
                                      callee_cost=wcet_of)
-                wcet = _func_wcet(info, costs)
+                wcet = _collapse(info, costs, timing.proven_trips,
+                                 longest=True)
                 if wcet is None:
                     blockers.append("loop collapse failed")
             wcet_of[f] = wcet

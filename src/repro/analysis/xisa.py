@@ -43,7 +43,7 @@ from ..cc.codegen import generate_assembly
 from ..cc.irgen import lower_program
 from ..cc.opt import optimize_module
 from ..cc.parser import parse
-from ..cc.runtime import RUNTIME_SOURCE
+from ..cc.runtime import with_runtime
 from .absint import AnalysisResult, FunctionSummary, resolve_cfg
 from .findings import Finding, finding
 
@@ -66,10 +66,6 @@ class CrossIsaReport:
     #: (loops, non-comparable signature), "divergent" on a proven
     #: mismatch (also surfaced as an EQ004 error finding).
     semantic: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
 
 
 def _comparable_callees(summary: FunctionSummary) -> list[str] | None:
@@ -170,10 +166,9 @@ def analyze_source(source: str, target: TargetSpec | str, *,
     """
     if isinstance(target, str):
         target = get_target(target)
-    full = (RUNTIME_SOURCE + "\n" + source) if include_runtime else source
-    module = lower_program(parse(full))
+    module = lower_program(parse(with_runtime(source, include_runtime)))
     optimize_module(module, level=opt_level)
-    assembly = generate_assembly(module, target, schedule=opt_level >= 1)
+    assembly = generate_assembly(module, target, opt_level=opt_level)
     try:
         obj = Assembler(target.isa).assemble(assembly)
         exe = link([obj])

@@ -41,25 +41,16 @@ def _target_of(instr: Instr, address: int) -> int | None:
     return transfer_target(address, instr)
 
 
-def disassemble(exe: Executable, *, start: int | None = None,
-                count: int | None = None,
-                symbols: dict[str, int] | None = None,
-                ) -> list[tuple[int, str]]:
-    """Disassemble the text segment; returns (address, text) pairs.
-
-    ``symbols`` supplements the executable's (globals-only) symbol
-    table with extra name -> address pairs, e.g. the local labels from
-    the object file.
-    """
+def disassemble(exe: Executable, *,
+                count: int | None = None) -> list[tuple[int, str]]:
+    """Disassemble the text segment (its first ``count`` slots, or all
+    of it); returns (address, text) pairs."""
     isa = get_isa(exe.isa_name)
-    symtab = dict(exe.symbols)
-    if symbols:
-        symtab.update(symbols)
     rev_symbols: dict[int, str] = {}
-    for name, addr in sorted(symtab.items()):
+    for name, addr in sorted(exe.symbols.items()):
         rev_symbols.setdefault(addr, name)
     out: list[tuple[int, str]] = []
-    address = start if start is not None else exe.text_base
+    address = exe.text_base
     end = exe.text_base + len(exe.text)
     emitted = 0
     while address < end:
@@ -86,11 +77,11 @@ def disassemble(exe: Executable, *, start: int | None = None,
     return out
 
 
-def format_listing(exe: Executable, **kwargs) -> str:
+def format_listing(exe: Executable, *, count: int | None = None) -> str:
     """Human-readable disassembly listing with raw instruction words."""
     isa = get_isa(exe.isa_name)
     lines = []
-    for addr, text in disassemble(exe, **kwargs):
+    for addr, text in disassemble(exe, count=count):
         offset = addr - exe.text_base
         word = int.from_bytes(exe.text[offset:offset + isa.width_bytes],
                               "little")

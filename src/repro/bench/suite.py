@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 PROGRAM_DIR = Path(__file__).parent / "programs"
 
@@ -81,6 +82,11 @@ def register_benchmark(bench: Benchmark) -> Benchmark:
     """
     BY_NAME[bench.name] = bench
     return bench
+
+
+def program_names(programs: Iterable[str] | None) -> list[str]:
+    """The programs named, or every suite program when none is."""
+    return list(programs or ()) or [bench.name for bench in SUITE]
 
 
 def get_benchmark(name: str) -> Benchmark:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..isa.d16 import LDC_RANGE
 from ..isa.operations import Cond, COND_SWAP
 from .ir import (AddrGlobal, AddrStack, Bin, CallInst, CJump, Cmp, Const,
                  Cvt, FCmp, FConst, FLoad, FStore, Function, Inst, Jump,
@@ -29,9 +30,8 @@ from .ir import (AddrGlobal, AddrStack, Bin, CallInst, CJump, Cmp, Const,
                  _mapped)
 from .irgen import INTRINSICS
 from .regalloc import allocate
-from .target import (D16_POOL_RANGE, FP_ARG_PAIRS, FP_RET_PAIR,
-                     INT_ARG_REGS, REG_AT, REG_AT2, REG_GP, REG_LINK,
-                     REG_RET, REG_SP, TargetSpec)
+from .target import (FP_ARG_PAIRS, FP_RET_PAIR, INT_ARG_REGS, REG_AT,
+                     REG_AT2, REG_GP, REG_LINK, REG_RET, REG_SP, TargetSpec)
 
 _TRAP_CODES = {"exit": 0, "putchar": 1, "getchar": 2, "sbrk": 3}
 
@@ -265,7 +265,7 @@ class PoolManager:
     """
 
     #: Flush before the oldest use is this many bytes from its pool slot.
-    FLUSH_DISTANCE = D16_POOL_RANGE[1] - 96
+    FLUSH_DISTANCE = LDC_RANGE[1] - 96
 
     def __init__(self, writer: AsmWriter, prefix: str):
         self.writer = writer
@@ -1243,8 +1243,12 @@ def _emit_start(writer: AsmWriter, target: TargetSpec) -> None:
 
 
 def generate_assembly(module: Module, target: TargetSpec, *,
-                      schedule: bool = True) -> str:
-    """Generate a complete assembly file for ``module`` on ``target``."""
+                      opt_level: int = 2) -> str:
+    """Generate a complete assembly file for ``module`` on ``target``.
+
+    ``-O0`` emits each block's instructions in IR order; ``-O1`` and up
+    run the list scheduler.
+    """
     offsets = layout_data(module)
     writer = AsmWriter(target.isa.width_bytes)
     writer.directive(".text")
@@ -1252,6 +1256,6 @@ def generate_assembly(module: Module, target: TargetSpec, *,
     _emit_start(writer, target)
     for func in module.functions:
         FunctionEmitter(func, target, offsets, writer,
-                        schedule=schedule).emit()
+                        schedule=opt_level >= 1).emit()
     data = emit_data(module, offsets)
     return writer.text() + data

@@ -17,7 +17,7 @@ from .codegen import generate_assembly
 from .irgen import lower_program
 from .opt import optimize_module
 from .parser import parse
-from .runtime import RUNTIME_SOURCE
+from .runtime import with_runtime
 from .target import TargetSpec, get_target
 
 
@@ -60,12 +60,9 @@ def compile_to_assembly(source: str, target: TargetSpec | str, *,
     """
     if isinstance(target, str):
         target = get_target(target)
-    full_source = (RUNTIME_SOURCE + "\n" + source) if include_runtime \
-        else source
-    program = parse(full_source)
-    module = lower_program(program)
+    module = lower_program(parse(with_runtime(source, include_runtime)))
     optimize_module(module, level=opt_level, verify=verify_ir)
-    return generate_assembly(module, target, schedule=opt_level >= 1)
+    return generate_assembly(module, target, opt_level=opt_level)
 
 
 def build_executable(source: str, target: TargetSpec | str, *,

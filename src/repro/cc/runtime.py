@@ -326,3 +326,9 @@ double pow(double x, double y) {
     return exp(y * log(x));
 }
 """
+
+
+def with_runtime(source: str, include_runtime: bool) -> str:
+    """The program one compile sees: the runtime library, then
+    ``source`` (or ``source`` alone without the runtime)."""
+    return RUNTIME_SOURCE + "\n" + source if include_runtime else source

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from ..isa import D16 as D16_ISA
 from ..isa import DLXE as DLXE_ISA
 from ..isa import IsaSpec
-from ..isa.d16 import (LDC_RANGE, MAX_MEM_OFFSET, MAX_RI_IMM, MVI_IMM_BITS)
+from ..isa.d16 import MAX_MEM_OFFSET, MAX_RI_IMM, MVI_IMM_BITS
 
 REG_LINK = 1
 REG_RET = 2
@@ -146,7 +146,6 @@ DLXE_TARGET = TargetSpec(
 DLXE_16_2 = TargetSpec("dlxe/16/2", DLXE_ISA, 16, 16, False, True)
 DLXE_16_3 = TargetSpec("dlxe/16/3", DLXE_ISA, 16, 16, True, True)
 DLXE_32_2 = TargetSpec("dlxe/32/2", DLXE_ISA, 32, 32, False, True)
-DLXE_32_3 = DLXE_TARGET
 
 #: Extension ablation: DLXe encoding restricted to D16-sized immediates.
 DLXE_NARROW = TargetSpec("dlxe/narrow", DLXE_ISA, 16, 16, False, False)
@@ -157,12 +156,9 @@ TARGETS = {
     "dlxe/16/2": DLXE_16_2,
     "dlxe/16/3": DLXE_16_3,
     "dlxe/32/2": DLXE_32_2,
-    "dlxe/32/3": DLXE_32_3,
+    "dlxe/32/3": DLXE_TARGET,
     "dlxe/narrow": DLXE_NARROW,
 }
-
-#: D16 constant-pool reach, re-exported for the pool manager.
-D16_POOL_RANGE = LDC_RANGE
 
 
 def get_target(name: str) -> TargetSpec:

@@ -17,11 +17,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import SUITE, get_benchmark
+from .bench import get_benchmark, program_names
 from .cc import (TARGETS, build_executable, compile_to_assembly,
                  get_target)
-from .machine import (DEFAULT_FUEL, MachineTimeout, cycles_no_cache,
-                      run_executable)
+from .machine import (DEFAULT_FUEL, DEFAULT_MISS_PENALTY, MachineTimeout,
+                      cycles_no_cache, normalized_cpi, run_executable)
 
 #: ``repro run`` exit code when a watchdog stops the program
 #: (mirrors coreutils ``timeout``).
@@ -91,7 +91,7 @@ def cmd_run(args) -> int:
         for wait_states in (0, 1, 2, 3):
             cycles = cycles_no_cache(stats, latency=wait_states)
             print(f"cycles @ {wait_states} ws: {cycles} "
-                  f"(CPI {cycles / stats.instructions:.2f})",
+                  f"(CPI {normalized_cpi(cycles, stats.instructions):.2f})",
                   file=sys.stderr)
     return stats.exit_code
 
@@ -418,7 +418,7 @@ def _lint_image(args, file: str, source: str, icache_sizes):
 def cmd_bench(args) -> int:
     from .experiments import Lab
 
-    names = args.names or [bench.name for bench in SUITE]
+    names = program_names(args.names)
     targets = args.targets.split(",")
     if not _known("bench", names, targets):
         return 2
@@ -571,6 +571,8 @@ def cmd_targets(_args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .faults.model import FAULTS_PER_CELL, VULN_SEED
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="D16 vs DLXe toolchain (ISCA 1993 reproduction)")
@@ -642,10 +644,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--icache-sizes", default=None, metavar="BYTES,...",
                    help="comma-separated cache sizes for --icache "
                         "(default: the cacheperf grid)")
-    p.add_argument("--icache-penalty", type=int, default=8,
-                   metavar="CYCLES",
+    p.add_argument("--icache-penalty", type=int,
+                   default=DEFAULT_MISS_PENALTY, metavar="CYCLES",
                    help="miss penalty for cache-aware WCET bounds "
-                        "(default: 8)")
+                        "(default: %(default)s)")
     p.add_argument("--density", action="store_true",
                    help="estimate D16 compressibility of the 32-bit "
                         "image (DEN rules)")
@@ -661,10 +663,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "static masked/ACE classification of the "
                         "seeded fault sites and register-file AVF "
                         "(VULN rules)")
-    p.add_argument("--vuln-faults", type=int, default=20, metavar="N",
+    p.add_argument("--vuln-faults", type=int, default=FAULTS_PER_CELL,
+                   metavar="N",
                    help="planned fault sites per cell for --vuln "
                         "(default %(default)s, matching repro faults)")
-    p.add_argument("--vuln-seed", type=int, default=42, metavar="SEED",
+    p.add_argument("--vuln-seed", type=int, default=VULN_SEED,
+                   metavar="SEED",
                    help="campaign seed for the --vuln site planner "
                         "(default %(default)s)")
     p.add_argument("--all", action="store_true",
@@ -691,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="benchmark names (default: quick subset)")
     p.add_argument("--targets", default="d16,dlxe",
                    help="comma-separated target list")
-    p.add_argument("-n", "--faults", type=int, default=20,
+    p.add_argument("-n", "--faults", type=int, default=FAULTS_PER_CELL,
                    help="faults per (benchmark, target) cell "
                         "(default %(default)s)")
     p.add_argument("--seed", type=int, default=1,

@@ -1,8 +1,7 @@
 """Experiment harness: one module per paper section (see DESIGN.md)."""
 
 from .runner import (ExperimentError, Lab, MAIN_TARGETS, PAPER_TARGETS,
-                     ProgramRun, RunError, TraceRun, default_programs,
-                     geomean, mean)
+                     ProgramRun, RunError, TraceRun, default_programs, mean)
 from .density import MeasureResult, format_figure4, format_table6, run_density
 from .pathlength import format_figure5, format_table7, run_pathlength
 from .summary import (SummaryResult, format_figures_11_12, format_table5,
@@ -32,7 +31,7 @@ __all__ = [
     "format_figures_6_7", "format_miss_rate_table", "format_table3",
     "format_table4", "format_table5", "format_table6", "format_table7",
     "format_table8", "format_table9", "format_table10", "format_table13",
-    "format_tables_11_12", "geomean", "grid_configs", "mean",
+    "format_tables_11_12", "grid_configs", "mean",
     "run_cache_study",
     "run_data_traffic", "run_density", "run_immediates", "run_interlocks",
     "run_memperf", "run_pathlength", "run_summary", "run_traffic",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cache import CacheConfig, CacheRates, simulate_caches_grid
-from ..machine.perf import cycles_with_cache
+from ..machine.perf import cycles_with_cache, normalized_cpi
 from .report import format_series, format_table
 from .runner import Lab, TraceRun
 
@@ -171,15 +171,14 @@ def format_figures_17_18(study: CacheStudy, *, size: int) -> str:
     for program in programs:
         dlxe_ic = study.traces[(program, "dlxe")].run.stats.instructions
         d16_ic = study.traces[(program, "d16")].run.stats.instructions
-        series = {
-            "DLXe": [study.cycles(program, "dlxe", size, block, p) / dlxe_ic
-                     for p in penalties],
-            "D16": [study.cycles(program, "d16", size, block, p) / d16_ic
-                    for p in penalties],
-            "D16 normalized": [
-                study.cycles(program, "d16", size, block, p) / dlxe_ic
-                for p in penalties],
-        }
+
+        def cpi(target: str, reference: int) -> list[float]:
+            return [normalized_cpi(study.cycles(program, target, size,
+                                                block, p), reference)
+                    for p in penalties]
+
+        series = {"DLXe": cpi("dlxe", dlxe_ic), "D16": cpi("d16", d16_ic),
+                  "D16 normalized": cpi("d16", dlxe_ic)}
         parts.append(format_series(
             f"Figure {figure} ({program}, {size // 1024}K caches): CPI",
             "miss penalty", list(penalties), series))

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..machine.perf import cycles_no_cache, fetches_per_cycle
+from ..machine.perf import (cycles_no_cache, fetches_per_cycle,
+                             normalized_cpi)
 from .report import format_series, format_table
 from .runner import Lab, mean
 
@@ -57,7 +58,7 @@ class MemPerfResult:
             else:
                 cycles = row.dlxe_cycles[latency]
                 denom = row.dlxe_instructions
-            values.append(cycles / denom)
+            values.append(normalized_cpi(cycles, denom))
         return mean(values)
 
 

@@ -23,13 +23,11 @@ a fault campaign records it as an error cell.
 
 from __future__ import annotations
 
-import math
 import time as _time
-from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Literal, Sequence, TypeVar
 
-from ..bench import SUITE, Benchmark, check_output, get_benchmark
+from ..bench import Benchmark, check_output, get_benchmark, program_names
 from ..cc import build_executable, get_target
 from ..labcache import (ArtifactCache, default_cache, params_fingerprint,
                         source_fingerprint, target_fingerprint)
@@ -135,38 +133,38 @@ class Lab:
             "runtime": True,
         }
 
-    def _exe_key(self, bench: Benchmark, target_name: str) -> str:
-        return self.cache.make_key("exe",
-                                   self._cell_material(bench, target_name))
-
-    def _run_material(self, bench: Benchmark, target_name: str) -> dict:
-        material = self._cell_material(bench, target_name)
-        material["params"] = params_fingerprint(self.params)
-        return material
-
-    def _run_key(self, bench: Benchmark, target_name: str) -> str:
-        return self.cache.make_key("run",
-                                   self._run_material(bench, target_name))
-
-    def _trace_key(self, bench: Benchmark, target_name: str) -> str:
-        return self.cache.make_key("trace",
-                                   self._run_material(bench, target_name))
-
     # ------------------------------------------------------------ access
+
+    def _key(self, kind: str, bench: Benchmark, target_name: str) -> str:
+        """The artifact-cache key of one cell's ``kind`` artifact ("exe",
+        "run" or "trace"); runs and traces depend on the pipeline too."""
+        material = self._cell_material(bench, target_name)
+        if kind != "exe":
+            material["params"] = params_fingerprint(self.params)
+        return self.cache.make_key(kind, material)
+
+    def _artifact(self, kind: str, bench: Benchmark, target_name: str,
+                  build: Callable[[], Any]) -> Any:
+        """One cell's ``kind`` artifact: read from the artifact cache, or
+        built and stored.  A cached run's output is checked here;
+        ``build`` checks a fresh one before it is stored."""
+        cache_key = self._key(kind, bench, target_name)
+        payload = self.cache.get(cache_key)
+        if payload is None:
+            payload = build()
+            self.cache.put(cache_key, payload)
+        elif kind != "exe":
+            self._check(bench, target_name, payload["stats"])
+        return payload
 
     def executable(self, bench_name: str, target_name: str):
         key = (bench_name, target_name)
         if key not in self._executables:
             bench = get_benchmark(bench_name)
-            get_target(target_name)          # validate early
-            cache_key = self._exe_key(bench, target_name)
-            exe = self.cache.get(cache_key)
-            if exe is None:
-                result = build_executable(bench.source,
-                                          get_target(target_name))
-                exe = result.executable
-                self.cache.put(cache_key, exe)
-            self._executables[key] = exe
+            target = get_target(target_name)          # validate early
+            self._executables[key] = self._artifact(
+                "exe", bench, target_name,
+                lambda: build_executable(bench.source, target).executable)
         return self._executables[key]
 
     def _check(self, bench: Benchmark, target_name: str,
@@ -176,67 +174,51 @@ class Lab:
                 f"{bench.name} on {target_name} produced unexpected "
                 f"output: {stats.output!r}")
 
+    def _simulate(self, bench: Benchmark, target_name: str,
+                  traced: bool) -> dict[str, Any]:
+        """Run one cell and check its output: the payload of a "run"
+        (or, ``traced``, a "trace") artifact."""
+        exe = self.executable(bench.name, target_name)
+        stats, machine = run_executable(
+            exe, params=self.params,
+            trace_instructions=traced, trace_data=traced)
+        self._check(bench, target_name, stats)
+        payload = {"stats": stats, "binary_size": exe.binary_size,
+                   "text_size": exe.text_size}
+        if traced:
+            payload["itrace"] = machine.itrace
+            payload["dtrace"] = machine.dtrace
+        return payload
+
     def run(self, bench_name: str, target_name: str) -> ProgramRun:
         """Compile and execute (memoized in-process and on disk)."""
         key = (bench_name, target_name)
-        if key in self._runs:
-            return self._runs[key]
-        bench = get_benchmark(bench_name)
-        get_target(target_name)              # validate early
-        cache_key = self._run_key(bench, target_name)
-        payload = self.cache.get(cache_key)
-        if payload is None:
-            exe = self.executable(bench_name, target_name)
-            stats, _machine = run_executable(exe, params=self.params)
-            self._check(bench, target_name, stats)
-            payload = {"stats": stats, "binary_size": exe.binary_size,
-                       "text_size": exe.text_size}
-            self.cache.put(cache_key, payload)
-        else:
-            self._check(bench, target_name, payload["stats"])
-        run = ProgramRun(bench=bench, target_name=target_name,
-                         stats=payload["stats"],
-                         binary_size=payload["binary_size"],
-                         text_size=payload["text_size"])
-        self._runs[key] = run
-        return run
+        if key not in self._runs:
+            bench = get_benchmark(bench_name)
+            payload = self._artifact(
+                "run", bench, target_name,
+                lambda: self._simulate(bench, target_name, traced=False))
+            self._runs[key] = ProgramRun(
+                bench=bench, target_name=target_name,
+                stats=payload["stats"], binary_size=payload["binary_size"],
+                text_size=payload["text_size"])
+        return self._runs[key]
 
     def trace(self, bench_name: str, target_name: str) -> TraceRun:
         """Execute with address tracing (memoized; memory-heavy)."""
         key = (bench_name, target_name)
-        if key in self._traces:
-            return self._traces[key]
-        bench = get_benchmark(bench_name)
-        cache_key = self._trace_key(bench, target_name)
-        payload = self.cache.get(cache_key)
-        if payload is None:
-            exe = self.executable(bench_name, target_name)
-            stats, machine = run_executable(
-                exe, params=self.params,
-                trace_instructions=True, trace_data=True)
-            self._check(bench, target_name, stats)
-            itrace, dtrace = machine.itrace, machine.dtrace
-            self.cache.put(cache_key, {
-                "stats": stats, "binary_size": exe.binary_size,
-                "text_size": exe.text_size,
-                "itrace": itrace.tobytes(), "dtrace": dtrace.tobytes()})
-        else:
-            self._check(bench, target_name, payload["stats"])
-            stats = payload["stats"]
-            itrace = array("I")
-            itrace.frombytes(payload["itrace"])
-            dtrace = array("I")
-            dtrace.frombytes(payload["dtrace"])
-            exe = None
-        run = ProgramRun(
-            bench=bench, target_name=target_name, stats=stats,
-            binary_size=(exe.binary_size if exe is not None
-                         else payload["binary_size"]),
-            text_size=(exe.text_size if exe is not None
-                       else payload["text_size"]))
-        trace = TraceRun(run=run, itrace=itrace, dtrace=dtrace)
-        self._traces[key] = trace
-        return trace
+        if key not in self._traces:
+            bench = get_benchmark(bench_name)
+            payload = self._artifact(
+                "trace", bench, target_name,
+                lambda: self._simulate(bench, target_name, traced=True))
+            run = ProgramRun(
+                bench=bench, target_name=target_name,
+                stats=payload["stats"], binary_size=payload["binary_size"],
+                text_size=payload["text_size"])
+            self._traces[key] = TraceRun(run=run, itrace=payload["itrace"],
+                                         dtrace=payload["dtrace"])
+        return self._traces[key]
 
     def runs(self, programs: Iterable[str] | None = None,
              targets: Iterable[str] = MAIN_TARGETS,
@@ -248,8 +230,7 @@ class Lab:
         returned structure is identical to a sequential run.  The first
         failing cell in grid order raises.
         """
-        names = list(programs) if programs is not None \
-            else [bench.name for bench in SUITE]
+        names = program_names(programs)
         targets = tuple(targets)
         pending = [(name, target) for name in names for target in targets
                    if (name, target) not in self._runs]
@@ -345,23 +326,6 @@ def fan_out(fn: Callable[..., _R], cells: Sequence[tuple[str, str]],
     return results
 
 
-def geomean(values: Iterable[float]) -> float:
-    """Geometric mean via log-sum, stable for long value lists.
-
-    A raw product over/underflows doubles after a few hundred ratios;
-    ``exp(mean(log x))`` stays in range.  Zeros propagate to 0.0 (the
-    limit of the product form); negatives are rejected.
-    """
-    values = list(values)
-    if not values:
-        return 0.0
-    if any(value < 0 for value in values):
-        raise ValueError("geomean of negative values is undefined")
-    if any(value == 0 for value in values):
-        return 0.0
-    return math.exp(sum(math.log(value) for value in values) / len(values))
-
-
 def mean(values: Iterable[float]) -> float:
     values = list(values)
     return sum(values) / len(values) if values else 0.0
@@ -371,4 +335,4 @@ def default_programs(fast: bool = False) -> list[str]:
     """Benchmark subset: everything, or a quick representative set."""
     if fast:
         return ["ackermann", "queens", "dhrystone", "solver"]
-    return [bench.name for bench in SUITE]
+    return program_names(None)

@@ -35,8 +35,8 @@ from ..cc import get_target
 from ..experiments.runner import MAIN_TARGETS, Lab, RunError, fan_out
 from ..machine import Machine, MachineError
 from .inject import FunctionMap, fuel_for, run_cache_fault, run_fault
-from .model import (FAULT_KINDS, OUTCOMES, SCHEMA_VERSION, TRAP_MODES,
-                    FaultResult, FaultSpec, GoldenRun)
+from .model import (FAULT_KINDS, FAULTS_PER_CELL, OUTCOMES, SCHEMA_VERSION,
+                    TRAP_MODES, FaultResult, FaultSpec, GoldenRun)
 
 if TYPE_CHECKING:
     from ..analysis.vuln import SiteVerdict
@@ -115,8 +115,6 @@ class CellReport:
             return {"bench": self.bench, "target": self.target,
                     "error": self.error}
         counts = self.outcome_counts()
-        total = len(self.results)
-        failures = total - counts["masked"]
         latencies = [r.latency_cycles for r in self.results
                      if r.latency_cycles is not None]
         functions: dict[str, dict[str, int]] = {}
@@ -134,16 +132,10 @@ class CellReport:
                        "exit_code": self.golden.exit_code},
             "faults": [r.to_dict() for r in self.results],
             "outcomes": counts,
-            "sdc_rate": round(counts["sdc"] / total, 6) if total else 0.0,
-            "detected_rate": (round(counts["detected"] / total, 6)
-                              if total else 0.0),
+            **outcome_rates(counts, len(self.results)),
             "mean_detection_latency_cycles": (
                 round(sum(latencies) / len(latencies), 3)
                 if latencies else None),
-            # Expected random flips until the first non-masked outcome
-            # (geometric estimate from this sample).
-            "flips_to_failure": (round(total / failures, 3)
-                                 if failures else None),
             "functions": dict(sorted(functions.items())),
             "pruned": self.pruned,
         }
@@ -152,13 +144,28 @@ class CellReport:
         return cell
 
 
+def outcome_rates(counts: dict[str, int],
+                  faults: int) -> dict[str, float | None]:
+    """The SDC and detected shares of ``faults`` injections with these
+    outcome ``counts``, and the expected random flips until the first
+    non-masked outcome (a geometric estimate from this sample)."""
+    failures = faults - counts["masked"]
+    return {
+        "sdc_rate": round(counts["sdc"] / faults, 6) if faults else 0.0,
+        "detected_rate": (round(counts["detected"] / faults, 6)
+                          if faults else 0.0),
+        "flips_to_failure": (round(faults / failures, 3)
+                             if failures else None),
+    }
+
+
 @dataclass
 class FaultCampaign:
     """A seeded fault grid: benchmarks x targets x faults-per-cell."""
 
     benchmarks: tuple[str, ...]
     targets: tuple[str, ...] = MAIN_TARGETS
-    faults: int = 20
+    faults: int = FAULTS_PER_CELL
     seed: int = 1
     kinds: tuple[str, ...] = FAULT_KINDS
     #: Skip injections the static vulnerability analysis proves masked
@@ -208,17 +215,8 @@ class FaultCampaign:
                 for outcome, count in cell["outcomes"].items():
                     totals[outcome] += count
                 faults += sum(cell["outcomes"].values())
-            failures = faults - totals["masked"]
-            by_target[target] = {
-                "faults": faults,
-                "outcomes": totals,
-                "sdc_rate": (round(totals["sdc"] / faults, 6)
-                             if faults else 0.0),
-                "detected_rate": (round(totals["detected"] / faults, 6)
-                                  if faults else 0.0),
-                "flips_to_failure": (round(faults / failures, 3)
-                                     if failures else None),
-            }
+            by_target[target] = {"faults": faults, "outcomes": totals,
+                                 **outcome_rates(totals, faults)}
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "fault-campaign",

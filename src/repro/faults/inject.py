@@ -29,8 +29,8 @@ from ..cc import build_executable
 from ..machine import (Machine, MachineError, MachineTimeout, MemoryError_,
                        TrapError)
 from ..machine.cpu import DEFAULT_FUEL
-from .model import (CRASH, DETECTED, HANG, MASKED, SDC, FaultResult,
-                    FaultSpec, GoldenRun)
+from .model import (CRASH, DETECTED, FAULT_CACHE, HANG, MASKED, SDC,
+                    FaultResult, FaultSpec, GoldenRun)
 
 if TYPE_CHECKING:
     from ..asm.objfile import Executable
@@ -182,11 +182,12 @@ def run_cache_fault(itrace: Iterable[int], spec: FaultSpec) -> FaultResult:
     valid bit fakes a hit on stale contents or forces a refetch, and a
     flipped tag bit does the same at line granularity.  Masked means
     the corrupt metadata was overwritten before it was ever consulted.
-    The cache is the 8 KB configuration the masking oracle assumes.
+    The cache is :data:`~repro.faults.model.FAULT_CACHE`, the one the
+    masking oracle assumes.
     """
-    from ..cache import Cache, CacheConfig, vector
+    from ..cache import Cache, vector
 
-    config = CacheConfig(size=8192)
+    config = FAULT_CACHE
     addresses = vector.as_addresses(itrace)
     cut = spec.trigger % addresses.size if addresses.size else 0
 

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..cache.cache import CacheConfig
+
 #: Version of the campaign JSON report layout.  Bump on any
 #: backwards-incompatible change to the payload shape.
 #:
@@ -50,6 +52,18 @@ CRASH = "crash"
 
 #: Trap-level fault modes.
 TRAP_MODES = ("getc-eof", "sbrk-exhaust")
+
+#: Planned fault sites per (benchmark, target) cell, for campaigns and
+#: for the static vulnerability sweep that classifies the same sites.
+FAULTS_PER_CELL = 20
+
+#: The campaign seed whose planned sites ``repro lint --vuln``
+#: classifies unless told otherwise.
+VULN_SEED = 42
+
+#: The instruction cache a ``cache`` fault corrupts, and the one the
+#: static masking oracle assumes.
+FAULT_CACHE = CacheConfig(size=8192)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ The public surface of this package:
 
 from .common import (DecodingError, EncodingError, IsaError, sign_extend,
                      to_s32)
-from .instruction import Instr, make
+from .instruction import Instr
 from .operations import (CONTROL_OPS, COND_NEGATE, COND_SWAP, D16_CONDS,
                          MNEMONIC_TO_OP, OP_INFO, Cond, Op, OpInfo, OpKind)
 from .refs import ldc_pool_addr, transfer_target
@@ -19,6 +19,6 @@ __all__ = [
     "CONTROL_OPS", "COND_NEGATE", "COND_SWAP", "D16", "D16_CONDS",
     "DLXE", "DecodingError", "EncodingError", "ISAS", "Instr", "IsaError",
     "IsaSpec", "MNEMONIC_TO_OP", "OP_INFO", "Cond", "Op", "OpInfo",
-    "OpKind", "get_isa", "ldc_pool_addr", "make", "sign_extend", "to_s32",
+    "OpKind", "get_isa", "ldc_pool_addr", "sign_extend", "to_s32",
     "transfer_target",
 ]

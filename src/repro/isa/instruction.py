@@ -100,10 +100,3 @@ class Instr:
     def _reg_name(self, field: str, index: int) -> str:
         prefix = "f" if self.info.reg_class.get(field) == "f" else "r"
         return f"{prefix}{index}"
-
-
-def make(op: Op, **fields) -> Instr:
-    """Build and validate an :class:`Instr` in one call."""
-    instr = Instr(op=op, **fields)
-    instr.validate()
-    return instr

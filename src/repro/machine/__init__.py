@@ -3,16 +3,16 @@
 from .cpu import (DEFAULT_FUEL, Machine, MachineError, MachineTimeout,
                   run_executable)
 from .memory import Memory, MemoryError_
-from .perf import (cycles_no_cache, cycles_with_cache, fetches_per_cycle,
-                   normalized_cpi)
+from .perf import (DEFAULT_MISS_PENALTY, cycles_no_cache, cycles_with_cache,
+                   fetches_per_cycle, normalized_cpi)
 from .pipeline import FP_STATUS_REG, HazardModel, PipelineParams
 from .stats import RunStats
 from .traps import (TRAP_EXIT, TRAP_GETC, TRAP_PUTC, TRAP_SBRK, TrapError,
                     TrapHandler)
 
 __all__ = [
-    "DEFAULT_FUEL", "FP_STATUS_REG", "HazardModel", "Machine",
-    "MachineError", "MachineTimeout", "Memory",
+    "DEFAULT_FUEL", "DEFAULT_MISS_PENALTY", "FP_STATUS_REG", "HazardModel",
+    "Machine", "MachineError", "MachineTimeout", "Memory",
     "MemoryError_", "PipelineParams", "RunStats", "TRAP_EXIT", "TRAP_GETC",
     "TRAP_PUTC", "TRAP_SBRK", "TrapError", "TrapHandler",
     "cycles_no_cache", "cycles_with_cache", "fetches_per_cycle",

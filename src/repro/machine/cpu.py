@@ -136,6 +136,22 @@ _FP3_DOUBLE = {
 }
 
 
+def _slot_meta(instr: Instr | None, params: PipelineParams,
+               ) -> tuple[tuple[int, ...], tuple[int, ...], int, int, int]:
+    """One text slot's hazard metadata: the ready-vector indices it
+    reads and writes, its math-unit occupancy (0 = not math), the
+    cycles until its results are usable, and its writer kind (0 = alu,
+    1 = load, 2 = math).  A slot holding no instruction has none."""
+    if instr is None:
+        return (), (), 0, 1, 0
+    reads, writes = hazard_indices(instr)
+    info = instr.info
+    return (reads, writes, params.occupancy(info),
+            params.result_latency(info),
+            2 if info.kind == OpKind.MATH
+            else 1 if info.kind == OpKind.LOAD else 0)
+
+
 class Machine:
     """A loaded program plus architectural state, ready to run."""
 
@@ -228,22 +244,11 @@ class Machine:
             meta_cache = exe._slot_meta_cache = {}
         meta = meta_cache.get(self._params_key)
         if meta is None:
-            params = self.params
-            reads_l: list[tuple[int, ...]] = [()] * count
-            writes_l: list[tuple[int, ...]] = [()] * count
-            mlat = [0] * count   # math occupancy (0 = not math)
-            rlat = [1] * count   # cycles until results usable
-            wkind = [0] * count  # 0 = alu, 1 = load, 2 = math
-            for idx, instr in enumerate(decoded):
-                if instr is None:
-                    continue
-                reads_l[idx], writes_l[idx] = hazard_indices(instr)
-                info = instr.info
-                mlat[idx] = params.occupancy(info)
-                rlat[idx] = params.result_latency(info)
-                wkind[idx] = (2 if info.kind == OpKind.MATH
-                              else 1 if info.kind == OpKind.LOAD else 0)
-            meta = (reads_l, writes_l, mlat, rlat, wkind)
+            meta = ([], [], [], [], [])
+            for instr in decoded:
+                for column, value in zip(meta,
+                                         _slot_meta(instr, self.params)):
+                    column.append(value)
             meta_cache[self._params_key] = meta
         self.program: list[Instr | None] = list(decoded)
         self.reads_l = list(meta[0])
@@ -261,22 +266,8 @@ class Machine:
         """
         self._invalidate_blocks(idx)
         self.program[idx] = instr
-        if instr is None:
-            self.handlers[idx] = None
-            self.reads_l[idx] = ()
-            self.writes_l[idx] = ()
-            self.mlat[idx] = 0
-            self.rlat[idx] = 1
-            self.wkind[idx] = 0
-            return
-        reads, writes = hazard_indices(instr)
-        self.reads_l[idx] = reads
-        self.writes_l[idx] = writes
-        info = instr.info
-        self.mlat[idx] = self.params.occupancy(info)
-        self.rlat[idx] = self.params.result_latency(info)
-        self.wkind[idx] = (2 if info.kind == OpKind.MATH
-                           else 1 if info.kind == OpKind.LOAD else 0)
+        (self.reads_l[idx], self.writes_l[idx], self.mlat[idx],
+         self.rlat[idx], self.wkind[idx]) = _slot_meta(instr, self.params)
         # Handler closures are built on first execution (handler_for):
         # most static slots never run, and hot slots end up fused into
         # compiled blocks that bypass the handler entirely.

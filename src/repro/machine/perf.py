@@ -14,12 +14,22 @@ Machine with split I/D caches and a miss penalty::
 ``normalized_cpi`` divides cycles by a *reference* instruction count so
 machines with different path lengths can be compared directly — the
 paper normalizes D16 cycle counts by the DLXe path length in Figures 14,
-17 and 18.
+17 and 18.  Every CPI the program reports goes through it, a machine's
+own path length as the reference included (``repro run --stats``, the
+DLXe and D16 series of Figures 14, 17 and 18).
+
+These are the only cycle formulas: the experiments, ``repro run`` and
+the static I-cache validation (:mod:`repro.analysis.icache`, with
+:data:`DEFAULT_MISS_PENALTY` unless told otherwise) all call them.
 """
 
 from __future__ import annotations
 
 from .stats import RunStats
+
+#: The miss penalty (cycles) of cache-aware cycle counts when none is
+#: given: the middle of the cache experiments' penalty grid.
+DEFAULT_MISS_PENALTY = 8
 
 
 def cycles_no_cache(stats: RunStats, *, latency: int,

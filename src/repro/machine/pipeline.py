@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..isa import Instr, OpInfo, OpKind
+from ..isa.operations import FP_PAIR_FIELDS
 
 #: Pseudo-register index for the FP status word (set by cmp.sf/cmp.df,
 #: read by rdsr) in the 0..63 general/FP register ready-time vector.
@@ -96,14 +97,29 @@ def hazard_indices(instr: Instr) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Map an instruction's reads/writes to ready-vector indices.
 
     General register i -> i, FP register i -> 32 + i, FP status -> 64.
-    DLXe's r0 is excluded on the read side only when it can never stall
-    (it is hardwired); we keep it — a write to r0 never happens on DLXe
-    and on D16 r0 is a real register, so including it is correct for both.
+    A double-precision operand names the first register of a pair and
+    uses both, so the second follows it.  DLXe's r0 is excluded on the
+    read side only when it can never stall (it is hardwired); we keep
+    it — a write to r0 never happens on DLXe and on D16 r0 is a real
+    register, so including it is correct for both.
     """
-    reads = tuple((32 + idx if cls == "f" else idx)
-                  for cls, idx in instr.reads())
-    writes = tuple((32 + idx if cls == "f" else idx)
-                   for cls, idx in instr.writes())
+    info = instr.info
+    pairs = FP_PAIR_FIELDS.get(instr.op, ())
+
+    def indices(fields: tuple[str, ...]) -> tuple[int, ...]:
+        out: list[int] = []
+        for name in fields:
+            reg = getattr(instr, name)
+            if reg is None:
+                continue
+            index = 32 + reg if info.reg_class[name] == "f" else reg
+            out.append(index)
+            if name in pairs:
+                out.append(index + 1)
+        return tuple(out)
+
+    reads = indices(info.reads)
+    writes = indices(info.writes)
     if instr.info.sets_fp_status:
         writes = writes + (FP_STATUS_REG,)
     if instr.op.value == "rdsr":

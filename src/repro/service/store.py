@@ -118,22 +118,31 @@ class JournaledStore:
                     records.append(record)
         return records
 
-    def pending(self) -> list[Request]:
-        """Requests whose intent was journaled but never closed."""
+    @staticmethod
+    def _open_intents(records: list[dict[str, Any]],
+                      ) -> dict[str, dict[str, Any]]:
+        """The last intent record of every key that no later commit or
+        abort closed, in journal order of the keys' first open intent.
+        An intent whose request is not a mapping opens nothing."""
         open_intents: dict[str, dict[str, Any]] = {}
-        for record in self._records():
+        for record in records:
             key = str(record.get("key", ""))
             kind = record.get("type")
             if kind == "intent":
-                raw = record.get("request")
-                if isinstance(raw, dict):
-                    open_intents[key] = raw
+                if isinstance(record.get("request"), dict):
+                    open_intents[key] = record
             elif kind in ("commit", "abort"):
                 open_intents.pop(key, None)
-        return [Request.from_dict(raw) for raw in open_intents.values()]
+        return open_intents
+
+    def pending(self) -> list[Request]:
+        """Requests whose intent was journaled but never closed."""
+        return [Request.from_dict(record["request"]) for record
+                in self._open_intents(self._records()).values()]
 
     def compact(self) -> int:
-        """Rewrite the journal keeping only open intents.
+        """Rewrite the journal keeping only the open intents that
+        :meth:`pending` reads.
 
         Returns the number of records dropped.  Atomic: the new journal
         is written beside the old one and swapped in with
@@ -144,16 +153,7 @@ class JournaledStore:
             # _records takes no lock itself, so it can re-read the
             # journal under the lock held here.
             records = self._records()
-            open_keys = set()
-            for record in records:
-                key = str(record.get("key", ""))
-                if record.get("type") == "intent":
-                    open_keys.add(key)
-                elif record.get("type") in ("commit", "abort"):
-                    open_keys.discard(key)
-            kept = [r for r in records
-                    if r.get("type") == "intent"
-                    and str(r.get("key", "")) in open_keys]
+            kept = list(self._open_intents(records).values())
             tmp = self.journal_path.with_suffix(".jsonl.tmp")
             with open(tmp, "w", encoding="utf-8") as out:
                 for record in kept:

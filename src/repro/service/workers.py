@@ -113,20 +113,17 @@ def execute_request(lab: Any, request: Request) -> dict[str, Any]:
                 "itrace_sha256": _sha256(trace.itrace.tobytes()),
                 "dtrace_sha256": _sha256(trace.dtrace.tobytes())}
     if kind == "lint":
-        from ..analysis import Severity, lint_program
+        from ..analysis import Severity, lint_program, summarize
         from ..bench import get_benchmark
         from ..cc import get_target
 
         bench = get_benchmark(request.bench)
-        findings = lint_program(bench.source, get_target(request.target))
-        by_rule: dict[str, int] = {}
-        errors = 0
-        for finding in findings:
-            by_rule[finding.rule] = by_rule.get(finding.rule, 0) + 1
-            if finding.severity is Severity.ERROR:
-                errors += 1
-        return {"findings": len(findings), "errors": errors,
-                "by_rule": dict(sorted(by_rule.items()))}
+        summary = summarize(lint_program(bench.source,
+                                         get_target(request.target)))
+        return {"findings": summary["total"],
+                "errors": summary["by_severity"].get(
+                    Severity.ERROR.value, 0),
+                "by_rule": summary["by_rule"]}
     if kind == "faults":
         from ..experiments.runner import ExperimentError
         from ..faults.campaign import run_cell

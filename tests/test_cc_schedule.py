@@ -15,7 +15,8 @@ def make_block(instrs):
 
 
 def build_o2(source, target, schedule):
-    """Link ``source`` at ``-O2`` with or without the scheduling pass."""
+    """Link ``source`` optimized at ``-O2``, with code generated as at
+    ``-O2`` (scheduled) or as at ``-O0`` (not scheduled)."""
     from repro.asm import assemble, link
     from repro.cc import get_target
     from repro.cc.codegen import generate_assembly
@@ -27,7 +28,8 @@ def build_o2(source, target, schedule):
     spec = get_target(target)
     module = lower_program(parse(RUNTIME_SOURCE + "\n" + source))
     optimize_module(module, level=2)
-    assembly = generate_assembly(module, spec, schedule=schedule)
+    assembly = generate_assembly(module, spec,
+                                 opt_level=2 if schedule else 0)
     return link([assemble(assembly, spec.isa)])
 
 

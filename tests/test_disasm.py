@@ -36,13 +36,6 @@ def test_pool_data_shown_as_word():
     assert ".word" in text or "0x" in text
 
 
-def test_count_and_start():
-    exe = build(".global _start\n_start:\nnop\nnop\nnop\ntrap 0\n", DLXE)
-    listing = disassemble(exe, start=exe.text_base + 4, count=2)
-    assert len(listing) == 2
-    assert listing[0][0] == exe.text_base + 4
-
-
 def test_dlxe_listing():
     exe = build("""
         .global _start
@@ -96,16 +89,6 @@ def test_listing_includes_raw_words():
         assert int(addr, 16) >= exe.text_base
         assert len(word) == 4
         int(word, 16)
-
-
-def test_extra_symbols_annotate_local_labels():
-    src = ".global _start\n_start:\nnop\nhidden:\ntrap 0\n"
-    obj = assemble(src, D16)
-    exe = link([obj])
-    assert "hidden" not in format_listing(exe)
-    extra = {s.name: exe.text_base + s.value
-             for s in obj.symbols.values() if s.section == "text"}
-    assert "hidden:" in format_listing(exe, symbols=extra)
 
 
 def test_check_roundtrip_reports_mismatch():

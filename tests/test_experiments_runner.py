@@ -4,7 +4,7 @@ import pytest
 
 import repro.experiments.runner as runner
 from repro.bench import Benchmark, register_benchmark
-from repro.experiments import Lab, RunError, default_programs, geomean, mean
+from repro.experiments import Lab, RunError, default_programs, mean
 from repro.experiments.runner import (ExperimentError, MAIN_TARGETS,
                                       PAPER_TARGETS)
 from repro.labcache import ArtifactCache
@@ -15,24 +15,6 @@ class TestHelpers:
     def test_mean(self):
         assert mean([1.0, 2.0, 3.0]) == 2.0
         assert mean([]) == 0.0
-
-    def test_geomean(self):
-        assert geomean([1.0, 4.0]) == 2.0
-        assert geomean([]) == 0.0
-
-    def test_geomean_no_overflow_on_long_lists(self):
-        """Log-sum form: a raw product would overflow to inf here."""
-        assert geomean([1e300] * 10) == pytest.approx(1e300, rel=1e-9)
-        assert geomean([2.0] * 2000) == pytest.approx(2.0, rel=1e-9)
-
-    def test_geomean_no_underflow(self):
-        """A raw product would underflow to 0.0 here."""
-        assert geomean([1e-200] * 300) == pytest.approx(1e-200, rel=1e-9)
-
-    def test_geomean_zero_and_negative(self):
-        assert geomean([0.0, 5.0]) == 0.0
-        with pytest.raises(ValueError):
-            geomean([1.0, -2.0])
 
     def test_default_programs(self):
         full = default_programs()

@@ -25,6 +25,7 @@ from repro.analysis import (SCHEMA_VERSION, RULES, SiteClass,
                             find_loops, icache_cell, resolve_cfg, solve,
                             validate_icache)
 from repro.analysis import icache
+from repro.analysis.findings import has_errors
 from repro.analysis.cfg import BasicBlock
 from repro.analysis.icache import (_access, _block_word_runs,
                                    _CacheDomain, _decompose, _geometry,
@@ -61,7 +62,7 @@ def _build(source: str, target_name: str):
     target = get_target(target_name)
     module = lower_program(parse(RUNTIME_SOURCE + "\n" + source))
     optimize_module(module, level=2)
-    assembly = generate_assembly(module, target, schedule=True)
+    assembly = generate_assembly(module, target, opt_level=2)
     exe = link([Assembler(target.isa).assemble(assembly)])
     return exe, target
 
@@ -559,7 +560,7 @@ class TestValidateIcache:
             analysis = analyze_icache(program, CacheConfig(size))
             v = validate_icache(analysis, machine.itrace, stats,
                                 penalty=8)
-            assert v.ok
+            assert not has_errors(v.findings)
             assert v.contradictions == 0 and v.unattributed == 0
             assert v.fetches > 0
             if v.miss_ub is not None:
@@ -594,7 +595,7 @@ class TestValidateIcache:
         analysis.miss_ub = 0             # deliberately unsound
         v = validate_icache(analysis, machine.itrace, stats, penalty=8)
         assert any(f.rule == "CACHE002" for f in v.findings)
-        assert not v.ok
+        assert has_errors(v.findings)
 
 
 # ---------------------------------------------- driver / CLI / rules
@@ -618,7 +619,7 @@ class TestDriverAndRules:
             sizes=(1024, 8192))
         assert len(cells) == 2
         for _analysis, validation in cells:
-            assert validation.ok
+            assert not has_errors(validation.findings)
             assert validation.contradictions == 0
             if validation.miss_ub is not None:
                 assert validation.sim_misses <= validation.miss_ub

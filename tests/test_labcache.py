@@ -380,7 +380,7 @@ class TestLabPersistence:
         # Tamper with the cached payload: the warm lab must notice.
         warm = Lab(cache=ArtifactCache(root))
         bench = __import__("repro.bench", fromlist=["get_benchmark"])
-        key = warm._run_key(bench.get_benchmark("ackermann"), "d16")
+        key = warm._key("run", bench.get_benchmark("ackermann"), "d16")
         payload = warm.cache.get(key)
         payload["stats"].output = "tampered"
         warm.cache.put(key, payload)
@@ -416,8 +416,9 @@ class TestLabPersistence:
         lab2 = Lab(cache=ArtifactCache(root),
                    params=PipelineParams(load_delay=2))
         bench = __import__("repro.bench", fromlist=["get_benchmark"])
-        assert lab2._run_key(bench.get_benchmark("ackermann"), "d16") != \
-            lab1._run_key(bench.get_benchmark("ackermann"), "d16")
+        ackermann = bench.get_benchmark("ackermann")
+        assert lab2._key("run", ackermann, "d16") != \
+            lab1._key("run", ackermann, "d16")
         lab2.run("ackermann", "d16")
         # run artifact missed (different params), exe artifact hit.
         assert lab2.cache.misses >= 1

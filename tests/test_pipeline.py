@@ -128,6 +128,58 @@ class TestCrossCheck:
         assert stats.math_interlocks == reference.math_interlocks
 
 
+class TestFpPairHazards:
+    """A double-precision operand names the first register of a pair
+    and uses both: a reader of the odd half waits for the pair's
+    producer, and a pair reader waits for a producer of its odd half,
+    on both engines and in the reference model."""
+
+    #: producer per ISA (D16 writes three-operand FP ops in two-address
+    #: form), consumer, and the consumer's stall per pass.
+    PROBES = {
+        "odd-half-read": ({DLXE: "mul.df f2, f4, f6",
+                           D16: "mul.df f2, f2, f6"}, "mvfi r3, f3", 3),
+        "pair-read": ({DLXE: "div.sf f3, f7, f7",
+                       D16: "div.sf f3, f3, f7"}, "mv.df f8, f2", 11),
+    }
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    @pytest.mark.parametrize("isa", [D16, DLXE], ids=["d16", "dlxe"])
+    def test_second_register_is_scoreboarded(self, monkeypatch, isa,
+                                             probe):
+        from repro.machine import cpu, run_executable
+        from repro.machine.blocks import CompiledBlock
+
+        # Compile the loop on its second pass, so each engine runs it.
+        monkeypatch.setattr(cpu, "HOT_THRESHOLD", 1)
+        producers, consumer, stall = self.PROBES[probe]
+        cnt = "r0" if isa is D16 else "r1"
+        exe = link([assemble(f"""
+        .text
+        .global _start
+        _start:
+            mvi {cnt}, 3
+        loop:
+            {producers[isa]}
+            {consumer}
+            subi {cnt}, {cnt}, 1
+            bnz {cnt}, loop
+            trap 0
+        """, isa)])
+        step, traced = run_executable(exe, engine="step",
+                                      trace_instructions=True)
+        blocks, machine = run_executable(exe, engine="blocks")
+        assert any(isinstance(blk, CompiledBlock)
+                   for blk in machine._blocks)
+        reference = HazardModel(traced.params)
+        shift = 1 if isa.width_bytes == 2 else 2
+        for pc in traced.itrace:
+            reference.issue(
+                traced.program[(pc - exe.text_base) >> shift])
+        assert (step.interlocks == blocks.interlocks
+                == reference.interlocks == 3 * stall)
+
+
 class TestFetchCounting:
     def test_d16_two_per_word(self):
         src = """

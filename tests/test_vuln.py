@@ -93,10 +93,10 @@ class TestCrossValidation:
 @pytest.fixture
 def ackermann_suite(monkeypatch):
     """Shrink the suite the sweep walks to ackermann alone."""
-    import repro.analysis.driver as driver
+    import repro.bench.suite as suite
     from repro.bench import get_benchmark
 
-    monkeypatch.setattr(driver, "SUITE", (get_benchmark("ackermann"),))
+    monkeypatch.setattr(suite, "SUITE", (get_benchmark("ackermann"),))
 
 
 class TestValidateVuln:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,8 @@ from repro.analysis import (RULES, Severity, analyze_density,
                             estimate_halfwords, find_loops,
                             fused_constant_pair, resolve_cfg,
                             validate_wcet)
+from repro.analysis.wcet import (FunctionTiming, LoopBound, _best_case,
+                                 _collapse, _FuncInfo)
 from repro.cc import get_target
 from repro.isa import Instr, Op
 
@@ -82,6 +85,55 @@ class TestLoopForest:
         forest = find_loops(_graph({1: (2, 3), 2: (3,), 3: (2,)}), 1)
         assert forest.loops == {}
         assert len(forest.irreducible) == 1
+
+
+class TestLoopCollapse:
+    """One collapse computes both sides of the interval.
+
+    A hand-built function: entry 1, an outer loop headed at 2 (exit to
+    the return block 8), an inner loop headed at 3 whose body block 4
+    can return early through 7.  The expected numbers are what the two
+    separate best- and worst-case collapses gave before they were one
+    routine.
+    """
+
+    EDGES = {1: (2,), 2: (3, 8), 3: (4, 5), 4: (3, 7), 5: (2,),
+             7: (), 8: ()}
+    COSTS = {1: 1, 2: 2, 3: 3, 4: 40, 5: 5, 7: 7, 8: 80}
+
+    def _info(self, inner: tuple[int, int], outer: tuple[int, int]):
+        blocks = {b: SimpleNamespace(start=b, succs=succs, is_halt=False,
+                                     is_return=not succs)
+                  for b, succs in self.EDGES.items()}
+        loops = (LoopBound(3, 2, inner[1], "", min_header_execs=inner[0]),
+                 LoopBound(2, 1, outer[1], "", min_header_execs=outer[0]))
+        timing = FunctionTiming(name="f", start=1, n_blocks=len(blocks),
+                                loops=loops)
+        return _FuncInfo(timing=timing, blocks=blocks,
+                         forest=find_loops(blocks, 1), call_of={})
+
+    @pytest.mark.parametrize("mins, shortest", [((2, 3), 14),
+                                                ((1, 1), 10)])
+    def test_both_directions(self, mins, shortest):
+        info = self._info((mins[0], 10), (mins[1], 5))
+        min_trips = {lb.header: lb.min_header_execs
+                     for lb in info.timing.loops}
+        assert info.timing.proven_trips == {3: 10, 2: 5}
+        assert _collapse(info, self.COSTS, min_trips,
+                         longest=False) == shortest
+        # The early return keeps the collapsed floor below the plain
+        # shortest path, so the best case takes the latter.
+        assert _best_case(info, self.COSTS) == 53
+        assert _collapse(info, self.COSTS, info.timing.proven_trips,
+                         longest=True) == 2266
+        assert _collapse(info, self.COSTS, info.timing.proven_trips,
+                         longest=True, loop_extra={3: 100, 2: 1000}) \
+            == 3766
+
+    def test_unproven_loop_refuses(self):
+        info = self._info((1, 10), (1, 5))
+        assert _collapse(info, self.COSTS, {3: 10},
+                         longest=True) is None
 
 
 # ------------------------------------------------ whole-program bounds
