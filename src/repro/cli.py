@@ -64,7 +64,7 @@ def cmd_run(args) -> int:
         with open(args.stdin, "rb") as handle:
             stdin = handle.read()
     try:
-        stats, _machine = run_executable(
+        stats, machine = run_executable(
             result.executable, stdin=stdin,
             max_instructions=args.max_instructions,
             max_cycles=args.max_cycles)
@@ -88,6 +88,9 @@ def cmd_run(args) -> int:
               f"(load {stats.load_interlocks}, "
               f"math {stats.math_interlocks})", file=sys.stderr)
         print(f"fetch words : {stats.ifetch_words}", file=sys.stderr)
+        print(f"blocks      : {machine.block_instructions} instructions "
+              f"in compiled blocks, {machine.block_fallbacks} entries "
+              f"stepped after a failed entry test", file=sys.stderr)
         for wait_states in (0, 1, 2, 3):
             cycles = cycles_no_cache(stats, latency=wait_states)
             print(f"cycles @ {wait_states} ws: {cycles} "
@@ -534,15 +537,19 @@ def cmd_serve(args) -> int:
 
 
 def cmd_chaos(args) -> int:
+    import contextlib
     import json as json_mod
     import tempfile
 
     from .service import chaos_campaign
 
-    root = args.root or tempfile.mkdtemp(prefix="repro-chaos-")
-    report = chaos_campaign(root, seed=args.seed, count=args.requests,
-                            failures=args.failures, jobs=args.jobs,
-                            task_timeout=args.task_timeout)
+    # Without --root the campaign's journals and stores are scratch.
+    scratch = (contextlib.nullcontext(args.root) if args.root
+               else tempfile.TemporaryDirectory(prefix="repro-chaos-"))
+    with scratch as root:
+        report = chaos_campaign(root, seed=args.seed, count=args.requests,
+                                failures=args.failures, jobs=args.jobs,
+                                task_timeout=args.task_timeout)
     if args.json:
         with open(args.json, "w") as handle:
             json_mod.dump(report, handle, indent=1, sort_keys=True)

@@ -13,34 +13,44 @@ next pc.
 
 Bit-identical accounting is preserved by construction:
 
-* the scoreboard/interlock update emitted per slot is the same rule
-  sequence as the interpreter loop, specialized to the slot's constant
-  read/write indices and latencies;
+* the block's timing comes from :class:`~repro.machine.pipeline.HazardModel`
+  when the block is generated: fed the block's instructions from a
+  scoreboard where every value is ready and the math unit free, it
+  gives each slot's issue offset, the block's interlocks (load and
+  math) and the final ``ready``/``wk`` entry of each register the
+  block writes.  The block emits them as one static update of the
+  issue clock, the counters, ``math_free`` and the scoreboard;
+* that schedule holds unless a value from before the block arrives
+  late, so the block opens with one *entry test*: each register it
+  reads before writing must be ready by its slot's issue offset
+  (strictly earlier where that slot stalls inside the block, so an
+  outside value never ties the slot's issue cycle and changes whether
+  the stall counts as a load or a math interlock), and the math unit
+  must be free by the first math slot's.  A block that fails the test
+  returns ``None`` before any side effect, and the dispatcher steps it
+  with the interpreter instead;
 * instruction-fetch word/doubleword transactions are resolved at
   compile time -- inside a block the pc sequence is static, so only the
   entry boundary needs a runtime comparison;
-* a register read that the block's own code already proves ready
-  emits no scoreboard check: the register was read by an earlier slot
-  of the block and not written since, or its in-block producer issued
-  at least its result latency earlier.  Such a read can neither stall
-  nor classify a stall, and every ``ready``/``wk`` store stays inline,
-  so the scoreboard after any exit is the one ``step`` leaves;
 * word loads and stores at a word-aligned, in-range address read and
   write the memory's bytearray directly through prebound ``struct``
   methods; any other address calls the ``Memory`` accessor, which
   raises the interpreter's exact error;
 * every slot whose functional semantics can raise (memory accesses,
   division, traps, float conversions) runs inside a ``try`` whose
-  handler spills the in-flight counters into a shared scratch list and
-  re-raises, so the dispatcher recovers the exact per-instruction
-  machine state on an exception.  On CPython 3.11+ the ``try`` costs
-  nothing when no exception occurs.
+  handler spills the state as of that slot -- issue cycle, counters,
+  ``math_free``, the scoreboard entries written so far -- into a
+  shared scratch list and the scoreboard, and re-raises, so the
+  dispatcher recovers the exact per-instruction machine state on an
+  exception.  On CPython 3.11+ the ``try`` costs nothing when no
+  exception occurs.
 
 Traced machines record their address traces from inside the block:
 the block extends the instruction trace with its static pc sequence
-on entry (the dispatcher truncates it to the retired slots when the
-block raises), and each inline load, store and LDC appends its tagged
-data address right after the access, in interpreter order.
+once its entry test passes (the dispatcher truncates it to the retired
+slots when the block raises), and each inline load, store and LDC
+appends its tagged data address right after the access, in
+interpreter order.
 
 Compilation is *warm*: the dispatcher steps a block-entry slot through
 the ordinary interpreter until it has been entered
@@ -58,7 +68,8 @@ bypasses the shared cache for any block covering it.
 
 Blocks may overlap (a branch into the middle of a compiled run simply
 compiles a second block starting there), and a patched slot invalidates
-every compiled block covering it.
+every compiled block covering it.  The dispatcher goes from one block
+straight to the next through a map from entry pc to compiled block.
 """
 
 from __future__ import annotations
@@ -72,6 +83,7 @@ from ..isa import Op, OpKind
 from ..isa.common import to_s32
 from ..isa.operations import CONTROL_OPS, Cond
 from ..isa.refs import ldc_pool_addr
+from .pipeline import HazardModel
 
 WORD_MASK = 0xFFFFFFFF
 
@@ -96,9 +108,9 @@ class NoProgress(Exception):
 class CompiledBlock:
     """One fused straight-line run, plus its dispatch metadata."""
 
-    __slots__ = ("entry", "idxs", "n", "fn", "count", "max_adv")
+    __slots__ = ("entry", "idxs", "n", "fn", "count", "cycles")
 
-    def __init__(self, entry, idxs, fn, max_adv):
+    def __init__(self, entry, idxs, fn, cycles):
         self.entry = entry
         self.idxs = idxs
         self.n = len(idxs)
@@ -107,9 +119,10 @@ class CompiledBlock:
         #: this once per block run; ``Machine`` folds it back into the
         #: per-slot ``counts`` vector on run exit / invalidation.
         self.count = 0
-        #: Static upper bound on cycle advance, used to keep the
-        #: ``max_cycles`` watchdog exact without per-slot checks.
-        self.max_adv = max_adv
+        #: Cycles a run of the block advances the issue clock (when
+        #: its entry test passes), which keeps the ``max_cycles``
+        #: watchdog exact without per-slot checks.
+        self.cycles = cycles
 
 
 # ----------------------------------------------------- float bit helpers
@@ -224,6 +237,9 @@ _RAISING = frozenset({
     Op.ST, Op.STH, Op.STB, Op.DIV, Op.REM, Op.TRAP,
 })
 
+#: ``HazardModel`` writer kinds as the machine's ``wk`` codes.
+_WK = {"alu": 0, "load": 1, "math": 2}
+
 #: Names a compiled block may bind as defaults, machine state and
 #: helpers alike; per-block handler fallbacks (``H{j}``) are appended.
 #: A block binds only the ones its body uses: CPython copies every
@@ -239,46 +255,6 @@ _STD_NAMES = (
 #: Identifiers in generated source.  The body's one string literal, the
 #: division-by-zero message, holds none of the bindable names.
 _IDENT = re.compile(r"\b[A-Za-z_]\w*")
-
-
-def _timing_lines(reads, writes, mlat, rlat, wkind):
-    """Emit the scoreboard/interlock update for one slot.
-
-    Mirrors the interpreter's rules exactly, with the slot's hazard
-    indices and latencies baked in as constants.  ``reads`` holds only
-    the registers the block has not already proven ready (``_generate``).
-    """
-    lines = []
-    if not reads and not mlat:
-        lines.append("time += 1")
-    else:
-        lines.append("_n = time + 1")
-        for r in reads:
-            lines.append(f"if ready[{r}] > _n: _n = ready[{r}]")
-        if mlat:
-            lines.append("_mb = math_free > _n")
-            lines.append("if _mb: _n = math_free")
-        lines.append("if _n != time + 1:")
-        lines.append("    _s = _n - time - 1")
-        lines.append("    interlocks += _s")
-        conds = (["_mb"] if mlat else []) + [
-            f"(ready[{r}] == _n and wk[{r}] == 2)" for r in reads]
-        lines.append(f"    if {' or '.join(conds)}:")
-        lines.append("        math_il += _s")
-        lines.append("    else:")
-        lines.append("        load_il += _s")
-        lines.append("time = _n")
-    if mlat:
-        lines.append(f"math_free = time + {mlat}")
-    if writes:
-        if rlat == 1:
-            result = "time + 1"
-        else:
-            result = f"time + {rlat}"
-        for w in writes:
-            lines.append(f"ready[{w}] = {result}")
-            lines.append(f"wk[{w}] = {wkind}")
-    return lines
 
 
 def _functional_lines(instr, addr, width, zero_r0, handler_name,
@@ -516,13 +492,18 @@ def _scan(program, entry):
     return idxs
 
 
+def _plus(name, k):
+    """``name + k`` in generated source; just ``name`` when k is 0."""
+    return f"{name} + {k}" if k else name
+
+
 def _generate(machine, entry, idxs):
     """Generate and compile the block's code object.
 
     The generated source embeds only quantities derived from the
     executable image, the pipeline parameters and which traces the
     machine records -- machine state binds later, through default
-    arguments -- so the returned ``(code, handler_slots, max_adv)``
+    arguments -- so the returned ``(code, handler_slots, cycles)``
     triple is shareable by every machine running the same image with
     the same parameters and traces.
     """
@@ -530,68 +511,79 @@ def _generate(machine, entry, idxs):
     width = machine.isa.width_bytes
     base = machine.exe.text_base
     zero_r0 = machine.isa.name == "DLXe"
-    itrace = machine.itrace is not None
     dtrace = machine.dtrace is not None
-
-    lines = []
-    handler_slots = []
-    if itrace:
-        # Every slot's pc up front; a raise mid-block truncates the
-        # trace back to the retired slots (Machine._recover_spill).
-        lines.append("IT(PCS)")
 
     words = [(base + idx * width) >> 2 for idx in idxs]
     dwords = [w >> 1 for w in words]
     # Word/doubleword transitions are static inside the block: only the
-    # entry boundary needs a runtime comparison (slot 0 below); the
-    # cumulative transition counts are folded in as constants.
+    # entry boundary needs a runtime comparison; the cumulative
+    # transition counts are folded in as constants.
     wt = [0] * len(idxs)
     dt = [0] * len(idxs)
     for j in range(1, len(idxs)):
         wt[j] = wt[j - 1] + (words[j] != words[j - 1])
         dt[j] = dt[j - 1] + (dwords[j] != dwords[j - 1])
 
-    def spill_line(j, addr):
-        ifw_expr = f"ifw + {wt[j]}" if wt[j] else "ifw"
-        ifd_expr = f"ifd + {dt[j]}" if dt[j] else "ifd"
-        return (f"S[0] = {j + 1}; S[1] = time; S[2] = math_free; "
-                f"S[3] = interlocks; S[4] = load_il; S[5] = math_il; "
-                f"S[6] = {words[j]}; S[7] = {dwords[j]}; "
-                f"S[8] = {ifw_expr}; S[9] = {ifd_expr}; S[10] = {addr}")
+    # The block's schedule, as offsets from ``time`` (the issue cycle of
+    # the instruction before it), from a scoreboard where every value is
+    # ready and the math unit free on entry.  The entry test below holds
+    # exactly when the real scoreboard changes none of it.
+    model = HazardModel(machine.params)
+    tests = []
+    exposed = set()
+    written = {}      # register -> (ready offset, wk code) so far
+    math_seen = False
 
-    lines.append(f"if cur_word != {words[0]}:")
-    lines.append("    ifw += 1")
-    lines.append(f"if cur_dword != {dwords[0]}:")
-    lines.append("    ifd += 1")
+    def settle():
+        """The scoreboard entries the slots so far have written."""
+        return [f"ready[{r}] = time + {off}; wk[{r}] = {kind}"
+                for r, (off, kind) in written.items()]
 
-    last_j = len(idxs) - 1
+    def state(j):
+        """What ``step`` leaves once slot ``j`` has issued: the issue
+        cycle, ``math_free``, the three interlock counters, the fetch
+        word and doubleword, and the two fetch counts."""
+        return (_plus("time", model.time),
+                _plus("time", model.math_free) if math_seen else "math_free",
+                _plus("interlocks", model.interlocks),
+                _plus("load_il", model.load_interlocks),
+                _plus("math_il", model.math_interlocks),
+                words[j], dwords[j], _plus("ifw", wt[j]), _plus("ifd", dt[j]))
+
+    def spill(j, addr):
+        """Save slot ``j``'s state for ``Machine._recover_spill``."""
+        values = (j + 1, *state(j), addr)
+        return (["; ".join(f"S[{i}] = {v}" for i, v in enumerate(values))]
+                + settle())
+
+    lines = []
+    handler_slots = []
     next_expr_emitted = False
-    # In-block hazard resolution: ``known[r]`` is the first slot whose
-    # read of register r needs no check.  Once a slot has read r, r is
-    # ready (ready[r] <= time) until the block writes it again; a write
-    # at slot p with result latency lat is ready from slot p + lat on.
-    # A read known ready can neither stall its slot nor be the
-    # ``ready[r] == _n`` term that classifies a stall.  The scoreboard
-    # on block entry is unknown, so nothing is known at slot 0.
-    known = {}
     for j, idx in enumerate(idxs):
         instr = program[idx]
         addr = base + idx * width
-        reads = [r for r in dict.fromkeys(machine.reads_l[idx])
-                 if known.get(r, j + 1) > j]
-        writes, rlat = machine.writes_l[idx], machine.rlat[idx]
-        lines += _timing_lines(reads, writes, machine.mlat[idx], rlat,
-                               machine.wkind[idx])
-        for r in reads:
-            known[r] = j + 1
-        for w in writes:
-            known[w] = j + rlat
+        stall = model.issue(instr)
+        for r in machine.reads_l[idx]:
+            if r in written or r in exposed:
+                continue
+            # A value from before the block must be ready by this slot's
+            # issue.  Where the slot stalls anyway it must be ready
+            # earlier, or a tie would take part in deciding whether the
+            # stall is a load or a math interlock.
+            exposed.add(r)
+            tests.append(f"ready[{r}] {'>=' if stall else '>'} "
+                         f"time + {model.time}")
+        if machine.mlat[idx] and not math_seen:
+            math_seen = True
+            tests.append(f"math_free > time + {model.time}")
+        for w in machine.writes_l[idx]:
+            written[w] = (model.ready[w], _WK[model.writer[w]])
         if instr.op in CONTROL_OPS:
             body, may_self = _control_lines(instr, addr, width)
             lines += body
             if may_self:
                 lines.append(f"if _next == {addr}:")
-                lines.append("    " + spill_line(j, addr))
+                lines += ["    " + line for line in spill(j, addr)]
                 lines.append("    raise NP")
             next_expr_emitted = True
             continue
@@ -607,22 +599,30 @@ def _generate(machine, entry, idxs):
             lines.append("try:")
             lines += ["    " + line for line in body]
             lines.append("except BaseException:")
-            lines.append("    " + spill_line(j, addr))
+            lines += ["    " + line for line in spill(j, addr)]
             lines.append("    raise")
         else:
             lines += body
     if not next_expr_emitted:
         lines.append(f"_next = {base + idxs[-1] * width + width}")
 
-    ifw_ret = f"ifw + {wt[last_j]}" if wt[last_j] else "ifw"
-    ifd_ret = f"ifd + {dt[last_j]}" if dt[last_j] else "ifd"
-    lines.append(f"return (_next, time, math_free, interlocks, load_il, "
-                 f"math_il, {words[last_j]}, {dwords[last_j]}, "
-                 f"{ifw_ret}, {ifd_ret})")
+    lines += settle()
+    lines.append(f"return (_next, "
+                 f"{', '.join(map(str, state(len(idxs) - 1)))})")
+
+    # The entry test comes first: a block that fails it returns None
+    # before any side effect, and the dispatcher steps it instead.
+    head = [f"if {' or '.join(tests)}:", "    return"] if tests else []
+    if machine.itrace is not None:
+        # Every slot's pc up front; a raise mid-block truncates the
+        # trace back to the retired slots (Machine._recover_spill).
+        head.append("IT(PCS)")
+    head += [f"if cur_word != {words[0]}:", "    ifw += 1",
+             f"if cur_dword != {dwords[0]}:", "    ifd += 1"]
 
     params = ["time", "math_free", "interlocks", "load_il", "math_il",
               "cur_word", "cur_dword", "ifw", "ifd"]
-    body = "".join(f"    {line}\n" for line in lines)
+    body = "".join(f"    {line}\n" for line in head + lines)
     used = set(_IDENT.findall(body))
     names = [name for name in _STD_NAMES + ("IT", "PCS", "DT")
              if name in used]
@@ -630,8 +630,7 @@ def _generate(machine, entry, idxs):
     params += [f"{name}={name}" for name in names]
     src = f"def _block({', '.join(params)}):\n" + body
     code = compile(src, f"<block@{base + entry * width:#x}>", "exec")
-    max_adv = len(idxs) * max(1, machine.params.max_result_latency)
-    return code, tuple(handler_slots), max_adv
+    return code, tuple(handler_slots), model.time
 
 
 def compile_block(machine, entry):
@@ -657,7 +656,7 @@ def compile_block(machine, entry):
         cached = _generate(machine, entry, idxs)
         if not patched:
             machine._code_cache[key] = cached
-    code, handler_slots, max_adv = cached
+    code, handler_slots, cycles = cached
 
     from .cpu import MachineError
     mem = machine.mem
@@ -686,4 +685,4 @@ def compile_block(machine, entry):
     for name, idx in handler_slots:
         namespace[name] = machine.handler_for(idx)
     exec(code, namespace)
-    return CompiledBlock(entry, tuple(idxs), namespace["_block"], max_adv)
+    return CompiledBlock(entry, tuple(idxs), namespace["_block"], cycles)

@@ -5,9 +5,11 @@ text segment, and executes it while accounting the paper's performance
 quantities in a single pass:
 
 * path length (instruction count),
-* delayed-load and math-unit interlock cycles (the rules of
-  :class:`repro.machine.pipeline.HazardModel`, implemented inline for
-  speed and cross-checked against it in the test suite),
+* delayed-load and math-unit interlock cycles, by the rules of
+  :class:`repro.machine.pipeline.HazardModel`: the stepping loop
+  applies them inline, one instruction at a time, and compiled blocks
+  take their schedule from the model itself when they are generated
+  (:mod:`repro.machine.blocks`),
 * word- and doubleword-granularity instruction fetch transactions,
   modelling the fetch buffer of a 32- or 64-bit memory port: a new
   transaction is counted whenever execution leaves the currently
@@ -44,6 +46,9 @@ WORD_MASK = 0xFFFFFFFF
 
 #: Default watchdog fuel (instructions) for :meth:`Machine.run`.
 DEFAULT_FUEL = 2_000_000_000
+
+#: The successor lookup of a block that must not chain (see ``run``).
+_ALONE = {}.get
 
 #: Execution engines: ``blocks`` dispatches fused basic-block closures
 #: (see :mod:`repro.machine.blocks`), traced or not; ``step`` is the
@@ -203,6 +208,10 @@ class Machine:
         self._code_key = (self._params_key, self.itrace is not None,
                           self.dtrace is not None)
         self._patched: set[int] = set()
+        #: Instructions retired inside compiled blocks, and block entries
+        #: stepped because the scoreboard failed their entry test.
+        self.block_instructions = 0
+        self.block_fallbacks = 0
         self._decode_text()
 
     # -------------------------------------------------------- decoding
@@ -223,6 +232,9 @@ class Machine:
         self._blocks: list = [None] * count
         self._live: dict[int, object] = {}
         self._spill: list[int] = [0] * 11
+        # Compiled blocks by entry pc, for the dispatcher to go from a
+        # block straight to the next (blocks ending in TRAP stay out).
+        self._chain: dict[int, CompiledBlock] = {}
         # Decoding depends only on the (immutable) text bytes, and the
         # per-slot hazard/latency tables only on (text, pipeline
         # params), so both are computed once and shared across machines
@@ -290,25 +302,32 @@ class Machine:
         dead = [blk for blk in self._live.values()
                 if blk.entry <= idx < blk.entry + blk.n]
         for blk in dead:
-            if blk.count:
-                counts = self.counts
-                for slot in blk.idxs:
-                    counts[slot] += blk.count
-                blk.count = 0
+            self._fold(blk)
             self._blocks[blk.entry] = None
             del self._live[blk.entry]
+            self._chain.pop(self._pc_of(blk.entry), None)
         # The slot's own entry marker may be stale either way (a False
         # "uncompilable" mark, or vice versa) once the slot is patched.
         self._blocks[idx] = None
 
+    def _fold(self, blk) -> None:
+        """Fold a block's lazily held execution count into ``counts``
+        and ``block_instructions``."""
+        if blk.count:
+            counts = self.counts
+            for slot in blk.idxs:
+                counts[slot] += blk.count
+            self.block_instructions += blk.count * blk.n
+            blk.count = 0
+
     def _materialize_counts(self) -> None:
         """Fold lazily held per-block execution counts into ``counts``."""
-        counts = self.counts
         for blk in self._live.values():
-            if blk.count:
-                for slot in blk.idxs:
-                    counts[slot] += blk.count
-                blk.count = 0
+            self._fold(blk)
+
+    def _pc_of(self, idx: int) -> int:
+        """The address of text slot ``idx``."""
+        return self.exe.text_base + idx * self.isa.width_bytes
 
     def _compile_entry(self, idx: int):
         """Compile (or mark uncompilable) the block entered at ``idx``."""
@@ -318,15 +337,21 @@ class Machine:
             return False
         self._blocks[idx] = blk
         self._live[idx] = blk
+        # A block that ends in TRAP may halt the machine, so no block
+        # chains into it: the dispatcher's outer loop, which checks
+        # ``halted``, enters it.
+        if self.program[blk.idxs[-1]].op != Op.TRAP:
+            self._chain[self._pc_of(idx)] = blk
         return blk
 
     def _recover_spill(self, blk, executed: int):
         """Rebuild exact per-instruction state after a mid-block raise.
 
-        The compiled block spilled its in-flight counters (and the
-        faulting slot's address) right before the raising operation;
-        this folds the partially executed slots' counts in, cuts the
-        instruction trace (which the block extended on entry) back to
+        The compiled block's exception handler spilled the state as of
+        the raising slot (and the slot's address) and wrote the
+        scoreboard entries of the slots up to it; this folds the
+        partially executed slots' counts in, cuts the instruction trace
+        (which the block extended once its entry test passed) back to
         the retired slots, and returns the updated loop state for the
         dispatcher to persist.  The raising slot counts as retired, as
         it does when stepped.
@@ -336,6 +361,7 @@ class Machine:
         counts = self.counts
         for slot in blk.idxs[:done]:
             counts[slot] += 1
+        self.block_instructions += done
         itrace = self.itrace
         if itrace is not None:
             del itrace[len(itrace) - blk.n + done:]
@@ -402,6 +428,8 @@ class Machine:
         twin._ready[:], twin._rkind[:] = self._ready, self._rkind
         twin._st.update(self._st)
         twin.counts[:] = self.counts
+        twin.block_instructions = self.block_instructions
+        twin.block_fallbacks = self.block_fallbacks
         twin.itrace = copy.copy(self.itrace)
         twin.dtrace = copy.copy(self.dtrace)
         for idx in self._patched:
@@ -788,7 +816,9 @@ class Machine:
         pc = self.pc
 
         blocks = self._blocks
+        chain = self._chain
         spill = self._spill
+        spill[0] = -1
         width = self.isa.width_bytes
         wmask = width - 1
         CB = CompiledBlock
@@ -808,6 +838,10 @@ class Machine:
         # after a transfer.  ``blocks[idx]`` holds None (never seen),
         # False (uncompilable), a warm-up counter, or the CompiledBlock.
         transfer = True
+        # A block whose entry test fails is stepped; once its last
+        # slot retires (``executed == resume``) the table is consulted
+        # again, as after a compiled run of the block.
+        resume = -1
 
         try:
             while not self.halted and executed < stop_at:
@@ -831,14 +865,32 @@ class Machine:
                                 blk = False
                     if blk is not False \
                             and executed + blk.n <= retire_limit \
-                            and time + blk.max_adv <= cycle_limit:
-                        spill[0] = -1
+                            and time + blk.cycles <= cycle_limit:
+                        # Run blocks back to back.  Only a block in the
+                        # chain map leads on (one ending in TRAP may
+                        # halt), and a successor that would cross a
+                        # limit goes back to the outer loop.
+                        follow = chain.get if pc in chain else _ALONE
                         try:
-                            (pc, time, math_free, interlocks, load_il,
-                             math_il, cur_word, cur_dword, ifw, ifd) = \
-                                blk.fn(time, math_free, interlocks,
-                                       load_il, math_il, cur_word,
-                                       cur_dword, ifw, ifd)
+                            while True:
+                                out = blk.fn(time, math_free, interlocks,
+                                             load_il, math_il, cur_word,
+                                             cur_dword, ifw, ifd)
+                                if out is None:
+                                    self.block_fallbacks += 1
+                                    resume = executed + blk.n
+                                    break
+                                (pc, time, math_free, interlocks, load_il,
+                                 math_il, cur_word, cur_dword, ifw,
+                                 ifd) = out
+                                blk.count += 1
+                                executed += blk.n
+                                blk = follow(pc)
+                                if blk is None \
+                                        or executed + blk.n > retire_limit \
+                                        or time + blk.cycles > cycle_limit:
+                                    blk = None
+                                    break
                         except NoProgress:
                             (executed, time, math_free, interlocks,
                              load_il, math_il, cur_word, cur_dword,
@@ -864,9 +916,10 @@ class Machine:
                                  ifw, ifd, pc) = \
                                     self._recover_spill(blk, executed)
                             raise
-                        blk.count += 1
-                        executed += blk.n
-                        continue
+                        if blk is None:
+                            continue
+                        # ``blk`` failed its entry test: step it.
+                        idx = (pc - base) >> shift
                 handler = handlers[idx]
                 if handler is None:
                     handler = self.handler_for(idx)
@@ -935,7 +988,7 @@ class Machine:
                         "no-progress loop (instruction branches to "
                         "itself)", pc, executed, time,
                         self.traps.last_trap)
-                transfer = new_pc != pc + width
+                transfer = new_pc != pc + width or executed == resume
                 pc = new_pc
         finally:
             # Persist state even on errors, so watchdog handlers and the

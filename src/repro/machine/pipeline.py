@@ -18,9 +18,12 @@ redirect discards buffered instructions, raising traffic), matching how
 the paper accounts for them.
 
 :class:`HazardModel` is the *reference* implementation of the interlock
-rules, processing one retired instruction at a time.  The fast executor
-in :mod:`repro.machine.cpu` implements the identical rules inline; tests
-cross-check the two on real programs.
+rules, processing one retired instruction at a time.  The rules live in
+two places, here and inline in the stepping loop of
+:meth:`repro.machine.cpu.Machine.run`, and tests cross-check the two on
+real programs.  The block compiler (:mod:`repro.machine.blocks`) and
+the static bounds (:mod:`repro.analysis.timing`) run this model rather
+than restate it.
 """
 
 from __future__ import annotations
@@ -40,10 +43,11 @@ class PipelineParams:
     """The introspectable latency table of the execution pipeline.
 
     One source of truth for every timing rule: the reference
-    :class:`HazardModel`, the inlined fast path in
-    :mod:`repro.machine.cpu`, and the static cycle-bound analyzer in
-    :mod:`repro.analysis.timing` all read their numbers from here, so a
-    latency change propagates to simulator and analyzer together.
+    :class:`HazardModel` (which the block compiler and the static
+    cycle-bound analyzer in :mod:`repro.analysis.timing` run), and the
+    stepping loop in :mod:`repro.machine.cpu` all read their numbers
+    from here, so a latency change propagates to simulator and analyzer
+    together.
 
     ``result_latency`` is the number of cycles after issue until an
     instruction's written registers become usable (1 for single-cycle

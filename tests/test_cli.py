@@ -1,5 +1,8 @@
 """Command-line interface."""
 
+import re
+import tempfile
+
 import pytest
 
 from repro.cli import main
@@ -44,6 +47,9 @@ def test_run_stats(hello_file, capsys):
     err = capsys.readouterr().err
     assert "path length" in err
     assert "interlocks" in err
+    assert re.search(r"^blocks      : \d+ instructions in compiled blocks, "
+                     r"\d+ entries stepped after a failed entry test$",
+                     err, re.MULTILINE), err
 
 
 def test_run_with_stdin(tmp_path, capsys):
@@ -158,3 +164,14 @@ def test_unknown_name_is_one_line_on_stderr(argv, capsys):
                                    f"expected one of [")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_chaos_removes_its_scratch_root(tmp_path, monkeypatch, capsys):
+    # Without --root the campaign runs in a temporary directory, which
+    # must be gone afterwards.
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    assert main(["chaos", "--requests", "4", "--failures", "1",
+                 "--seed", "7", "-j", "1", "--task-timeout", "2"]) == 0
+    assert "lost=0 identical=True" in capsys.readouterr().err
+    assert not list(tmp_path.glob("repro-chaos-*"))

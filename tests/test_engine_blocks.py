@@ -932,10 +932,12 @@ def aimed(isa, instr):
 
 
 class TestHazardElisionProperty:
-    """Which scoreboard checks a block drops depends on the latencies,
-    so random straight-line runs are looped past the warm-up threshold
-    under random pipelines, and every counter, register, memory byte
-    and scoreboard entry must match ``step``.
+    """A block's schedule and entry test depend on the latencies, so
+    random straight-line runs are looped past the warm-up threshold
+    under random pipelines, untraced and traced, and every counter,
+    register, memory byte, scoreboard entry and trace entry must match
+    ``step``.  Pending loads and math results cross the loop's back
+    edge, so some passes fail the entry test and are stepped.
     """
 
     @given(data=st.data())
@@ -953,18 +955,72 @@ class TestHazardElisionProperty:
                                         n=HOT_ITERATIONS), isa)
         if isa is DLXE:
             regs[0] = 0
-        finals = []
-        for engine in ("step", "blocks"):
-            machine = Machine(exe, engine=engine, params=params)
-            machine.g[:] = regs
-            machine.f[:] = [struct.unpack("<I", struct.pack("<f", x))[0]
-                            for x in floats]
-            try:
-                end = stats_key(machine.run())
-            except Exception as exc:  # both engines must raise alike
-                end = (type(exc).__name__, str(exc))
-            finals.append((end, paused_state(machine)))
-        assert finals[0] == finals[1]
+        for traced in (False, True):
+            finals = []
+            for engine in ("step", "blocks"):
+                machine = Machine(exe, engine=engine, params=params,
+                                  trace_instructions=traced,
+                                  trace_data=traced)
+                machine.g[:] = regs
+                machine.f[:] = [struct.unpack("<I", struct.pack("<f", x))[0]
+                                for x in floats]
+                try:
+                    end = stats_key(machine.run())
+                except Exception as exc:  # both engines must raise alike
+                    end = (type(exc).__name__, str(exc))
+                finals.append((end, paused_state(machine)))
+            assert finals[0] == finals[1]
+
+
+#: A load in the slot before the loop's back edge.  Under a two-cycle
+#: load delay its value is still pending when the next pass enters the
+#: loop block, whose first slot reads it.
+LOAD_USE_TMPL = """
+mvi r4, 8
+shli r4, r4, 12
+mvi r5, 77
+st r5, (r4)
+mvi r2, 0
+mvi r6, 0
+mvi {cnt}, 6
+loop:
+add r2, r2, r6
+subi {cnt}, {cnt}, 1
+ld r6, (r4)
+bnz {cnt}, loop
+trap 0
+"""
+
+
+class TestEntryTestFallback:
+    """A block whose entry test fails is stepped, and counted."""
+
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    @pytest.mark.parametrize("isa", [D16, DLXE], ids=["d16", "dlxe"])
+    def test_load_use_across_blocks_is_stepped(self, hot, isa, traced):
+        exe = build_asm(LOAD_USE_TMPL.format(cnt=CNT[isa]), isa)
+        # (load delay, load interlocks, block fallbacks, instructions
+        # retired in blocks): passes 2-6 stall on the pending load only
+        # under the longer delay; passes 3-6 enter the compiled block.
+        for delay, stalls, fallbacks, retired in ((1, 0, 0, 16),
+                                                  (2, 5, 4, 0)):
+            params = PipelineParams(load_delay=delay)
+            finals, machines = [], []
+            for engine in ("step", "blocks"):
+                machine = Machine(exe, engine=engine, params=params,
+                                  trace_instructions=traced,
+                                  trace_data=traced)
+                stats = machine.run()
+                finals.append((stats_key(stats), paused_state(machine)))
+                machines.append(machine)
+            assert finals[0] == finals[1]
+            assert stats.load_interlocks == stalls
+            step, blocks = machines
+            assert (step.block_fallbacks, step.block_instructions) == (0, 0)
+            assert (blocks.block_fallbacks,
+                    blocks.block_instructions) == (fallbacks, retired)
+            assert compiled(blocks)
 
 
 #: Division by zero and out-of-range conversions, looped so that the
