@@ -357,7 +357,7 @@ class MaskingOracle:
     # ----------------------------------------------------------- cache
 
     def _classify_cache(self, spec: "FaultSpec") -> SiteVerdict:
-        from ..faults.model import FAULT_CACHE
+        from ..faults.inject import FAULT_CACHE
 
         config = FAULT_CACHE
         line = spec.line % config.num_lines

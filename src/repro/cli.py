@@ -439,7 +439,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_faults(args) -> int:
-    from .faults import FAULT_KINDS, FaultCampaign, render_report
+    from .faults import FAULT_KINDS
+    from .faults.campaign import FaultCampaign, render_report
 
     names = args.names or default_fault_benchmarks()
     targets = args.targets.split(",")

@@ -31,7 +31,7 @@ from ..bench import Benchmark, check_output, get_benchmark, program_names
 from ..cc import build_executable, get_target
 from ..labcache import (ArtifactCache, default_cache, params_fingerprint,
                         source_fingerprint, target_fingerprint)
-from ..machine import RunStats, run_executable
+from ..machine import RunStats, Snapshot, run_executable
 from ..machine.pipeline import PipelineParams
 
 #: The paper's five compiler configurations (Table 5-7 columns).
@@ -121,6 +121,7 @@ class Lab:
         self._runs: dict[tuple[str, str], ProgramRun] = {}
         self._traces: dict[tuple[str, str], TraceRun] = {}
         self._executables: dict[tuple[str, str], object] = {}
+        self._checkpoints: dict[tuple[str, str], list[Snapshot]] = {}
 
     # ------------------------------------------------------------- keys
 
@@ -137,25 +138,44 @@ class Lab:
 
     def _key(self, kind: str, bench: Benchmark, target_name: str) -> str:
         """The artifact-cache key of one cell's ``kind`` artifact ("exe",
-        "run" or "trace"); runs and traces depend on the pipeline too."""
+        "run", "trace" or "checkpoints"); all but the image depend on
+        the pipeline too."""
         material = self._cell_material(bench, target_name)
         if kind != "exe":
             material["params"] = params_fingerprint(self.params)
         return self.cache.make_key(kind, material)
 
+    def _cached(self, kind: str, bench: Benchmark, target_name: str) -> Any:
+        """One cell's ``kind`` artifact from the artifact cache, or None.
+        A cached run's output is checked here."""
+        payload = self.cache.get(self._key(kind, bench, target_name))
+        if payload is not None and kind in ("run", "trace"):
+            self._check(bench, target_name, payload["stats"])
+        return payload
+
     def _artifact(self, kind: str, bench: Benchmark, target_name: str,
                   build: Callable[[], Any]) -> Any:
         """One cell's ``kind`` artifact: read from the artifact cache, or
-        built and stored.  A cached run's output is checked here;
-        ``build`` checks a fresh one before it is stored."""
-        cache_key = self._key(kind, bench, target_name)
-        payload = self.cache.get(cache_key)
+        built and stored.  ``build`` checks a fresh run's output before
+        it is stored."""
+        payload = self._cached(kind, bench, target_name)
         if payload is None:
             payload = build()
-            self.cache.put(cache_key, payload)
-        elif kind != "exe":
-            self._check(bench, target_name, payload["stats"])
+            self.cache.put(self._key(kind, bench, target_name), payload)
         return payload
+
+    def _memoize(self, kind: str, bench: Benchmark, target_name: str,
+                 payload: dict[str, Any]) -> None:
+        """Hold a "run" or "trace" payload in the in-process memo."""
+        run = ProgramRun(bench=bench, target_name=target_name,
+                         stats=payload["stats"],
+                         binary_size=payload["binary_size"],
+                         text_size=payload["text_size"])
+        if kind == "run":
+            self._runs[bench.name, target_name] = run
+        else:
+            self._traces[bench.name, target_name] = TraceRun(
+                run=run, itrace=payload["itrace"], dtrace=payload["dtrace"])
 
     def executable(self, bench_name: str, target_name: str):
         key = (bench_name, target_name)
@@ -174,14 +194,17 @@ class Lab:
                 f"{bench.name} on {target_name} produced unexpected "
                 f"output: {stats.output!r}")
 
-    def _simulate(self, bench: Benchmark, target_name: str,
-                  traced: bool) -> dict[str, Any]:
+    def _simulate(self, bench: Benchmark, target_name: str, traced: bool,
+                  checkpoints: list[Snapshot] | None = None,
+                  ) -> dict[str, Any]:
         """Run one cell and check its output: the payload of a "run"
-        (or, ``traced``, a "trace") artifact."""
+        (or, ``traced``, a "trace") artifact.  ``checkpoints`` collects
+        the run's snapshots (see :func:`run_executable`)."""
         exe = self.executable(bench.name, target_name)
         stats, machine = run_executable(
             exe, params=self.params,
-            trace_instructions=traced, trace_data=traced)
+            trace_instructions=traced, trace_data=traced,
+            checkpoints=checkpoints)
         self._check(bench, target_name, stats)
         payload = {"stats": stats, "binary_size": exe.binary_size,
                    "text_size": exe.text_size}
@@ -195,13 +218,9 @@ class Lab:
         key = (bench_name, target_name)
         if key not in self._runs:
             bench = get_benchmark(bench_name)
-            payload = self._artifact(
+            self._memoize("run", bench, target_name, self._artifact(
                 "run", bench, target_name,
-                lambda: self._simulate(bench, target_name, traced=False))
-            self._runs[key] = ProgramRun(
-                bench=bench, target_name=target_name,
-                stats=payload["stats"], binary_size=payload["binary_size"],
-                text_size=payload["text_size"])
+                lambda: self._simulate(bench, target_name, traced=False)))
         return self._runs[key]
 
     def trace(self, bench_name: str, target_name: str) -> TraceRun:
@@ -209,16 +228,46 @@ class Lab:
         key = (bench_name, target_name)
         if key not in self._traces:
             bench = get_benchmark(bench_name)
-            payload = self._artifact(
+            self._memoize("trace", bench, target_name, self._artifact(
                 "trace", bench, target_name,
-                lambda: self._simulate(bench, target_name, traced=True))
-            run = ProgramRun(
-                bench=bench, target_name=target_name,
-                stats=payload["stats"], binary_size=payload["binary_size"],
-                text_size=payload["text_size"])
-            self._traces[key] = TraceRun(run=run, itrace=payload["itrace"],
-                                         dtrace=payload["dtrace"])
+                lambda: self._simulate(bench, target_name, traced=True)))
         return self._traces[key]
+
+    def checkpoints(self, bench_name: str, target_name: str, *,
+                    traced: bool) -> list[Snapshot]:
+        """Snapshots of the cell's golden run, one every
+        :data:`~repro.machine.cpu.CHECKPOINT_EVERY` retired instructions
+        (memoized in-process and on disk).
+
+        A miss simulates the golden run once, pausing at each snapshot,
+        and hands the run it simulated to the memo and the cache.  That
+        run is traced when ``traced`` and the trace is neither memoized
+        nor cached, and untraced otherwise.
+        """
+        key = (bench_name, target_name)
+        if key not in self._checkpoints:
+            bench = get_benchmark(bench_name)
+            self._checkpoints[key] = self._artifact(
+                "checkpoints", bench, target_name,
+                lambda: self._golden_checkpoints(bench, target_name,
+                                                 traced))
+        return self._checkpoints[key]
+
+    def _golden_checkpoints(self, bench: Benchmark, target_name: str,
+                            traced: bool) -> list[Snapshot]:
+        """Simulate the golden run that :meth:`checkpoints` stores."""
+        key = (bench.name, target_name)
+        if traced and key not in self._traces:
+            cached = self._cached("trace", bench, target_name)
+            if cached is not None:
+                self._memoize("trace", bench, target_name, cached)
+        kind = "trace" if traced and key not in self._traces else "run"
+        snapshots: list[Snapshot] = []
+        payload = self._simulate(bench, target_name, traced=kind == "trace",
+                                 checkpoints=snapshots)
+        self.cache.put(self._key(kind, bench, target_name), payload)
+        self._memoize(kind, bench, target_name, payload)
+        return snapshots
 
     def runs(self, programs: Iterable[str] | None = None,
              targets: Iterable[str] = MAIN_TARGETS,

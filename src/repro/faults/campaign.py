@@ -9,8 +9,11 @@ produce the identical report for ``jobs=1`` and ``jobs=N``.
 
 Each cell walks one fault-free machine along its golden path, pausing
 at the triggers in ascending order, and injects every fault into a fork
-taken at its trigger: the cell simulates its golden prefix once, and
-every result equals the one a fresh machine per site gives.
+taken at its trigger.  The walker starts each site from the last
+golden checkpoint at or before its trigger (:meth:`Lab.checkpoints`,
+snapshots the cell's golden run stores), so a site simulates less than
+:data:`~repro.machine.cpu.CHECKPOINT_EVERY` fault-free instructions,
+and every result equals the one a fresh machine per site gives.
 :func:`run_cell` runs one cell on a caller's Lab: the service's
 ``faults`` requests and the vulnerability sweep
 (:func:`repro.analysis.validate_vuln`) execute their cells through it.
@@ -24,11 +27,12 @@ escape is folded into the outcome taxonomy (``crash`` at worst).
 
 from __future__ import annotations
 
+import bisect
 import gc
 import json
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from ..bench import get_benchmark
 from ..cc import get_target
@@ -41,6 +45,7 @@ from .model import (FAULT_KINDS, FAULTS_PER_CELL, OUTCOMES, SCHEMA_VERSION,
 if TYPE_CHECKING:
     from ..analysis.vuln import SiteVerdict
     from ..asm.objfile import Executable
+    from ..machine import Snapshot
     from ..machine.pipeline import PipelineParams
 
 
@@ -253,10 +258,13 @@ def run_cell(lab: Lab, bench_name: str, target: str, *, faults: int,
     """
     # The masking oracle and cache faults replay the golden path's
     # address trace; a cell that needs it takes the traced run as its
-    # golden run instead of simulating the same path twice.
+    # golden run instead of simulating the same path twice.  The run
+    # that stores the checkpoints is that golden run.
     itrace = None
+    traced = prune or "cache" in kinds
     try:
-        if prune or "cache" in kinds:
+        checkpoints = lab.checkpoints(bench_name, target, traced=traced)
+        if traced:
             trace = lab.trace(bench_name, target)
             itrace = trace.itrace
             golden_run = trace.run
@@ -310,7 +318,8 @@ def run_cell(lab: Lab, bench_name: str, target: str, *, faults: int,
         else:
             injected.append(spec)
     results.update(_inject_along_golden_path(
-        exe, injected, golden, params=lab.params, functions=functions))
+        exe, injected, golden, params=lab.params, functions=functions,
+        checkpoints=checkpoints))
     report.results = [results[spec.index] for spec in specs]
     # Only the cyclic collector frees a Machine: its compiled blocks and
     # handler closures refer back to it.  Collect the cell's dead forks
@@ -323,19 +332,28 @@ def _inject_along_golden_path(exe: "Executable", specs: list[FaultSpec],
                               golden: GoldenRun, *,
                               params: "PipelineParams | None" = None,
                               functions: FunctionMap | None = None,
+                              checkpoints: Sequence["Snapshot"] = (),
                               ) -> dict[int, FaultResult]:
     """Run every fault of ``specs`` on one walk of the golden path.
 
     One fault-free machine pauses at each trigger in ascending order
-    and :func:`run_fault` injects into a fork of it, so the prefix up
-    to the last trigger is simulated once.  Returns the results by spec
-    index; each equals what ``run_fault`` gives on a fresh machine.
+    and :func:`run_fault` injects into a fork of it.  ``checkpoints``
+    are snapshots of the golden run, in order: before each trigger the
+    walker jumps to the last one at or before it whenever that one lies
+    ahead, so only the rest of the prefix is simulated.  Returns the
+    results by spec index; each equals what ``run_fault`` gives on a
+    fresh machine.
     """
     fuel = fuel_for(golden)
+    marks = [snapshot.executed for snapshot in checkpoints]
     walker: Machine | None = Machine(exe, params=params)
     results: dict[int, FaultResult] = {}
     for spec in sorted(specs, key=lambda s: s.trigger):
         if walker is not None:
+            at = bisect.bisect_right(marks, spec.trigger) - 1
+            if at >= 0 and marks[at] > walker.instructions_executed:
+                walker = Machine.restore(exe, checkpoints[at],
+                                         params=params)
             try:
                 walker.run(stop_after=spec.trigger, max_instructions=fuel)
             except MachineError:

@@ -15,9 +15,10 @@ function, so a campaign can report *which* functions are soft spots on
 each ISA.
 
 A campaign that injects many faults into one program passes
-:func:`run_fault` a fault-free machine already paused at the trigger;
-the fault then goes into a :meth:`~repro.machine.Machine.fork`, so the
-fault-free prefix is simulated once per cell rather than once per site.
+:func:`run_fault` a fault-free machine already paused at the trigger
+(walked there from a golden checkpoint); the fault then goes into a
+:meth:`~repro.machine.Machine.fork`, so no site simulates its
+fault-free prefix from instruction 0.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from __future__ import annotations
 import bisect
 from typing import TYPE_CHECKING, Iterable
 
+from ..cache.cache import CacheConfig
 from ..cc import build_executable
 from ..machine import (Machine, MachineError, MachineTimeout, MemoryError_,
                        TrapError)
 from ..machine.cpu import DEFAULT_FUEL
-from .model import (CRASH, DETECTED, FAULT_CACHE, HANG, MASKED, SDC,
-                    FaultResult, FaultSpec, GoldenRun)
+from .model import (CRASH, DETECTED, HANG, MASKED, SDC, FaultResult,
+                    FaultSpec, GoldenRun)
 
 if TYPE_CHECKING:
     from ..asm.objfile import Executable
@@ -40,6 +42,10 @@ if TYPE_CHECKING:
 #: (plus a flat margin for short programs) before they count as hung.
 FUEL_FACTOR = 4
 FUEL_MARGIN = 10_000
+
+#: The instruction cache a ``cache`` fault corrupts, and the one the
+#: static masking oracle assumes.
+FAULT_CACHE = CacheConfig(size=8192)
 
 
 def fuel_for(golden: GoldenRun) -> int:
@@ -182,8 +188,8 @@ def run_cache_fault(itrace: Iterable[int], spec: FaultSpec) -> FaultResult:
     valid bit fakes a hit on stale contents or forces a refetch, and a
     flipped tag bit does the same at line granularity.  Masked means
     the corrupt metadata was overwritten before it was ever consulted.
-    The cache is :data:`~repro.faults.model.FAULT_CACHE`, the one the
-    masking oracle assumes.
+    The cache is :data:`FAULT_CACHE`, the one the masking oracle
+    assumes.
     """
     from ..cache import Cache, vector
 

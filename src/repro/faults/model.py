@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cache.cache import CacheConfig
-
 #: Version of the campaign JSON report layout.  Bump on any
 #: backwards-incompatible change to the payload shape.
 #:
@@ -60,10 +58,6 @@ FAULTS_PER_CELL = 20
 #: The campaign seed whose planned sites ``repro lint --vuln``
 #: classifies unless told otherwise.
 VULN_SEED = 42
-
-#: The instruction cache a ``cache`` fault corrupts, and the one the
-#: static masking oracle assumes.
-FAULT_CACHE = CacheConfig(size=8192)
 
 
 @dataclass(frozen=True)

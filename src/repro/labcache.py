@@ -2,12 +2,15 @@
 
 Compiling and simulating the 15-program x 5-target grid dominates the
 wall-clock cost of reproducing the paper, yet the inputs rarely change
-between runs.  This module memoizes the three expensive artifact kinds
+between runs.  This module memoizes the four expensive artifact kinds
 across *processes*:
 
 * ``exe``   -- linked :class:`~repro.asm.objfile.Executable` images,
 * ``run``   -- :class:`~repro.machine.stats.RunStats` plus binary sizes,
-* ``trace`` -- run stats together with zlib-compressed address traces.
+* ``trace`` -- run stats together with zlib-compressed address traces,
+* ``checkpoints`` -- a golden run's :class:`~repro.machine.cpu.Snapshot`
+  list, which fault campaigns restore instead of simulating the prefix
+  before each fault site.
 
 Every artifact is stored under a SHA-256 key derived from *all* inputs
 that can change the result: the benchmark source text, the full

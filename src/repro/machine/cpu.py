@@ -27,6 +27,8 @@ from __future__ import annotations
 import copy
 import os
 from array import array
+from dataclasses import dataclass
+from typing import Any, Mapping
 
 from ..asm.objfile import Executable
 from ..isa import DecodingError, Instr, Op, OpKind, get_isa
@@ -49,6 +51,28 @@ DEFAULT_FUEL = 2_000_000_000
 
 #: The successor lookup of a block that must not chain (see ``run``).
 _ALONE = {}.get
+
+#: Retired instructions between the snapshots a checkpointed run takes
+#: (:func:`run_executable`).  A fault campaign restores the last one at
+#: or before each trigger, so a site walks fewer than this many golden
+#: instructions.  On warm passes of the ``faults`` benchmark's cells,
+#: 100,000 was 7% slower and 25,000 only 2% faster, for twice the
+#: snapshots (EXPERIMENTS.md).
+CHECKPOINT_EVERY = 50_000
+
+#: At most this many snapshots per run: past them the run goes on
+#: unpaused, so a golden run that never ends holds bounded memory until
+#: its watchdog fires.
+MAX_CHECKPOINTS = 1000
+
+#: A snapshot stores memory as the pages of this many bytes that differ
+#: from the loaded image.
+PAGE_BYTES = 4096
+
+#: The machine state, besides memory, traces and patched text, that
+#: :meth:`Machine.fork` copies and a :class:`Snapshot` holds.
+_STATE = ("g", "f", "fpstat", "pc", "halted", "traps", "_ready", "_rkind",
+          "_st", "counts", "block_instructions", "block_fallbacks")
 
 #: Execution engines: ``blocks`` dispatches fused basic-block closures
 #: (see :mod:`repro.machine.blocks`), traced or not; ``step`` is the
@@ -139,6 +163,30 @@ _FP3_DOUBLE = {
     Op.MUL_DF: lambda a, b: a * b,
     Op.DIV_DF: lambda a, b: a / b if b else _div_by_zero(a, b),
 }
+
+
+def _copy_state(source: Mapping[str, Any]) -> dict[str, Any]:
+    """A copy of the :data:`_STATE` entries of ``source`` (a machine's
+    ``vars()`` or a snapshot's ``state``).  Every entry is a value or a
+    flat container of values except the trap handler, copied deep."""
+    return {name: (copy.deepcopy if name == "traps" else copy.copy)(
+        source[name]) for name in _STATE}
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    """A paused machine's state, for :meth:`Machine.restore`: what a
+    fork copies except traces and patched text, with memory held as the
+    :data:`PAGE_BYTES` pages that differ from the loaded image."""
+
+    state: dict[str, Any]
+    pages: tuple[tuple[int, bytes], ...]
+    mem_size: int
+
+    @property
+    def executed(self) -> int:
+        """Instructions retired when the snapshot was taken."""
+        return self.state["_st"]["executed"]
 
 
 def _slot_meta(instr: Instr | None, params: PipelineParams,
@@ -405,37 +453,65 @@ class Machine:
     def fork(self) -> "Machine":
         """An independent machine in this machine's exact paused state.
 
-        Copies memory, registers, pc, the trap state, the pipeline
-        scoreboard and counters, per-slot execution counts (every
-        :meth:`run` exit folds the blocks' lazily held counts in),
-        traces and patched slots, so resuming the fork retires exactly
-        what resuming this machine would.  It shares only the
-        executable's read-only decode, slot-metadata and block-code
-        caches: handler closures and compiled blocks bind their own
-        machine's registers and memory, so the fork builds its own on
-        first use.  Fault campaigns walk one fault-free machine along
-        the golden path and inject each fault into a fork taken at its
-        trigger.
+        Copies memory, the state in :data:`_STATE` (registers, pc, the
+        trap state, the pipeline scoreboard and counters, per-slot
+        execution counts, which every :meth:`run` exit folds the blocks'
+        lazily held counts into), traces and patched slots, so resuming
+        the fork retires exactly what resuming this machine would.  It
+        shares only the executable's read-only decode, slot-metadata and
+        block-code caches: handler closures and compiled blocks bind
+        their own machine's registers and memory, so the fork builds its
+        own on first use.  Fault campaigns inject each fault into a fork
+        of a fault-free machine paused at its trigger.
         """
         twin = Machine(self.exe, params=self.params, mem_size=self.mem.size,
                        trace_instructions=self.itrace is not None,
                        trace_data=self.dtrace is not None,
                        engine=self.engine)
         twin.mem.data[:] = self.mem.data
-        twin.g[:], twin.f[:], twin.fpstat[:] = self.g, self.f, self.fpstat
-        twin.pc, twin.halted = self.pc, self.halted
-        twin.traps = copy.deepcopy(self.traps)
-        twin._ready[:], twin._rkind[:] = self._ready, self._rkind
-        twin._st.update(self._st)
-        twin.counts[:] = self.counts
-        twin.block_instructions = self.block_instructions
-        twin.block_fallbacks = self.block_fallbacks
+        vars(twin).update(_copy_state(vars(self)))
         twin.itrace = copy.copy(self.itrace)
         twin.dtrace = copy.copy(self.dtrace)
         for idx in self._patched:
             twin._install(idx, self.program[idx])
         twin._patched = set(self._patched)
         return twin
+
+    def snapshot(self) -> Snapshot:
+        """This paused machine's state, for :meth:`restore`.
+
+        Memory is compared with the loaded image page by page, so
+        :meth:`run` keeps no record of its stores.  A machine with
+        patched text has no snapshot: its decode differs from the
+        image's.
+        """
+        if self._patched:
+            raise ValueError("a machine with patched text has no snapshot")
+        image = Memory(self.mem.size)
+        image.load_executable(self.exe)
+        data, loaded = self.mem.data, image.data
+        pages = tuple(
+            (addr, bytes(data[addr:addr + PAGE_BYTES]))
+            for addr in range(0, len(data), PAGE_BYTES)
+            if data[addr:addr + PAGE_BYTES] != loaded[addr:addr + PAGE_BYTES])
+        return Snapshot(state=_copy_state(vars(self)), pages=pages,
+                        mem_size=self.mem.size)
+
+    @classmethod
+    def restore(cls, exe: Executable, snapshot: Snapshot, *,
+                params: PipelineParams | None = None) -> "Machine":
+        """A new machine of ``exe`` in ``snapshot``'s state, untraced.
+
+        ``params`` must be the snapshotted machine's.  Resuming the
+        machine retires exactly what resuming the snapshotted one would;
+        like a fork, it binds its own handlers and blocks.
+        """
+        machine = cls(exe, params=params, mem_size=snapshot.mem_size)
+        data = machine.mem.data
+        for addr, page in snapshot.pages:
+            data[addr:addr + len(page)] = page
+        vars(machine).update(_copy_state(snapshot.state))
+        return machine
 
     def _compile(self, instr: Instr):
         """Build the execution closure for one decoded instruction."""
@@ -1029,11 +1105,24 @@ def run_executable(exe: Executable, *, stdin: bytes = b"",
                    max_instructions: int = DEFAULT_FUEL,
                    max_cycles: int | None = None,
                    engine: str | None = None,
+                   checkpoints: list[Snapshot] | None = None,
                    ) -> tuple[RunStats, Machine]:
-    """Load and run an executable; returns (stats, machine)."""
+    """Load and run an executable; returns (stats, machine).
+
+    With ``checkpoints``, the run pauses every :data:`CHECKPOINT_EVERY`
+    retired instructions, up to :data:`MAX_CHECKPOINTS` times, and
+    appends a :meth:`~Machine.snapshot` to the list at each pause before
+    the program exits.  The statistics are those of an unpaused run.
+    """
     machine = Machine(exe, params=params, stdin=stdin,
                       trace_instructions=trace_instructions,
                       trace_data=trace_data, engine=engine)
-    stats = machine.run(max_instructions=max_instructions,
-                        max_cycles=max_cycles)
-    return stats, machine
+    while True:
+        pause = (machine.instructions_executed + CHECKPOINT_EVERY
+                 if checkpoints is not None
+                 and len(checkpoints) < MAX_CHECKPOINTS else None)
+        stats = machine.run(max_instructions=max_instructions,
+                            max_cycles=max_cycles, stop_after=pause)
+        if checkpoints is None or pause is None or machine.halted:
+            return stats, machine
+        checkpoints.append(machine.snapshot())

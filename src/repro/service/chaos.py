@@ -117,7 +117,13 @@ def make_plan(seed: int, *, kills: int, hangs: int, slows: int,
 
 def split_failures(total: int) -> dict[str, int]:
     """Default mix for ``total`` injections, weighted away from hangs
-    (each hang costs one full task deadline of wall clock)."""
+    (each hang costs one full task deadline of wall clock).  The counts
+    sum to ``total``: from 4 on every action gets at least one, and
+    fewer go to kills, slows and corruptions, in that order."""
+    if total < 4:
+        kills, slows, corruptions = (int(total > rank) for rank in range(3))
+        return {"kills": kills, "hangs": 0, "slows": slows,
+                "corruptions": corruptions}
     kills = max(1, total * 7 // 20)
     hangs = max(1, total * 3 // 20)
     slows = max(1, total * 5 // 20)

@@ -175,3 +175,25 @@ def test_chaos_removes_its_scratch_root(tmp_path, monkeypatch, capsys):
                  "--seed", "7", "-j", "1", "--task-timeout", "2"]) == 0
     assert "lost=0 identical=True" in capsys.readouterr().err
     assert not list(tmp_path.glob("repro-chaos-*"))
+
+
+def test_building_the_parser_loads_no_fault_stack():
+    """The parser's defaults come from the fault model, and reading
+    them imports neither the campaign, the experiment lab nor numpy."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    probe = ("import sys\n"
+             "from repro.cli import build_parser\n"
+             "build_parser()\n"
+             "print(sorted(name for name in ('numpy', 'repro.experiments',"
+             " 'repro.faults.campaign') if name in sys.modules))\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -13,6 +13,8 @@ force compilation on the second visit of every block entry.
 """
 
 import hashlib
+import pickle
+import random
 import struct
 
 import pytest
@@ -20,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asm import assemble, link
-from repro.faults import GoldenRun, run_fault
+from repro.faults import GoldenRun
+from repro.faults.inject import run_fault
 from repro.isa import D16, DLXE, Op
 from repro.isa.operations import CONTROL_OPS
 from repro.machine import (Machine, MachineError, MachineTimeout,
@@ -659,7 +662,8 @@ class TestFork:
     @pytest.mark.parametrize("isa", [D16, DLXE], ids=["d16", "dlxe"])
     def test_perturbed_fork_leaves_parent_golden(self, hot, tmpl, isa,
                                                  engine):
-        from repro.faults import FaultSpec, apply_fault
+        from repro.faults import FaultSpec
+        from repro.faults.inject import apply_fault
 
         exe = build_asm(tmpl.format(cnt=CNT[isa]), isa)
         want = self.golden(exe, engine)
@@ -681,7 +685,8 @@ class TestFork:
     @pytest.mark.parametrize("engine", ["step", "blocks"])
     @pytest.mark.parametrize("isa", [D16, DLXE], ids=["d16", "dlxe"])
     def test_fork_keeps_patched_slots(self, hot, isa, engine):
-        from repro.faults import FaultSpec, apply_fault
+        from repro.faults import FaultSpec
+        from repro.faults.inject import apply_fault
 
         exe = build_asm(MIXED_TMPL.format(cnt=CNT[isa]), isa)
         for stop in self.STOPS[:-1]:
@@ -716,6 +721,109 @@ class TestFork:
         assert traces_of(twin) == traces_of(golden)
         parent.run()
         assert traces_of(parent) == traces_of(golden)
+
+
+#: Reads stdin a byte at a time, grows the heap for each byte, fills and
+#: sums the new block, and echoes the byte: every pause past the first
+#: read has live trap state.
+ECHO_SOURCE = """
+int main() {
+    int total;
+    int i;
+    int c;
+    char *p;
+    total = 0;
+    c = getchar();
+    while (c >= 0) {
+        p = malloc(16);
+        for (i = 0; i < 16; i = i + 1) p[i] = c + i;
+        for (i = 0; i < 16; i = i + 1) total = total + p[i];
+        putchar(c);
+        c = getchar();
+    }
+    puti(total);
+    return 0;
+}
+"""
+
+
+class TestSnapshot:
+    """``Machine.restore`` of a ``Machine.snapshot`` resumes exactly as
+    the paused machine and its fork do.  Fault campaigns restore the
+    snapshots a golden run stores and walk from there."""
+
+    STDIN = b"golden checkpoints"
+
+    @pytest.mark.parametrize("engine", ["step", "blocks"])
+    @pytest.mark.parametrize("target", ["d16", "dlxe"])
+    def test_restore_and_fork_finish_as_the_uninterrupted_run(
+            self, hot, target, engine, monkeypatch):
+        from repro.cc import build_executable
+
+        monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
+        exe = build_executable(ECHO_SOURCE, target).executable
+        want = stats_key(Machine(exe, stdin=self.STDIN).run())
+        rng = random.Random(f"{target}/{engine}")
+        live = 0
+        for stop in sorted(rng.sample(range(1, want[0]), 8)):
+            paused = Machine(exe, stdin=self.STDIN)
+            paused.run(stop_after=stop)
+            traps = paused.traps
+            live += (0 < traps.stdin_pos < len(self.STDIN)
+                     and traps.brk > traps.heap_base
+                     and len(traps.stdout) > 0)
+            snapshot = pickle.loads(pickle.dumps(paused.snapshot()))
+            assert snapshot.executed == stop
+            restored = Machine.restore(exe, snapshot)
+            twin = paused.fork()
+            for machine in (restored, twin):
+                assert arch_state(machine) == arch_state(paused), stop
+                assert trap_state(machine) == trap_state(paused), stop
+            for machine in (restored, twin, paused):
+                assert stats_key(machine.run()) == want, stop
+            # The snapshot is not consumed: it restores again.
+            assert stats_key(Machine.restore(exe, snapshot).run()) == want
+        assert live >= 4
+
+    def test_snapshot_holds_only_changed_pages(self):
+        exe = build_asm(LOOP_TMPL.format(cnt="r0"))
+        machine = Machine(exe)
+        machine.run(stop_after=3)
+        assert machine.snapshot().pages == ()
+        machine.run(stop_after=4)     # the store into page 0x8000
+        pages = machine.snapshot().pages
+        assert [addr for addr, _page in pages] == [0x8000]
+        assert pages[0][1][:4] == (77).to_bytes(4, "little")
+
+    def test_patched_machine_has_no_snapshot(self):
+        exe = build_asm(LOOP_TMPL.format(cnt="r0"))
+        machine = Machine(exe)
+        machine.run(stop_after=3)
+        machine.patch_text(4, bytes(2))
+        with pytest.raises(ValueError, match="patched text"):
+            machine.snapshot()
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_checkpointed_run_equals_unpaused_run(self, hot, traced,
+                                                  monkeypatch):
+        """``run_executable(checkpoints=)`` pauses every
+        ``CHECKPOINT_EVERY`` instructions, at most ``MAX_CHECKPOINTS``
+        times, without changing statistics or traces."""
+        from repro.cc import build_executable
+
+        monkeypatch.setattr(cpu_mod, "CHECKPOINT_EVERY", 1000)
+        exe = build_executable(ECHO_SOURCE, "d16").executable
+        traces = {"trace_instructions": traced, "trace_data": traced}
+        want, plain = run_executable(exe, stdin=self.STDIN, **traces)
+        for cap, marks in ((100, list(range(1000, 8001, 1000))),
+                           (3, [1000, 2000, 3000])):
+            monkeypatch.setattr(cpu_mod, "MAX_CHECKPOINTS", cap)
+            snapshots = []
+            stats, machine = run_executable(exe, stdin=self.STDIN,
+                                            checkpoints=snapshots, **traces)
+            assert stats_key(stats) == stats_key(want)
+            assert traces_of(machine) == traces_of(plain)
+            assert [s.executed for s in snapshots] == marks
 
 
 #: Each iteration reads a (store address, load address) pair from a

@@ -8,10 +8,11 @@ from repro.asm import assemble, link
 from repro.bench import Benchmark, register_benchmark
 from repro.cc import build_executable
 from repro.faults import (DETECTED, FAULT_KINDS, HANG, MASKED, OUTCOMES,
-                          SCHEMA_VERSION, SDC, FaultCampaign, FaultSpec,
-                          FunctionMap, GoldenRun, fuel_for, plan_cell,
-                          render_report, run_cache_fault, run_fault)
-from repro.faults.campaign import _inject_along_golden_path
+                          SCHEMA_VERSION, SDC, FaultSpec, GoldenRun)
+from repro.faults.campaign import (FaultCampaign, _inject_along_golden_path,
+                                   plan_cell, render_report)
+from repro.faults.inject import (FunctionMap, fuel_for, run_cache_fault,
+                                 run_fault)
 from repro.isa import D16, DLXE
 from repro.machine import Machine
 
@@ -368,6 +369,40 @@ class TestCampaign:
         assert len(report["cells"]) == 2
         assert calls == [True, True]
 
+    def test_cached_trace_gets_checkpoints_from_one_untraced_run(
+            self, fault_benchmarks, tmp_path, monkeypatch):
+        """A cache that holds the traces but no checkpoints, as
+        ``repro lint --vuln`` leaves it: one untraced paused run per
+        cell builds them, the report equals a fresh cache's, and the
+        next campaign simulates no golden run."""
+        from repro.experiments import Lab, runner
+
+        def campaign():
+            return render_report(FaultCampaign(
+                benchmarks=("fi-sum",), faults=6, seed=11,
+                prune_masked=True).run(jobs=1))
+
+        fresh_cache(monkeypatch, tmp_path / "fresh")
+        want = campaign()
+        fresh_cache(monkeypatch, tmp_path / "traced")
+        lab = Lab()
+        for target in ("d16", "dlxe"):
+            lab.trace("fi-sum", target)
+        calls = []
+        real = runner.run_executable
+
+        def counting(exe, **kwargs):
+            calls.append((kwargs.get("trace_instructions", False),
+                          kwargs.get("checkpoints") is not None))
+            return real(exe, **kwargs)
+
+        monkeypatch.setattr(runner, "run_executable", counting)
+        assert campaign() == want
+        assert calls == [(False, True), (False, True)]
+        calls.clear()
+        assert campaign() == want
+        assert calls == []
+
     def test_report_identical_on_step_engine(self, fault_benchmarks,
                                              tmp_path, monkeypatch):
         """Traced goldens and every injection agree with the oracle."""
@@ -381,9 +416,22 @@ class TestCampaign:
 
     def test_golden_prefix_is_simulated_once(self, fault_benchmarks,
                                              tmp_path, monkeypatch):
-        """The fault-free instructions retired before the injection
-        points sum to the last trigger, not to the sum of triggers."""
-        retired = []
+        """The golden run stores checkpoints, and each site walks from
+        the last one before its trigger: fewer fault-free instructions
+        than the checkpoint spacing, with the report unchanged."""
+        from repro.machine import cpu
+
+        def campaign(every, cache):
+            monkeypatch.setattr(cpu, "CHECKPOINT_EVERY", every)
+            fresh_cache(monkeypatch, cache)
+            return FaultCampaign(
+                benchmarks=("fi-sum",), targets=("d16",), faults=12,
+                seed=3, kinds=("ifetch", "reg", "mem", "trap")).run(jobs=1)
+
+        # fi-sum retires 816 instructions on d16: 8 checkpoints.
+        unpaused = campaign(10**9, tmp_path / "unpaused")
+        assert campaign(100, tmp_path / "cache") == unpaused
+        walks = []
         real = Machine.run
 
         def counting(machine, *args, stop_after=None, **kwargs):
@@ -393,17 +441,14 @@ class TestCampaign:
                             **kwargs)
             finally:
                 if stop_after is not None:
-                    retired.append(machine.instructions_executed - before)
+                    walks.append(machine.instructions_executed - before)
 
         monkeypatch.setattr(Machine, "run", counting)
-        fresh_cache(monkeypatch, tmp_path / "cache")
-        report = FaultCampaign(
-            benchmarks=("fi-sum",), targets=("d16",), faults=12, seed=3,
-            kinds=("ifetch", "reg", "mem", "trap")).run(jobs=1)
+        assert campaign(100, tmp_path / "cache") == unpaused
         triggers = [fault["trigger"]
-                    for fault in report["cells"][0]["faults"]]
-        assert len(set(triggers)) > 1
-        assert sum(retired) == max(triggers)
+                    for fault in unpaused["cells"][0]["faults"]]
+        assert max(triggers) > 300 and len(walks) == len(triggers)
+        assert max(walks) < 100
 
     def test_unknown_benchmark_raises_before_running(self):
         with pytest.raises(KeyError):
@@ -432,8 +477,9 @@ def _fresh_cell(bench, target, config):
 
 
 class TestGoldenPathWalk:
-    """A cell walks one fault-free machine and forks it at each
-    trigger; every result equals a fresh machine per site."""
+    """A cell walks one fault-free machine, restored from the golden
+    checkpoints, and forks it at each trigger; every result equals a
+    fresh machine per site."""
 
     def fresh(self, exe, specs, golden, **kwargs):
         return {s.index: run_fault(exe, s, golden, **kwargs).to_dict()

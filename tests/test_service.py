@@ -417,7 +417,7 @@ class TestFaultsRequest:
 
     def test_payload_equals_the_campaign_outcomes(self, lab):
         # queens on d16, seed 1 plans a cache-fault site among its four.
-        from repro.faults import FaultCampaign
+        from repro.faults.campaign import FaultCampaign
         from repro.service.workers import execute_request
 
         payload = execute_request(lab, Request(

@@ -23,6 +23,21 @@ class TestPlan:
             assert sum(mix.values()) == total
             assert all(count >= 1 for count in mix.values())
 
+    def test_split_below_four_plans_exactly_total(self):
+        """Too few injections for every action: the cheapest go first,
+        and no hang costs a task deadline."""
+        for total in range(4):
+            mix = split_failures(total)
+            assert sum(mix.values()) == total
+            assert mix["hangs"] == 0
+            assert set(mix) == {"kills", "hangs", "slows", "corruptions"}
+        assert split_failures(1) == {"kills": 1, "hangs": 0, "slows": 0,
+                                     "corruptions": 0}
+        assert split_failures(3) == {"kills": 1, "hangs": 0, "slows": 1,
+                                     "corruptions": 1}
+        plan = make_plan(7, horizon=40, **split_failures(2))
+        assert plan.planned == 2
+
     def test_plan_is_seed_deterministic(self):
         mix = split_failures(12)
         a = make_plan(7, horizon=40, **mix)

@@ -19,9 +19,9 @@ from repro.analysis.vuln import (CellVulnerability, SiteVerdict,
                                  VulnSummary, build_oracle,
                                  check_soundness, classify_cell)
 from repro.cc.target import get_target
-from repro.faults import (FaultCampaign, FaultResult, FaultSpec,
-                          GoldenRun, plan_cell, run_cache_fault,
-                          run_fault)
+from repro.faults import FaultResult, FaultSpec, GoldenRun
+from repro.faults.campaign import FaultCampaign, plan_cell
+from repro.faults.inject import run_cache_fault, run_fault
 
 
 def _image(exe, target_name):
