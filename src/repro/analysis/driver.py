@@ -50,7 +50,7 @@ from ..cc.runtime import with_runtime
 from ..machine.perf import DEFAULT_MISS_PENALTY
 from ..machine.pipeline import PipelineParams
 from ..machine.stats import RunStats
-from .absint import AnalysisResult, analyze_executable, resolve_cfg
+from .absint import AnalysisResult, analyze_executable
 from .binlint import lint_assembly, lint_executable
 from .cfg import build_cfg
 from .density import ProgramDensity, analyze_density
@@ -292,10 +292,10 @@ def _suite(targets: Iterable[str], programs: Iterable[str] | None,
            ) -> tuple[list[LintReport], dict]:
     """Run ``check(lab, program, target, image)`` on every cell.
 
-    ``image`` is the cell's :class:`~repro.experiments.runner.Lab`
-    image, recovered once by :func:`resolve_cfg`.  Returns one report
-    per cell and the results keyed by ``(program, target)``.  Images
-    and runs come from ``lab`` (a fresh Lab when ``None``), so repeated
+    ``image`` is the cell's :meth:`~repro.experiments.runner.Lab.image`,
+    which every suite run on one Lab shares.  Returns one report per
+    cell and the results keyed by ``(program, target)``.  Images and
+    runs come from ``lab`` (a fresh Lab when ``None``), so repeated
     invocations ride its persistent artifact cache and skip simulation.
     """
     from ..experiments.runner import Lab
@@ -307,10 +307,8 @@ def _suite(targets: Iterable[str], programs: Iterable[str] | None,
     results: dict[tuple[str, str], Any] = {}
     for name in names:
         for target_name in targets:
-            target = get_target(target_name)
-            image = resolve_cfg(lab.executable(name, target_name),
-                                target.isa, target=target)
-            result, findings = check(lab, name, target_name, image)
+            result, findings = check(lab, name, target_name,
+                                     lab.image(name, target_name))
             results[(name, target_name)] = result
             reports.append(LintReport(program=name, target=target_name,
                                       findings=findings))

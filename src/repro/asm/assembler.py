@@ -48,6 +48,14 @@ MNEMONICS = _build_mnemonics()
 
 _DATA_DIRECTIVES = {".word": 4, ".half": 2, ".byte": 1}
 
+#: Per ISA, each instruction's encoded bytes and pending relocation by
+#: mnemonic and operand text.  A PC-relative instruction with a symbol
+#: operand is never stored, because its immediate depends on offsets,
+#: and neither is a failed encoding.
+_ENCODED: dict[IsaSpec, dict[tuple[str, str], tuple]] = {}
+
+_PC_RELATIVE = (Op.BR, Op.BZ, Op.BNZ, Op.LDC)
+
 
 @dataclass
 class _Item:
@@ -65,6 +73,7 @@ class Assembler:
     def __init__(self, isa: IsaSpec):
         self.isa = isa
         self._labels: dict[str, tuple[str, int]] = {}
+        self._encoded = _ENCODED.setdefault(isa, {})
 
     def assemble(self, source: str) -> ObjectFile:
         statements = parse_source(source)
@@ -276,13 +285,21 @@ class Assembler:
 
     def _emit_instr(self, item: _Item, obj: ObjectFile) -> None:
         stmt = item.stmt
-        instr, reloc = self._build_instr(item)
-        try:
-            word = self.isa.encode(instr)
-        except EncodingError as exc:
-            raise AsmError(str(exc), stmt.line_no) from exc
-        section = obj.section(item.section)
-        section.data.extend(word.to_bytes(self.isa.width_bytes, "little"))
+        key = (stmt.mnemonic, stmt.raw_args)
+        done = self._encoded.get(key)
+        if done is None:
+            instr, reloc = self._build_instr(item)
+            try:
+                word = self.isa.encode(instr)
+            except EncodingError as exc:
+                raise AsmError(str(exc), stmt.line_no) from exc
+            done = (word.to_bytes(self.isa.width_bytes, "little"), reloc)
+            if instr.op not in _PC_RELATIVE or not any(
+                    isinstance(operand, SymOperand)
+                    for operand in stmt.operands):
+                self._encoded[key] = done
+        data, reloc = done
+        obj.section(item.section).data.extend(data)
         if reloc is not None:
             kind, symbol, addend = reloc
             obj.relocations.append(Relocation(

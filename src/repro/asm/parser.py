@@ -179,11 +179,24 @@ def parse_line(line: str, line_no: int) -> Statement | None:
     return Statement(line_no, label, mnemonic, operands, raw_args=args)
 
 
+#: Each distinct line's statement without its line number: ``(label,
+#: mnemonic, operands, raw_args)``, or None for a blank line.  The
+#: compiler emits the same lines in every program (the runtime library,
+#: prologues, spills), so a process parses each one once.  A line that
+#: fails to parse is never stored.
+_PARSED: dict[str, tuple | None] = {}
+
+
 def parse_source(source: str) -> list[Statement]:
     """Parse a full assembly source into statements."""
     statements = []
     for line_no, line in enumerate(source.splitlines(), start=1):
-        stmt = parse_line(line, line_no)
-        if stmt is not None:
-            statements.append(stmt)
+        try:
+            parts = _PARSED[line]
+        except KeyError:
+            stmt = parse_line(line, line_no)
+            parts = _PARSED[line] = None if stmt is None else (
+                stmt.label, stmt.mnemonic, stmt.operands, stmt.raw_args)
+        if parts is not None:
+            statements.append(Statement(line_no, *parts))
     return statements

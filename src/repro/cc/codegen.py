@@ -27,7 +27,7 @@ from ..isa.operations import Cond, COND_SWAP
 from .ir import (AddrGlobal, AddrStack, Bin, CallInst, CJump, Cmp, Const,
                  Cvt, FCmp, FConst, FLoad, FStore, Function, Inst, Jump,
                  Load, Module, Move, Ret, StackSlot, Store, Un, VReg,
-                 _mapped)
+                 _mapped, fingerprint, freeze, thaw)
 from .irgen import INTRINSICS
 from .regalloc import allocate
 from .target import (FP_ARG_PAIRS, FP_RET_PAIR, INT_ARG_REGS, REG_AT,
@@ -1242,20 +1242,67 @@ def _emit_start(writer: AsmWriter, target: TargetSpec) -> None:
         writer.instr("trap 0")
 
 
+#: Each function's emitted assembly, by everything its emission reads:
+#:
+#: * the target's full spec, not only its name;
+#: * whether the scheduler runs;
+#: * the writer's position modulo 4: D16's pool flush pads to a word
+#:   from the absolute position, so the writer's advance depends on it;
+#: * the gp offset of every global the function names: word scalars are
+#:   laid out first, so one program's scalars move another's arrays;
+#: * the fingerprint of the optimized function.
+#:
+#: The value is the function's text, the writer's advance over it and
+#: the function as emission legalized it, frozen: callers such as the
+#: binary translation validator read the legalized IR and its spill
+#: slots.  In process only, as :data:`repro.cc.opt._OPTIMIZED` is.
+_GENERATED: dict[tuple, tuple[str, int, bytes]] = {}
+
+
+def _named_globals(func: Function) -> list[str]:
+    """The globals ``func``'s instructions address, sorted."""
+    names = set()
+    for block in func.blocks:
+        for inst in block.instrs:
+            if isinstance(inst, AddrGlobal):
+                names.add(inst.name)
+            elif isinstance(inst, (Load, Store, FLoad, FStore)) \
+                    and isinstance(inst.base, str):
+                names.add(inst.base)
+    return sorted(names)
+
+
 def generate_assembly(module: Module, target: TargetSpec, *,
                       opt_level: int = 2) -> str:
     """Generate a complete assembly file for ``module`` on ``target``.
 
     ``-O0`` emits each block's instructions in IR order; ``-O1`` and up
-    run the list scheduler.
+    run the list scheduler.  Code generation legalizes each function in
+    place; a function emitted before in this process under the same
+    :data:`_GENERATED` key is restored from there instead.
     """
     offsets = layout_data(module)
     writer = AsmWriter(target.isa.width_bytes)
     writer.directive(".text")
     writer.directive(".global _start")
     _emit_start(writer, target)
+    schedule = opt_level >= 1
     for func in module.functions:
-        FunctionEmitter(func, target, offsets, writer,
-                        schedule=opt_level >= 1).emit()
+        key = (target, schedule, writer.position % 4,
+               tuple((name, offsets.get(name))
+                     for name in _named_globals(func)),
+               fingerprint(func))
+        emitted = _GENERATED.get(key)
+        if emitted is None:
+            start, first = writer.position, len(writer.lines)
+            FunctionEmitter(func, target, offsets, writer,
+                            schedule=schedule).emit()
+            _GENERATED[key] = ("\n".join(writer.lines[first:]),
+                               writer.position - start, freeze(func))
+        else:
+            text, advance, legalized = emitted
+            writer.lines.append(text)
+            writer.position += advance
+            thaw(func, legalized)
     data = emit_data(module, offsets)
     return writer.text() + data

@@ -9,6 +9,7 @@ instruction selection is mostly one-to-one, with the targets differing in
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 
 from ..isa.operations import Cond
@@ -476,6 +477,33 @@ class Function:
     def __str__(self):
         header = f"func {self.name}({', '.join(map(str, self.params))})"
         return header + "\n" + "\n".join(str(b) for b in self.blocks)
+
+
+# The compile memos (``repro.cc.opt`` and ``repro.cc.codegen``) hold
+# functions pickled and key them by a digest of the pickle.  ``str``
+# would not do as a key: it omits ``VReg.hint``, which feeds the
+# ``VReg`` hash and so the iteration order of vreg sets.
+
+
+def freeze(func: Function) -> bytes:
+    """``func`` pickled: equal pickles are equal functions, down to
+    vreg hints and which objects the function shares."""
+    return pickle.dumps(func, pickle.HIGHEST_PROTOCOL)
+
+
+def fingerprint(func: Function) -> bytes:
+    """A digest of :func:`freeze`: the compile memos' key."""
+    # Imported here: hashlib loads OpenSSL, about 5 ms that every
+    # ``repro`` start-up would pay whether or not it compiles.
+    from hashlib import blake2b
+
+    return blake2b(freeze(func), digest_size=16).digest()
+
+
+def thaw(func: Function, frozen: bytes) -> None:
+    """Make ``func`` the frozen function ``frozen``, in place, as a
+    pass that produced it would have left it."""
+    vars(func).update(vars(pickle.loads(frozen)))
 
 
 def liveness(func: Function) -> tuple[dict[str, frozenset[VReg]],

@@ -20,7 +20,7 @@ from typing import Callable
 from ..isa.operations import Cond
 from .ir import (AddrGlobal, AddrStack, Bin, Block, CJump, Cmp, Const,
                  Cvt, FCmp, FConst, FLoad, FStore, Function, Inst, Jump,
-                 Load, Move, Store, Un, VReg)
+                 Load, Move, Store, Un, VReg, fingerprint, freeze, thaw)
 
 _WORD = 0xFFFFFFFF
 
@@ -728,8 +728,33 @@ def optimize(func: Function, *, level: int = 2,
             break
 
 
+#: Each optimized function, frozen (:func:`~repro.cc.ir.freeze`), by
+#: opt level and the fingerprint of the function before optimization.
+#: Every program carries the same runtime library
+#: (:func:`~repro.cc.runtime.with_runtime`), so a process that compiles
+#: several programs optimizes each runtime function once.  The memo
+#: lives in the process only: the output follows vreg hash order, which
+#: ``PYTHONHASHSEED`` sets, so it must not reach another process.
+_OPTIMIZED: dict[tuple[int, bytes], bytes] = {}
+
+
 def optimize_module(module, *, level: int = 2,
                     verify: bool = False,
                     observer: PassObserver | None = None) -> None:
+    """:func:`optimize` every function of ``module`` in place.
+
+    A function optimized before in this process at this level is
+    restored from :data:`_OPTIMIZED`, except under ``verify`` or an
+    ``observer``, whose checks must see every pass run.
+    """
     for func in module.functions:
-        optimize(func, level=level, verify=verify, observer=observer)
+        if verify or observer is not None:
+            optimize(func, level=level, verify=verify, observer=observer)
+            continue
+        key = (level, fingerprint(func))
+        optimized = _OPTIMIZED.get(key)
+        if optimized is None:
+            optimize(func, level=level)
+            _OPTIMIZED[key] = freeze(func)
+        else:
+            thaw(func, optimized)

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Literal, Sequence, TypeVar
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, Literal,
+                    Sequence, TypeVar)
 
 from ..bench import Benchmark, check_output, get_benchmark, program_names
 from ..cc import build_executable, get_target
@@ -33,6 +34,9 @@ from ..labcache import (ArtifactCache, default_cache, params_fingerprint,
                         source_fingerprint, target_fingerprint)
 from ..machine import RunStats, Snapshot, run_executable
 from ..machine.pipeline import PipelineParams
+
+if TYPE_CHECKING:
+    from ..analysis.absint import AnalysisResult
 
 #: The paper's five compiler configurations (Table 5-7 columns).
 PAPER_TARGETS = ("d16", "dlxe/16/2", "dlxe/16/3", "dlxe/32/2", "dlxe")
@@ -122,6 +126,7 @@ class Lab:
         self._traces: dict[tuple[str, str], TraceRun] = {}
         self._executables: dict[tuple[str, str], object] = {}
         self._checkpoints: dict[tuple[str, str], list[Snapshot]] = {}
+        self._images: dict[tuple[str, str], AnalysisResult] = {}
 
     # ------------------------------------------------------------- keys
 
@@ -186,6 +191,21 @@ class Lab:
                 "exe", bench, target_name,
                 lambda: build_executable(bench.source, target).executable)
         return self._executables[key]
+
+    def image(self, bench_name: str, target_name: str) -> AnalysisResult:
+        """The cell's executable as
+        :func:`~repro.analysis.absint.resolve_cfg` recovers it (memoized
+        in-process), so the image analyses of one Lab recover each cell
+        once."""
+        key = (bench_name, target_name)
+        if key not in self._images:
+            from ..analysis.absint import resolve_cfg
+
+            target = get_target(target_name)
+            self._images[key] = resolve_cfg(
+                self.executable(bench_name, target_name), target.isa,
+                target=target)
+        return self._images[key]
 
     def _check(self, bench: Benchmark, target_name: str,
                stats: RunStats) -> None:

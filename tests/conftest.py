@@ -22,6 +22,38 @@ def compile_run(source: str, target: str, **kwargs):
     return stats, machine, result
 
 
+#: The in-process compile memos, as (module, attribute).
+COMPILE_MEMOS = (("repro.cc.opt", "_OPTIMIZED"),
+                 ("repro.cc.codegen", "_GENERATED"),
+                 ("repro.asm.parser", "_PARSED"),
+                 ("repro.asm.assembler", "_ENCODED"))
+
+
+def empty_memos(monkeypatch) -> None:
+    """Give every compile memo an empty dict for the rest of the test,
+    so the next compile computes everything afresh."""
+    for module, name in COMPILE_MEMOS:
+        monkeypatch.setattr(f"{module}.{name}", {})
+
+
+def cold_and_warm(monkeypatch, runs) -> tuple[list, list]:
+    """Each of ``runs`` called on emptied compile memos, then all of
+    them in order on one set of memos: both lists of results."""
+    cold = []
+    for run in runs:
+        empty_memos(monkeypatch)
+        cold.append(run())
+    empty_memos(monkeypatch)
+    return cold, [run() for run in runs]
+
+
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """Empty compile memos: a test that counts or patches compiler
+    internals sees them run whatever compiled before it."""
+    empty_memos(monkeypatch)
+
+
 @pytest.fixture(params=["d16", "dlxe"])
 def isa_target(request):
     """Parametrize a test over the two headline machines."""

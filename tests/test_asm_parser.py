@@ -167,5 +167,6 @@ def test_parse_source_unchanged_on_suite_assembly(suite_assembly,
               for cell, text in suite_assembly.items()}
     monkeypatch.setattr(parser, "_strip_comment",
                         strip_comment_by_character)
+    monkeypatch.setattr(parser, "_PARSED", {})
     for cell, text in suite_assembly.items():
         assert parse_source(text) == parsed[cell], cell

@@ -6,6 +6,8 @@ from repro.asm import AsmError, assemble
 from repro.asm.objfile import Reloc
 from repro.isa import D16, DLXE, Op
 
+from .conftest import cold_and_warm
+
 
 def assemble_d16(src):
     return assemble(src, D16)
@@ -157,3 +159,55 @@ class TestErrors:
     def test_isa_constraint_surfaces(self):
         with pytest.raises(AsmError, match="two-address"):
             assemble_d16("add r1, r2, r3\n")
+
+
+class TestAssemblyMemo:
+    """Each distinct line is parsed, and each instruction encoded, once
+    per process; a memoized line must assemble as it does on emptied
+    memos."""
+
+    @staticmethod
+    def assembled(monkeypatch, units):
+        """Each ``(source, isa)`` assembled on emptied memos, then all
+        in one process: both lists of object files."""
+        return cold_and_warm(monkeypatch, [
+            lambda source=source, isa=isa: assemble(source, isa)
+            for source, isa in units])
+
+    def test_pc_relative_lines_at_two_offsets(self, monkeypatch):
+        # The same ``br`` and ``ldc`` lines, farther from their targets.
+        lines = ("        br done\n"
+                 "        ldc r2, pool\n")
+        tail = ("done:   nop\n"
+                "        .align 4\n"
+                "pool:   .word 7\n")
+        near = lines + tail
+        far = "        nop\n" + lines + "        nop\n" * 3 + tail
+        cold, warm = self.assembled(monkeypatch,
+                                    [(near, D16), (far, D16)])
+        assert warm == cold
+        near_text, far_text = (obj.sections["text"].data for obj in cold)
+        for offset, op in ((0, Op.BR), (2, Op.LDC)):
+            near_instr = D16.decode_bytes(near_text, offset)
+            far_instr = D16.decode_bytes(far_text, offset + 2)
+            assert near_instr.op == far_instr.op == op
+            assert near_instr.imm != far_instr.imm, op
+
+    def test_relocation_offset_and_line_number_are_the_use_site(
+            self, monkeypatch):
+        cold, warm = self.assembled(monkeypatch, [
+            ("jld f\nf: nop\n", DLXE), ("nop\njld f\nf: nop\n", DLXE)])
+        assert warm == cold
+        assert [obj.relocations[0].offset for obj in warm] == [0, 4]
+        # A line parsed at line 2 fails to encode for D16 at line 1.
+        assemble_dlxe("nop\nadd r1, r2, r3\n")
+        with pytest.raises(AsmError, match="two-address") as failure:
+            assemble_d16("add r1, r2, r3\n")
+        assert failure.value.line_no == 1
+
+    def test_isa_in_key(self, monkeypatch):
+        source = "        mv r2, r3\n        addi r2, r2, 3\n"
+        cold, warm = self.assembled(monkeypatch,
+                                    [(source, D16), (source, DLXE)])
+        assert warm == cold
+        assert [obj.sections["text"].size for obj in cold] == [4, 8]

@@ -1,10 +1,21 @@
 """Code generation specifics: target restrictions visible in assembly."""
 
+import dataclasses
 import re
 
-from repro.cc import build_executable, compile_to_assembly
-from repro.cc.codegen import PoolManager
+from repro.asm import assemble
+from repro.bench import get_benchmark
+from repro.cc import build_executable, compile_to_assembly, codegen
+from repro.cc.codegen import PoolManager, generate_assembly
+from repro.cc.irgen import lower_program
+from repro.cc.opt import optimize_module
+from repro.cc.parser import parse
+from repro.cc.runtime import with_runtime
+from repro.cc.target import DLXE_TARGET, TARGETS, get_target
+from repro.isa import D16
 from repro.machine import run_executable
+
+from .conftest import cold_and_warm, empty_memos
 
 
 def asm_for(src, target, **kw):
@@ -185,3 +196,120 @@ class TestExecutionSanity:
         assert stats.output == "".join(
             chr(ord("a") + f % 26)
             for f in [0, 1, 1, 2, 3, 5, 8, 13, 21, 34])
+
+
+def compiled(source, target, **kw):
+    """What a compile hands its callers: assembly, text, data, labels."""
+    result = build_executable(source, target, **kw)
+    return (result.assembly, result.executable.text,
+            result.executable.data, result.labels)
+
+
+class TestCompileMemo:
+    """Optimized and generated functions and assembled lines are
+    memoized per process; every hit must equal a compile on emptied
+    memos.  Each key-part test compiles the same function twice under
+    one difference in that part."""
+
+    PROGRAMS = ("ackermann", "queens")
+
+    def test_hits_equal_cold_compiles_in_both_orders(self, monkeypatch):
+        cells = [(name, target) for name in self.PROGRAMS
+                 for target in sorted(TARGETS)]
+        cold = {}
+        for name, target in cells:
+            empty_memos(monkeypatch)
+            cold[name, target] = compiled(get_benchmark(name).source,
+                                          target)
+        for order in (cells, cells[::-1]):
+            empty_memos(monkeypatch)
+            for _repeat in range(2):
+                for name, target in order:
+                    assert compiled(get_benchmark(name).source,
+                                    target) == cold[name, target], \
+                        (name, target)
+
+    def test_global_offsets_in_key(self, monkeypatch):
+        # ``f`` is the same IR in both programs, but the second
+        # program's word scalars, laid out first, move ``table``.
+        shared = ("int table[8];\n"
+                  "int f() { return table[1] + table[6]; }\n"
+                  "int main() { return f(); }\n")
+        for target in ("d16", "dlxe"):
+            cold, warm = cold_and_warm(monkeypatch, [
+                lambda source=source, target=target: compiled(
+                    source, target, include_runtime=False)
+                for source in (shared, "int x;\nint y;\n" + shared)])
+            assert cold[0][0] != cold[1][0]
+            assert warm == cold, target
+
+    def test_writer_position_parity_in_key(self, monkeypatch):
+        """The same D16 function, whose pool is padded to a word, at
+        positions 0 and 2 modulo 4.  The writer's position is exact
+        either way: generation ends at the assembled text size."""
+        ends = []
+        real_text = codegen.AsmWriter.text
+
+        def text(writer):
+            ends.append(writer.position)
+            return real_text(writer)
+
+        monkeypatch.setattr(codegen.AsmWriter, "text", text)
+        f = ("int g(int a) { return a + 1; }\n"
+             "int f(int a) { return g(a) + g(a + 2); }\n"
+             "int main() { return f(1); }\n")
+        sources = ["int h(int a) { return a * a; }\n" + f,
+                   "int h(int a) { return a * a * a; }\n" + f]
+        empty_memos(monkeypatch)
+        starts = []
+        for source in sources:
+            assembly = compile_to_assembly(source, "d16",
+                                           include_runtime=False)
+            obj = assemble(assembly, D16)
+            assert ends[-1] == obj.sections["text"].size
+            starts.append(obj.symbols["f"].value % 4)
+        assert sorted(starts) == [0, 2]
+
+    def test_target_spec_in_key(self, monkeypatch):
+        # Same name as ``dlxe``, half the registers.
+        narrow = dataclasses.replace(DLXE_TARGET, num_gregs=16,
+                                     num_fregs=16)
+        decls = "\n".join(f"int v{i} = a * {i + 1};" for i in range(14))
+        uses = " + ".join(f"v{i}" for i in range(14))
+        source = ("int g(int x) { return x; }\n"
+                  f"int f(int a) {{ {decls} g(a); return {uses}; }}\n"
+                  "int main() { return f(2); }\n")
+        cold, warm = cold_and_warm(monkeypatch, [
+            lambda: compiled(source, DLXE_TARGET, include_runtime=False),
+            lambda: compiled(source, narrow, include_runtime=False)])
+        assert cold[0][0] != cold[1][0]
+        assert warm == cold
+
+    def test_schedule_flag_in_key(self, monkeypatch):
+        # One optimized module generated with and without the
+        # scheduler: the functions' fingerprints are equal.
+        module = lower_program(parse(with_runtime(
+            get_benchmark("queens").source, True)))
+        optimize_module(module)
+        target = get_target("dlxe")
+        cold, warm = cold_and_warm(monkeypatch, [
+            lambda level=level: generate_assembly(module.clone(), target,
+                                                  opt_level=level)
+            for level in (0, 2)])
+        assert cold[0] != cold[1]
+        assert warm == cold
+
+    def test_hit_leaves_the_legalized_function(self, fresh_memos):
+        """Callers read the module after generation (the binary
+        translation validator does): a hit leaves each function as
+        emission legalized it, spill slots included."""
+        module = lower_program(parse(with_runtime(
+            get_benchmark("queens").source, True)))
+        optimize_module(module)
+        target = get_target("d16")
+        miss, hit = module.clone(), module.clone()
+        assert generate_assembly(miss, target) \
+            == generate_assembly(hit, target)
+        assert hit.functions == miss.functions
+        assert any(len(after.slots) > len(before.slots) for before, after
+                   in zip(module.functions, hit.functions))

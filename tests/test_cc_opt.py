@@ -11,6 +11,8 @@ from repro.cc.opt import (_PURE, copy_propagation, dead_code,
 from repro.cc.parser import parse
 from repro.cc.runtime import RUNTIME_SOURCE
 
+from .conftest import cold_and_warm
+
 
 def lower(src):
     return lower_program(parse(src))
@@ -249,7 +251,7 @@ class TestLICM:
             stats, _m, _r = compile_and_run(src, target)
             assert stats.output == "18"
 
-    def test_each_block_is_visited_once(self, monkeypatch):
+    def test_each_block_is_visited_once(self, monkeypatch, fresh_memos):
         """Inserting a preheader must not hand the pass a block twice.
         A visit looks up the block's dominators once per successor."""
         from collections import Counter
@@ -311,3 +313,60 @@ class TestPipelineIdempotence:
         once = str(module.functions[0])
         optimize_module(module)
         assert str(module.functions[0]) == once
+
+
+class TestOptimizeMemo:
+    """A process optimizes each function once per opt level; a hit
+    must equal optimizing on an emptied memo."""
+
+    LOOP = """
+        double f(int n) {
+            double %s = 1.0;
+            int i;
+            for (i = 0; i < n; i++) %s = %s * 1.5;
+            return %s;
+        }
+    """
+
+    def optimized(self, name="t", level=2):
+        module = lower(self.LOOP % ((name,) * 4))
+        optimize_module(module, level=level)
+        return module.functions
+
+    def test_level_in_key(self, monkeypatch):
+        cold, warm = cold_and_warm(monkeypatch, [
+            lambda: self.optimized(level=1),
+            lambda: self.optimized(level=2)])
+        assert cold[0] != cold[1]
+        assert warm == cold
+
+    def test_vreg_hints_in_key(self, monkeypatch):
+        # The two functions print alike; their vreg hints differ.
+        assert str(lower(self.LOOP % (("t",) * 4)).functions[0]) \
+            == str(lower(self.LOOP % (("u",) * 4)).functions[0])
+        cold, warm = cold_and_warm(monkeypatch, [
+            lambda: self.optimized("t"), lambda: self.optimized("u")])
+        assert cold[0] != cold[1]
+        assert warm == cold
+
+    def test_checks_see_every_pass_on_a_warm_memo(self, monkeypatch,
+                                                  fresh_memos):
+        from repro.cc import opt
+
+        expected = self.optimized()
+        verified, observed = [], []
+        real_verify = opt._verify_after
+
+        def verify_after(func, pass_name):
+            verified.append(pass_name)
+            real_verify(func, pass_name)
+
+        monkeypatch.setattr(opt, "_verify_after", verify_after)
+        for checks, seen in (
+                ({"verify": True}, verified),
+                ({"observer": lambda *args: observed.append(args[1])},
+                 observed)):
+            module = lower(self.LOOP % (("t",) * 4))
+            optimize_module(module, **checks)
+            assert "licm" in seen
+            assert module.functions == expected

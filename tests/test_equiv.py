@@ -323,6 +323,18 @@ class TestBinaryChecks:
             assert by_loc[f"{target}:main"].verdict == PROVEN
         assert all(c.verdict != DIVERGENT for c in checks)
 
+    def test_verdicts_equal_on_codegen_hits(self, fresh_memos):
+        """The second check generates code from the memo, and must
+        read each function as emission legalized it, spill slots
+        included, as the first did.  grep spills on D16: read without
+        its spill slots, one of its functions is refused for another
+        reason."""
+        from repro.bench import get_benchmark
+
+        source = get_benchmark("grep").source
+        cold = check_binary_program(source)
+        assert check_binary_program(source) == cold
+
     def test_optimizes_once_for_both_targets(self, monkeypatch):
         import repro.analysis.equiv as equiv
 
