@@ -7,11 +7,9 @@ like the experiment Lab, and aggregates the classified outcomes into a
 versioned, byte-deterministic JSON report: the same seed and grid
 produce the identical report for ``jobs=1`` and ``jobs=N``.
 
-Each cell walks one fault-free machine along its golden path, pausing
-at the triggers in ascending order, and injects every fault into a fork
-taken at its trigger.  The walker starts each site from the last
-golden checkpoint at or before its trigger (:meth:`Lab.checkpoints`,
-snapshots the cell's golden run stores), so a site simulates less than
+Each site starts from the last golden checkpoint at or before its
+trigger (:meth:`Lab.checkpoints`, snapshots the cell's golden run
+stores), so it simulates fewer than
 :data:`~repro.machine.cpu.CHECKPOINT_EVERY` fault-free instructions,
 and every result equals the one a fresh machine per site gives.
 :func:`run_cell` runs one cell on a caller's Lab: the service's
@@ -27,26 +25,22 @@ escape is folded into the outcome taxonomy (``crash`` at worst).
 
 from __future__ import annotations
 
-import bisect
 import gc
 import json
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 from ..bench import get_benchmark
 from ..cc import get_target
 from ..experiments.runner import MAIN_TARGETS, Lab, RunError, fan_out
-from ..machine import Machine, MachineError
-from .inject import FunctionMap, fuel_for, run_cache_fault, run_fault
+from .inject import FunctionMap, run_cache_fault, run_fault
 from .model import (FAULT_KINDS, FAULTS_PER_CELL, OUTCOMES, SCHEMA_VERSION,
                     TRAP_MODES, FaultResult, FaultSpec, GoldenRun)
 
 if TYPE_CHECKING:
     from ..analysis.vuln import SiteVerdict
     from ..asm.objfile import Executable
-    from ..machine import Snapshot
-    from ..machine.pipeline import PipelineParams
 
 
 def plan_cell(bench: str, target: str, golden: GoldenRun,
@@ -290,77 +284,31 @@ def run_cell(lab: Lab, bench_name: str, target: str, *, faults: int,
     verdicts: dict[int, "SiteVerdict"] = {}
     if prune:
         try:
-            from ..analysis.absint import resolve_cfg
             from ..analysis.vuln import build_oracle
-            from ..cc.target import TARGETS
 
-            target_spec = TARGETS[target]
-            image = resolve_cfg(exe, target_spec.isa, target=target_spec)
-            oracle = build_oracle(image, itrace)
+            oracle = build_oracle(lab.image(bench_name, target), itrace)
             verdicts = {spec.index: oracle.classify(spec)
                         for spec in specs}
         except Exception as exc:  # noqa: BLE001 - pruning is best-effort
             report.prune_error = f"{type(exc).__name__}: {exc}"
 
-    results: dict[int, FaultResult] = {}
-    injected: list[FaultSpec] = []
     for spec in specs:
         verdict = verdicts.get(spec.index)
         if verdict is not None and verdict.masked:
             pc = verdict.pc
             function = functions.function_at(pc) if pc is not None else ""
-            results[spec.index] = FaultResult(
+            report.results.append(FaultResult(
                 spec=spec, outcome="masked", function=function,
-                detail=f"pruned: {verdict.reason}")
+                detail=f"pruned: {verdict.reason}"))
             report.pruned += 1
         elif spec.kind == "cache":
-            results[spec.index] = run_cache_fault(itrace, spec)
+            report.results.append(run_cache_fault(itrace, spec))
         else:
-            injected.append(spec)
-    results.update(_inject_along_golden_path(
-        exe, injected, golden, params=lab.params, functions=functions,
-        checkpoints=checkpoints))
-    report.results = [results[spec.index] for spec in specs]
+            report.results.append(run_fault(
+                exe, spec, golden, params=lab.params, functions=functions,
+                checkpoints=checkpoints))
     # Only the cyclic collector frees a Machine: its compiled blocks and
-    # handler closures refer back to it.  Collect the cell's dead forks
-    # here rather than let them pile up into the next cell.
+    # handler closures refer back to it.  Collect the cell's dead
+    # machines here rather than let them pile up into the next cell.
     gc.collect()
     return report
-
-
-def _inject_along_golden_path(exe: "Executable", specs: list[FaultSpec],
-                              golden: GoldenRun, *,
-                              params: "PipelineParams | None" = None,
-                              functions: FunctionMap | None = None,
-                              checkpoints: Sequence["Snapshot"] = (),
-                              ) -> dict[int, FaultResult]:
-    """Run every fault of ``specs`` on one walk of the golden path.
-
-    One fault-free machine pauses at each trigger in ascending order
-    and :func:`run_fault` injects into a fork of it.  ``checkpoints``
-    are snapshots of the golden run, in order: before each trigger the
-    walker jumps to the last one at or before it whenever that one lies
-    ahead, so only the rest of the prefix is simulated.  Returns the
-    results by spec index; each equals what ``run_fault`` gives on a
-    fresh machine.
-    """
-    fuel = fuel_for(golden)
-    marks = [snapshot.executed for snapshot in checkpoints]
-    walker: Machine | None = Machine(exe, params=params)
-    results: dict[int, FaultResult] = {}
-    for spec in sorted(specs, key=lambda s: s.trigger):
-        if walker is not None:
-            at = bisect.bisect_right(marks, spec.trigger) - 1
-            if at >= 0 and marks[at] > walker.instructions_executed:
-                walker = Machine.restore(exe, checkpoints[at],
-                                         params=params)
-            try:
-                walker.run(stop_after=spec.trigger, max_instructions=fuel)
-            except MachineError:
-                # Never resume a failed machine: this site and the rest
-                # run their own prefix, which reports the failure.
-                walker = None
-        results[spec.index] = run_fault(exe, spec, golden, params=params,
-                                        functions=functions,
-                                        machine=walker)
-    return results

@@ -15,16 +15,15 @@ function, so a campaign can report *which* functions are soft spots on
 each ISA.
 
 A campaign that injects many faults into one program passes
-:func:`run_fault` a fault-free machine already paused at the trigger
-(walked there from a golden checkpoint); the fault then goes into a
-:meth:`~repro.machine.Machine.fork`, so no site simulates its
+:func:`run_fault` the snapshots its golden run stored
+(:meth:`~repro.machine.Machine.restore`), so no site simulates its
 fault-free prefix from instruction 0.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..cache.cache import CacheConfig
 from ..cc import build_executable
@@ -36,6 +35,7 @@ from .model import (CRASH, DETECTED, HANG, MASKED, SDC, FaultResult,
 
 if TYPE_CHECKING:
     from ..asm.objfile import Executable
+    from ..machine import Snapshot
     from ..machine.pipeline import PipelineParams
 
 #: Faulty runs get this many times the golden path length as fuel
@@ -115,34 +115,27 @@ def apply_fault(machine: Machine, spec: FaultSpec) -> str:
 def run_fault(exe: "Executable", spec: FaultSpec, golden: GoldenRun, *,
               params: "PipelineParams | None" = None,
               functions: FunctionMap | None = None,
-              machine: Machine | None = None) -> FaultResult:
+              checkpoints: Sequence["Snapshot"] = ()) -> FaultResult:
     """Run ``exe`` with one injected fault; classify against golden.
 
-    Without ``machine``, a fresh machine runs the fault-free prefix up
-    to the trigger.  ``machine`` is a fault-free machine of ``exe``
-    already paused at ``spec.trigger`` (or halted before it); the fault
-    goes into a fork of it, and ``machine`` itself is left untouched.
+    The fault-free prefix up to the trigger starts from the last of
+    ``checkpoints`` (snapshots of the golden run, in order) taken at or
+    before ``spec.trigger``, or from a fresh machine when none was.
     The result is the same either way.
     """
     fuel = fuel_for(golden)
-    if machine is not None:
-        if not machine.halted \
-                and machine.instructions_executed != spec.trigger:
-            raise ValueError(
-                f"machine is paused at instruction "
-                f"{machine.instructions_executed}, not at the trigger "
-                f"{spec.trigger}")
-        machine = machine.fork()
-    else:
-        machine = Machine(exe, params=params)
-        try:
-            machine.run(stop_after=spec.trigger, max_instructions=fuel)
-        except MachineError as exc:
-            # The *golden* path cannot fault before the trigger unless
-            # the trigger itself is past the program's end — a planning
-            # bug.
-            return FaultResult(spec=spec, outcome=CRASH,
-                               detail=f"pre-injection failure: {exc}")
+    at = bisect.bisect_right([snapshot.executed for snapshot in checkpoints],
+                             spec.trigger) - 1
+    machine = (Machine.restore(exe, checkpoints[at], params=params)
+               if at >= 0 else Machine(exe, params=params))
+    try:
+        machine.run(stop_after=spec.trigger, max_instructions=fuel)
+    except MachineError as exc:
+        # The *golden* path cannot fault before the trigger unless
+        # the trigger itself is past the program's end — a planning
+        # bug.
+        return FaultResult(spec=spec, outcome=CRASH,
+                           detail=f"pre-injection failure: {exc}")
     if machine.halted:
         return FaultResult(
             spec=spec, outcome=MASKED,

@@ -55,9 +55,10 @@ _ALONE = {}.get
 #: Retired instructions between the snapshots a checkpointed run takes
 #: (:func:`run_executable`).  A fault campaign restores the last one at
 #: or before each trigger, so a site walks fewer than this many golden
-#: instructions.  On warm passes of the ``faults`` benchmark's cells,
-#: 100,000 was 7% slower and 25,000 only 2% faster, for twice the
-#: snapshots (EXPERIMENTS.md).
+#: instructions.  With a restore per site, 25,000 and 100,000 moved the
+#: injection phase of the ``faults`` benchmark's cells by less than its
+#: run-to-run spread, at 4 and at 20 faults per cell, while 25,000 took
+#: twice the snapshots (EXPERIMENTS.md).
 CHECKPOINT_EVERY = 50_000
 
 #: At most this many snapshots per run: past them the run goes on
@@ -69,8 +70,8 @@ MAX_CHECKPOINTS = 1000
 #: from the loaded image.
 PAGE_BYTES = 4096
 
-#: The machine state, besides memory, traces and patched text, that
-#: :meth:`Machine.fork` copies and a :class:`Snapshot` holds.
+#: The machine state, besides memory, traces and patched text, that a
+#: :class:`Snapshot` holds.
 _STATE = ("g", "f", "fpstat", "pc", "halted", "traps", "_ready", "_rkind",
           "_st", "counts", "block_instructions", "block_fallbacks")
 
@@ -175,8 +176,8 @@ def _copy_state(source: Mapping[str, Any]) -> dict[str, Any]:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """A paused machine's state, for :meth:`Machine.restore`: what a
-    fork copies except traces and patched text, with memory held as the
+    """A paused machine's state, for :meth:`Machine.restore`: the
+    entries of :data:`_STATE`, with memory held as the
     :data:`PAGE_BYTES` pages that differ from the loaded image."""
 
     state: dict[str, Any]
@@ -450,33 +451,6 @@ class Machine:
         self._install(idx, instr)
         return instr
 
-    def fork(self) -> "Machine":
-        """An independent machine in this machine's exact paused state.
-
-        Copies memory, the state in :data:`_STATE` (registers, pc, the
-        trap state, the pipeline scoreboard and counters, per-slot
-        execution counts, which every :meth:`run` exit folds the blocks'
-        lazily held counts into), traces and patched slots, so resuming
-        the fork retires exactly what resuming this machine would.  It
-        shares only the executable's read-only decode, slot-metadata and
-        block-code caches: handler closures and compiled blocks bind
-        their own machine's registers and memory, so the fork builds its
-        own on first use.  Fault campaigns inject each fault into a fork
-        of a fault-free machine paused at its trigger.
-        """
-        twin = Machine(self.exe, params=self.params, mem_size=self.mem.size,
-                       trace_instructions=self.itrace is not None,
-                       trace_data=self.dtrace is not None,
-                       engine=self.engine)
-        twin.mem.data[:] = self.mem.data
-        vars(twin).update(_copy_state(vars(self)))
-        twin.itrace = copy.copy(self.itrace)
-        twin.dtrace = copy.copy(self.dtrace)
-        for idx in self._patched:
-            twin._install(idx, self.program[idx])
-        twin._patched = set(self._patched)
-        return twin
-
     def snapshot(self) -> Snapshot:
         """This paused machine's state, for :meth:`restore`.
 
@@ -503,8 +477,12 @@ class Machine:
         """A new machine of ``exe`` in ``snapshot``'s state, untraced.
 
         ``params`` must be the snapshotted machine's.  Resuming the
-        machine retires exactly what resuming the snapshotted one would;
-        like a fork, it binds its own handlers and blocks.
+        machine retires exactly what resuming the snapshotted one would.
+        It shares only the executable's read-only decode, slot-metadata
+        and block-code caches: handler closures and compiled blocks bind
+        their own machine's registers and memory, so it builds its own
+        on first use.  Nothing done to it reaches ``snapshot``, which a
+        fault campaign restores once per site.
         """
         machine = cls(exe, params=params, mem_size=snapshot.mem_size)
         data = machine.mem.data

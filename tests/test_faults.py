@@ -9,12 +9,14 @@ from repro.bench import Benchmark, register_benchmark
 from repro.cc import build_executable
 from repro.faults import (DETECTED, FAULT_KINDS, HANG, MASKED, OUTCOMES,
                           SCHEMA_VERSION, SDC, FaultSpec, GoldenRun)
-from repro.faults.campaign import (FaultCampaign, _inject_along_golden_path,
-                                   plan_cell, render_report)
+from repro.faults.campaign import (FaultCampaign, plan_cell, render_report,
+                                   run_cell)
 from repro.faults.inject import (FunctionMap, fuel_for, run_cache_fault,
                                  run_fault)
 from repro.isa import D16, DLXE
-from repro.machine import Machine
+from repro.machine import (Machine, MachineTimeout, PipelineParams,
+                           run_executable)
+from repro.machine import cpu as cpu_mod
 
 HEADER = ".text\n.global _start\n_start:\n"
 
@@ -127,12 +129,12 @@ class TestOutcomeClasses:
         exe = build_asm("mvi r3, 0\ntrap 2\ntrap 1\nmvi r2, 0\ntrap 0\n")
         golden = golden_of(exe, stdin=b"Z")
         assert golden.output == "Z"
-        # Campaign programs read an empty stdin; a machine paused at the
-        # trigger carries its own.
+        # Campaign programs read an empty stdin; a golden checkpoint
+        # carries its own.
         paused = Machine(exe, stdin=b"Z")
         paused.run(stop_after=1)
         result = run_fault(exe, spec("trap", 1, mode="getc-eof"), golden,
-                           machine=paused)
+                           checkpoints=[paused.snapshot()])
         assert result.outcome == SDC
 
     def test_sbrk_exhaust_fault_is_sdc(self):
@@ -476,18 +478,48 @@ def _fresh_cell(bench, target, config):
             if s.kind != "cache"}
 
 
-class TestGoldenPathWalk:
-    """A cell walks one fault-free machine, restored from the golden
-    checkpoints, and forks it at each trigger; every result equals a
-    fresh machine per site."""
+class TestCheckpointStart:
+    """Each site restores the last golden checkpoint at or before its
+    trigger, or starts a fresh machine when there is none; every result
+    equals a fresh machine per site (``run_fault`` without
+    checkpoints)."""
 
-    def fresh(self, exe, specs, golden, **kwargs):
+    @staticmethod
+    def checkpoints(monkeypatch, exe, every, **kwargs):
+        """Snapshots of ``exe``'s golden run, one every ``every``
+        retired instructions, as a campaign's golden run stores them."""
+        monkeypatch.setattr(cpu_mod, "CHECKPOINT_EVERY", every)
+        snapshots = []
+        try:
+            run_executable(exe, checkpoints=snapshots, **kwargs)
+        except MachineTimeout:
+            pass
+        return snapshots
+
+    @staticmethod
+    def fresh(exe, specs, golden, **kwargs):
         return {s.index: run_fault(exe, s, golden, **kwargs).to_dict()
                 for s in specs}
 
-    def walked(self, exe, specs, golden, **kwargs):
-        results = _inject_along_golden_path(exe, specs, golden, **kwargs)
-        return {index: r.to_dict() for index, r in results.items()}
+    @staticmethod
+    def restored(monkeypatch, exe, specs, golden, checkpoints):
+        """Each site's result from ``checkpoints``, and the retired count
+        of the snapshot it restored (0 for a fresh machine)."""
+        starts = []
+        real = Machine.restore
+
+        def restore(exe, snapshot, **kwargs):
+            starts.append(snapshot.executed)
+            return real(exe, snapshot, **kwargs)
+
+        monkeypatch.setattr(Machine, "restore", restore)
+        results, started = {}, {}
+        for s in specs:
+            starts.append(0)
+            results[s.index] = run_fault(exe, s, golden,
+                                         checkpoints=checkpoints).to_dict()
+            started[s.trigger] = starts[-1]
+        return results, started
 
     def test_suite_campaign_equals_fresh_machine_per_site(self, lab):
         """40 unpruned sites of all five kinds on two suite programs
@@ -510,39 +542,84 @@ class TestGoldenPathWalk:
         assert kinds == set(FAULT_KINDS)
         assert {MASKED, SDC, DETECTED, HANG} <= outcomes
 
-    def test_exit_before_trigger_matches_fresh_machines(self):
-        exe = build_asm(LOOP_BODY)
+    @pytest.mark.parametrize("isa", [D16, DLXE], ids=["d16", "dlxe"])
+    def test_triggers_around_checkpoints_match_fresh_machines(
+            self, monkeypatch, isa):
+        """Checkpoints every 5 instructions; triggers before the first,
+        on one, between two, and past the program's end."""
+        body = LOOP_BODY if isa is D16 else LOOP_BODY.replace("r0", "r1")
+        exe = build_asm(body, isa)
         golden = golden_of(exe)
-        specs = [replace(spec("reg", trigger, reg=2, bit=4), index=i)
-                 for i, trigger in enumerate((40, 8, 100, 8, 20))]
-        walked = self.walked(exe, specs, golden)
-        assert walked == self.fresh(exe, specs, golden)
-        assert sum(r["detail"] == "program exited before the trigger "
-                   "point" for r in walked.values()) == 2
+        checkpoints = self.checkpoints(monkeypatch, exe, 5)
+        marks = [c.executed for c in checkpoints]
+        assert marks == list(range(5, golden.instructions, 5))
+        end = golden.instructions
+        triggers = (3, 5, 8, 10, 12, 14, marks[-1], end - 1, end, end + 5,
+                    100)
+        aims = (("ifetch", {"bit": 3}), ("reg", {"reg": 2, "bit": 4}),
+                ("reg", {"reg": 6, "bit": 0}),
+                ("mem", {"addr": 0x8000, "bit": 1}))
+        specs = [replace(spec(kind, trigger, **coords),
+                         index=len(aims) * i + j)
+                 for i, trigger in enumerate(triggers)
+                 for j, (kind, coords) in enumerate(aims)]
+        results, started = self.restored(monkeypatch, exe, specs, golden,
+                                         checkpoints)
+        assert results == self.fresh(exe, specs, golden)
+        assert started == {t: max((m for m in marks if m <= t), default=0)
+                           for t in triggers}
+        details = [r["detail"] for r in results.values()]
+        assert details.count("program exited before the trigger "
+                             "point") == 3 * len(aims)
 
-    def test_pre_injection_failure_matches_fresh_machines(self):
-        """A golden path that fails before the later triggers: the
-        failed walker is never resumed."""
+    def test_pre_injection_failure_matches_fresh_machines(self,
+                                                          monkeypatch):
+        """A golden path that fails before the later triggers: those
+        sites restore the last checkpoint before the failure and report
+        it as a fresh machine does."""
         exe = build_asm("mvi r0, 1\nspin:\naddi r2, r2, 1\n"
                         "bnz r0, spin\ntrap 0\n")
         # Claiming 10 golden instructions caps the fuel at 10040, so
         # the spin loop exhausts it before the triggers past that.
         golden = GoldenRun(instructions=10, interlocks=0, exit_code=0)
+        checkpoints = self.checkpoints(monkeypatch, exe, 1000,
+                                       max_instructions=fuel_for(golden))
+        assert checkpoints[-1].executed == 10_000
         specs = [replace(spec("reg", trigger, reg=5, bit=1), index=i)
                  for i, trigger in enumerate((12_000, 3, 20_000, 9_000,
-                                              12_000))]
-        walked = self.walked(exe, specs, golden)
-        assert walked == self.fresh(exe, specs, golden)
-        failed = [r for r in walked.values()
+                                              10_040, 12_000))]
+        results, started = self.restored(monkeypatch, exe, specs, golden,
+                                         checkpoints)
+        assert results == self.fresh(exe, specs, golden)
+        assert started == {12_000: 10_000, 3: 0, 20_000: 10_000,
+                           9_000: 9_000, 10_040: 10_000}
+        failed = [r for r in results.values()
                   if r["detail"].startswith("pre-injection failure")]
         assert len(failed) == 3
         assert all("after 10041 instructions" in r["detail"]
                    for r in failed)
 
-    def test_machine_must_be_paused_at_the_trigger(self):
-        exe = build_asm(LOOP_BODY)
-        machine = Machine(exe)
-        machine.run(stop_after=5)
-        with pytest.raises(ValueError, match="not at the trigger 8"):
-            run_fault(exe, spec("reg", 8, reg=2, bit=4), golden_of(exe),
-                      machine=machine)
+    def test_non_default_pipeline_matches_fresh_machines(
+            self, fault_benchmarks, tmp_path, monkeypatch):
+        """A cell on a Lab with another latency table: its golden run,
+        checkpoints and every restored site use that table."""
+        from repro.experiments import Lab
+
+        monkeypatch.setattr(cpu_mod, "CHECKPOINT_EVERY", 100)
+        fresh_cache(monkeypatch, tmp_path / "cache")
+        params = PipelineParams(load_delay=2, math_latency={
+            **PipelineParams().math_latency, "imul": 6})
+        lab = Lab(params=params)
+        report = run_cell(lab, "fi-sum", "d16", faults=16, seed=3,
+                          kinds=("ifetch", "reg", "mem", "trap"),
+                          prune=False)
+        assert len(lab.checkpoints("fi-sum", "d16", traced=False)) == 8
+        exe = lab.executable("fi-sum", "d16")
+        functions = FunctionMap(exe.functions)
+        want = [run_fault(exe, r.spec, report.golden, params=params,
+                          functions=functions).to_dict()
+                for r in report.results]
+        assert [r.to_dict() for r in report.results] == want
+        default = Lab().run("fi-sum", "d16").stats.interlocks
+        assert report.golden.interlocks > default
+        assert {r.outcome for r in report.results} >= {MASKED, SDC}
