@@ -143,12 +143,23 @@ _UNPACK_D = struct.Struct("<d").unpack
 _PACK_D = struct.Struct("<d").pack
 _UNPACK_II = struct.Struct("<II").unpack
 
+#: The canonical quiet NaNs (as in RISC-V), single and double as
+#: ``(lo, hi)``: every floating-point result that is not a number is
+#: written as one of these.  The host keeps a payload when both operands
+#: are NaNs, but which one depends on the code path -- CPython's generic
+#: and specialised float multiply keep different ones -- so a propagated
+#: payload would depend on how warm the interpreter is.
+_NAN_F32 = 0x7FC00000
+_NAN_F64 = (0, 0x7FF80000)
+
 
 def _f32_bits_to_float(bits: int) -> float:
     return _UNPACK_F(_PACK_I(bits))[0]
 
 
 def _float_to_f32_bits(value: float) -> int:
+    if value != value:
+        return _NAN_F32
     try:
         return _UNPACK_I(_PACK_F(value))[0]
     except OverflowError:
@@ -161,8 +172,9 @@ def _f64_bits_to_float(lo: int, hi: int) -> float:
 
 
 def _float_to_f64_bits(value: float) -> tuple[int, int]:
-    lo, hi = _UNPACK_II(_PACK_D(value))
-    return lo, hi
+    if value != value:
+        return _NAN_F64
+    return _UNPACK_II(_PACK_D(value))
 
 
 def _clamp_s32(value: float) -> int:
