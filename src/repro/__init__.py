@@ -12,4 +12,4 @@ Subpackages:
 * :mod:`repro.experiments` -- the paper's tables and figures
 """
 
-__version__ = "1.2.0"
+__version__ = "1.2.1"

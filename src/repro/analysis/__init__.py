@@ -42,12 +42,12 @@ from .binlint import lint_assembly, lint_executable
 from .cfg import BasicBlock, BinaryCFG, build_cfg
 from .density import (FunctionDensity, ProgramDensity, analyze_density,
                       estimate_halfwords, fused_constant_pair)
-from .driver import (DEFAULT_TARGETS, EXIT_ERRORS, EXIT_INTERNAL, EXIT_OK,
-                     LintReport, cross_isa_suite,
-                     density_cell, density_suite, exit_code, icache_cell,
-                     icache_suite, lint_program, lint_suite, timing_cell,
-                     timing_suite, tv_suite, validate_vuln, vuln_cell,
-                     vuln_suite, wcet_cell, wcet_suite)
+from .driver import (EXIT_ERRORS, EXIT_INTERNAL, EXIT_OK, LintReport,
+                     cross_isa_suite, density_cell, density_suite,
+                     exit_code, icache_cell, icache_suite, lint_program,
+                     lint_suite, timing_cell, timing_suite, tv_suite,
+                     validate_vuln, vuln_cell, vuln_suite, wcet_cell,
+                     wcet_suite)
 from .equiv import (BinaryCheck, MutantResult, PassCheck, TvReport,
                     check_binary_program, check_pass, mutation_campaign,
                     tv_program, validate_passes)
@@ -80,7 +80,7 @@ __all__ = [
     "AnalysisResult", "BasicBlock", "BinaryCFG", "BinaryCheck",
     "BlockBounds", "CellVulnerability",
     "CrossIsaReport", "DEFAULT_MISS_PENALTY", "DEFAULT_SLACK",
-    "DEFAULT_TARGETS", "DeadStore", "DeadWrite", "DomTree",
+    "DeadStore", "DeadWrite", "DomTree",
     "EXIT_ERRORS", "EXIT_INTERNAL", "EXIT_OK", "FetchSite", "Finding",
     "FunctionDensity", "FunctionLiveness", "FunctionSummary",
     "FunctionTiming",

@@ -45,7 +45,7 @@ from ..asm.objfile import Executable
 from ..cc.target import REG_GP, REG_LINK, REG_RET, REG_SP, TargetSpec
 from ..isa import DecodingError, Instr, IsaSpec, Op
 from ..isa.common import to_s32
-from ..isa.operations import Cond
+from ..isa.operations import DATA_ACCESS, DATA_LOADS, Cond
 from ..isa.refs import ldc_pool_addr
 from ..machine.memory import DEFAULT_MEM_SIZE
 from .cfg import BasicBlock, BinaryCFG, build_cfg
@@ -226,8 +226,6 @@ def solve(blocks: dict[int, BasicBlock], entry: int, domain: Any, *,
 # The value / stack-height domain.
 # ---------------------------------------------------------------------------
 
-_MEM_SIZES = {Op.LD: 4, Op.ST: 4, Op.LDH: 2, Op.LDHU: 2, Op.STH: 2,
-              Op.LDB: 1, Op.LDBU: 1, Op.STB: 1}
 _INDIRECT = (Op.J, Op.JZ, Op.JNZ, Op.JL)
 
 
@@ -350,10 +348,10 @@ class ValueDomain:
         b = get(state, instr.rs2)
         imm = instr.imm
 
-        if op in _MEM_SIZES:
+        if op in DATA_ACCESS:
             if report is not None:
                 report.check_memory(pc, instr, a)
-            if op not in (Op.ST, Op.STH, Op.STB):
+            if op in DATA_LOADS:
                 self._set(state, instr.rd, TOP)
             return
         if op == Op.LDC:
@@ -589,7 +587,7 @@ class _Reporter:
 
     def check_memory(self, pc: int, instr: Instr,
                      base_value: Value) -> None:
-        size = _MEM_SIZES[instr.op]
+        size = DATA_ACCESS[instr.op][0]
         if not isinstance(base_value, Interval):
             return
         addr = _add_sub(base_value, const(instr.imm), sub=False)

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..cc.target import D16_TARGET
 from ..isa import COND_NEGATE, D16_CONDS, Instr, Op
-from ..isa.common import fits_signed, fits_unsigned
-from ..isa.d16 import (MAX_MEM_OFFSET, MVI_IMM_BITS, RI_IMM_BITS,
-                       UNSUPPORTED_OPS)
+from ..isa.d16 import UNSUPPORTED_OPS
+from ..isa.operations import DATA_ACCESS
 from .cfg import BinaryCFG
 from .findings import Finding, finding
 
@@ -44,8 +44,9 @@ _COMMUTATIVE = frozenset({Op.ADD, Op.AND, Op.OR, Op.XOR, Op.MUL,
 #: The constant-build second halves fusable with a leading ``mvhi``.
 _FUSE_LOW_OPS = frozenset({Op.ADDI, Op.ORI, Op.XORI})
 
-_SUBWORD_MEM = (Op.LDH, Op.LDHU, Op.LDB, Op.LDBU, Op.STH, Op.STB)
-_TWO_ADDRESS_IMM = (Op.ADDI, Op.SUBI, Op.SHRAI, Op.SHRI, Op.SHLI)
+#: D16's two-address immediate ops, by the operator they apply.
+_TWO_ADDRESS_IMM = {Op.ADDI: "add", Op.SUBI: "sub", Op.SHRAI: "shra",
+                    Op.SHRI: "shr", Op.SHLI: "shl"}
 _LOGIC_IMM = (Op.ANDI, Op.ORI, Op.XORI)
 
 
@@ -70,28 +71,26 @@ def estimate_halfwords(instr: Instr) -> int:
         return 3 + penalty            # ldc rt, =target ; jl rt ; pool
     if op == Op.MVHI:
         return 3 + penalty            # ldc + pool word
-    if op == Op.CMPI:
-        base = 1 if fits_signed(instr.imm, MVI_IMM_BITS) else 3
-        return base + 1 + penalty     # materialize imm, then cmp
-    if op in _LOGIC_IMM:
-        base = 1 if fits_signed(instr.imm, MVI_IMM_BITS) else 3
-        return base + 1 + penalty     # materialize imm, then op
+    if op == Op.CMPI or op in _LOGIC_IMM:
+        base = 1 if D16_TARGET.mvi_ok(instr.imm) else 3
+        return base + 1 + penalty     # materialize imm, then cmp or op
     if op in UNSUPPORTED_OPS:         # defensive: all handled above
         return 2 + penalty
 
     if op == Op.MVI:
-        return (1 if fits_signed(instr.imm, MVI_IMM_BITS) else 3) + penalty
-    if op in (Op.LD, Op.ST):
-        ok = instr.imm % 4 == 0 and 0 <= instr.imm <= MAX_MEM_OFFSET
+        return (1 if D16_TARGET.mvi_ok(instr.imm) else 3) + penalty
+    if op in DATA_ACCESS:
+        ok = D16_TARGET.mem_offset_ok(DATA_ACCESS[op][0], instr.imm)
         return (1 if ok else 2) + penalty
-    if op in _SUBWORD_MEM:
-        return (1 if instr.imm == 0 else 2) + penalty
     if op in _TWO_ADDRESS_IMM:
         cost = 1
         if instr.rd != instr.rs1:
             cost += 1                 # mv rd, rs1 first
-        if not fits_unsigned(instr.imm, RI_IMM_BITS):
-            cost += 1 if fits_signed(instr.imm, MVI_IMM_BITS) else 2
+        # The fields are unsigned: a negative immediate is materialized
+        # (the model does not flip addi and subi).
+        if instr.imm < 0 or not D16_TARGET.alu_imm_ok(
+                _TWO_ADDRESS_IMM[op], instr.imm):
+            cost += 1 if D16_TARGET.mvi_ok(instr.imm) else 2
         return cost + penalty
     if op == Op.CMP:
         # D16 compares write the implicit r0 (the branch then tests r0

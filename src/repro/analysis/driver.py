@@ -41,6 +41,7 @@ from ..asm import AsmError, Assembler, link
 from ..asm.objfile import text_labels
 from ..bench import get_benchmark, program_names
 from ..cc import TargetSpec, get_target
+from ..cc.target import MAIN_TARGETS
 from ..cc.codegen import generate_assembly
 from ..cc.ir import Module
 from ..cc.irgen import lower_program
@@ -66,9 +67,6 @@ from .xisa import check_cross_isa
 if TYPE_CHECKING:
     from ..experiments.runner import Lab
     from .vuln import CellVulnerability
-
-#: The two headline machines, linted by default.
-DEFAULT_TARGETS = ("d16", "dlxe")
 
 #: Process exit codes for ``repro lint`` (locked by tests).
 EXIT_OK = 0           # no findings, or warnings/info only
@@ -166,7 +164,7 @@ def _lint_back_end(module: Module, target: TargetSpec,
     return findings
 
 
-def lint_suite(targets: Iterable[str] = DEFAULT_TARGETS,
+def lint_suite(targets: Iterable[str] = MAIN_TARGETS,
                programs: Iterable[str] | None = None, *,
                opt_level: int = 2) -> list[LintReport]:
     """Lint benchmark programs on each target; one report per cell.
@@ -315,7 +313,7 @@ def _suite(targets: Iterable[str], programs: Iterable[str] | None,
     return reports, results
 
 
-def timing_suite(targets: Iterable[str] = DEFAULT_TARGETS,
+def timing_suite(targets: Iterable[str] = MAIN_TARGETS,
                  programs: Iterable[str] | None = None, *,
                  lab: Lab | None = None,
                  ) -> tuple[list[LintReport], dict]:
@@ -330,7 +328,7 @@ def timing_suite(targets: Iterable[str] = DEFAULT_TARGETS,
                               params=lab.params))
 
 
-def wcet_suite(targets: Iterable[str] = DEFAULT_TARGETS,
+def wcet_suite(targets: Iterable[str] = MAIN_TARGETS,
                programs: Iterable[str] | None = None, *,
                lab: Lab | None = None,
                slack: float | None = DEFAULT_SLACK,
@@ -347,7 +345,7 @@ def wcet_suite(targets: Iterable[str] = DEFAULT_TARGETS,
                             lab.run(name, t).stats, slack=slack))
 
 
-def icache_suite(targets: Iterable[str] = DEFAULT_TARGETS,
+def icache_suite(targets: Iterable[str] = MAIN_TARGETS,
                  programs: Iterable[str] | None = None, *,
                  lab: Lab | None = None,
                  sizes: Iterable[int] | None = None,
@@ -387,7 +385,7 @@ def density_suite(programs: Iterable[str] | None = None, *,
                   lambda lab, name, t, image: density_cell(image))
 
 
-def vuln_suite(targets: Iterable[str] = DEFAULT_TARGETS,
+def vuln_suite(targets: Iterable[str] = MAIN_TARGETS,
                programs: Iterable[str] | None = None, *,
                lab: Lab | None = None,
                faults: int, seed: int,
@@ -450,7 +448,7 @@ def validate_vuln(lab: Lab, *, seed: int) -> dict:
 
 
 def tv_suite(programs: Iterable[str] | None = None, *,
-             targets: tuple[str, ...] = DEFAULT_TARGETS,
+             targets: tuple[str, ...] = MAIN_TARGETS,
              opt_level: int = 2,
              ) -> tuple[list[LintReport], dict]:
     """Translation-validate the benchmark suite (``repro lint --tv``).
@@ -480,7 +478,7 @@ def tv_suite(programs: Iterable[str] | None = None, *,
 
 
 def cross_isa_suite(programs: Iterable[str] | None = None, *,
-                    targets: tuple[str, str] = ("d16", "dlxe"),
+                    targets: tuple[str, str] = MAIN_TARGETS,
                     opt_level: int = 2) -> list[LintReport]:
     """Cross-ISA consistency check over the benchmark suite.
 

@@ -35,6 +35,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from ..asm import Assembler, link
 from ..cc import TargetSpec, get_target
+from ..cc.target import MAIN_TARGETS
 from ..cc.codegen import generate_assembly
 from ..cc.ir import (CallInst, CJump, Const, Function, Inst, Jump, Module,
                      Ret, Store, VReg, liveness)
@@ -443,7 +444,7 @@ def _compare_summaries(ir_leaves: list[Leaf], mc_leaves: list[Leaf],
 
 
 def check_binary_program(source: str,
-                         targets: Sequence[str] = ("d16", "dlxe"), *,
+                         targets: Sequence[str] = MAIN_TARGETS, *,
                          opt_level: int = 2,
                          include_runtime: bool = True,
                          ) -> list[BinaryCheck]:
@@ -548,7 +549,7 @@ class TvReport:
 
 
 def tv_program(source: str, program: str = "<source>", *,
-               targets: Sequence[str] = ("d16", "dlxe"),
+               targets: Sequence[str] = MAIN_TARGETS,
                opt_level: int = 2,
                include_runtime: bool = True) -> TvReport:
     """Run both translation-validation layers over one program."""

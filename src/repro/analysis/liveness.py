@@ -61,7 +61,8 @@ from dataclasses import dataclass, field
 
 from ..cc.target import REG_LINK, REG_RET, REG_SP, TargetSpec
 from ..isa import Instr, Op
-from .absint import (_MEM_SIZES, AnalysisResult, Interval, SPRel,
+from ..isa.operations import DATA_ACCESS, DATA_LOADS, DATA_STORES
+from .absint import (AnalysisResult, Interval, SPRel,
                      ValueDomain, Value, callee_saved)
 from .cfg import BasicBlock, BinaryCFG
 
@@ -70,9 +71,6 @@ FULL = 0xFFFFFFFF
 #: reg index -> 32-bit live mask; absent registers are dead (mask 0).
 LiveMap = dict[int, int]
 
-_LOADS = (Op.LD, Op.LDH, Op.LDHU, Op.LDB, Op.LDBU)
-_STORES = (Op.ST, Op.STH, Op.STB)
-_STORE_MASKS = {Op.ST: FULL, Op.STH: 0xFFFF, Op.STB: 0xFF}
 _SHIFTS_IMM = {Op.SHLI, Op.SHRI, Op.SHRAI}
 _SHIFTS_REG = {Op.SHL, Op.SHR, Op.SHRA}
 
@@ -270,24 +268,24 @@ class _FuncLiveness:
         op = instr.op
         gen, kill = self._gen, self._kill
 
-        if op in _LOADS:
+        if op in DATA_LOADS:
             d = kill(state, instr.rd)
             gen(state, instr.rs1, FULL)    # a flipped address can fault
             if slots is not None and d:
                 off = self._frame_offset(pc, instr)
                 if off is not None:
                     slots.update(b for b in
-                                 range(off, off + _MEM_SIZES[op])
+                                 range(off, off + DATA_ACCESS[op][0])
                                  if b < 0)
                 else:
                     base = self._value(pc, instr.rs1)
                     if not isinstance(base, Interval):
                         slots = None       # unknown pointer: reads any slot
             return slots
-        if op in _STORES:
+        if op in DATA_STORES:
             gen(state, instr.rs1, FULL)
-            size = _MEM_SIZES[op]
-            data_mask = _STORE_MASKS[op]
+            size = DATA_ACCESS[op][0]
+            data_mask = FULL >> (32 - 8 * size)
             off = self._frame_offset(pc, instr)
             if off is not None and slots is not None:
                 span = range(off, off + size)
@@ -544,12 +542,12 @@ class _Recorder:
     def after(self, pc: int, instr: Instr, state: LiveMap,
               slots: Slots, func: _FuncLiveness) -> None:
         self.out.live_out[pc] = dict(state)
-        if instr.op in _STORES and slots is not None:
+        if instr.op in DATA_STORES and slots is not None:
             # ``slots`` is the live-after-store set: a frame store none
             # of whose bytes are live there is never loaded back.
             off = func._frame_offset(pc, instr)
             if off is not None:
-                size = _MEM_SIZES[instr.op]
+                size = DATA_ACCESS[instr.op][0]
                 span = range(off, off + size)
                 if all(b < 0 and b not in slots for b in span):
                     self.out.dead_stores.append(
@@ -577,7 +575,7 @@ class _Recorder:
     def before(self, pc: int, instr: Instr, state: LiveMap,
                slots: Slots, func: _FuncLiveness) -> None:
         self.out.live_in[pc] = dict(state)
-        if instr.op in _LOADS:
+        if instr.op in DATA_LOADS:
             self._record_load(pc, instr, func)
 
     def call_site(self, pc: int, instr: Instr, state: LiveMap,
@@ -593,7 +591,7 @@ class _Recorder:
     def _record_load(self, pc: int, instr: Instr,
                      func: _FuncLiveness) -> None:
         op = instr.op
-        size = _MEM_SIZES[op]
+        size = DATA_ACCESS[op][0]
         dest_live = 0
         if instr.rd is not None:
             dest_live = self.out.live_out.get(pc, {}).get(instr.rd, 0)
@@ -766,7 +764,7 @@ def liveness_findings(analysis: LivenessAnalysis,
             waived.append((where,
                            f"'{instr}': stack-pointer bookkeeping"))
             continue
-        if instr.op in _LOADS and instr.rs1 == REG_SP \
+        if instr.op in DATA_LOADS and instr.rs1 == REG_SP \
                 and write.reg in spillable:
             waived.append((
                 where,

@@ -47,7 +47,8 @@ from ..cc.ir import (AddrGlobal, AddrStack, Bin, Block, CallInst, CJump,
                      Store, Un, VReg)
 from ..cc.target import REG_GP, REG_LINK, REG_RET, REG_SP
 from ..isa.instruction import Instr
-from ..isa.operations import COND_NEGATE, COND_SWAP, Cond, Op
+from ..isa.operations import (COND_NEGATE, COND_SWAP, DATA_ACCESS,
+                               DATA_LOADS, DATA_STORES, Cond, Op)
 from ..isa.refs import ldc_pool_addr
 from .cfg import BasicBlock, BinaryCFG
 
@@ -992,9 +993,6 @@ def summarize_ir_function(func: Function,
 # --------------------------------------------------------- machine level
 
 
-_LOAD_OPS = {Op.LD: (4, True), Op.LDH: (2, True), Op.LDHU: (2, False),
-             Op.LDB: (1, True), Op.LDBU: (1, False)}
-_STORE_OPS = {Op.ST: 4, Op.STH: 2, Op.STB: 1}
 _ALU_OPS = {Op.ADD: "add", Op.SUB: "sub", Op.AND: "and", Op.OR: "or",
             Op.XOR: "xor", Op.SHL: "shl", Op.SHR: "shr",
             Op.SHRA: "shra"}
@@ -1306,10 +1304,10 @@ class MachineExecutor:
                       divrem("rem" if op == Op.REM else "div",
                              self._get(state, rs1),
                              self._get(state, rs2)))
-        elif op in _LOAD_OPS:
+        elif op in DATA_LOADS:
             assert rd is not None and rs1 is not None \
                 and imm is not None
-            size, signed = _LOAD_OPS[op]
+            size, signed = DATA_ACCESS[op]
             addr = add(self._get(state, rs1), lit(imm))
             self._set(state, rd,
                       self._load(addr, size, signed, state))
@@ -1320,11 +1318,11 @@ class MachineExecutor:
                 raise Unknown(f"{self.name}: ldc pool word outside "
                               f"the text segment")
             self._set(state, rd, lit(word))
-        elif op in _STORE_OPS:
+        elif op in DATA_STORES:
             assert rs1 is not None and rs2 is not None \
                 and imm is not None
             addr = add(self._get(state, rs1), lit(imm))
-            self._store(addr, _STORE_OPS[op],
+            self._store(addr, DATA_ACCESS[op][0],
                         self._get(state, rs2), state)
         elif op == Op.TRAP:
             assert imm is not None

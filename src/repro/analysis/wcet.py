@@ -45,6 +45,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 from ..cc.target import INT_ARG_REGS, REG_LINK, REG_RET, REG_SP
 from ..isa import COND_NEGATE, COND_SWAP, Cond, Instr, Op, to_s32
+from ..isa.operations import DATA_LOADS, DATA_STORES
 from ..isa.refs import ldc_pool_addr
 from ..machine.pipeline import PipelineParams
 from ..machine.stats import RunStats
@@ -268,7 +269,7 @@ class _IterDomain:
             value = self.lookup(state, key) if key is not None else None
             self._set(state, instr.rd, value)
             return
-        if op in (Op.LDH, Op.LDHU, Op.LDB, Op.LDBU):
+        if op in DATA_LOADS:
             self._set(state, instr.rd, None)
             return
         if op == Op.ST:
@@ -282,7 +283,7 @@ class _IterDomain:
             value = self._get(state, instr.rs2)
             state[key] = _UNKNOWN if value is None else value
             return
-        if op in (Op.STH, Op.STB):
+        if op in DATA_STORES:
             # Sub-word stores are never spill traffic; don't bother
             # modelling their footprint, just forget all memory.
             self._kill_memory(state)

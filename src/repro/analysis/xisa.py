@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from ..asm import AsmError, Assembler, link
 from ..asm.objfile import text_labels
 from ..cc import TargetSpec, get_target
+from ..cc.target import MAIN_TARGETS
 from ..cc.codegen import generate_assembly
 from ..cc.irgen import lower_program
 from ..cc.opt import optimize_module
@@ -181,7 +182,7 @@ def analyze_source(source: str, target: TargetSpec | str, *,
 
 
 def check_cross_isa(source: str,
-                    targets: tuple[str, str] = ("d16", "dlxe"), *,
+                    targets: tuple[str, str] = MAIN_TARGETS, *,
                     opt_level: int = 2,
                     include_runtime: bool = True) -> CrossIsaReport:
     """Compile ``source`` for both targets, analyze, and cross-check.

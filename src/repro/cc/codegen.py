@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..isa.common import sign_extend
 from ..isa.d16 import LDC_RANGE
+from ..isa.dlxe import IMM_BITS
 from ..isa.operations import Cond, COND_SWAP
 from .ir import (AddrGlobal, AddrStack, Bin, CallInst, CJump, Cmp, Const,
                  Cvt, FCmp, FConst, FLoad, FStore, Function, Inst, Jump,
@@ -124,12 +126,14 @@ def legalize_globals(func: Function, target: TargetSpec,
                      offsets: dict[str, int]) -> None:
     """Turn unreachable global-displacement accesses into address values.
 
-    On D16 only the first 124 bytes of the data segment are addressable
-    gp-relative (and subword accesses not at all); other accesses need
-    the global's address in a register (a constant-pool load).  Exposing
-    that address as an ``AddrGlobal`` value lets CSE and loop-invariant
-    code motion reuse it — which is what period compilers did, and what
-    keeps the pool-load cost proportionate."""
+    This is where code generation decides a global's reach, by asking
+    ``target.mem_offset_ok``: on D16 only the first 124 bytes of the
+    data segment are addressable gp-relative (and subword accesses not
+    at all), on DLXe 32 KB.  Other accesses need the global's address
+    in a register (on D16 a constant-pool load).  Exposing that address
+    as an ``AddrGlobal`` value lets CSE and loop-invariant code motion
+    reuse it — which is what period compilers did, and what keeps the
+    pool-load cost proportionate."""
     from .opt import (copy_propagation, dead_code, dedupe_single_defs,
                       licm, local_cse)
 
@@ -381,7 +385,6 @@ class FunctionEmitter:
                  schedule: bool = True):
         self.func = func
         self.target = target
-        self.narrow = not target.wide_immediates
         self.global_offsets = global_offsets
         self.writer = writer
         self.pool: PoolManager | None = (
@@ -517,43 +520,47 @@ class FunctionEmitter:
             self._i(f"mvi r{reg}, {value}")
             return
         if target.wide_immediates:
-            unsigned = value & 0xFFFFFFFF
-            lo = unsigned & 0xFFFF
-            hi = (unsigned >> 16) & 0xFFFF
-            if lo >= 0x8000:
-                hi = (hi + 1) & 0xFFFF
-                lo -= 0x10000
-            self._i(f"mvhi r{reg}, {hi}")
+            # addi sign-extends the low half, so mvhi carries into the
+            # high half when it is negative.
+            lo = sign_extend(value, IMM_BITS)
+            self._i(f"mvhi r{reg}, {((value - lo) >> IMM_BITS) & 0xFFFF}")
             if lo:
                 self._i(f"addi r{reg}, r{reg}, {lo}")
             return
-        if self.narrow and not self.target.isa.name == "D16":
+        if self.pool is None:
             # Narrow-immediate DLXe ablation: build with mvi/shli/addi.
             self._build_narrow_const(reg, value)
             return
-        # D16: try mvi+shli (value == m << k with m in signed 9 bits).
+        # D16: try mvi+shli (value == m << k with m in mvi's range).
         unsigned = value & 0xFFFFFFFF
         for shift in range(1, 24):
             if unsigned & ((1 << shift) - 1):
                 continue
             m = _signed(unsigned >> shift)
-            if -256 <= m <= 255:
+            if target.mvi_ok(m):
                 self._i(f"mvi r{reg}, {m}")
                 self._i(f"shli r{reg}, r{reg}, {shift}")
                 return
         self._pool_word(reg, f".word {value & 0xFFFFFFFF}")
 
     def _build_narrow_const(self, reg: int, value: int) -> None:
+        """Build ``value`` a byte at a time; a byte too wide for addi
+        goes through AT, or, when AT is the register being built, in
+        two nibbles."""
         unsigned = value & 0xFFFFFFFF
         self._i(f"mvi r{reg}, {(unsigned >> 24) & 0xFF}")
         for shift in (16, 8, 0):
-            self._i(f"shli r{reg}, r{reg}, 8")
             byte = (unsigned >> shift) & 0xFF
-            if byte > 31:
-                self._i(f"mvi r{REG_AT}, {byte}")
-                self._i(f"add r{reg}, r{reg}, r{REG_AT}")
-            elif byte:
-                self._i(f"addi r{reg}, r{reg}, {byte}")
+            steps = [(8, byte)]
+            if reg == REG_AT and not self.target.alu_imm_ok("add", byte):
+                steps = [(4, byte >> 4), (4, byte & 0xF)]
+            for bits, part in steps:
+                self._i(f"shli r{reg}, r{reg}, {bits}")
+                if not self.target.alu_imm_ok("add", part):
+                    self._i(f"mvi r{REG_AT}, {part}")
+                    self._i(f"add r{reg}, r{reg}, r{REG_AT}")
+                elif part:
+                    self._i(f"addi r{reg}, r{reg}, {part}")
 
     def _pool_word(self, reg: int, directive: str) -> None:
         if self.pool is None:
@@ -567,27 +574,14 @@ class FunctionEmitter:
             if dst != src:
                 self._i(f"mv r{dst}, r{src}")
             return
-        target = self.target
-        if target.wide_immediates and -32768 <= value <= 32767:
-            self._i(f"addi r{dst}, r{src}, {value}")
-            return
-        if not target.wide_immediates and 0 < value <= 31 and dst == src:
-            self._i(f"addi r{dst}, r{dst}, {value}")
-            return
-        if not target.wide_immediates and -31 <= value < 0 and dst == src:
-            self._i(f"subi r{dst}, r{dst}, {-value}")
-            return
-        if not target.wide_immediates and 0 < abs(value) <= 31:
-            if dst != src:
-                self._i(f"mv r{dst}, r{src}")
-            if value > 0:
-                self._i(f"addi r{dst}, r{dst}, {value}")
+        if self.target.alu_imm_ok("add", value):
+            if self.target.wide_immediates:
+                # Three-address even on the two-address DLXe targets.
+                self._i(f"addi r{dst}, r{src}, {value}")
             else:
-                self._i(f"subi r{dst}, r{dst}, {-value}")
+                self._bin_imm("add", dst, src, value)
             return
         scratch = REG_AT if dst == src or dst == REG_AT2 else dst
-        if scratch == src:
-            scratch = REG_AT
         self._load_const(scratch, value)
         if self.target.three_address:
             self._i(f"add r{dst}, r{src}, r{scratch}")
@@ -599,45 +593,29 @@ class FunctionEmitter:
                     self._i(f"mv r{dst}, r{src}")
                 self._i(f"add r{dst}, r{dst}, r{scratch}")
 
-    # Memory access helpers ------------------------------------------------
+    # Memory access ----------------------------------------------------------
 
-    def _resolve_base(self, base, offset: int) -> tuple[int, int, str | None]:
-        """Resolve an IR memory base to (reg, offset, global-or-None)."""
+    def _address(self, base, offset: int) -> tuple[int, int]:
+        """An IR memory base and offset as (base register, displacement)."""
         if isinstance(base, VReg):
-            return self._reg(base), offset, None
+            return self._reg(base), offset
         if isinstance(base, StackSlot):
-            return REG_SP, self.slot_offsets[base.id] + offset, None
-        return REG_GP, self.global_offsets[base] + offset, base
+            return REG_SP, self.slot_offsets[base.id] + offset
+        return REG_GP, self.global_offsets[base] + offset
 
-    def _mem_access(self, mnemonic: str, data_reg: int, base, offset: int,
-                    size: int) -> None:
-        """Emit one load/store, legalizing the addressing mode."""
-        reg, final_offset, global_name = self._resolve_base(base, offset)
-        if self.target.mem_offset_ok(size, final_offset):
-            self._i(f"{mnemonic} r{data_reg}, {final_offset}(r{reg})")
-            return
-        if global_name is not None and self.pool is not None:
-            # D16: pool the absolute address (with the offset folded in).
-            goff = final_offset - self.global_offsets[global_name]
-            sym = global_name if goff == 0 else f"{global_name}+{goff}"
-            self._pool_word(REG_AT, f".word {sym}")
-            self._i(f"{mnemonic} r{data_reg}, 0(r{REG_AT})"
-                    if size == 4 else f"{mnemonic} r{data_reg}, (r{REG_AT})")
-            return
-        if global_name is not None and self.target.wide_immediates:
-            self._i(f"mvhi r{REG_AT}, %hi({global_name})")
-            self._i(f"addi r{REG_AT}, r{REG_AT}, %lo({global_name})")
-            extra = final_offset - self.global_offsets[global_name]
-            if not self.target.mem_offset_ok(size, extra):
-                self._add_imm(REG_AT, REG_AT, extra)
-                extra = 0
-            self._i(f"{mnemonic} r{data_reg}, {extra}(r{REG_AT})")
-            return
-        self._add_imm(REG_AT, reg, final_offset)
-        if size == 4 and self.target.mem_offset_ok(4, 0):
-            self._i(f"{mnemonic} r{data_reg}, 0(r{REG_AT})")
-        else:
-            self._i(f"{mnemonic} r{data_reg}, (r{REG_AT})")
+    def _mem_access(self, mnemonic: str, data: int, base: int, offset: int,
+                    size: int = 4) -> None:
+        """Emit every load and store: ``mnemonic`` moves ``size`` bytes
+        between ``data`` and ``offset(base)``.  A displacement the
+        target cannot encode is added into AT first (a global's never
+        needs it: :func:`legalize_globals` gave those a register)."""
+        if not self.target.mem_offset_ok(size, offset):
+            self._add_imm(REG_AT, base, offset)
+            base, offset = REG_AT, 0
+        # D16's subword modes have no displacement field.
+        disp = "" if size < 4 and not self.target.wide_immediates \
+            else offset
+        self._i(f"{mnemonic} r{data}, {disp}(r{base})")
 
     # Two-address resolution -----------------------------------------------
 
@@ -731,49 +709,19 @@ class FunctionEmitter:
             self._i(f"{mnemonic} r{a}, {label}")
 
     # FP helpers -------------------------------------------------------------
+    # Neither ISA loads or stores FP registers: words go through AT2.
 
-    def _fp_load_words(self, pair: int, base, offset: int,
-                      is_double: bool) -> None:
-        words = 2 if is_double else 1
-        for index in range(words):
-            self._mem_word_to_at(base, offset + 4 * index)
+    def _fp_load_words(self, pair: int, base: int, offset: int,
+                       is_double: bool) -> None:
+        for index in range(2 if is_double else 1):
+            self._mem_access("ld", REG_AT2, base, offset + 4 * index)
             self._i(f"mvif f{pair + index}, r{REG_AT2}")
 
-    def _mem_word_to_at(self, base, offset: int) -> None:
-        """Load a word into the secondary scratch register."""
-        reg, final_offset, global_name = self._resolve_base(base, offset)
-        if self.target.mem_offset_ok(4, final_offset):
-            self._i(f"ld r{REG_AT2}, {final_offset}(r{reg})")
-            return
-        if global_name is not None and self.pool is not None:
-            goff = final_offset - self.global_offsets[global_name]
-            sym = global_name if goff == 0 else f"{global_name}+{goff}"
-            self._pool_word(REG_AT, f".word {sym}")
-            self._i(f"ld r{REG_AT2}, 0(r{REG_AT})")
-            return
-        self._add_imm(REG_AT, reg, final_offset)
-        self._i(f"ld r{REG_AT2}, 0(r{REG_AT})")
-
-    def _fp_store_words(self, pair: int, base, offset: int,
-                       is_double: bool) -> None:
-        words = 2 if is_double else 1
-        for index in range(words):
+    def _fp_store_words(self, pair: int, base: int, offset: int,
+                        is_double: bool) -> None:
+        for index in range(2 if is_double else 1):
             self._i(f"mvfi r{REG_AT2}, f{pair + index}")
-            self._store_at2(base, offset + 4 * index)
-
-    def _store_at2(self, base, offset: int) -> None:
-        reg, final_offset, global_name = self._resolve_base(base, offset)
-        if self.target.mem_offset_ok(4, final_offset):
-            self._i(f"st r{REG_AT2}, {final_offset}(r{reg})")
-            return
-        if global_name is not None and self.pool is not None:
-            goff = final_offset - self.global_offsets[global_name]
-            sym = global_name if goff == 0 else f"{global_name}+{goff}"
-            self._pool_word(REG_AT, f".word {sym}")
-            self._i(f"st r{REG_AT2}, 0(r{REG_AT})")
-            return
-        self._add_imm(REG_AT, reg, final_offset)
-        self._i(f"st r{REG_AT2}, 0(r{REG_AT})")
+            self._mem_access("st", REG_AT2, base, offset + 4 * index)
 
     def _fp_const_bits(self, pair: int, value: float, is_double: bool) -> None:
         import struct as _struct
@@ -834,28 +782,12 @@ class FunctionEmitter:
         if self.frame_size:
             self._add_imm(REG_SP, REG_SP, -self.frame_size)
         if self.lr_offset is not None:
-            self._store_int(REG_LINK, self.lr_offset)
+            self._mem_access("st", REG_LINK, REG_SP, self.lr_offset)
         for reg, offset in self.saved_int_offsets:
-            self._store_int(reg, offset)
+            self._mem_access("st", reg, REG_SP, offset)
         for pair, offset in self.saved_fp_offsets:
-            for index in range(2):
-                self._i(f"mvfi r{REG_AT2}, f{pair + index}")
-                self._store_int(REG_AT2, offset + 4 * index)
+            self._fp_store_words(pair, REG_SP, offset, True)
         self._emit_param_moves()
-
-    def _store_int(self, reg: int, offset: int) -> None:
-        if self.target.mem_offset_ok(4, offset):
-            self._i(f"st r{reg}, {offset}(r{REG_SP})")
-        else:
-            self._add_imm(REG_AT, REG_SP, offset)
-            self._i(f"st r{reg}, 0(r{REG_AT})")
-
-    def _load_int(self, reg: int, offset: int) -> None:
-        if self.target.mem_offset_ok(4, offset):
-            self._i(f"ld r{reg}, {offset}(r{REG_SP})")
-        else:
-            self._add_imm(REG_AT, REG_SP, offset)
-            self._i(f"ld r{reg}, 0(r{REG_AT})")
 
     def _emit_param_moves(self) -> None:
         int_moves: list[tuple[int, int]] = []
@@ -895,14 +827,16 @@ class FunctionEmitter:
             if assignment is not None:
                 int_moves.append((assignment, src_reg))
             elif spill is not None:
-                self._store_int(src_reg, self.slot_offsets[spill.id])
+                self._mem_access("st", src_reg, REG_SP,
+                                 self.slot_offsets[spill.id])
         else:
             offset = self.frame_size + stack_offset
             if assignment is not None:
-                self._load_int(assignment, offset)
+                self._mem_access("ld", assignment, REG_SP, offset)
             elif spill is not None:
-                self._load_int(REG_AT2, offset)
-                self._store_int(REG_AT2, self.slot_offsets[spill.id])
+                self._mem_access("ld", REG_AT2, REG_SP, offset)
+                self._mem_access("st", REG_AT2, REG_SP,
+                                 self.slot_offsets[spill.id])
 
     def _param_fp_in(self, param: VReg, src_pair, stack_offset,
                      fp_moves) -> None:
@@ -914,32 +848,28 @@ class FunctionEmitter:
             if assignment is not None:
                 fp_moves.append((param.cls, src_pair, assignment))
             elif spill is not None:
-                offset = self.slot_offsets[spill.id]
-                for index in range(2 if is_double else 1):
-                    self._i(f"mvfi r{REG_AT2}, f{src_pair + index}")
-                    self._store_int(REG_AT2, offset + 4 * index)
+                self._fp_store_words(src_pair, REG_SP,
+                                     self.slot_offsets[spill.id], is_double)
         else:
             offset = self.frame_size + stack_offset
             if assignment is not None:
-                for index in range(2 if is_double else 1):
-                    self._load_int(REG_AT2, offset + 4 * index)
-                    self._i(f"mvif f{assignment + index}, r{REG_AT2}")
+                self._fp_load_words(assignment, REG_SP, offset, is_double)
             elif spill is not None:
                 slot_off = self.slot_offsets[spill.id]
                 for index in range(2 if is_double else 1):
-                    self._load_int(REG_AT2, offset + 4 * index)
-                    self._store_int(REG_AT2, slot_off + 4 * index)
+                    self._mem_access("ld", REG_AT2, REG_SP,
+                                     offset + 4 * index)
+                    self._mem_access("st", REG_AT2, REG_SP,
+                                     slot_off + 4 * index)
 
     def _emit_epilogue(self) -> None:
         self.writer.label(self.ret_label)
         for pair, offset in self.saved_fp_offsets:
-            for index in range(2):
-                self._load_int(REG_AT2, offset + 4 * index)
-                self._i(f"mvif f{pair + index}, r{REG_AT2}")
+            self._fp_load_words(pair, REG_SP, offset, True)
         for reg, offset in self.saved_int_offsets:
-            self._load_int(reg, offset)
+            self._mem_access("ld", reg, REG_SP, offset)
         if self.lr_offset is not None:
-            self._load_int(REG_LINK, self.lr_offset)
+            self._mem_access("ld", REG_LINK, REG_SP, self.lr_offset)
         if self.frame_size:
             self._add_imm(REG_SP, REG_SP, self.frame_size)
         self._i(f"j r{REG_LINK}")
@@ -973,16 +903,23 @@ class FunctionEmitter:
         elif isinstance(inst, Cvt):
             self._emit_cvt(inst)
         elif isinstance(inst, Load):
-            mnemonic = _LOAD_MNEMONIC[(inst.size, inst.signed)]
-            self._emit_load(mnemonic, inst)
+            self._mem_access(_LOAD_MNEMONIC[(inst.size, inst.signed)],
+                             self._reg(inst.dst),
+                             *self._address(inst.base, inst.offset),
+                             inst.size)
         elif isinstance(inst, FLoad):
-            self._fp_load_words(self._reg(inst.dst), inst.base, inst.offset,
+            self._fp_load_words(self._reg(inst.dst),
+                                *self._address(inst.base, inst.offset),
                                 inst.dst.cls == "d")
         elif isinstance(inst, Store):
-            self._emit_store(inst)
+            self._mem_access(_STORE_MNEMONIC[inst.size],
+                             self._reg(inst.src),
+                             *self._address(inst.base, inst.offset),
+                             inst.size)
         elif isinstance(inst, FStore):
-            self._fp_store_words(self._reg(inst.src), inst.base,
-                                 inst.offset, inst.src.cls == "d")
+            self._fp_store_words(self._reg(inst.src),
+                                 *self._address(inst.base, inst.offset),
+                                 inst.src.cls == "d")
         elif isinstance(inst, AddrGlobal):
             self._emit_addr_global(self._reg(inst.dst), inst.name,
                                    inst.offset)
@@ -1066,62 +1003,13 @@ class FunctionEmitter:
         else:  # pragma: no cover
             raise CodegenError(f"unknown conversion {kind}")
 
-    def _emit_load(self, mnemonic: str, inst: Load) -> None:
-        reg = self._reg(inst.dst)
-        if inst.size == 4:
-            self._mem_access(mnemonic, reg, inst.base, inst.offset, 4)
-            return
-        # Subword: D16 has no displacement at all.
-        reg_base, final_offset, global_name = self._resolve_base(
-            inst.base, inst.offset)
-        if self.target.mem_offset_ok(inst.size, final_offset):
-            if final_offset == 0 and not self.target.wide_immediates:
-                self._i(f"{mnemonic} r{reg}, (r{reg_base})")
-            else:
-                self._i(f"{mnemonic} r{reg}, {final_offset}(r{reg_base})")
-            return
-        if global_name is not None and self.pool is not None:
-            goff = final_offset - self.global_offsets[global_name]
-            sym = global_name if goff == 0 else f"{global_name}+{goff}"
-            self._pool_word(REG_AT, f".word {sym}")
-            self._i(f"{mnemonic} r{reg}, (r{REG_AT})")
-            return
-        self._add_imm(REG_AT, reg_base, final_offset)
-        self._i(f"{mnemonic} r{reg}, (r{REG_AT})")
-
-    def _emit_store(self, inst: Store) -> None:
-        reg = self._reg(inst.src)
-        mnemonic = _STORE_MNEMONIC[inst.size]
-        if inst.size == 4:
-            self._mem_access(mnemonic, reg, inst.base, inst.offset, 4)
-            return
-        reg_base, final_offset, global_name = self._resolve_base(
-            inst.base, inst.offset)
-        if self.target.mem_offset_ok(inst.size, final_offset):
-            if final_offset == 0 and not self.target.wide_immediates:
-                self._i(f"{mnemonic} r{reg}, (r{reg_base})")
-            else:
-                self._i(f"{mnemonic} r{reg}, {final_offset}(r{reg_base})")
-            return
-        if global_name is not None and self.pool is not None:
-            goff = final_offset - self.global_offsets[global_name]
-            sym = global_name if goff == 0 else f"{global_name}+{goff}"
-            self._pool_word(REG_AT, f".word {sym}")
-            self._i(f"{mnemonic} r{reg}, (r{REG_AT})")
-            return
-        self._add_imm(REG_AT, reg_base, final_offset)
-        self._i(f"{mnemonic} r{reg}, (r{REG_AT})")
-
     def _emit_addr_global(self, reg: int, name: str,
                           extra: int = 0) -> None:
         goff = self.global_offsets[name] + extra
-        if self.target.wide_immediates or 0 <= goff <= 31:
-            self._add_imm(reg, REG_GP, goff)
-        elif self.pool is not None:
+        if self.pool is not None and not self.target.alu_imm_ok("add", goff):
             sym = name if extra == 0 else f"{name}+{extra}"
             self._pool_word(reg, f".word {sym}")
         else:
-            # Narrow-immediate, pool-less ablation target: build gp+goff.
             self._add_imm(reg, REG_GP, goff)
 
     def _emit_call(self, inst: CallInst) -> None:
@@ -1131,12 +1019,10 @@ class FunctionEmitter:
         reg_moves, stack_args = self._classify_args(inst.args)
         for vreg, offset, size in stack_args:
             if vreg.cls == "i":
-                self._store_int(self._reg(vreg), offset)
+                self._mem_access("st", self._reg(vreg), REG_SP, offset)
             else:
-                pair = self._reg(vreg)
-                for index in range(size // 4):
-                    self._i(f"mvfi r{REG_AT2}, f{pair + index}")
-                    self._store_int(REG_AT2, offset + 4 * index)
+                self._fp_store_words(self._reg(vreg), REG_SP, offset,
+                                     size == 8)
         int_moves = [(dst, src) for cls, src, dst in reg_moves
                      if cls == "i"]
         fp_moves = [(cls, src, dst) for cls, src, dst in reg_moves

@@ -36,7 +36,9 @@ from dataclasses import dataclass
 from ..isa import D16 as D16_ISA
 from ..isa import DLXE as DLXE_ISA
 from ..isa import IsaSpec
+from ..isa.common import WORD_BITS, fits_signed
 from ..isa.d16 import MAX_MEM_OFFSET, MAX_RI_IMM, MVI_IMM_BITS
+from ..isa.dlxe import IMM_BITS
 
 REG_LINK = 1
 REG_RET = 2
@@ -93,35 +95,33 @@ class TargetSpec:
         return frozenset(saved)
 
     # --------------------------------------------------- immediate ranges
+    # Each limit comes from the ISA modules' field widths: DLXe's when
+    # ``wide_immediates`` is set, D16's otherwise.
 
     def alu_imm_ok(self, op: str, value: int) -> bool:
         """Can ``op``'s second operand be this immediate?"""
         if op in ("shl", "shr", "shra"):
-            return 0 <= value <= 31
-        if op in ("add", "sub"):
-            if self.wide_immediates:
-                return -32768 <= value <= 32767
-            return -MAX_RI_IMM <= value <= MAX_RI_IMM   # addi or subi
-        if op in ("and", "or", "xor"):
-            return self.wide_immediates and -32768 <= value <= 32767
-        return False
+            return 0 <= value < WORD_BITS
+        if self.wide_immediates:
+            return op in ("add", "sub", "and", "or", "xor") \
+                and fits_signed(value, IMM_BITS)
+        # D16-sized: unsigned addi or subi, and no logical immediates.
+        return op in ("add", "sub") and abs(value) <= MAX_RI_IMM
 
     def cmp_imm_ok(self, value: int) -> bool:
-        return self.wide_immediates and -32768 <= value <= 32767
+        return self.wide_immediates and fits_signed(value, IMM_BITS)
 
     def mem_offset_ok(self, size: int, offset: int) -> bool:
         """Can a load/store of ``size`` bytes use this displacement?"""
         if self.wide_immediates:
-            return -32768 <= offset <= 32767
+            return fits_signed(offset, IMM_BITS)
         if size == 4:
             return 0 <= offset <= MAX_MEM_OFFSET and offset % 4 == 0
         return offset == 0      # D16 subword modes are not offsettable
 
     def mvi_ok(self, value: int) -> bool:
-        if self.wide_immediates:
-            return -32768 <= value <= 32767
-        bound = 1 << (MVI_IMM_BITS - 1)
-        return -bound <= value < bound
+        return fits_signed(value, IMM_BITS if self.wide_immediates
+                           else MVI_IMM_BITS)
 
 
 D16_TARGET = TargetSpec(
@@ -159,6 +159,10 @@ TARGETS = {
     "dlxe/32/3": DLXE_TARGET,
     "dlxe/narrow": DLXE_NARROW,
 }
+
+#: The paper's two headline machines, in report order: the default
+#: targets of the experiments, the linter and the fault campaigns.
+MAIN_TARGETS = ("d16", "dlxe")
 
 
 def get_target(name: str) -> TargetSpec:

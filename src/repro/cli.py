@@ -20,6 +20,7 @@ import sys
 from .bench import get_benchmark, program_names
 from .cc import (TARGETS, build_executable, compile_to_assembly,
                  get_target)
+from .cc.target import MAIN_TARGETS
 from .machine import (DEFAULT_FUEL, DEFAULT_MISS_PENALTY, MachineTimeout,
                       cycles_no_cache, normalized_cpi, run_executable)
 
@@ -628,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="minic source to lint (default: benchmark suite)")
     p.add_argument("names", nargs="*",
                    help="benchmark names for suite mode (default: all)")
-    p.add_argument("--targets", default="d16,dlxe",
+    p.add_argument("--targets", default=",".join(MAIN_TARGETS),
                    help="comma-separated targets for suite mode")
     p.add_argument("--json", action="store_true",
                    help="emit findings as JSON")
@@ -691,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="benchmark table")
     p.add_argument("names", nargs="*",
                    help="benchmark names (default: all)")
-    p.add_argument("--targets", default="d16,dlxe",
+    p.add_argument("--targets", default=",".join(MAIN_TARGETS),
                    help="comma-separated target list")
     p.add_argument("-j", "--jobs", type=int, default=1,
                    help="compile/run grid cells in N parallel processes")
@@ -701,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
         "faults", help="seeded fault-injection campaign (JSON report)")
     p.add_argument("names", nargs="*",
                    help="benchmark names (default: quick subset)")
-    p.add_argument("--targets", default="d16,dlxe",
+    p.add_argument("--targets", default=",".join(MAIN_TARGETS),
                    help="comma-separated target list")
     p.add_argument("-n", "--faults", type=int, default=FAULTS_PER_CELL,
                    help="faults per (benchmark, target) cell "

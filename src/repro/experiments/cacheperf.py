@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cache import CacheConfig, CacheRates, simulate_caches_grid
+from ..cc.target import MAIN_TARGETS
 from ..machine.perf import cycles_with_cache, normalized_cpi
 from .report import format_series, format_table
 from .runner import Lab, TraceRun
@@ -82,7 +83,7 @@ def run_cache_study(lab: Lab, programs=CACHE_PROGRAMS, *,
     points: dict[tuple, CachePoint] = {}
     traces: dict[tuple[str, str], TraceRun] = {}
     for program in programs:
-        for target in ("d16", "dlxe"):
+        for target in MAIN_TARGETS:
             trace = lab.trace(program, target)
             traces[(program, target)] = trace
             rates_by_config = simulate_caches_grid(
@@ -196,7 +197,7 @@ def format_figure19(study: CacheStudy) -> str:
     sizes = sorted({key[2] for key in study.points})
     for program in programs:
         series = {"D16": [], "DLXe": []}
-        for target in ("d16", "dlxe"):
+        for target in MAIN_TARGETS:
             label = "D16" if target == "d16" else "DLXe"
             for size in sizes:
                 point = study.point(program, target, size, block)

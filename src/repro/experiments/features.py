@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..cc.target import D16_TARGET
 from ..isa import Op
-from ..isa.d16 import MAX_MEM_OFFSET, MAX_RI_IMM, MVI_IMM_BITS
+from ..isa.operations import DATA_ACCESS
 from .report import format_table
 from .runner import Lab, mean
 
 _ALU_IMM_OPS = {Op.ADDI, Op.SUBI, Op.ANDI, Op.ORI, Op.XORI}
-_MEM_OPS = {Op.LD, Op.ST, Op.LDH, Op.LDHU, Op.LDB, Op.LDBU, Op.STH, Op.STB}
 
 #: Table 4's trace: DLXe restricted to 16 registers and two-address code.
 RESTRICTED_DLXE = "dlxe/16/2"
@@ -122,12 +122,6 @@ class ImmediateBreakdown:
                 + self.move_imm_over) / self.instructions
 
 
-def _d16_mem_ok(op: Op, offset: int) -> bool:
-    if op in (Op.LD, Op.ST):
-        return 0 <= offset <= MAX_MEM_OFFSET and offset % 4 == 0
-    return offset == 0
-
-
 def run_immediates(lab: Lab, programs=None) -> list[ImmediateBreakdown]:
     """Table 4: classify restricted-DLXe dynamic immediates.
 
@@ -138,7 +132,6 @@ def run_immediates(lab: Lab, programs=None) -> list[ImmediateBreakdown]:
     """
     grid = lab.runs(programs, (RESTRICTED_DLXE,))
     out = []
-    mvi_bound = 1 << (MVI_IMM_BITS - 1)
     for name, runs in grid.items():
         stats = runs[RESTRICTED_DLXE].stats
         compare_imm = alu_over = mem_over = move_over = 0
@@ -150,17 +143,20 @@ def run_immediates(lab: Lab, programs=None) -> list[ImmediateBreakdown]:
                 imm = instr.imm
                 if instr.rs1 == 0 and op == Op.ADDI:
                     # mvi rd, imm (addi rd, r0, imm)
-                    if not -mvi_bound <= imm < mvi_bound:
+                    if not D16_TARGET.mvi_ok(imm):
                         move_over += count
                 elif op in (Op.ADDI, Op.SUBI):
-                    if not 0 <= imm <= MAX_RI_IMM:
+                    # D16's fields are unsigned: a negative immediate
+                    # counts, as the opcode's own field cannot carry it.
+                    if imm < 0 or not D16_TARGET.alu_imm_ok("add", imm):
                         alu_over += count
                 else:
                     alu_over += count   # D16 has no logical immediates
             elif op == Op.MVHI:
                 move_over += count
-            elif op in _MEM_OPS:
-                if not _d16_mem_ok(op, instr.imm):
+            elif op in DATA_ACCESS:
+                if not D16_TARGET.mem_offset_ok(DATA_ACCESS[op][0],
+                                                instr.imm):
                     mem_over += count
         out.append(ImmediateBreakdown(
             program=name, instructions=stats.instructions,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..cc.target import MAIN_TARGETS
 from ..machine.perf import (cycles_no_cache, fetches_per_cycle,
                              normalized_cpi)
 from .report import format_series, format_table
@@ -65,7 +66,7 @@ class MemPerfResult:
 def run_memperf(lab: Lab, programs=None, *,
                 bus_bits: int = 32) -> MemPerfResult:
     """Sweep memory wait states for cacheless D16 and DLXe machines."""
-    grid = lab.runs(programs, ("d16", "dlxe"))
+    grid = lab.runs(programs, MAIN_TARGETS)
     rows = []
     for name, runs in grid.items():
         d16, dlxe = runs["d16"].stats, runs["dlxe"].stats

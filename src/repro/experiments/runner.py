@@ -30,6 +30,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Iterable, Literal,
 
 from ..bench import Benchmark, check_output, get_benchmark, program_names
 from ..cc import build_executable, get_target
+from ..cc.target import MAIN_TARGETS
 from ..labcache import (ArtifactCache, default_cache, params_fingerprint,
                         source_fingerprint, target_fingerprint)
 from ..machine import RunStats, Snapshot, run_executable
@@ -40,9 +41,6 @@ if TYPE_CHECKING:
 
 #: The paper's five compiler configurations (Table 5-7 columns).
 PAPER_TARGETS = ("d16", "dlxe/16/2", "dlxe/16/3", "dlxe/32/2", "dlxe")
-
-#: Shorthand: the two headline machines.
-MAIN_TARGETS = ("d16", "dlxe")
 
 #: How many times :func:`fan_out` resubmits a cell whose worker process
 #: died (an exception raised inside a cell is never retried).

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .report import format_table
+from ..cc.target import MAIN_TARGETS
 from .runner import Lab, mean
 
 
@@ -50,7 +51,7 @@ class TrafficResult:
 
 
 def run_traffic(lab: Lab, programs=None) -> TrafficResult:
-    grid = lab.runs(programs, ("d16", "dlxe"))
+    grid = lab.runs(programs, MAIN_TARGETS)
     rows = []
     for name, runs in grid.items():
         d16, dlxe = runs["d16"], runs["dlxe"]
@@ -113,7 +114,7 @@ class InterlockRow:
 
 def run_interlocks(lab: Lab, programs=None) -> list[InterlockRow]:
     """Table 10: delayed-load and math-unit interlocks."""
-    grid = lab.runs(programs, ("d16", "dlxe"))
+    grid = lab.runs(programs, MAIN_TARGETS)
     rows = []
     for name, runs in grid.items():
         rows.append(InterlockRow(

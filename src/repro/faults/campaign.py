@@ -33,7 +33,8 @@ from typing import TYPE_CHECKING, Any
 
 from ..bench import get_benchmark
 from ..cc import get_target
-from ..experiments.runner import MAIN_TARGETS, Lab, RunError, fan_out
+from ..cc.target import MAIN_TARGETS
+from ..experiments.runner import Lab, RunError, fan_out
 from .inject import FunctionMap, run_cache_fault, run_fault
 from .model import (FAULT_KINDS, FAULTS_PER_CELL, OUTCOMES, SCHEMA_VERSION,
                     TRAP_MODES, FaultResult, FaultSpec, GoldenRun)

@@ -288,6 +288,19 @@ def _build_table() -> dict[Op, OpInfo]:
 #: Op -> OpInfo for every semantic operation.
 OP_INFO: dict[Op, OpInfo] = _build_table()
 
+#: Every data load and store: the bytes it moves, and whether a load
+#: sign-extends them (False for stores).  ``ldc`` reads the constant
+#: pool, not data, and is not listed.  The simulator engines keep their
+#: own tables: each is the other's oracle.
+DATA_ACCESS: dict[Op, tuple[int, bool]] = {
+    Op.LD: (4, True), Op.LDH: (2, True), Op.LDHU: (2, False),
+    Op.LDB: (1, True), Op.LDBU: (1, False),
+    Op.ST: (4, False), Op.STH: (2, False), Op.STB: (1, False),
+}
+DATA_LOADS = tuple(op for op in DATA_ACCESS
+                   if OP_INFO[op].kind is OpKind.LOAD)
+DATA_STORES = tuple(op for op in DATA_ACCESS if op not in DATA_LOADS)
+
 #: Ops that transfer control (end a basic block).
 CONTROL_OPS = frozenset(
     op for op, info in OP_INFO.items()

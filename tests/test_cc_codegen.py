@@ -3,6 +3,8 @@
 import dataclasses
 import re
 
+import pytest
+
 from repro.asm import assemble
 from repro.bench import get_benchmark
 from repro.cc import build_executable, compile_to_assembly, codegen
@@ -196,6 +198,71 @@ class TestExecutionSanity:
         assert stats.output == "".join(
             chr(ord("a") + f % 26)
             for f in [0, 1, 1, 2, 3, 5, 8, 13, 21, 34])
+
+
+class TestDisplacementLegalization:
+    """Reaches the suite never needs: every displacement that does not
+    fit goes through a register, on every target and both engines."""
+
+    #: Globals past D16's 124-byte gp window and DLXe's 32 KB reach, a
+    #: 36 KB frame, and word, byte and FP accesses to both.
+    FAR_DATA = r"""
+    int near;
+    char pad[40000];
+    int far_words[8];
+    char far_bytes[8];
+    float far_floats[4];
+    double far_doubles[4];
+
+    int frame(int k) {
+        int big[9000];
+        char bytes[4];
+        double doubles[2];
+        int i;
+        for (i = 0; i < 9000; i = i + 1) big[i] = i;
+        bytes[2] = k;
+        doubles[1] = k * 0.5;
+        return big[k] + big[8999] + bytes[2] + (int)doubles[1];
+    }
+
+    int main() {
+        int i;
+        for (i = 0; i < 8; i = i + 1) {
+            far_words[i] = 3 * i;
+            far_bytes[i] = 120 + i;
+        }
+        far_floats[2] = 0.25;
+        far_doubles[3] = 1.5;
+        pad[39999] = 7;
+        near = far_words[7] + far_bytes[7] + pad[39999]
+            + (int)(far_floats[2] * 8.0) + (int)(far_doubles[3] * 4.0);
+        puti(near);
+        putchar(' ');
+        puti(frame(100));
+        putchar(10);
+        return 0;
+    }
+    """
+
+    #: A 400-byte frame: ``dlxe/narrow`` builds its size into AT, the
+    #: register that also carries each wide byte of a built constant.
+    NARROW_FRAME = """
+    int f(int k) { int a[100]; a[k] = k + 5; return a[k]; }
+    int main() { puti(f(99)); return 0; }
+    """
+
+    @pytest.mark.parametrize("engine", ["step", "blocks"])
+    @pytest.mark.parametrize("target", sorted(TARGETS))
+    def test_far_data_prints_alike(self, target, engine):
+        result = build_executable(self.FAR_DATA, target)
+        stats, _machine = run_executable(result.executable, engine=engine)
+        assert stats.output == "163 9249\n"
+
+    @pytest.mark.parametrize("engine", ["step", "blocks"])
+    def test_narrow_large_frame(self, engine):
+        result = build_executable(self.NARROW_FRAME, "dlxe/narrow")
+        stats, _machine = run_executable(result.executable, engine=engine)
+        assert stats.output == "104"
 
 
 def compiled(source, target, **kw):
