@@ -17,7 +17,7 @@ from repro.experiments.cacheperf import (format_figure16,
 def main():
     lab = Lab()
     print("Tracing 'assem' on D16 and DLXe and sweeping caches "
-          "(~1 minute)...\n")
+          "(2-3 s on an empty artifact cache)...\n")
     study = run_cache_study(lab, programs=("assem",),
                             sizes=(1024, 2048, 4096, 8192, 16384),
                             blocks=(32,))

@@ -18,7 +18,8 @@ PROGRAMS = ["ackermann", "queens", "towers", "dhrystone", "pi"]
 def main():
     lab = Lab()
     print(f"Running {len(PROGRAMS)} benchmarks on both machines "
-          "(compiling + simulating, ~1 minute)...\n")
+          "(compiling + simulating, 4-6 s on an empty artifact "
+          "cache)...\n")
     result32 = run_memperf(lab, PROGRAMS, bus_bits=32)
     result64 = run_memperf(lab, PROGRAMS, bus_bits=64)
 

@@ -4,15 +4,17 @@
 This is the full reproduction driver: it compiles the 15-program suite
 for all five compiler configurations, simulates everything, runs the
 cache studies, and prints each table/figure in order.  On an empty
-artifact cache it took 55 s with one job and 24-37 s with ``-j 2``
-on a 2-vCPU Intel Xeon container; a second run took 4 s.
+artifact cache it took 44-53 s with one job and 22 s with ``-j 2`` on
+a 2-vCPU Intel Xeon container whose speed varies by up to 1.8x from
+run to run; a second run took 3.6-4.5 s with one job and 2.3-2.4 s
+with ``-j 2``.  ``--fast`` took 9-13 s, or 4-7 s with ``-j 2``.
 
 Run:  python examples/reproduce_paper.py [--fast] [--jobs N]
 
 Artifacts (compiled executables, run statistics, address traces) are
 memoized in the persistent ``.repro-cache/`` store, so a second
 invocation skips every compile and simulation; ``--jobs N`` fans the
-compile/run grid out over N worker processes.
+compile/run grid and the cache study out over N worker processes.
 """
 
 import argparse

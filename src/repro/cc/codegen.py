@@ -544,12 +544,15 @@ class FunctionEmitter:
         self._pool_word(reg, f".word {value & 0xFFFFFFFF}")
 
     def _build_narrow_const(self, reg: int, value: int) -> None:
-        """Build ``value`` a byte at a time; a byte too wide for addi
-        goes through AT, or, when AT is the register being built, in
-        two nibbles."""
+        """Build the signed ``value`` a byte at a time, starting with
+        mvi of the highest bytes it fits; a byte too wide for addi goes
+        through AT, or, when AT is the register being built, in two
+        nibbles."""
+        top = next(shift for shift in (8, 16, 24)
+                   if self.target.mvi_ok(value >> shift))
+        self._i(f"mvi r{reg}, {value >> top}")
         unsigned = value & 0xFFFFFFFF
-        self._i(f"mvi r{reg}, {(unsigned >> 24) & 0xFF}")
-        for shift in (16, 8, 0):
+        for shift in range(top - 8, -1, -8):
             byte = (unsigned >> shift) & 0xFF
             steps = [(8, byte)]
             if reg == REG_AT and not self.target.alu_imm_ok("add", byte):

@@ -14,12 +14,15 @@ Cycle model with caches (Appendix A.3)::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
+from ..bench import get_benchmark
 from ..cache import CacheConfig, CacheRates, simulate_caches_grid
 from ..cc.target import MAIN_TARGETS
+from ..machine import RunStats
 from ..machine.perf import cycles_with_cache, normalized_cpi
 from .report import format_series, format_table
-from .runner import Lab, TraceRun
+from .runner import Lab, ProgramRun
 
 CACHE_PROGRAMS = ("assem", "latex", "ipl")
 CACHE_SIZES = (1024, 2048, 4096, 8192, 16384)
@@ -51,7 +54,7 @@ class CacheStudy:
     """All measurements for a grid of cache configurations."""
 
     points: dict[tuple, CachePoint]
-    traces: dict[tuple[str, str], TraceRun]
+    runs: dict[tuple[str, str], ProgramRun]
 
     def point(self, program: str, target: str, size: int,
               block: int) -> CachePoint:
@@ -61,7 +64,7 @@ class CacheStudy:
                penalty: int) -> int:
         rates = self.point(program, target, size, block).rates
         return cycles_with_cache(
-            self.traces[(program, target)].run.stats, miss_penalty=penalty,
+            self.runs[(program, target)].stats, miss_penalty=penalty,
             imisses=rates.imisses, rmisses=rates.rmisses,
             wmisses=rates.wmisses)
 
@@ -76,24 +79,54 @@ def run_cache_study(lab: Lab, programs=CACHE_PROGRAMS, *,
                     sizes=CACHE_SIZES, blocks=BLOCK_SIZES) -> CacheStudy:
     """Simulate the cache grid over D16 and DLXe traced runs.
 
-    Each trace is converted once for the whole size x block grid and
-    replayed per geometry by :func:`repro.cache.simulate_caches_grid`.
+    Each (program, target) cell is one :func:`_cache_cell`: with
+    ``lab.jobs > 1`` in forked workers (:meth:`Lab.in_workers`), else
+    in this process.  Either way only the cell's run statistics, sizes
+    and rates come back, so this process holds no address trace.
     """
     configs = grid_configs(sizes, blocks)
+    cells = [(program, target) for program in programs
+             for target in MAIN_TARGETS]
+    if lab.jobs > 1 and len(cells) > 1:
+        done = lab.in_workers(_cache_cell_worker, cells, configs)
+    else:
+        done = {cell: _cache_cell(lab, *cell, configs) for cell in cells}
     points: dict[tuple, CachePoint] = {}
-    traces: dict[tuple[str, str], TraceRun] = {}
-    for program in programs:
-        for target in MAIN_TARGETS:
-            trace = lab.trace(program, target)
-            traces[(program, target)] = trace
-            rates_by_config = simulate_caches_grid(
-                trace.itrace, trace.dtrace, trace.run.stats, configs)
-            for config, rates in rates_by_config.items():
-                point = CachePoint(program=program, target=target,
-                                   size=config.size, block=config.block,
-                                   rates=rates)
-                points[point.key] = point
-    return CacheStudy(points=points, traces=traces)
+    runs: dict[tuple[str, str], ProgramRun] = {}
+    for (program, target), (stats, binary_size, text_size, rates_by_config) \
+            in done.items():
+        runs[(program, target)] = ProgramRun(
+            bench=get_benchmark(program), target_name=target, stats=stats,
+            binary_size=binary_size, text_size=text_size)
+        for config, rates in rates_by_config.items():
+            point = CachePoint(program=program, target=target,
+                               size=config.size, block=config.block,
+                               rates=rates)
+            points[point.key] = point
+    return CacheStudy(points=points, runs=runs)
+
+
+def _cache_cell(lab: Lab, program: str, target: str,
+                configs: list[CacheConfig],
+                ) -> tuple[RunStats, int, int, dict[CacheConfig, CacheRates]]:
+    """One cell of the study: the traced run's statistics, binary and
+    text sizes, and its rates under each geometry of ``configs``.  The
+    trace is converted once for the whole grid and replayed per
+    geometry by :func:`repro.cache.simulate_caches_grid`."""
+    trace = lab.trace(program, target)
+    run = trace.run
+    return (run.stats, run.binary_size, run.text_size,
+            simulate_caches_grid(trace.itrace, trace.dtrace, run.stats,
+                                 configs))
+
+
+def _cache_cell_worker(program: str, target: str, settings: dict[str, Any],
+                       configs: list[CacheConfig],
+                       ) -> tuple[RunStats, int, int,
+                                  dict[CacheConfig, CacheRates]]:
+    """:func:`_cache_cell` in a forked worker, on a lab built from the
+    parent's ``settings`` (its constructor arguments)."""
+    return _cache_cell(Lab(**settings), program, target, configs)
 
 
 # ------------------------------------------------------------- Table 13
@@ -103,8 +136,8 @@ def format_table13(study: CacheStudy) -> str:
     headers = ["Program", "ISA", "IC", "ilock rate", "I fetches",
                "D reads", "D writes"]
     rows = []
-    for (program, target), trace in sorted(study.traces.items()):
-        stats = trace.run.stats
+    for (program, target), run in sorted(study.runs.items()):
+        stats = run.stats
         rows.append([program, target, stats.instructions,
                      f"{stats.interlock_rate:.3f}",
                      stats.ifetch_words, stats.loads, stats.stores])
@@ -170,8 +203,8 @@ def format_figures_17_18(study: CacheStudy, *, size: int) -> str:
     parts = []
     programs = sorted({key[0] for key in study.points})
     for program in programs:
-        dlxe_ic = study.traces[(program, "dlxe")].run.stats.instructions
-        d16_ic = study.traces[(program, "d16")].run.stats.instructions
+        dlxe_ic = study.runs[(program, "dlxe")].stats.instructions
+        d16_ic = study.runs[(program, "d16")].stats.instructions
 
         def cpi(target: str, reference: int) -> list[float]:
             return [normalized_cpi(study.cycles(program, target, size,

@@ -7,18 +7,22 @@ dict, backed by the persistent content-addressed artifact cache of
 :mod:`repro.labcache` so a *second process* (another pytest run, an
 example script) skips compilation and execution entirely.
 
-Grid execution fans out over a process pool when ``jobs > 1``; each
+With ``jobs > 1`` a grid reads the cells the artifact cache holds in
+the parent and fans only the misses out over forked workers; each
 worker compiles and runs one (benchmark, target) cell, publishes the
 artifacts into the shared on-disk cache, and returns picklable results
 that the parent assembles in deterministic grid order -- parallel
-output is byte-identical to sequential output.
+output is byte-identical to sequential output.  The cache study
+(:func:`~repro.experiments.cacheperf.run_cache_study`) fans out the
+same way, through :meth:`Lab.in_workers`.
 
-:func:`fan_out` is the one fail-soft path, shared by the grid and the
-fault campaigns: a cell that raises, or whose worker process dies
-after a bounded retry, comes back as a typed :class:`RunError` while
-every other cell completes; the simulator's instruction fuel bounds a
-hang.  :meth:`Lab.runs` raises the first such error in grid order, and
-a fault campaign records it as an error cell.
+:func:`fan_out` is the one fail-soft path, shared by the grid, the
+cache study and the fault campaigns: a cell that raises, or whose
+worker process dies after a bounded retry, comes back as a typed
+:class:`RunError` while every other cell completes; the simulator's
+instruction fuel bounds a hang.  :meth:`Lab.in_workers` raises the
+first such error in cell order, and a fault campaign records it as an
+error cell.
 """
 
 from __future__ import annotations
@@ -292,8 +296,10 @@ class Lab:
              ) -> dict[str, dict[str, ProgramRun]]:
         """Run a program x target grid; returns runs[program][target].
 
-        With ``jobs > 1`` the missing cells are fanned out over a
-        process pool; results are assembled in grid order, so the
+        With ``jobs > 1`` the cells not yet memoized are read from the
+        artifact cache here, and only the cells it misses are fanned
+        out over forked workers (:meth:`in_workers`), so a warm grid
+        starts no pool.  Results are assembled in grid order, so the
         returned structure is identical to a sequential run.  The first
         failing cell in grid order raises.
         """
@@ -301,29 +307,50 @@ class Lab:
         targets = tuple(targets)
         pending = [(name, target) for name in names for target in targets
                    if (name, target) not in self._runs]
-        done: dict[tuple[str, str], Any] = {}
         if self.jobs > 1 and len(pending) > 1:
-            for name, target in pending:       # validate before forking
-                get_benchmark(name)
-                get_target(target)
-            settings = {"params": self.params, "cache": self.cache}
-            done = fan_out(_grid_cell_worker, pending, self.jobs, settings)
-        grid: dict[str, dict[str, ProgramRun]] = {}
-        for name in names:
-            row: dict[str, ProgramRun] = {}
-            for target in targets:
-                result = done.get((name, target))
-                if isinstance(result, RunError):
-                    raise ExperimentError(str(result))
-                if result is not None:
-                    stats, binary_size, text_size = result
+            misses = []
+            for name, target in pending:
+                bench = get_benchmark(name)
+                payload = self._cached("run", bench, target)
+                if payload is None:
+                    misses.append((name, target))
+                else:
+                    self._memoize("run", bench, target, payload)
+            if len(misses) > 1:
+                done = self.in_workers(_grid_cell_worker, misses)
+                for (name, target), (stats, binary_size, text_size) \
+                        in done.items():
                     self._runs[name, target] = ProgramRun(
                         bench=get_benchmark(name), target_name=target,
                         stats=stats, binary_size=binary_size,
                         text_size=text_size)
-                row[target] = self.run(name, target)
-            grid[name] = row
-        return grid
+        return {name: {target: self.run(name, target) for target in targets}
+                for name in names}
+
+    def in_workers(self, worker: Callable[..., _R],
+                   cells: Sequence[tuple[str, str]], *args: Any,
+                   ) -> dict[tuple[str, str], _R]:
+        """Run ``worker(bench, target, settings, *args)`` for every cell
+        in forked workers (:func:`fan_out`); ``settings`` are this Lab's
+        constructor arguments, so each worker simulates under this
+        pipeline and shares this artifact cache.
+
+        Every cell is validated before forking.  Returns the results in
+        cell order; the first failed cell raises
+        :class:`ExperimentError`.
+        """
+        for name, target in cells:
+            get_benchmark(name)
+            get_target(target)
+        settings = {"params": self.params, "cache": self.cache}
+        done = fan_out(worker, cells, self.jobs, settings, *args)
+        results: dict[tuple[str, str], _R] = {}
+        for cell in cells:
+            result = done[cell]
+            if isinstance(result, RunError):
+                raise ExperimentError(str(result))
+            results[cell] = result
+        return results
 
 
 def _grid_cell_worker(bench_name: str, target_name: str,

@@ -105,3 +105,31 @@ def dying_build(monkeypatch):
         inline_source="int main() { int fs_die_marker; "
                       "puti(5); return 0; }"))
     return "fs-die"
+
+
+SPIN_SOURCE = """
+int main() {
+    int i;
+    i = 1;
+    while (i) i = i + 2;
+    return 0;
+}
+"""
+
+#: Output never matches its expected marker -> deterministic failure.
+BAD_SOURCE = "int main() { puti(7); return 0; }"
+
+
+@pytest.fixture(scope="module")
+def failsoft_benchmarks():
+    """Register ``fs-spin`` (never terminates) and ``fs-bad`` (always
+    miscompares)."""
+    from repro.bench import Benchmark, register_benchmark
+
+    register_benchmark(Benchmark(
+        "fs-spin", "never terminates (fail-soft fixture)",
+        ("unreachable",), inline_source=SPIN_SOURCE))
+    register_benchmark(Benchmark(
+        "fs-bad", "always miscompares (fail-soft fixture)",
+        ("impossible-marker",), inline_source=BAD_SOURCE))
+    return ("fs-spin", "fs-bad")

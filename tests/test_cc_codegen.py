@@ -6,7 +6,7 @@ import re
 import pytest
 
 from repro.asm import assemble
-from repro.bench import get_benchmark
+from repro.bench import SUITE, get_benchmark
 from repro.cc import build_executable, compile_to_assembly, codegen
 from repro.cc.codegen import PoolManager, generate_assembly
 from repro.cc.irgen import lower_program
@@ -263,6 +263,38 @@ class TestDisplacementLegalization:
         result = build_executable(self.NARROW_FRAME, "dlxe/narrow")
         stats, _machine = run_executable(result.executable, engine=engine)
         assert stats.output == "104"
+
+
+class TestNarrowConstants:
+    """``dlxe/narrow`` builds a constant too wide for mvi a byte at a
+    time, from the highest byte its signed value needs."""
+
+    SOURCE = "int main() { puti(9000); putchar(' '); puti(-9000); return 0; }"
+
+    @pytest.mark.parametrize("engine", ["step", "blocks"])
+    def test_both_signs_load(self, engine):
+        result = build_executable(self.SOURCE, "dlxe/narrow")
+        stats, _machine = run_executable(result.executable, engine=engine)
+        assert stats.output == "9000 -9000"
+
+    @pytest.mark.parametrize("value,head,low", [(9000, 35, 40),
+                                                (-9000, -36, 216)])
+    def test_two_byte_constant_takes_four_instructions(self, value, head,
+                                                       low):
+        asm = body_of(asm_for(f"int main() {{ return {value}; }}",
+                              "dlxe/narrow"), "main")
+        assert re.search(rf"mvi (r\d+), {head}\n\s+shli \1, \1, 8\n"
+                         rf"\s+mvi (r\d+), {low}\n\s+add \1, \1, \2\n",
+                         asm), asm
+
+    def test_no_suite_build_starts_from_a_zero_byte(self):
+        for bench in SUITE:
+            lines = [line.strip() for line in build_executable(
+                bench.source, "dlxe/narrow").assembly.splitlines()]
+            for first, second in zip(lines, lines[1:]):
+                zero = re.fullmatch(r"mvi (r\d+), 0", first)
+                assert not (zero and second ==
+                            f"shli {zero[1]}, {zero[1]}, 8"), bench.name
 
 
 def compiled(source, target, **kw):

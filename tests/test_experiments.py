@@ -9,13 +9,15 @@ test run.
 import pytest
 
 from repro.experiments import (
-    Lab, format_figure4, format_table5, mean,
+    ExperimentError, Lab, format_figure4, format_table5, mean,
     format_table6, format_table8, run_cache_study, run_data_traffic,
     run_density, run_immediates, run_interlocks, run_memperf,
     run_pathlength, run_summary, run_traffic)
 from repro.experiments.cacheperf import (format_figure16,
                                          format_figures_17_18,
                                          format_table13)
+from repro.labcache import ArtifactCache
+from repro.machine.pipeline import PipelineParams
 
 FAST = ["ackermann", "queens", "dhrystone"]
 
@@ -199,6 +201,41 @@ class TestCacheStudy:
         assert "Table 13" in format_table13(study)
         assert "Figure 16" in format_figure16(study)
         assert "Figure 17" in format_figures_17_18(study, size=4096)
+
+
+class TestParallelCacheStudy:
+    """With ``jobs > 1`` the study's cells run in forked workers."""
+
+    def test_jobs2_equals_serial(self, tmp_path):
+        """The workers' study equals the in-process one, under the
+        default and non-default pipeline parameters alike."""
+        interlocks = []
+        for index, params in enumerate((None, PipelineParams(load_delay=2))):
+            serial = run_cache_study(Lab(cache=False, params=params),
+                                     ("ackermann",))
+            lab = Lab(cache=ArtifactCache(tmp_path / f"cache{index}"),
+                      params=params, jobs=2)
+            parallel = run_cache_study(lab, ("ackermann",))
+            assert not lab._traces      # the traces stayed in the workers
+            assert list(parallel.points) == list(serial.points)
+            for key, point in serial.points.items():
+                assert parallel.points[key].rates == point.rates
+            assert list(parallel.runs) == list(serial.runs)
+            for cell, run in serial.runs.items():
+                other = parallel.runs[cell]
+                assert other.stats == run.stats
+                assert (other.binary_size, other.text_size) == \
+                    (run.binary_size, run.text_size)
+            interlocks.append(
+                parallel.runs["ackermann", "dlxe"].stats.interlocks)
+        # The load delay reached the workers: it changes the interlocks.
+        assert interlocks[0] != interlocks[1]
+
+    def test_failed_cell_raises_naming_it(self, failsoft_benchmarks,
+                                          tmp_path):
+        lab = Lab(cache=ArtifactCache(tmp_path / "cache"), jobs=2)
+        with pytest.raises(ExperimentError, match="fs-bad/d16"):
+            run_cache_study(lab, ("fs-bad",), sizes=(1024,), blocks=(32,))
 
 
 def test_lab_memoizes():

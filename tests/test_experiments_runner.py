@@ -3,7 +3,6 @@
 import pytest
 
 import repro.experiments.runner as runner
-from repro.bench import Benchmark, register_benchmark
 from repro.experiments import Lab, RunError, default_programs, mean
 from repro.experiments.runner import (ExperimentError, MAIN_TARGETS,
                                       PAPER_TARGETS)
@@ -59,6 +58,21 @@ class TestLab:
             small_lab.run("ackermann", "riscv")
 
 
+def assert_same_grid(grid1, grid2):
+    """Two ``Lab.runs`` grids hold the same cells, in the same order,
+    with equal runs."""
+    assert list(grid1) == list(grid2)
+    for name in grid1:
+        assert list(grid1[name]) == list(grid2[name])
+        for target in grid1[name]:
+            a, b = grid1[name][target], grid2[name][target]
+            assert a.stats == b.stats
+            assert (a.binary_size, a.text_size) == \
+                (b.binary_size, b.text_size)
+            assert a.bench is b.bench
+            assert a.target_name == b.target_name
+
+
 class TestParallelGrid:
     PROGRAMS = ("ackermann", "queens")
 
@@ -72,20 +86,42 @@ class TestParallelGrid:
             parallel = Lab(cache=ArtifactCache(tmp_path / f"cache{index}"),
                            params=params, jobs=2)
             grid2 = parallel.runs(self.PROGRAMS, MAIN_TARGETS)
-
-            assert list(grid1) == list(grid2)
-            for name in grid1:
-                assert list(grid1[name]) == list(grid2[name])
-                for target in grid1[name]:
-                    a, b = grid1[name][target], grid2[name][target]
-                    assert a.stats == b.stats
-                    assert (a.binary_size, a.text_size) == \
-                        (b.binary_size, b.text_size)
-                    assert a.bench is b.bench
-                    assert a.target_name == b.target_name
+            assert_same_grid(grid1, grid2)
             interlocks.append(grid2["queens"]["dlxe"].stats.interlocks)
         # The load delay reached the workers: it changes the interlocks.
         assert interlocks[0] != interlocks[1]
+
+    def test_cached_grid_starts_no_pool(self, tmp_path, monkeypatch):
+        """A grid the artifact cache holds is read in the parent."""
+        cache = ArtifactCache(tmp_path / "cache")
+        cold = Lab(cache=cache, jobs=2).runs(self.PROGRAMS, MAIN_TARGETS)
+
+        def refuse(*args):
+            raise AssertionError(f"fan_out called for {args[1]}")
+
+        monkeypatch.setattr(runner, "fan_out", refuse)
+        warm = Lab(cache=cache, jobs=2).runs(self.PROGRAMS, MAIN_TARGETS)
+        assert_same_grid(cold, warm)
+
+    def test_only_missing_cells_are_forked(self, tmp_path, monkeypatch):
+        """On a cache holding half the grid, the workers get exactly the
+        other half, in grid order."""
+        cache = ArtifactCache(tmp_path / "cache")
+        held = Lab(cache=cache)
+        held.run("ackermann", "d16")
+        held.run("queens", "dlxe")
+        real_fan_out = runner.fan_out
+        forked = []
+
+        def spy(fn, cells, *args):
+            forked.append(list(cells))
+            return real_fan_out(fn, cells, *args)
+
+        monkeypatch.setattr(runner, "fan_out", spy)
+        grid = Lab(cache=cache, jobs=2).runs(self.PROGRAMS, MAIN_TARGETS)
+        assert forked == [[("ackermann", "dlxe"), ("queens", "d16")]]
+        assert_same_grid(
+            grid, Lab(cache=False).runs(self.PROGRAMS, MAIN_TARGETS))
 
     def test_parallel_workers_populate_shared_cache(self, tmp_path):
         lab = Lab(cache=ArtifactCache(tmp_path / "cache"), jobs=2)
@@ -97,30 +133,6 @@ class TestParallelGrid:
         lab = Lab(cache=False, jobs=2)
         with pytest.raises(KeyError):
             lab.runs(("ackermann", "fortnite"), MAIN_TARGETS)
-
-
-SPIN_SOURCE = """
-int main() {
-    int i;
-    i = 1;
-    while (i) i = i + 2;
-    return 0;
-}
-"""
-
-#: Output never matches its expected marker -> deterministic failure.
-BAD_SOURCE = "int main() { puti(7); return 0; }"
-
-
-@pytest.fixture(scope="module")
-def failsoft_benchmarks():
-    register_benchmark(Benchmark(
-        "fs-spin", "never terminates (fail-soft fixture)",
-        ("unreachable",), inline_source=SPIN_SOURCE))
-    register_benchmark(Benchmark(
-        "fs-bad", "always miscompares (fail-soft fixture)",
-        ("impossible-marker",), inline_source=BAD_SOURCE))
-    return ("fs-spin", "fs-bad")
 
 
 def cache_settings(tmp_path):
