@@ -6,15 +6,17 @@ for all five compiler configurations, simulates everything, runs the
 cache studies, and prints each table/figure in order.  On an empty
 artifact cache it took 44-53 s with one job and 22 s with ``-j 2`` on
 a 2-vCPU Intel Xeon container whose speed varies by up to 1.8x from
-run to run; a second run took 3.6-4.5 s with one job and 2.3-2.4 s
-with ``-j 2``.  ``--fast`` took 9-13 s, or 4-7 s with ``-j 2``.
+run to run; a second run took 0.24-0.28 s with one job or two, since
+it reads every result from the cache.  ``--fast`` took 9-13 s, or 4-7 s
+with ``-j 2``, and 0.22-0.27 s on a filled cache.
 
 Run:  python examples/reproduce_paper.py [--fast] [--jobs N]
 
-Artifacts (compiled executables, run statistics, address traces) are
-memoized in the persistent ``.repro-cache/`` store, so a second
-invocation skips every compile and simulation; ``--jobs N`` fans the
-compile/run grid and the cache study out over N worker processes.
+Artifacts (compiled executables, run statistics, address traces,
+cache-study miss rates) are memoized in the persistent
+``.repro-cache/`` store, so a second invocation skips every compile,
+simulation and cache replay; ``--jobs N`` fans the compile/run grid
+and the cache study out over N worker processes.
 """
 
 import argparse

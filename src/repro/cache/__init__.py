@@ -1,8 +1,11 @@
-"""Trace-driven cache simulation (dinero-equivalent substrate)."""
+"""Trace-driven cache simulation (dinero-equivalent substrate).
+
+The numpy replay (:mod:`repro.cache.vector`) is imported where a trace
+is replayed, so reading cached results loads no numpy.
+"""
 
 from .cache import Cache, CacheConfig
 from .hierarchy import CacheRates, simulate_caches, simulate_caches_grid
-from .vector import replay_reads, replay_tagged
 
-__all__ = ["Cache", "CacheConfig", "CacheRates", "replay_reads",
-           "replay_tagged", "simulate_caches", "simulate_caches_grid"]
+__all__ = ["Cache", "CacheConfig", "CacheRates", "simulate_caches",
+           "simulate_caches_grid"]

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..machine.stats import RunStats
-from . import vector
 from .cache import Cache, CacheConfig
 
 
@@ -52,6 +51,8 @@ def simulate_caches(itrace, dtrace, stats: RunStats, *,
     The I-stream is word-deduplicated first (see
     :func:`~repro.cache.vector.dedup_words`).
     """
+    from . import vector
+
     icache_sim = Cache(icache)
     dcache_sim = Cache(dcache)
     vector.replay_reads(icache_sim, itrace, dedup=True)
@@ -92,6 +93,8 @@ def simulate_caches_grid(itrace, dtrace, stats: RunStats,
     repeat hit it dropped is a repeat hit there too.  Access counts
     come from the full streams.
     """
+    from . import vector
+
     configs = list(dict.fromkeys(configs))
     if not configs:
         return {}

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .. import __version__ as TOOLCHAIN_VERSION
 from ..asm import assemble, link
 from ..asm.objfile import Executable, text_labels
 from .codegen import generate_assembly
@@ -19,17 +18,6 @@ from .opt import optimize_module
 from .parser import parse
 from .runtime import with_runtime
 from .target import TargetSpec, get_target
-
-
-def toolchain_fingerprint() -> str:
-    """Identifies the generation of code this toolchain produces.
-
-    Folded into every persistent artifact-cache key: compiled artifacts
-    are only reusable by processes running the same toolchain
-    generation, so a change to the compiler's output must come with a
-    version bump to invalidate caches.
-    """
-    return f"repro-{TOOLCHAIN_VERSION}"
 
 
 @dataclass

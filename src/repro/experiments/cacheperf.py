@@ -19,7 +19,6 @@ from typing import Any
 from ..bench import get_benchmark
 from ..cache import CacheConfig, CacheRates, simulate_caches_grid
 from ..cc.target import MAIN_TARGETS
-from ..machine import RunStats
 from ..machine.perf import cycles_with_cache, normalized_cpi
 from .report import format_series, format_table
 from .runner import Lab, ProgramRun
@@ -79,26 +78,34 @@ def run_cache_study(lab: Lab, programs=CACHE_PROGRAMS, *,
                     sizes=CACHE_SIZES, blocks=BLOCK_SIZES) -> CacheStudy:
     """Simulate the cache grid over D16 and DLXe traced runs.
 
-    Each (program, target) cell is one :func:`_cache_cell`: with
-    ``lab.jobs > 1`` in forked workers (:meth:`Lab.in_workers`), else
-    in this process.  Either way only the cell's run statistics, sizes
-    and rates come back, so this process holds no address trace.
+    Each (program, target) cell's result is read from the artifact
+    cache here (:meth:`Lab.stored_study`), so a warm study replays
+    nothing and starts no pool.  Each cell the cache misses is one
+    :func:`_cache_cell`, which traces the cell, replays the trace and
+    stores the result: in forked workers (:meth:`Lab.in_workers`) when
+    ``lab.jobs > 1`` and more than one cell missed, so that only the
+    cells' run statistics, sizes and rates come back and this process
+    holds no address trace; else in this process.
     """
     configs = grid_configs(sizes, blocks)
+    geometry = _geometry(configs)
     cells = [(program, target) for program in programs
              for target in MAIN_TARGETS]
-    if lab.jobs > 1 and len(cells) > 1:
-        done = lab.in_workers(_cache_cell_worker, cells, configs)
+    done = {cell: lab.stored_study(*cell, geometry) for cell in cells}
+    misses = [cell for cell, payload in done.items() if payload is None]
+    if lab.jobs > 1 and len(misses) > 1:
+        done.update(lab.in_workers(_cache_cell_worker, misses, configs))
     else:
-        done = {cell: _cache_cell(lab, *cell, configs) for cell in cells}
+        done.update((cell, _cache_cell(lab, *cell, configs))
+                    for cell in misses)
     points: dict[tuple, CachePoint] = {}
     runs: dict[tuple[str, str], ProgramRun] = {}
-    for (program, target), (stats, binary_size, text_size, rates_by_config) \
-            in done.items():
+    for (program, target), payload in done.items():
         runs[(program, target)] = ProgramRun(
-            bench=get_benchmark(program), target_name=target, stats=stats,
-            binary_size=binary_size, text_size=text_size)
-        for config, rates in rates_by_config.items():
+            bench=get_benchmark(program), target_name=target,
+            stats=payload["stats"], binary_size=payload["binary_size"],
+            text_size=payload["text_size"])
+        for config, rates in payload["rates"].items():
             point = CachePoint(program=program, target=target,
                                size=config.size, block=config.block,
                                rates=rates)
@@ -106,24 +113,31 @@ def run_cache_study(lab: Lab, programs=CACHE_PROGRAMS, *,
     return CacheStudy(points=points, runs=runs)
 
 
+def _geometry(configs: list[CacheConfig]) -> list[tuple[int, int, int]]:
+    """What a stored study result depends on besides its traced run."""
+    return [(config.size, config.block, config.sub_block)
+            for config in configs]
+
+
 def _cache_cell(lab: Lab, program: str, target: str,
-                configs: list[CacheConfig],
-                ) -> tuple[RunStats, int, int, dict[CacheConfig, CacheRates]]:
-    """One cell of the study: the traced run's statistics, binary and
-    text sizes, and its rates under each geometry of ``configs``.  The
-    trace is converted once for the whole grid and replayed per
-    geometry by :func:`repro.cache.simulate_caches_grid`."""
+                configs: list[CacheConfig]) -> dict[str, Any]:
+    """One cell of the study, stored in the artifact cache: the traced
+    run's statistics, binary and text sizes, and its rates under each
+    geometry of ``configs``.  The trace is converted once for the whole
+    grid and replayed per geometry by
+    :func:`repro.cache.simulate_caches_grid`."""
     trace = lab.trace(program, target)
     run = trace.run
-    return (run.stats, run.binary_size, run.text_size,
-            simulate_caches_grid(trace.itrace, trace.dtrace, run.stats,
-                                 configs))
+    payload = {"stats": run.stats, "binary_size": run.binary_size,
+               "text_size": run.text_size,
+               "rates": simulate_caches_grid(trace.itrace, trace.dtrace,
+                                             run.stats, configs)}
+    lab.store_study(program, target, _geometry(configs), payload)
+    return payload
 
 
 def _cache_cell_worker(program: str, target: str, settings: dict[str, Any],
-                       configs: list[CacheConfig],
-                       ) -> tuple[RunStats, int, int,
-                                  dict[CacheConfig, CacheRates]]:
+                       configs: list[CacheConfig]) -> dict[str, Any]:
     """:func:`_cache_cell` in a forked worker, on a lab built from the
     parent's ``settings`` (its constructor arguments)."""
     return _cache_cell(Lab(**settings), program, target, configs)

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from ..cc.target import D16_TARGET
 from ..isa import Op
 from ..isa.operations import DATA_ACCESS
+from ..machine.cpu import decoded_text
 from .report import format_table
-from .runner import Lab, mean
+from .runner import ExperimentError, Lab, mean
 
 _ALU_IMM_OPS = {Op.ADDI, Op.SUBI, Op.ANDI, Op.ORI, Op.XORI}
 
@@ -128,14 +129,22 @@ def run_immediates(lab: Lab, programs=None) -> list[ImmediateBreakdown]:
     The paper measures DLXe restricted to 16 registers and two-address
     code (:data:`RESTRICTED_DLXE`), then asks which remaining
     (immediate-field) advantages the trace actually exploits beyond D16
-    limits.
+    limits.  Each run's per-slot counts are paired with its executable's
+    decoded text; a pair that disagrees on the number of text slots
+    raises :class:`ExperimentError`.
     """
     grid = lab.runs(programs, (RESTRICTED_DLXE,))
     out = []
     for name, runs in grid.items():
         stats = runs[RESTRICTED_DLXE].stats
+        program = decoded_text(lab.executable(name, RESTRICTED_DLXE))
+        if len(program) != len(stats.exec_counts):
+            raise ExperimentError(
+                f"{name}/{RESTRICTED_DLXE}: the run counts "
+                f"{len(stats.exec_counts)} text slots but its executable "
+                f"has {len(program)}")
         compare_imm = alu_over = mem_over = move_over = 0
-        for instr, count in stats.executed_instructions():
+        for instr, count in stats.executed_instructions(program):
             op = instr.op
             if op == Op.CMPI:
                 compare_imm += count

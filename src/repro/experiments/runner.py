@@ -13,8 +13,9 @@ worker compiles and runs one (benchmark, target) cell, publishes the
 artifacts into the shared on-disk cache, and returns picklable results
 that the parent assembles in deterministic grid order -- parallel
 output is byte-identical to sequential output.  The cache study
-(:func:`~repro.experiments.cacheperf.run_cache_study`) fans out the
-same way, through :meth:`Lab.in_workers`.
+(:func:`~repro.experiments.cacheperf.run_cache_study`) works the same
+way: it reads each cell's stored result (the "study" artifact) in the
+parent and fans only the misses out, through :meth:`Lab.in_workers`.
 
 :func:`fan_out` is the one fail-soft path, shared by the grid, the
 cache study and the fault campaigns: a cell that raises, or whose
@@ -33,8 +34,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Iterable, Literal,
                     Sequence, TypeVar)
 
 from ..bench import Benchmark, check_output, get_benchmark, program_names
-from ..cc import build_executable, get_target
-from ..cc.target import MAIN_TARGETS
+from ..cc.target import MAIN_TARGETS, get_target
 from ..labcache import (ArtifactCache, default_cache, params_fingerprint,
                         source_fingerprint, target_fingerprint)
 from ..machine import RunStats, Snapshot, run_executable
@@ -143,20 +143,25 @@ class Lab:
 
     # ------------------------------------------------------------ access
 
-    def _key(self, kind: str, bench: Benchmark, target_name: str) -> str:
+    def _key(self, kind: str, bench: Benchmark, target_name: str,
+             **extra: Any) -> str:
         """The artifact-cache key of one cell's ``kind`` artifact ("exe",
-        "run", "trace" or "checkpoints"); all but the image depend on
-        the pipeline too."""
+        "run", "trace", "checkpoints" or "study"); all but the image
+        depend on the pipeline too, and ``extra`` is whatever else the
+        artifact depends on."""
         material = self._cell_material(bench, target_name)
         if kind != "exe":
             material["params"] = params_fingerprint(self.params)
-        return self.cache.make_key(kind, material)
+        return self.cache.make_key(kind, {**material, **extra})
 
-    def _cached(self, kind: str, bench: Benchmark, target_name: str) -> Any:
+    def _cached(self, kind: str, bench: Benchmark, target_name: str,
+                **extra: Any) -> Any:
         """One cell's ``kind`` artifact from the artifact cache, or None.
-        A cached run's output is checked here."""
-        payload = self.cache.get(self._key(kind, bench, target_name))
-        if payload is not None and kind in ("run", "trace"):
+        The output of a cached run ("run", "trace" or "study") is
+        checked here."""
+        payload = self.cache.get(self._key(kind, bench, target_name,
+                                           **extra))
+        if payload is not None and kind in ("run", "trace", "study"):
             self._check(bench, target_name, payload["stats"])
         return payload
 
@@ -189,9 +194,14 @@ class Lab:
         if key not in self._executables:
             bench = get_benchmark(bench_name)
             target = get_target(target_name)          # validate early
-            self._executables[key] = self._artifact(
-                "exe", bench, target_name,
-                lambda: build_executable(bench.source, target).executable)
+
+            def build():
+                from ..cc.driver import build_executable
+
+                return build_executable(bench.source, target).executable
+
+            self._executables[key] = self._artifact("exe", bench,
+                                                    target_name, build)
         return self._executables[key]
 
     def image(self, bench_name: str, target_name: str) -> AnalysisResult:
@@ -255,6 +265,23 @@ class Lab:
                 lambda: self._simulate(bench, target_name, traced=True)))
         return self._traces[key]
 
+    def stored_study(self, bench_name: str, target_name: str,
+                     geometry: list[tuple[int, int, int]],
+                     ) -> dict[str, Any] | None:
+        """The cell's cache-study result over ``geometry`` (the study's
+        ordered ``(size, block, sub_block)`` list) from the artifact
+        cache, or None.  The stored run's output is checked, as a cached
+        run's is."""
+        return self._cached("study", get_benchmark(bench_name), target_name,
+                            geometry=geometry)
+
+    def store_study(self, bench_name: str, target_name: str,
+                    geometry: list[tuple[int, int, int]],
+                    payload: dict[str, Any]) -> None:
+        """Store the cell's cache-study result (see :meth:`stored_study`)."""
+        self.cache.put(self._key("study", get_benchmark(bench_name),
+                                 target_name, geometry=geometry), payload)
+
     def checkpoints(self, bench_name: str, target_name: str, *,
                     traced: bool) -> list[Snapshot]:
         """Snapshots of the cell's golden run, one every
@@ -297,11 +324,12 @@ class Lab:
         """Run a program x target grid; returns runs[program][target].
 
         With ``jobs > 1`` the cells not yet memoized are read from the
-        artifact cache here, and only the cells it misses are fanned
-        out over forked workers (:meth:`in_workers`), so a warm grid
-        starts no pool.  Results are assembled in grid order, so the
-        returned structure is identical to a sequential run.  The first
-        failing cell in grid order raises.
+        artifact cache here, in the parent, and only the cells it misses
+        are fanned out over forked workers (:meth:`in_workers`), so a
+        warm grid starts no pool; the cache study reads its stored
+        results the same way.  Results are assembled in grid order, so
+        the returned structure is identical to a sequential run.  The
+        first failing cell in grid order raises.
         """
         names = program_names(programs)
         targets = tuple(targets)
@@ -342,6 +370,10 @@ class Lab:
         for name, target in cells:
             get_benchmark(name)
             get_target(target)
+        # The cells missed the artifact cache, so they may compile: the
+        # workers inherit the compiler through fork instead of each
+        # importing it.
+        from ..cc import driver  # noqa: F401
         settings = {"params": self.params, "cache": self.cache}
         done = fan_out(worker, cells, self.jobs, settings, *args)
         results: dict[tuple[str, str], _R] = {}

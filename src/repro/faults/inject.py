@@ -25,7 +25,10 @@ from __future__ import annotations
 import bisect
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ..cache.cache import CacheConfig
+# Imported with the campaign, so that its forked workers inherit numpy
+# rather than each importing it.
+from ..cache import vector
+from ..cache.cache import Cache, CacheConfig
 from ..cc import build_executable
 from ..machine import (Machine, MachineError, MachineTimeout, MemoryError_,
                        TrapError)
@@ -184,8 +187,6 @@ def run_cache_fault(itrace: Iterable[int], spec: FaultSpec) -> FaultResult:
     The cache is :data:`FAULT_CACHE`, the one the masking oracle
     assumes.
     """
-    from ..cache import Cache, vector
-
     config = FAULT_CACHE
     addresses = vector.as_addresses(itrace)
     cut = spec.trigger % addresses.size if addresses.size else 0

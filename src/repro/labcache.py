@@ -2,7 +2,7 @@
 
 Compiling and simulating the 15-program x 5-target grid dominates the
 wall-clock cost of reproducing the paper, yet the inputs rarely change
-between runs.  This module memoizes the four expensive artifact kinds
+between runs.  This module memoizes the five expensive artifact kinds
 across *processes*:
 
 * ``exe``   -- linked :class:`~repro.asm.objfile.Executable` images,
@@ -10,15 +10,21 @@ across *processes*:
 * ``trace`` -- run stats together with zlib-compressed address traces,
 * ``checkpoints`` -- a golden run's :class:`~repro.machine.cpu.Snapshot`
   list, which fault campaigns restore instead of simulating the prefix
-  before each fault site.
+  before each fault site,
+* ``study`` -- a traced run's stats and sizes with its cache-study miss
+  rates for one ordered list of cache geometries, so a warm cache study
+  replays no trace.
 
 Every artifact is stored under a SHA-256 key derived from *all* inputs
 that can change the result: the benchmark source text, the full
 :class:`~repro.cc.target.TargetSpec` fingerprint (ISA, register-file
 size, two/three-address, immediate width), the pipeline latency
-parameters, and the toolchain version.  Changing any of these yields a
-different key, so stale entries are never served -- they are simply
-orphaned and reclaimed by ``python -m repro cache clear``.
+parameters, the cache geometries of a ``study``, and the toolchain
+version.  Changing any of these yields a different key, so stale
+entries are never served -- they are simply orphaned and reclaimed by
+``python -m repro cache clear``.  The toolchain version stands for the
+code: a change to what the compiler emits, to what a stored artifact
+holds or to the cache replay's results must bump ``repro.__version__``.
 
 Layout on disk (``.repro-cache/`` by default, override with
 ``REPRO_CACHE_DIR``; set ``REPRO_CACHE=off`` to disable)::
@@ -63,6 +69,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
+from . import __version__
+
 log = logging.getLogger("repro.labcache")
 
 #: Bump to orphan every existing cache entry (on-disk format changes).
@@ -80,10 +88,9 @@ DEFAULT_DIRNAME = ".repro-cache"
 
 
 def toolchain_fingerprint() -> str:
-    """Version string folded into every key (versioned invalidation)."""
-    from .cc.driver import toolchain_fingerprint as cc_fingerprint
-
-    return str(cc_fingerprint())
+    """Version string folded into every key (versioned invalidation;
+    the module docstring says when to bump it)."""
+    return f"repro-{__version__}"
 
 
 def source_fingerprint(source: str) -> str:

@@ -190,6 +190,30 @@ class Snapshot:
         return self.state["_st"]["executed"]
 
 
+def decoded_text(exe: Executable) -> list[Instr | None]:
+    """The executable's text segment decoded, one entry per instruction
+    slot (None where a slot holds constant-pool data, not an
+    instruction).
+
+    Decoding depends only on the immutable text bytes, so the list is
+    computed once and kept on the executable; callers must not mutate
+    it.  A run's ``exec_counts`` pair with it position by position.
+    """
+    decoded = getattr(exe, "_decoded_text", None)
+    if decoded is None:
+        isa = get_isa(exe.isa_name)
+        width = isa.width_bytes
+        decoded = []
+        for idx in range(len(exe.text) // width):
+            try:
+                instr = isa.decode_bytes(exe.text, idx * width)
+            except DecodingError:
+                instr = None
+            decoded.append(instr)
+        exe._decoded_text = decoded
+    return decoded
+
+
 def _slot_meta(instr: Instr | None, params: PipelineParams,
                ) -> tuple[tuple[int, ...], tuple[int, ...], int, int, int]:
     """One text slot's hazard metadata: the ready-vector indices it
@@ -266,11 +290,9 @@ class Machine:
     # -------------------------------------------------------- decoding
 
     def _decode_text(self) -> None:
-        isa = self.isa
         exe = self.exe
-        text = exe.text
-        width = isa.width_bytes
-        count = len(text) // width
+        decoded = decoded_text(exe)
+        count = len(decoded)
         self.handlers: list = [None] * count
         self.counts = [0] * count
         # Block-engine state: lazily compiled blocks keyed by entry slot
@@ -284,22 +306,11 @@ class Machine:
         # Compiled blocks by entry pc, for the dispatcher to go from a
         # block straight to the next (blocks ending in TRAP stay out).
         self._chain: dict[int, CompiledBlock] = {}
-        # Decoding depends only on the (immutable) text bytes, and the
-        # per-slot hazard/latency tables only on (text, pipeline
-        # params), so both are computed once and shared across machines
-        # via the executable.  Each machine works on shallow copies:
-        # patch_text rewrites the machine's own lists, never the shared
-        # originals.
-        decoded = getattr(exe, "_decoded_text", None)
-        if decoded is None:
-            decoded = []
-            for idx in range(count):
-                try:
-                    instr = isa.decode_bytes(text, idx * width)
-                except DecodingError:
-                    instr = None  # constant-pool data inside text
-                decoded.append(instr)
-            exe._decoded_text = decoded
+        # The decoded text (:func:`decoded_text`) and the per-slot
+        # hazard/latency tables, which depend only on (text, pipeline
+        # params), are computed once and shared across machines via the
+        # executable.  Each machine works on shallow copies: patch_text
+        # rewrites the machine's own lists, never the shared originals.
         meta_cache = getattr(exe, "_slot_meta_cache", None)
         if meta_cache is None:
             meta_cache = exe._slot_meta_cache = {}
@@ -1073,7 +1084,7 @@ class Machine:
             interlocks=interlocks, load_interlocks=load_il,
             math_interlocks=math_il, ifetch_words=ifw, ifetch_dwords=ifd,
             exit_code=self.traps.exit_code, output=self.traps.output_text,
-            exec_counts=self.counts, program=self.program)
+            exec_counts=self.counts)
 
 
 def run_executable(exe: Executable, *, stdin: bytes = b"",

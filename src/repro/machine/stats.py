@@ -9,6 +9,7 @@ interlocks (Table 10), and word/doubleword instruction-fetch transactions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 from ..isa import Instr
 
@@ -28,7 +29,6 @@ class RunStats:
     exit_code: int = 0
     output: str = ""
     exec_counts: list[int] = field(default_factory=list, repr=False)
-    program: list[Instr | None] = field(default_factory=list, repr=False)
 
     @property
     def mem_ops(self) -> int:
@@ -40,8 +40,14 @@ class RunStats:
         """Interlocks per instruction (paper Table 10's Rate column)."""
         return self.interlocks / self.instructions if self.instructions else 0.0
 
-    def executed_instructions(self):
-        """Yield ``(instr, dynamic_count)`` for every executed static site."""
-        for instr, count in zip(self.program, self.exec_counts):
+    def executed_instructions(self, program: Sequence[Instr | None],
+                              ) -> Iterator[tuple[Instr, int]]:
+        """Yield ``(instr, dynamic_count)`` for every executed static site.
+
+        ``program`` is the run's executable decoded
+        (:func:`~repro.machine.cpu.decoded_text`): ``exec_counts`` holds
+        one count per text slot, in the same order.
+        """
+        for instr, count in zip(program, self.exec_counts):
             if instr is not None and count:
                 yield instr, count

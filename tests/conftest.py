@@ -89,17 +89,17 @@ def dying_build(monkeypatch):
     """
     import os
 
-    import repro.experiments.runner as runner
+    import repro.cc.driver as driver
     from repro.bench import Benchmark, register_benchmark
 
-    real_build = runner.build_executable
+    real_build = driver.build_executable
 
     def build(source, target, **kwargs):
         if "fs_die_marker" in source:
             os._exit(13)
         return real_build(source, target, **kwargs)
 
-    monkeypatch.setattr(runner, "build_executable", build)
+    monkeypatch.setattr(driver, "build_executable", build)
     register_benchmark(Benchmark(
         "fs-die", "kills its worker process", ("5",),
         inline_source="int main() { int fs_die_marker; "

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import Cache, CacheConfig, replay_reads, simulate_caches
-from repro.cache.vector import as_addresses, dedup_words
+from repro.cache import Cache, CacheConfig, simulate_caches
+from repro.cache.vector import as_addresses, dedup_words, replay_reads
 
 
 def make(size=1024, block=32, sub=8):

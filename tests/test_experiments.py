@@ -6,6 +6,8 @@ paper's qualitative claims on a subset small enough for the regular
 test run.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import (
@@ -16,6 +18,7 @@ from repro.experiments import (
 from repro.experiments.cacheperf import (format_figure16,
                                          format_figures_17_18,
                                          format_table13)
+from repro.experiments.features import RESTRICTED_DLXE
 from repro.labcache import ArtifactCache
 from repro.machine.pipeline import PipelineParams
 
@@ -236,6 +239,104 @@ class TestParallelCacheStudy:
         lab = Lab(cache=ArtifactCache(tmp_path / "cache"), jobs=2)
         with pytest.raises(ExperimentError, match="fs-bad/d16"):
             run_cache_study(lab, ("fs-bad",), sizes=(1024,), blocks=(32,))
+
+
+class TestStoredCacheStudy:
+    """Each cell's study result is an artifact that the parent reads."""
+
+    SIZES, BLOCKS = (1024, 4096), (32,)
+    #: The study's ordered (size, block, sub_block) list.
+    GEOMETRY = [(1024, 32, 8), (4096, 32, 8)]
+
+    def study(self, lab):
+        return run_cache_study(lab, ("ackermann",), sizes=self.SIZES,
+                               blocks=self.BLOCKS)
+
+    def test_warm_study_replays_nothing(self, tmp_path, monkeypatch):
+        from repro.experiments import cacheperf, runner
+
+        root = tmp_path / "cache"
+        first = self.study(Lab(cache=ArtifactCache(root), jobs=2))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm study replayed or forked")
+
+        monkeypatch.setattr(cacheperf, "simulate_caches_grid", forbidden)
+        monkeypatch.setattr(runner, "fan_out", forbidden)
+        warm_lab = Lab(cache=ArtifactCache(root), jobs=2)
+        warm = self.study(warm_lab)
+        assert list(warm.points) == list(first.points)
+        for key, point in first.points.items():
+            assert warm.points[key].rates == point.rates
+        assert list(warm.runs) == list(first.runs)
+        for cell, run in first.runs.items():
+            other = warm.runs[cell]
+            assert other.stats == run.stats
+            assert (other.binary_size, other.text_size) == \
+                (run.binary_size, run.text_size)
+        assert not warm_lab._traces
+        assert warm_lab.cache.misses == 0
+
+    def test_stored_output_is_checked(self, tmp_path):
+        lab = Lab(cache=ArtifactCache(tmp_path / "cache"))
+        self.study(lab)
+        payload = lab.stored_study("ackermann", "d16", self.GEOMETRY)
+        payload["stats"].output = "tampered"
+        lab.store_study("ackermann", "d16", self.GEOMETRY, payload)
+        with pytest.raises(ExperimentError, match="unexpected output"):
+            self.study(Lab(cache=ArtifactCache(tmp_path / "cache")))
+
+    def test_key_covers_geometry_and_pipeline(self, tmp_path):
+        root = tmp_path / "cache"
+        lab = Lab(cache=ArtifactCache(root))
+        self.study(lab)
+        for target in ("d16", "dlxe"):
+            assert lab.stored_study("ackermann", target,
+                                    self.GEOMETRY) is not None
+            for geometry in (self.GEOMETRY[:1], self.GEOMETRY[::-1],
+                             [(1024, 16, 8), (4096, 16, 8)]):
+                assert lab.stored_study("ackermann", target,
+                                        geometry) is None
+            slower = Lab(cache=ArtifactCache(root),
+                         params=PipelineParams(load_delay=2))
+            assert slower.stored_study("ackermann", target,
+                                       self.GEOMETRY) is None
+
+
+def test_table4_census_rejects_counts_of_another_text():
+    """Table 4 pairs a run's per-slot counts with its executable's
+    decoded text, so counts of another length are refused."""
+    lab = Lab()
+    run = lab.run("ackermann", RESTRICTED_DLXE)
+    run.stats = dataclasses.replace(
+        run.stats, exec_counts=run.stats.exec_counts + [0])
+    with pytest.raises(ExperimentError, match="ackermann/dlxe/16/2"):
+        run_immediates(lab, ["ackermann"])
+
+
+def test_reading_results_loads_neither_numpy_nor_the_compiler():
+    """``import repro.experiments`` loads no numpy and no compiler; the
+    compiler's names still resolve from ``repro.cc``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    probe = ("import sys\n"
+             "import repro.experiments\n"
+             "print(sorted(name for name in ('numpy', 'repro.cc.driver',"
+             " 'repro.cc.opt') if name in sys.modules))\n"
+             "from repro.cc import compile_and_run, parse, CompileError\n"
+             "print(compile_and_run.__module__, parse.__module__,"
+             " CompileError.__module__)\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split("\n")[:2] == [
+        "[]", "repro.cc.driver repro.cc.parser repro.cc.irgen"]
 
 
 def test_lab_memoizes():

@@ -11,6 +11,7 @@ from repro.experiments.runner import ExperimentError
 from repro.labcache import (ArtifactCache, default_cache_root,
                             params_fingerprint, source_fingerprint,
                             target_fingerprint)
+from repro.machine.cpu import decoded_text
 from repro.machine.pipeline import PipelineParams
 
 
@@ -332,7 +333,7 @@ class TestLabPersistence:
 
         # A fresh lab on the same store must never compile or execute.
         monkeypatch.setattr(
-            "repro.experiments.runner.build_executable",
+            "repro.cc.driver.build_executable",
             lambda *a, **k: pytest.fail("warm lab recompiled"))
         monkeypatch.setattr(
             "repro.experiments.runner.run_executable",
@@ -358,7 +359,7 @@ class TestLabPersistence:
         Lab(cache=ArtifactCache(root)).executable("ackermann", "d16")
         fresh = build_executable(get_benchmark("ackermann").source, "d16")
         monkeypatch.setattr(
-            "repro.experiments.runner.build_executable",
+            "repro.cc.driver.build_executable",
             lambda *a, **k: pytest.fail("warm lab recompiled"))
         warm = Lab(cache=ArtifactCache(root)).executable("ackermann", "d16")
         assert "main" in warm.functions
@@ -368,9 +369,11 @@ class TestLabPersistence:
         """Pickled RunStats keep the per-site execution counts."""
         root = tmp_path / "cache"
         Lab(cache=ArtifactCache(root)).run("ackermann", "d16")
-        warm = Lab(cache=ArtifactCache(root)).run("ackermann", "d16")
+        warm_lab = Lab(cache=ArtifactCache(root))
+        warm = warm_lab.run("ackermann", "d16")
+        program = decoded_text(warm_lab.executable("ackermann", "d16"))
         counts = [count for _instr, count
-                  in warm.stats.executed_instructions()]
+                  in warm.stats.executed_instructions(program)]
         assert counts and sum(counts) == warm.stats.instructions
 
     def test_output_verified_even_on_cache_hit(self, tmp_path):

@@ -11,6 +11,7 @@ from repro.asm import assemble, link
 from repro.isa import D16, DLXE
 from repro.machine import Machine
 from repro.machine import cpu as cpu_mod
+from repro.machine.cpu import decoded_text
 
 
 @pytest.fixture(autouse=True)
@@ -94,8 +95,8 @@ def test_exec_counts_sum_to_instructions():
     exe = build(SRC, D16)
     for _machine, stats in runs(exe):
         assert sum(stats.exec_counts) == stats.instructions
-        counted = sum(count
-                      for instr, count in stats.executed_instructions())
+        counted = sum(count for instr, count
+                      in stats.executed_instructions(decoded_text(exe)))
         assert counted == stats.instructions
 
 
@@ -107,7 +108,7 @@ def test_dynamic_op_counts():
     exe = build(SRC, D16)
     for _machine, stats in runs(exe):
         counts: Counter = Counter()
-        for instr, count in stats.executed_instructions():
+        for instr, count in stats.executed_instructions(decoded_text(exe)):
             counts[instr.op] += count
         assert counts[Op.MVI] == 2
         assert counts[Op.LD] == 1

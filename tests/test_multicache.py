@@ -11,8 +11,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import (Cache, CacheConfig, replay_reads, simulate_caches,
+from repro.cache import (Cache, CacheConfig, simulate_caches,
                          simulate_caches_grid)
+from repro.cache.vector import replay_reads
 from repro.machine import RunStats
 
 from .test_cache_vector import dedup_consecutive
